@@ -1,10 +1,9 @@
 """Output checks for the benchmark, computed without the program's code.
 
 Every expected figure here is worked out from first principles by brute
-force: partial orders and two-valued profunctors on sets of pairs,
-Lukasiewicz arithmetic on fractions, permutation products written out by
-hand, and the paper's rule for scalar cycles.  Nothing is read from a stored
-copy of an earlier output.
+force: two-valued profunctors on sets of pairs, Lukasiewicz arithmetic on
+fractions, and the paper's rule for scalar cycles.  Nothing is read from a
+stored copy of an earlier output.
 
 ``verify(op, exit_code, stdout)`` returns the list of problems with one
 operation's output; an empty list means the operation passed.
@@ -22,19 +21,6 @@ AXIOMS = ("pnul", "k", "t0", "tbin", "pbin",
 # the two are equivalent, so they share one rule for scalar cycles
 QUASI_AXIOMS = ("k", "kprime")
 
-# the suites ``paper all`` reports, one per criterion plus the counter-model
-PAPER_SUITES = ("criterion-1", "criterion-2", "vec-scalar-table", "criterion-5",
-                "criterion-6", "braided-d2-suite", "braided-counter-model",
-                "criterion-8", "criterion-4")
-
-# scalars of criterion 3 and the hom of the luk3 two-object category of
-# criterion 5, as documented for ``paper all``
-PAPER_SCALARS = ("1", "-1", "2", "1/2")
-PAPER_LUK3_HOM = {("x", "x"): "1", ("x", "y"): "1/2", ("y", "x"): "0", ("y", "y"): "1"}
-
-S3_LABELS = ("e", "(01)", "(02)", "(12)", "(012)", "(021)")
-
-
 # ------------------------------------------------------------ relations
 
 def _compose(r, s):
@@ -48,27 +34,12 @@ def all_relations(n):
             for mask in range(1 << len(pairs))]
 
 
-def is_preorder(r, n):
-    return all((i, i) in r for i in range(n)) and _compose(r, r) <= r
-
-
-@lru_cache(maxsize=None)
-def partial_orders(n):
-    return [r for r in all_relations(n)
-            if is_preorder(r, n) and all(i == j or (j, i) not in r for (i, j) in r)]
-
-
 @lru_cache(maxsize=None)
 def profunctor_count(order, n):
     """Relations w with order;w <= w and w;order <= w: the endo-profunctors
     of a preorder enriched in the two-element chain."""
     return sum(1 for w in all_relations(n)
                if _compose(order, w) <= w and _compose(w, order) <= w)
-
-
-@lru_cache(maxsize=None)
-def all_posets_profunctor_total():
-    return sum(profunctor_count(p, n) for n in (1, 2, 3) for p in partial_orders(n))
 
 
 def chain_order(n):
@@ -122,28 +93,6 @@ def luk3_profunctor_count(hom):
     return count
 
 
-# -------------------------------------------------------------- S3
-
-def _perm(label):
-    """The permutation of {0,1,2} written in cycle notation."""
-    image = [0, 1, 2]
-    if label != "e":
-        cyc = [int(ch) for ch in label.strip("()")]
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            image[a] = b
-    return tuple(image)
-
-
-def central_s3_labels():
-    perms = {label: _perm(label) for label in S3_LABELS}
-
-    def mul(p, q):
-        return tuple(p[q[i]] for i in range(3))
-
-    return {label for label, p in perms.items()
-            if all(mul(p, q) == mul(q, p) for q in perms.values())}
-
-
 # ------------------------------------------------------------ scalars
 
 def scalar_rule_problems(table, scalars):
@@ -186,42 +135,6 @@ def _checks_named(rep, name):
     return [c for c in rep["checks"] if c["name"] == name]
 
 
-def paper_problems(doc, op):
-    out = []
-    by_suite = {r["suite"]: r for r in doc["reports"]}
-    if sorted(by_suite) != sorted(PAPER_SUITES) or len(doc["reports"]) != 9:
-        return [f"suites {[r['suite'] for r in doc['reports']]}"]
-
-    c1 = by_suite["criterion-1"]
-    posets = {str(n): len(partial_orders(n)) for n in (1, 2, 3)}
-    if c1["stats"].get("posets") != posets:
-        out.append(f"poset counts {c1['stats'].get('posets')} != {posets}")
-    for n in (1, 2, 3):
-        got = [c["count"] for c in _checks_named(c1, f"rel:{n}-duality")]
-        if got != [2 ** (n * n)]:
-            out.append(f"rel:{n}-duality counts {got} != [{2 ** (n * n)}]")
-    got = [c["count"] for c in _checks_named(c1, "2prof-duality-all-posets")]
-    if got != [all_posets_profunctor_total()]:
-        out.append(f"all-posets count {got} != [{all_posets_profunctor_total()}]")
-
-    central = central_s3_labels()
-    c2 = by_suite["criterion-2"]
-    for label in S3_LABELS:
-        found = _checks_named(c2, f"s3@{label}")
-        want = f"cyclic={label in central}"
-        if len(found) != 1 or not found[0]["witness"].startswith(want + ","):
-            out.append(f"s3@{label}: {found} does not say {want}")
-
-    out.extend(scalar_rule_problems(by_suite["vec-scalar-table"]["stats"].get("table", {}),
-                                    PAPER_SCALARS))
-
-    want = luk3_profunctor_count(PAPER_LUK3_HOM)
-    got = by_suite["criterion-5"]["stats"].get("luk3_prof_elements")
-    if got != want:
-        out.append(f"luk3_prof_elements {got} != {want}")
-    return out
-
-
 def quantale_problems(doc, op):
     got = doc["reports"][0]["stats"].get("elements")
     return [] if got == op.expect else [f"elements {got} != {op.expect}"]
@@ -244,7 +157,6 @@ def scalars_problems(doc, op):
 
 
 KIND_PROBLEMS = {
-    "paper": paper_problems,
     "quantale": quantale_problems,
     "prof": prof_problems,
     "scalars": scalars_problems,

@@ -1,6 +1,6 @@
 """The stautcheck benchmark.
 
-    python3 perfbench/run.py --workload {paper,thin,linear} --seed N
+    python3 perfbench/run.py --workload {thin,linear} --seed N
                              --seconds S --trace {0,1}
 
 Run from the root of a source checkout (the program is imported from
@@ -10,18 +10,18 @@ run one at a time; it fails if it exits non-zero or if one of the checks in
 workload's operations: one, and then one more while the next is expected to
 end within ``--seconds``.
 
-With ``--trace 0`` it reports, as medians over the rounds, the end-to-end
-metrics: the summed wall and CPU time of a round's commands, the largest
-resident set of any of them, and the median wall time of several set-up
-processes.  With ``--trace 1`` each round runs once untraced and once under
-``tracer.py``, and the run reports the per-layer metrics of the traced pass.
+With ``--trace 0`` it reports the end-to-end metrics: the sum over the
+workload's commands of each command's least wall and least CPU time over the
+rounds, the largest median resident set of any command, and the median wall
+time of set-up processes, three of them timed before each round.  With
+``--trace 1`` each round runs once untraced and once under ``tracer.py``, and
+the run reports the per-layer metrics of the traced pass.
 The last line of standard output is a JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``.
 """
 
 import argparse
 import array
-import hashlib
 import json
 import os
 import statistics
@@ -41,7 +41,7 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = HERE / "out"
 
-SETUP_REPEATS = 7
+SETUP_PER_ROUND = 3   # set-up processes timed before each untraced round
 RUN_LIMIT_S = 170.0      # every child is killed by then, so the run ends in time
 
 END_TO_END = {"wall_s": "s", "cpu_s": "s", "peak_rss_mb": "MB", "setup_s": "s"}
@@ -127,8 +127,7 @@ class Run:
         self.attempted = 0
         self.failed = 0
         self.problems = []
-        self.source = source_digest()
-        self.op_walls = {}    # (op index, traced) -> wall times
+        self.op_stats = {}    # (op index, traced) -> [(wall, cpu, rss), ...]
 
     def remaining(self):
         return RUN_LIMIT_S - (time.perf_counter() - self.t0)
@@ -147,15 +146,13 @@ class Run:
         code, wall, cpu, rss = run_child(argv + op.args, prefix.with_suffix(".out"),
                                          self.remaining())
         self.check(op, code, prefix.with_suffix(".out").read_bytes(), tag)
-        self.op_walls.setdefault((i, traced), []).append(wall)
+        self.op_stats.setdefault((i, traced), []).append((wall, cpu, rss))
         return (wall, cpu, rss), (prefix if traced else None)
 
     def check(self, op, code, stdout, tag):
         """Count the operation as attempted, and as failed if its output
         does not pass; returns its problems."""
         problems = checks.verify(op, code, stdout)
-        if op.same_every_time and not problems:
-            problems += self.differs_from_first(op, stdout)
         self.attempted += 1
         if problems:
             self.failed += 1
@@ -163,42 +160,26 @@ class Run:
                                  + "; ".join(problems[:5]))
         return problems
 
-    def differs_from_first(self, op, stdout):
-        """The first report of a command made by this source is kept under
-        ``out/reference``; every later one must match it byte for byte."""
-        key = hashlib.sha256(f"{self.source} {op.args}".encode()).hexdigest()[:24]
-        ref = OUT / "reference" / f"{key}.out"
-        if not ref.exists():
-            ref.parent.mkdir(parents=True, exist_ok=True)
-            tmp = ref.with_suffix(f".{os.getpid()}.tmp")
-            tmp.write_bytes(stdout)
-            os.replace(tmp, ref)
-            return []
-        if ref.read_bytes() != stdout:
-            return [f"report differs from the first one this source made ({ref})"]
-        return []
-
     def round(self, traced):
         stats, prefixes = [], []
         for i, op in enumerate(self.wl.ops):
             s, prefix = self.op(i, op, traced)
             stats.append(s)
             prefixes.append(prefix)
-        return {"wall": sum(s[0] for s in stats), "cpu": sum(s[1] for s in stats),
-                "rss": max(s[2] for s in stats), "traces": prefixes}
+        return {"wall": sum(s[0] for s in stats), "traces": prefixes}
 
 
 def setup_times(wl, run_dir):
     spec = run_dir / "setup.json"
     spec.write_text(json.dumps(wl.setup))
     times = []
-    for k in range(SETUP_REPEATS):
+    for k in range(SETUP_PER_ROUND):
         code, wall, _, _ = run_child([sys.executable, str(HERE / "setup_probe.py"), str(spec)],
                                      run_dir / f"setup{k}.out", 60.0)
         if code != 0:
             raise SetupError(f"set-up process exited with {code}; see {run_dir}/setup{k}.err")
         times.append(wall)
-    return statistics.median(times)
+    return times
 
 
 def read_trace(prefix):
@@ -268,12 +249,13 @@ def per_layer(rounds):
 
 def measure(wl, seed, seconds, trace):
     run = Run(wl, seed)
-    metrics = {}
-    if not trace:
-        metrics["setup_s"] = setup_times(wl, run.dir)
-    rounds = []
+    setup, rounds = [], []
     t0 = time.perf_counter()
     while True:
+        if not trace:
+            # spread over the run like the commands, so that both see the
+            # same phases of a shared host
+            setup += setup_times(wl, run.dir)
         r = run.round(traced=False)
         if trace:
             r["traced"] = run.round(traced=True)
@@ -286,18 +268,21 @@ def measure(wl, seed, seconds, trace):
         metrics = per_layer(rounds)
         units = PER_LAYER
     else:
-        metrics["wall_s"] = statistics.median(r["wall"] for r in rounds)
-        metrics["cpu_s"] = statistics.median(r["cpu"] for r in rounds)
-        metrics["peak_rss_mb"] = statistics.median(r["rss"] for r in rounds)
+        metrics = end_to_end(run.op_stats)
+        metrics["setup_s"] = statistics.median(setup)
         units = END_TO_END
     return run, len(rounds), {k: {"value": metrics[k], "unit": units[k]} for k in units}
 
 
-def source_digest():
-    h = hashlib.sha256()
-    for path in sorted((SRC / "stautcheck").rglob("*.py")):
-        h.update(path.relative_to(SRC).as_posix().encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()
+def end_to_end(op_stats):
+    """The least wall and CPU time of each command, summed over the commands,
+    and the largest median resident set.  Other tenants of a shared host slow
+    a command down, never speed it up, so a command's least time over the
+    rounds is the steadiest estimate of its cost."""
+    stats = [ss for (_, traced), ss in op_stats.items() if not traced]
+    return {"wall_s": sum(min(s[0] for s in ss) for ss in stats),
+            "cpu_s": sum(min(s[1] for s in ss) for ss in stats),
+            "peak_rss_mb": max(statistics.median(s[2] for s in ss) for ss in stats)}
 
 
 def time_of(r):
@@ -337,9 +322,10 @@ def main(argv=None):
           f"{len(wl.ops)} command(s); attempted {run.attempted}, failed {run.failed}")
     for line in run.problems:
         print("  FAILED " + line)
-    for (i, traced), walls in sorted(run.op_walls.items()):
-        print(f"  {statistics.median(walls):8.3f} s  {'traced ' if traced else ''}"
-              f"stautcheck {' '.join(wl.ops[i].args)}")
+    for (i, traced), stats in sorted(run.op_stats.items()):
+        walls = [s[0] for s in stats]
+        print(f"  {min(walls):8.3f} s (median {statistics.median(walls):.3f})  "
+              f"{'traced ' if traced else ''}stautcheck {' '.join(wl.ops[i].args)}")
     for name, m in metrics.items():
         print(f"  {name:36s} {m['value']:.6g} {m['unit']}")
     print(json.dumps({"correct": run.failed == 0, "attempted": run.attempted,

@@ -41,9 +41,7 @@ QUANTALE_BUILDERS = ["build_rel_quantale", "build_two_profunctor_quantale",
                      "build_pointed_group", "build_s3_pointed", "build_zmod",
                      "build_bool2", "build_luk3", "builtin_quantale"]
 SUITES = ["quantale_suite", "scalar_table_suite", "prof_suite", "braided_suite",
-          "counter_model_suite", "zang_suite", "criterion_1", "criterion_2",
-          "criterion_3", "criterion_4", "criterion_5", "criterion_6", "criterion_7",
-          "criterion_8", "paper_all"]
+          "counter_model_suite", "zang_suite"]
 
 # (module, function or Class.method, layer group)
 SPANS = (
