@@ -14,29 +14,19 @@ crossing contributes a detectable scalar; the checks then re-verify them on
 every braided backend.
 """
 
-import random
+from itertools import product
 
 from .core.morphisms import MorError
+from .core.quantify import arrows, draw, scan
 from .report import CheckResult
 from . import cyclicity
 from .cyclicity import BigCycle
 
 
-def _pairs(model, dim_cap=8):
-    ps = model.probe_objects()
-    return [(p, q) for p in ps for q in ps
-            if not model.is_linear or model.dim(p) * model.dim(q) <= dim_cap]
-
-
-def _triples(model, dim_cap=8, cap=40, seed=0):
-    ps = model.probe_objects()
-    pool = [(p, q, r) for p in ps for q in ps for r in ps
-            if not model.is_linear
-            or model.dim(p) * model.dim(q) * model.dim(r) <= dim_cap]
-    if len(pool) <= cap:
-        return pool, True
-    rng = random.Random(seed)
-    return rng.sample(pool, cap), False
+# Quantifier budget: probe pairs and triples up to this total dimension, and
+# at most this many seeded triples.
+_DIM_CAP = 8
+_TRIPLE_CAP = 40
 
 
 class Braiding:
@@ -75,8 +65,8 @@ class Braiding:
 
     def check_hexagons(self, seed=0):
         m = self.model
-        triples, exh = _triples(m, seed=seed)
-        for (p, q, r) in triples:
+
+        def body(p, q, r):
             lhs = self.tens(p, m.tens(q, r))
             rhs = m.chain(m.invert(m.assoc_t(p, q, r)),
                           m.tens_mor(self.tens(p, q), m.identity(r)),
@@ -84,8 +74,7 @@ class Braiding:
                           m.tens_mor(m.identity(q), self.tens(p, r)),
                           m.invert(m.assoc_t(q, r, p)))
             if lhs != rhs:
-                return CheckResult("hexagon-one", False, f"at ({p},{q},{r})",
-                                   len(triples), exh)
+                return f"hexagon-one at ({p},{q},{r})"
             lhs = self.tens(m.tens(p, q), r)
             rhs = m.chain(m.assoc_t(p, q, r),
                           m.tens_mor(m.identity(p), self.tens(q, r)),
@@ -93,16 +82,17 @@ class Braiding:
                           m.tens_mor(self.tens(p, r), m.identity(q)),
                           m.assoc_t(r, p, q))
             if lhs != rhs:
-                return CheckResult("hexagon-two", False, f"at ({p},{q},{r})",
-                                   len(triples), exh)
-        return CheckResult("hexagons", True, "", len(triples), exh)
+                return f"hexagon-two at ({p},{q},{r})"
+
+        triples, exh = draw(m, m.probe_objects(), 3, _TRIPLE_CAP, _DIM_CAP, seed)
+        return scan("hexagons", triples, body, exh)
 
     def check_mixed_distributions(self, seed=0):
         """The four coherence diagrams tying the two braidings to the linear
         distributions."""
         m = self.model
-        triples, exh = _triples(m, seed=seed)
-        for (p, q, r) in triples:
+
+        def body(p, q, r):
             d1_l = m.chain(
                 m.tens_mor(m.invert(self.par(q, p)), m.identity(r)),
                 m.dist_r(q, p, r),
@@ -112,8 +102,7 @@ class Braiding:
                 m.dist_l(r, p, q),
                 m.par_mor(m.invert(self.tens(p, r)), m.identity(q)))
             if d1_l != d1_r:
-                return CheckResult("mixed-dist-1", False, f"at ({p},{q},{r})",
-                                   len(triples), exh)
+                return f"mixed-dist-1 at ({p},{q},{r})"
             d2_l = m.chain(
                 self.tens(r, m.par(q, p)),
                 m.dist_r(q, p, r),
@@ -123,8 +112,7 @@ class Braiding:
                 m.dist_l(r, p, q),
                 self.par(m.tens(r, p), q))
             if d2_l != d2_r:
-                return CheckResult("mixed-dist-2", False, f"at ({p},{q},{r})",
-                                   len(triples), exh)
+                return f"mixed-dist-2 at ({p},{q},{r})"
             d3_l = m.chain(
                 m.tens_mor(self.par(p, q), m.identity(r)),
                 m.dist_r(q, p, r),
@@ -134,8 +122,7 @@ class Braiding:
                 m.dist_l(r, p, q),
                 m.par_mor(self.tens(r, p), m.identity(q)))
             if d3_l != d3_r:
-                return CheckResult("mixed-dist-3", False, f"at ({p},{q},{r})",
-                                   len(triples), exh)
+                return f"mixed-dist-3 at ({p},{q},{r})"
             d4_l = m.chain(
                 m.invert(self.tens(m.par(q, p), r)),
                 m.dist_r(q, p, r),
@@ -145,28 +132,28 @@ class Braiding:
                 m.dist_l(r, p, q),
                 m.invert(self.par(q, m.tens(r, p))))
             if d4_l != d4_r:
-                return CheckResult("mixed-dist-4", False, f"at ({p},{q},{r})",
-                                   len(triples), exh)
-        return CheckResult("mixed-distributions", True, "", len(triples), exh)
+                return f"mixed-dist-4 at ({p},{q},{r})"
+
+        triples, exh = draw(m, m.probe_objects(), 3, _TRIPLE_CAP, _DIM_CAP, seed)
+        return scan("mixed-distributions", triples, body, exh)
 
     def check_degenerate_agreement(self):
         """In a degenerate model the derived par braiding must coincide with
         the tensor braiding entrywise."""
         m = self.model
-        bad = ""
-        pairs = _pairs(m)
-        for (p, q) in pairs:
-            if self.par(p, q).payload != self.tens(p, q).payload:
-                bad = f"at ({p},{q})"
-                break
-        return CheckResult("degenerate-braid-agreement", not bad, bad, len(pairs))
+        pairs, _ = draw(m, m.probe_objects(), 2, dim_cap=_DIM_CAP)
+        return scan("degenerate-braid-agreement", pairs,
+                    lambda p, q: self.par(p, q).payload != self.tens(p, q).payload)
 
     def is_symmetry(self):
+        """(True, None) for a symmetry, else (False, the text of the first
+        pair (p, q) whose double braiding is not the identity)."""
         m = self.model
-        for (p, q) in _pairs(m):
-            if m.compose(self.tens(p, q), self.tens(q, p)) != m.identity(m.tens(p, q)):
-                return False, (p, q)
-        return True, None
+        pairs, _ = draw(m, m.probe_objects(), 2, dim_cap=_DIM_CAP)
+        res = scan("symmetry", pairs, lambda p, q: (
+            m.compose(self.tens(p, q), self.tens(q, p)) != m.identity(m.tens(p, q))
+            and repr((p, q))))
+        return res.ok, res.witness or None
 
 
 class Balance:
@@ -190,25 +177,16 @@ class Balance:
     def validate(self, probes=None):
         m = self.model
         probes = probes if probes is not None else m.probe_objects()
-        bad = ""
-        for p in probes:
-            try:
-                m.invert(self.component(p))
-            except MorError as exc:
-                bad = f"{p}: {exc}"
-                break
-        out = [CheckResult("twist-invertible", not bad, bad, len(probes))]
-        bad = ""
-        n = 0
-        for p in probes:
-            for q in probes:
-                for f in m.hom_span(p, q):
-                    n += 1
-                    if m.compose(f, self.component(q)) != m.compose(self.component(p), f):
-                        bad = f"naturality fails at {f}"
-                        break
-        out.append(CheckResult("twist-natural", not bad, bad, n))
-        return out
+
+        def not_invertible(p):
+            m.invert(self.component(p))   # raises MorError when there is no inverse
+
+        def natural(p, q, i, f):
+            return (m.compose(f, self.component(q)) != m.compose(self.component(p), f)
+                    and f"naturality fails at {f}, arrow #{i}")
+
+        return [scan("twist-invertible", probes, not_invertible),
+                scan("twist-natural", arrows(m, product(probes, repeat=2)), natural)]
 
 
 def identity_balance(model):
@@ -286,26 +264,22 @@ def check_semibalance(balance, which, seed=0):
     the unit component to the identity."""
     m = balance.model
     braiding = Braiding(m)
-    pairs = _pairs(m)
-    for (p, q) in pairs:
-        if which == "tens":
-            lhs = balance.component(m.tens(p, q))
-            rhs = m.chain(braiding.tens(p, q),
-                          m.tens_mor(balance.component(q), balance.component(p)),
-                          braiding.tens(q, p))
-        else:
-            lhs = balance.component(m.par(p, q))
-            rhs = m.chain(braiding.par(p, q),
-                          m.par_mor(balance.component(q), balance.component(p)),
-                          braiding.par(q, p))
-        if lhs != rhs:
-            return CheckResult(f"semibalance-{which}", False, f"at ({p},{q})",
-                               len(pairs))
-    unit = m.e if which == "tens" else m.d
-    if balance.component(unit) != m.identity(unit):
-        return CheckResult(f"semibalance-{which}", False,
-                           "unit component is not the identity", len(pairs))
-    return CheckResult(f"semibalance-{which}", True, "", len(pairs))
+    if which == "tens":
+        unit, over, both, cross = m.e, m.tens, m.tens_mor, braiding.tens
+    else:
+        unit, over, both, cross = m.d, m.par, m.par_mor, braiding.par
+
+    def body(p, q):
+        lhs = balance.component(over(p, q))
+        return lhs != m.chain(cross(p, q),
+                              both(balance.component(q), balance.component(p)),
+                              cross(q, p))
+
+    pairs, _ = draw(m, m.probe_objects(), 2, dim_cap=_DIM_CAP)
+    res = scan(f"semibalance-{which}", pairs, body)
+    if res.ok and balance.component(unit) != m.identity(unit):
+        res.ok, res.witness = False, "unit component is not the identity"
+    return res
 
 
 def stitch(model, p):
@@ -328,16 +302,12 @@ def stitch(model, p):
 
 def check_stitch_natural(model, seed=0):
     m = model
-    bad = ""
-    n = 0
-    for p in m.probe_objects():
-        for q in m.probe_objects():
-            for f in m.hom_span(p, q):
-                n += 1
-                if m.compose(f, stitch(m, q)) != m.compose(stitch(m, p), f):
-                    bad = f"at {f}"
-                    break
-    return CheckResult("stitch-natural", not bad, bad, n)
+
+    def natural(p, q, i, f):
+        return (m.compose(f, stitch(m, q)) != m.compose(stitch(m, p), f)
+                and f"at {f}, arrow #{i}")
+
+    return scan("stitch-natural", arrows(m, product(m.probe_objects(), repeat=2)), natural)
 
 
 def check_quasibalance(balance, probes=None):
@@ -345,14 +315,15 @@ def check_quasibalance(balance, probes=None):
     stitch on every probe object."""
     m = balance.model
     probes = probes if probes is not None else m.probe_objects()
-    for p in probes:
+
+    def body(p):
         lhs = m.chain(balance.component(p),
                       m.canon_l(p),
                       m.ldual_mor(balance.component(m.rdual(p))),
                       m.invert(m.canon_l(p)))
-        if lhs != stitch(m, p):
-            return CheckResult("quasibalance", False, f"at {p}", len(probes))
-    return CheckResult("quasibalance", True, "", len(probes))
+        return lhs != stitch(m, p)
+
+    return scan("quasibalance", probes, body)
 
 
 def check_balance_double(balance, probes=None):
@@ -360,32 +331,29 @@ def check_balance_double(balance, probes=None):
     stitch is the twist squared."""
     m = balance.model
     probes = probes if probes is not None else m.probe_objects()
-    for p in probes:
+
+    def body(p):
         left = balance.component(m.rdual(p)) == m.rdual_mor(balance.component(p))
         right = stitch(m, p) == m.compose(balance.component(p), balance.component(p))
-        if left != right:
-            return CheckResult("balance-double", False, f"at {p}", len(probes))
-    return CheckResult("balance-double", True, "", len(probes))
+        return left != right
+
+    return scan("balance-double", probes, body)
 
 
 def roundtrip_check(balance, config=None):
     """balance -> hom family -> object family -> balance must be the
     identity round trip, and the same starting from the cycle."""
     m = balance.model
-    big = cycle_from_balance(balance)
-    low = cyclicity.to_lower(big)
+    low = cyclicity.to_lower(cycle_from_balance(balance))
     back = balance_from_cycle(low)
-    for p in m.probe_objects():
-        if back.component(p) != balance.component(p):
-            return CheckResult("roundtrip-balance", False, f"at {p}",
-                               len(m.probe_objects()))
-    big2 = cycle_from_balance(back)
-    low2 = cyclicity.to_lower(big2)
-    for p in m.probe_objects():
-        if low2.component(p) != low.component(p):
-            return CheckResult("roundtrip-cycle", False, f"at {p}",
-                               len(m.probe_objects()))
-    return CheckResult("roundtrip", True, "", 2 * len(m.probe_objects()))
+    low2 = cyclicity.to_lower(cycle_from_balance(back))
+    trips = {"balance": (back, balance), "cycle": (low2, low)}
+
+    def body(kind, p):
+        there, start = trips[kind]
+        return there.component(p) != start.component(p) and f"{kind} at {p}"
+
+    return scan("roundtrip", [(kind, p) for kind in trips for p in m.probe_objects()], body)
 
 
 def check_identity_cycle_symmetry(model, config=None):

@@ -23,6 +23,7 @@ from fractions import Fraction
 from . import suites
 from .files import FileFormatError, load_vcat_file, resolve_quantale
 from .quantale import QuantaleError, BUILTIN_HELP, build_bool2
+from .report import SCHEMA_VERSION
 from . import profunctors as pf
 
 
@@ -154,7 +155,7 @@ def _run(args):
 
 def _emit(reports, args, out=None):
     if args.format == "structured":
-        doc = {"schema_version": 1, "seed": args.seed,
+        doc = {"schema_version": SCHEMA_VERSION, "seed": args.seed,
                "reports": [r.to_json_dict() for r in reports],
                "ok": all(r.ok for r in reports)}
         text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True)
@@ -175,13 +176,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         reports = _run(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except FileFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InputError, FileFormatError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     _emit(reports, args)

@@ -7,49 +7,15 @@ distribution coherence equations, invertibility of the de Morgan and
 cancellation maps, and the currying round trips on hom spanning sets.
 """
 
-import random
-
-from ..report import CheckResult
-from .morphisms import MorError
-
-
-def _tuples(model, probes, k, cap, dim_cap, seed):
-    pool = [tuple()]
-    for _ in range(k):
-        pool = [t + (x,) for t in pool for x in probes]
-    if model.is_linear:
-        pool = [t for t in pool if _prod(model.dim(x) for x in t) <= dim_cap]
-    if len(pool) <= cap:
-        return pool, True
-    rng = random.Random(seed * 1000003 + k)
-    return rng.sample(pool, cap), False
-
-
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
-
-
-def _scan(name, items, body):
-    """Run body over items; first exception or inequality is the witness."""
-    n = 0
-    for it in items:
-        n += 1
-        try:
-            lhs, rhs = body(*it) if isinstance(it, tuple) else body(it)
-        except MorError as exc:
-            return CheckResult(name, False, f"at {it}: {exc}", n)
-        if lhs != rhs:
-            return CheckResult(name, False, f"at {tuple(map(str, it)) if isinstance(it, tuple) else it}", n)
-    return CheckResult(name, True, "", n)
+from .quantify import draw, scan
 
 
 def validate_staut(model, seed=0, tuple_cap=24, dim_cap=8):
     m = model
     probes = m.probe_objects()
-    out = []
+
+    def tuples(k):
+        return draw(m, probes, k, tuple_cap, dim_cap, seed * 1000003 + k)
 
     def triangle_right_obj(p):
         rp = m.rdual(p)
@@ -58,7 +24,7 @@ def validate_staut(model, seed=0, tuple_cap=24, dim_cap=8):
                      m.dist_l(p, rp, p),
                      m.par_mor(m.dual_counit_r(p), m.identity(p)),
                      m.lunit_p(p))
-        return t1, m.identity(p)
+        return t1 != m.identity(p)
 
     def triangle_right_dual(p):
         rp = m.rdual(p)
@@ -67,7 +33,7 @@ def validate_staut(model, seed=0, tuple_cap=24, dim_cap=8):
                      m.dist_r(rp, p, rp),
                      m.par_mor(m.identity(rp), m.dual_counit_r(p)),
                      m.runit_p(rp))
-        return t2, m.identity(rp)
+        return t2 != m.identity(rp)
 
     def triangle_left_obj(p):
         lp = m.ldual(p)
@@ -76,7 +42,7 @@ def validate_staut(model, seed=0, tuple_cap=24, dim_cap=8):
                      m.dist_r(p, lp, p),
                      m.par_mor(m.identity(p), m.dual_counit_l(p)),
                      m.runit_p(p))
-        return t3, m.identity(p)
+        return t3 != m.identity(p)
 
     def triangle_left_dual(p):
         lp = m.ldual(p)
@@ -85,14 +51,7 @@ def validate_staut(model, seed=0, tuple_cap=24, dim_cap=8):
                      m.dist_l(lp, p, lp),
                      m.par_mor(m.dual_counit_l(p), m.identity(lp)),
                      m.lunit_p(lp))
-        return t4, m.identity(lp)
-
-    out.append(_scan("triangle-right-object", probes, triangle_right_obj))
-    out.append(_scan("triangle-right-dual", probes, triangle_right_dual))
-    out.append(_scan("triangle-left-object", probes, triangle_left_obj))
-    out.append(_scan("triangle-left-dual", probes, triangle_left_dual))
-
-    quads, exh4 = _tuples(m, probes, 4, tuple_cap, dim_cap, seed)
+        return t4 != m.identity(lp)
 
     def pentagon_t(p, q, r, s):
         lhs = m.chain(m.tens_mor(m.assoc_t(p, q, r), m.identity(s)),
@@ -100,7 +59,7 @@ def validate_staut(model, seed=0, tuple_cap=24, dim_cap=8):
                       m.tens_mor(m.identity(p), m.assoc_t(q, r, s)))
         rhs = m.chain(m.assoc_t(m.tens(p, q), r, s),
                       m.assoc_t(p, q, m.tens(r, s)))
-        return lhs, rhs
+        return lhs != rhs
 
     def pentagon_p(p, q, r, s):
         lhs = m.chain(m.par_mor(m.assoc_p(p, q, r), m.identity(s)),
@@ -108,47 +67,25 @@ def validate_staut(model, seed=0, tuple_cap=24, dim_cap=8):
                       m.par_mor(m.identity(p), m.assoc_p(q, r, s)))
         rhs = m.chain(m.assoc_p(m.par(p, q), r, s),
                       m.assoc_p(p, q, m.par(r, s)))
-        return lhs, rhs
-
-    res = _scan("pentagon-tensor", quads, pentagon_t)
-    res.exhaustive = exh4
-    out.append(res)
-    res = _scan("pentagon-par", quads, pentagon_p)
-    res.exhaustive = exh4
-    out.append(res)
-
-    pairs, exh2 = _tuples(m, probes, 2, tuple_cap, dim_cap, seed)
+        return lhs != rhs
 
     def unit_tri_t(p, q):
         lhs = m.chain(m.assoc_t(p, m.e, q),
                       m.tens_mor(m.identity(p), m.lunit_t(q)))
-        rhs = m.tens_mor(m.runit_t(p), m.identity(q))
-        return lhs, rhs
+        return lhs != m.tens_mor(m.runit_t(p), m.identity(q))
 
     def unit_tri_p(p, q):
         lhs = m.chain(m.assoc_p(p, m.d, q),
                       m.par_mor(m.identity(p), m.lunit_p(q)))
-        rhs = m.par_mor(m.runit_p(p), m.identity(q))
-        return lhs, rhs
-
-    res = _scan("unit-triangle-tensor", pairs, unit_tri_t)
-    res.exhaustive = exh2
-    out.append(res)
-    res = _scan("unit-triangle-par", pairs, unit_tri_p)
-    res.exhaustive = exh2
-    out.append(res)
-
-    triples, exh3 = _tuples(m, probes, 3, tuple_cap, dim_cap, seed)
+        return lhs != m.par_mor(m.runit_p(p), m.identity(q))
 
     def dist_unit_l(_, s, t):
-        lhs = m.lunit_t(m.par(s, t))
         rhs = m.chain(m.dist_l(m.e, s, t), m.par_mor(m.lunit_t(s), m.identity(t)))
-        return lhs, rhs
+        return m.lunit_t(m.par(s, t)) != rhs
 
     def dist_unit_r(p, q, _):
-        lhs = m.runit_t(m.par(p, q))
         rhs = m.chain(m.dist_r(p, q, m.e), m.par_mor(m.identity(p), m.runit_t(q)))
-        return lhs, rhs
+        return m.runit_t(m.par(p, q)) != rhs
 
     def dist_assoc_t(q, q2, s):
         t = s
@@ -157,7 +94,7 @@ def validate_staut(model, seed=0, tuple_cap=24, dim_cap=8):
                           m.dist_l(q, m.tens(q2, s), t))
         start_r = m.chain(m.dist_l(m.tens(q, q2), s, t),
                           m.par_mor(m.assoc_t(q, q2, s), m.identity(t)))
-        return start_l, start_r
+        return start_l != start_r
 
     def dist_assoc_p(q, s, t):
         u = s
@@ -166,7 +103,7 @@ def validate_staut(model, seed=0, tuple_cap=24, dim_cap=8):
                       m.assoc_p(m.tens(q, s), t, u))
         rhs = m.chain(m.tens_mor(m.identity(q), m.assoc_p(s, t, u)),
                       m.dist_l(q, s, m.par(t, u)))
-        return lhs, rhs
+        return lhs != rhs
 
     def dist_mixed(p, q, s):
         t = p
@@ -175,72 +112,52 @@ def validate_staut(model, seed=0, tuple_cap=24, dim_cap=8):
         rhs = m.chain(m.dist_l(m.par(p, q), s, t),
                       m.par_mor(m.dist_r(p, q, s), m.identity(t)),
                       m.assoc_p(p, m.tens(q, s), t))
-        return lhs, rhs
+        return lhs != rhs
 
-    for name, body in (("dist-unit-left", dist_unit_l),
-                       ("dist-unit-right", dist_unit_r),
-                       ("dist-assoc-tensor", dist_assoc_t),
-                       ("dist-assoc-par", dist_assoc_p),
-                       ("dist-mixed", dist_mixed)):
-        res = _scan(name, triples, body)
-        res.exhaustive = exh3
-        out.append(res)
+    def not_invertible(iso):
+        return m.compose(iso, m.invert(iso)) != m.identity(iso.dom)
 
     def demorgan_iso(p, q):
-        for variant in ("tens_r", "tens_l", "par_r", "par_l"):
-            iso = m.demorgan(variant, p, q)
-            lhs = m.compose(iso, m.invert(iso))
-            if lhs != m.identity(iso.dom):
-                return lhs, m.identity(iso.dom)
-        return m.identity(p), m.identity(p)
-
-    res = _scan("demorgan-invertible", pairs, demorgan_iso)
-    res.exhaustive = exh2
-    out.append(res)
+        return any(not_invertible(m.demorgan(variant, p, q))
+                   for variant in ("tens_r", "tens_l", "par_r", "par_l"))
 
     def unit_demorgan(_p):
-        for variant in ("unit_er", "unit_dr", "unit_el", "unit_dl"):
-            iso = m.demorgan(variant)
-            lhs = m.compose(iso, m.invert(iso))
-            if lhs != m.identity(iso.dom):
-                return lhs, m.identity(iso.dom)
-        return m.identity(m.e), m.identity(m.e)
-
-    out.append(_scan("demorgan-units-invertible", probes[:1], unit_demorgan))
+        return any(not_invertible(m.demorgan(variant))
+                   for variant in ("unit_er", "unit_dr", "unit_el", "unit_dl"))
 
     def cancellation_iso(p):
-        for build in (m.canon_r, m.canon_l):
-            iso = build(p)
-            lhs = m.compose(iso, m.invert(iso))
-            if lhs != m.identity(p):
-                return lhs, m.identity(p)
-        return m.identity(p), m.identity(p)
-
-    out.append(_scan("cancellation-invertible", probes, cancellation_iso))
+        return any(not_invertible(build(p)) for build in (m.canon_r, m.canon_l))
 
     def curry_roundtrip(p, t):
-        x = m.tens(p, t)
-        for f in m.hom_span(x, m.d):
-            if m.lcurry_inv(m.lcurry(f)) != f:
-                return m.lcurry_inv(m.lcurry(f)), f
-            if m.rcurry_inv(m.rcurry(f)) != f:
-                return m.rcurry_inv(m.rcurry(f)), f
-        return m.identity(p), m.identity(p)
-
-    res = _scan("curry-roundtrip", pairs, curry_roundtrip)
-    res.exhaustive = exh2
-    out.append(res)
+        return any(m.lcurry_inv(m.lcurry(f)) != f or m.rcurry_inv(m.rcurry(f)) != f
+                   for f in m.hom_span(m.tens(p, t), m.d))
 
     def curry_counit(p):
-        return m.lcurry(m.dual_counit_r(p)), m.identity(m.rdual(p))
-
-    out.append(_scan("curry-counit-is-id", probes, curry_counit))
+        return m.lcurry(m.dual_counit_r(p)) != m.identity(m.rdual(p))
 
     def name_of_identity(p):
-        lhs = m.name_mor(m.identity(p))
-        rhs = m.dual_unit_r(p)
-        return lhs, rhs
+        return m.name_mor(m.identity(p)) != m.dual_unit_r(p)
 
-    out.append(_scan("name-of-identity", probes, name_of_identity))
-
-    return out
+    everything = (probes, True)
+    quads, pairs, triples = tuples(4), tuples(2), tuples(3)
+    checks = [("triangle-right-object", everything, triangle_right_obj),
+              ("triangle-right-dual", everything, triangle_right_dual),
+              ("triangle-left-object", everything, triangle_left_obj),
+              ("triangle-left-dual", everything, triangle_left_dual),
+              ("pentagon-tensor", quads, pentagon_t),
+              ("pentagon-par", quads, pentagon_p),
+              ("unit-triangle-tensor", pairs, unit_tri_t),
+              ("unit-triangle-par", pairs, unit_tri_p),
+              ("dist-unit-left", triples, dist_unit_l),
+              ("dist-unit-right", triples, dist_unit_r),
+              ("dist-assoc-tensor", triples, dist_assoc_t),
+              ("dist-assoc-par", triples, dist_assoc_p),
+              ("dist-mixed", triples, dist_mixed),
+              ("demorgan-invertible", pairs, demorgan_iso),
+              ("demorgan-units-invertible", (probes[:1], True), unit_demorgan),
+              ("cancellation-invertible", everything, cancellation_iso),
+              ("curry-roundtrip", pairs, curry_roundtrip),
+              ("curry-counit-is-id", everything, curry_counit),
+              ("name-of-identity", everything, name_of_identity)]
+    return [scan(name, items, body, exhaustive)
+            for name, (items, exhaustive), body in checks]

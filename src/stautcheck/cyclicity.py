@@ -23,8 +23,9 @@ thin ones.
 from dataclasses import dataclass, field
 import random
 
-from .core.morphisms import MorError, ShapeError
+from .core.morphisms import ShapeError
 from .core.objects import TENS
+from .core.quantify import arrows, draw, scan
 from .report import CheckResult
 
 LOWER_AXIOMS = ("pnul", "k", "t0", "tbin", "pbin")
@@ -64,31 +65,19 @@ class CycleData:
         """Invertibility on probes and naturality on morphism spanning sets."""
         m = self.model
         probes = probes if probes is not None else m.probe_objects()
-        out = []
-        bad = ""
-        for p in probes:
-            try:
-                self.inverse_component(p)
-            except MorError as exc:
-                bad = f"{p}: {exc}"
-                break
-        out.append(CheckResult("cycle-invertible", not bad, bad, len(probes)))
         pairs = mor_pairs if mor_pairs is not None else [
             (a, b) for a in probes for b in probes]
-        bad = ""
-        n = 0
-        for a, b in pairs:
-            for f in m.hom_span(a, b):
-                n += 1
-                lhs = m.compose(self.component(b), m.ldual_mor(f))
-                rhs = m.compose(m.rdual_mor(f), self.component(a))
-                if lhs != rhs:
-                    bad = f"naturality fails at {f}"
-                    break
-            if bad:
-                break
-        out.append(CheckResult("cycle-natural", not bad, bad, n))
-        return out
+
+        def natural(a, b, i, f):
+            lhs = m.compose(self.component(b), m.ldual_mor(f))
+            rhs = m.compose(m.rdual_mor(f), self.component(a))
+            return lhs != rhs and f"naturality fails at {f}, arrow #{i}"
+
+        def not_invertible(p):
+            self.inverse_component(p)   # raises MorError when there is no inverse
+
+        return [scan("cycle-invertible", probes, not_invertible),
+                scan("cycle-natural", arrows(m, pairs), natural)]
 
 
 class BigCycle:
@@ -189,41 +178,9 @@ class CheckConfig:
         return cfg
 
 
-def _dim_of(model, ref):
-    return model.dim(ref) if model.is_linear else 1
-
-
-def draw_tuples(model, cfg, k, span_shapes=None):
-    """Deterministic tuple selection over the probe set, filtered by the
-    total-dimension cap; exhaustive when small enough, else seeded sample.
-
-    ``span_shapes(model, t)`` names the objects whose hom spans into the
-    dualizing object the check quantifies over; tuples where any of those
-    spans is empty are vacuous and dropped (unless nothing survives), so
-    hom-level checks always see content where content exists.
-    """
-    probes = cfg.probes
-    pool = [tuple()]
-    for _ in range(k):
-        pool = [t + (x,) for t in pool for x in probes]
-    pool = [t for t in pool
-            if _prod(_dim_of(model, x) for x in t) <= cfg.dim_cap]
-    if span_shapes is not None:
-        live = [t for t in pool
-                if all(_hom_to_d(model, x) for x in span_shapes(model, t))]
-        if live:
-            pool = live
-    if len(pool) <= cfg.tuple_cap:
-        return pool, True
-    rng = random.Random(cfg.seed * 1000003 + k)
-    return rng.sample(pool, cfg.tuple_cap), False
-
-
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
+# The benchmark's tracer (perfbench/tracer.py) times tuple drawing under this
+# name; it is ``draw`` itself.
+draw_tuples = draw
 
 
 def _hom_to_d(model, x):
@@ -232,55 +189,28 @@ def _hom_to_d(model, x):
 
 # ------------------------------------------------------------ axiom checks
 
-def _eq_or_witness(lhs, rhs, tag):
-    return None if lhs == rhs else tag
-
-
-def _check_lower(cycle, which, tuples):
-    m = cycle.model
-    for t in tuples:
-        try:
-            if which == "pnul":
-                lhs = m.compose(cycle.component(m.d), m.invert(m.demorgan("unit_el")))
-                rhs = m.invert(m.demorgan("unit_er"))
-            elif which == "t0":
-                lhs = m.compose(cycle.component(m.e), m.demorgan("unit_dl"))
-                rhs = m.demorgan("unit_dr")
-            elif which == "k":
-                (r,) = t
-                lhs = m.chain(m.canon_r(r), m.rdual_mor(cycle.component(r)),
-                              cycle.component(m.rdual(r)))
-                rhs = m.canon_l(r)
-            elif which == "tbin":
-                p, q = t
-                lhs = m.compose(cycle.component(m.tens(p, q)), m.demorgan("tens_l", p, q))
-                rhs = m.compose(m.demorgan("tens_r", p, q),
-                                m.par_mor(cycle.component(q), cycle.component(p)))
-            elif which == "pbin":
-                p, q = t
-                lhs = m.compose(cycle.component(m.par(p, q)),
-                                m.invert(m.demorgan("par_l", q, p)))
-                rhs = m.compose(m.invert(m.demorgan("par_r", q, p)),
-                                m.tens_mor(cycle.component(q), cycle.component(p)))
-            else:
-                raise ValueError(which)
-        except MorError as exc:
-            return f"at {t}: {exc}"
-        if lhs != rhs:
-            return f"at {tuple(map(str, t))}" if t else "at the unit diagram"
-    return None
-
-
-def _check_upper(cycle, big, which, tuples):
-    m = cycle.model
-    for t in tuples:
-        try:
-            span_witness = _check_upper_tuple(m, big, which, t)
-        except MorError as exc:
-            return f"at {tuple(map(str, t))}: {exc}"
-        if span_witness is not None:
-            return f"at {tuple(map(str, t))}, arrow #{span_witness}"
-    return None
+def _lower_sides(m, cycle, which, t):
+    """The two sides of object-level axiom ``which`` at the tuple ``t``."""
+    comp = cycle.component
+    if which == "pnul":
+        return (m.compose(comp(m.d), m.invert(m.demorgan("unit_el"))),
+                m.invert(m.demorgan("unit_er")))
+    if which == "t0":
+        return m.compose(comp(m.e), m.demorgan("unit_dl")), m.demorgan("unit_dr")
+    if which == "k":
+        (r,) = t
+        return (m.chain(m.canon_r(r), m.rdual_mor(comp(r)), comp(m.rdual(r))),
+                m.canon_l(r))
+    if which == "tbin":
+        p, q = t
+        return (m.compose(comp(m.tens(p, q)), m.demorgan("tens_l", p, q)),
+                m.compose(m.demorgan("tens_r", p, q), m.par_mor(comp(q), comp(p))))
+    if which == "pbin":
+        p, q = t
+        return (m.compose(comp(m.par(p, q)), m.invert(m.demorgan("par_l", q, p))),
+                m.compose(m.invert(m.demorgan("par_r", q, p)),
+                          m.tens_mor(comp(q), comp(p))))
+    raise ValueError(which)
 
 
 def _check_upper_tuple(m, big, which, t):
@@ -385,17 +315,25 @@ def check_axiom(cycle, which, config=None, big=None):
     replayable counterexample locator on failure."""
     if which not in AXIOMS:
         raise ValueError(f"unknown axiom {which!r}; known: {AXIOMS}")
-    cfg = (config or CheckConfig()).for_model(cycle.model)
-    cap = _DIM_CAPS.get(which)
-    if cap is not None:
-        cfg = CheckConfig(cfg.probes, cfg.seed, cfg.tuple_cap, min(cfg.dim_cap, cap))
-    tuples, exhaustive = draw_tuples(cycle.model, cfg, _ARITY[which],
-                                     _SPAN_SHAPES.get(which))
+    m = cycle.model
+    cfg = (config or CheckConfig()).for_model(m)
+    k, shapes = _ARITY[which], _SPAN_SHAPES.get(which)
+    live = shapes and (lambda t: all(_hom_to_d(m, x) for x in shapes(m, t)))
+    tuples, exhaustive = draw(m, cfg.probes, k, cfg.tuple_cap,
+                              min(cfg.dim_cap, _DIM_CAPS.get(which, cfg.dim_cap)),
+                              cfg.seed * 1000003 + k, live)
     if which in LOWER_AXIOMS:
-        witness = _check_lower(cycle, which, tuples)
+        def body(*t):
+            lhs, rhs = _lower_sides(m, cycle, which, t)
+            if lhs != rhs:
+                return True if t else "at the unit diagram"
     else:
-        witness = _check_upper(cycle, big or to_upper(cycle), which, tuples)
-    return CheckResult(which, witness is None, witness or "", len(tuples), exhaustive)
+        big = big or to_upper(cycle)
+
+        def body(*t):
+            arrow = _check_upper_tuple(m, big, which, t)
+            return arrow is not None and f"at {tuple(map(str, t))}, arrow #{arrow}"
+    return scan(which, tuples, body, exhaustive)
 
 
 @dataclass
@@ -511,33 +449,35 @@ def check_base_identity(model, samples=100, seed=0, config=None):
     distributive category, sampled over arrow pairs (psi, omega)."""
     m = model
     cfg = (config or CheckConfig()).for_model(m)
-    tuples, _ = draw_tuples(m, cfg, 4)
+    tuples, _ = draw(m, cfg.probes, 4, cfg.tuple_cap, cfg.dim_cap, cfg.seed * 1000003 + 4)
     rng = random.Random(seed)
-    done = 0
-    for (q, s, t, p) in tuples:
-        if m.is_linear:
-            per = -(-samples // max(1, len(tuples)))
-            pairs = [(m.random_mor(rng, m.tens(q, s), m.d),
-                      m.random_mor(rng, m.tens(t, p), m.d)) for _ in range(per)]
-        else:
-            span1 = _hom_to_d(m, m.tens(q, s))
-            span2 = _hom_to_d(m, m.tens(t, p))
-            pairs = [(a, b) for a in span1 for b in span2]
-        for psi, om in pairs:
-            done += 1
-            big_dom_inner = m.tens(m.par(s, t), p)
-            x = m.chain(m.dist_l(q, s, t),
-                        m.par_mor(psi, m.identity(t)),
-                        m.lunit_p(t))
-            lhs = m.chain(m.invert(m.assoc_t(q, m.par(s, t), p)),
-                          m.tens_mor(x, m.identity(p)),
-                          om)
-            y = m.chain(m.dist_r(s, t, p),
-                        m.par_mor(m.identity(s), om),
-                        m.runit_p(s))
-            rhs = m.chain(m.tens_mor(m.identity(q), y), psi)
-            assert lhs.dom is m.tens(q, big_dom_inner)
-            if lhs != rhs:
-                return CheckResult("base-identity", False,
-                                   f"at ({q},{s},{t},{p})", done)
-    return CheckResult("base-identity", True, "", done)
+
+    def arrow_items():
+        for (q, s, t, p) in tuples:
+            if m.is_linear:
+                per = -(-samples // max(1, len(tuples)))
+                pairs = [(m.random_mor(rng, m.tens(q, s), m.d),
+                          m.random_mor(rng, m.tens(t, p), m.d)) for _ in range(per)]
+            else:
+                span1 = _hom_to_d(m, m.tens(q, s))
+                span2 = _hom_to_d(m, m.tens(t, p))
+                pairs = [(a, b) for a in span1 for b in span2]
+            for psi, om in pairs:
+                yield q, s, t, p, psi, om
+
+    def body(q, s, t, p, psi, om):
+        big_dom_inner = m.tens(m.par(s, t), p)
+        x = m.chain(m.dist_l(q, s, t),
+                    m.par_mor(psi, m.identity(t)),
+                    m.lunit_p(t))
+        lhs = m.chain(m.invert(m.assoc_t(q, m.par(s, t), p)),
+                      m.tens_mor(x, m.identity(p)),
+                      om)
+        y = m.chain(m.dist_r(s, t, p),
+                    m.par_mor(m.identity(s), om),
+                    m.runit_p(s))
+        rhs = m.chain(m.tens_mor(m.identity(q), y), psi)
+        assert lhs.dom is m.tens(q, big_dom_inner)
+        return lhs != rhs and f"at ({q},{s},{t},{p})"
+
+    return scan("base-identity", arrow_items(), body)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 import random
 
+from .core.quantify import scan
 from .quantale import Quantale
 from .report import CheckResult
 from .thin import ThinModel
@@ -253,90 +254,69 @@ def check_prof_staut(c, cap=65536, seed=0):
     out.append(CheckResult("prof-enumeration", True,
                            f"{len(profs)} profunctors", len(profs), exhaustive))
 
-    bad = ""
-    for i, vals in enumerate(profs):
+    def duals_are_profunctors(i, vals):
         f = VProf(c, c, vals)
         for side in ("right", "left"):
             try:
                 dual_prof(f, side)
             except ProfError as exc:
-                bad = f"profunctor #{i}, {side}: {exc}"
-                break
-        if bad:
-            break
-    out.append(CheckResult("prof-duals-are-profunctors", not bad, bad, len(profs),
-                           exhaustive))
+                return f"profunctor #{i}, {side}: {exc}"
 
-    bad = ""
-    for i, vals in enumerate(profs):
+    def cyclic_duals_agree(i, vals):
         f = VProf(c, c, vals)
         pr = dual_prof(f, "right").values
         pl = dual_prof(f, "left").values
         rev = {(q, r): v.perp(vals[(r, q)]) for (q, r) in vals}
-        if pr != pl or pr != rev:
-            bad = f"profunctor #{i}"
-            break
-    out.append(CheckResult("prof-cyclic-duals-agree", not bad, bad, len(profs),
-                           exhaustive))
+        return (pr != pl or pr != rev) and f"profunctor #{i}"
+
+    out.append(scan("prof-duals-are-profunctors", enumerate(profs),
+                    duals_are_profunctors, exhaustive))
+    out.append(scan("prof-cyclic-duals-agree", enumerate(profs),
+                    cyclic_duals_agree, exhaustive))
 
     rng = random.Random(seed)
     picks = profs if len(profs) <= 12 else rng.sample(profs, 12)
-    bad = ""
-    for fa in picks:
-        for fb in picks:
-            f, g = VProf(c, c, fa), VProf(c, c, fb)
-            lhs = dual_prof(compose_prof(f, g), "right")
-            rhs = par_prof(dual_prof(g, "right"), dual_prof(f, "right"))
-            if lhs.values != rhs.values:
-                bad = "de Morgan of a composite"
-                break
-        if bad:
-            break
-    out.append(CheckResult("prof-demorgan-pointwise", not bad, bad, len(picks) ** 2,
-                           len(picks) == len(profs)))
 
-    bad = ""
-    for fa in picks:
+    def demorgan(i, j):
+        f, g = VProf(c, c, picks[i]), VProf(c, c, picks[j])
+        lhs = dual_prof(compose_prof(f, g), "right")
+        rhs = par_prof(dual_prof(g, "right"), dual_prof(f, "right"))
+        return lhs.values != rhs.values and f"de Morgan of a composite at picks #{i}, #{j}"
+
+    def unit_counit(fa):
         f = VProf(c, c, fa)
         i = identity_prof(c)
         if compose_prof(i, f).values != f.values or compose_prof(f, i).values != f.values:
-            bad = "identity profunctor is not neutral"
-            break
+            return "identity profunctor is not neutral"
+        rf = dual_prof(f, "right")
+        tau, gamma = par_prof(rf, f).values, compose_prof(f, rf).values
+        dz = dualizer_prof(c).values
         for (q, s) in f.values:
-            tau_ok = v.le(c.hom[(q, s)],
-                          par_prof(dual_prof(f, "right"), f).values[(q, s)])
-            gamma_ok = v.le(compose_prof(f, dual_prof(f, "right")).values[(q, s)],
-                            dualizer_prof(c).values[(q, s)])
-            if not (tau_ok and gamma_ok):
-                bad = f"duality unit/counit inequality at {(q, s)}"
-                break
-        if bad:
-            break
-    out.append(CheckResult("prof-duality-unit-counit", not bad, bad, len(picks)))
+            if not (v.le(c.hom[(q, s)], tau[(q, s)]) and v.le(gamma[(q, s)], dz[(q, s)])):
+                return f"duality unit/counit inequality at {(q, s)}"
 
-    def _dist_violation():
-        for fa in picks[:6]:
-            for fb in picks[:6]:
-                for fc in picks[:6]:
-                    f, g, h = (VProf(c, c, x) for x in (fa, fb, fc))
-                    gh_par = par_prof(g, h)
-                    fg = compose_prof(f, g)
-                    for p, q, r, s in product(c.objects, repeat=4):
-                        lhs = v.tensor(f.value(p, q), gh_par.value(q, s))
-                        rhs = v.par(fg.value(p, r), h.value(r, s))
-                        if not v.le(lhs, rhs):
-                            return f"linear distribution at {(p, q, r, s)}"
-        return ""
+    def distribution(fa, fb, fc):
+        f, g, h = (VProf(c, c, x) for x in (fa, fb, fc))
+        gh_par = par_prof(g, h)
+        fg = compose_prof(f, g)
+        for p, q, r, s in product(c.objects, repeat=4):
+            lhs = v.tensor(f.value(p, q), gh_par.value(q, s))
+            rhs = v.par(fg.value(p, r), h.value(r, s))
+            if not v.le(lhs, rhs):
+                return f"linear distribution at {(p, q, r, s)}"
 
-    bad = _dist_violation()
-    out.append(CheckResult("prof-linear-distribution", not bad, bad,
-                           min(6, len(picks)) ** 3))
+    out.append(scan("prof-demorgan-pointwise", product(range(len(picks)), repeat=2),
+                    demorgan, len(picks) == len(profs)))
+    out.append(scan("prof-duality-unit-counit", picks, unit_counit))
+    out.append(scan("prof-linear-distribution", product(picks[:6], repeat=3),
+                    distribution))
 
     profile = None
     if exhaustive:
         pq = build_prof_quantale(c, cap, seed)
-        for nm, ok, wit in pq.validate(seed):
-            out.append(CheckResult(f"profq-{nm}", ok, str(wit) if not ok else ""))
+        for r in pq.validate(seed):
+            r.name = "profq-" + r.name
+            out.append(r)
         cyc, wit = pq.is_cyclic()
         out.append(CheckResult("profq-cyclic", cyc,
                                pq.name(wit) if wit is not None else ""))
@@ -365,41 +345,40 @@ def check_contraposition_agreement(model, cycle, samples=50, seed=0):
     rng = random.Random(seed)
     probes = [p for p in m.probe_objects()
               if not m.is_linear or m.dim(p) <= 2]
-    done = 0
-    for a in probes:
-        for x in probes:
-            for y in probes:
-                if m.is_linear:
-                    alphas = [m.random_mor(rng, m.tens(a, x), y)
-                              for _ in range(max(1, samples // 8))]
-                else:
-                    alphas = m.hom_span(m.tens(a, x), y)
-                for alpha in alphas:
-                    done += 1
-                    ev = m.chain(m.assoc_t(m.ldual(y), a, x),
-                                 m.tens_mor(m.identity(m.ldual(y)), alpha),
-                                 m.dual_counit_l(y))
-                    act = m.curry_right(m.ldual_adj(x), ev)
-                    one = m.chain(
-                        m.tens_mor(cycle.component(y), m.identity(a)),
-                        act,
-                        cycle.inverse_component(x))
-                    g = m.chain(m.rdual_mor(alpha),
-                                m.demorgan("tens_r", a, x),
-                                m.par_mor(m.identity(m.rdual(x)),
-                                          cycle.component(a)))
-                    two = m.chain(
-                        m.tens_mor(g, m.identity(a)),
-                        m.dist_r(m.rdual(x), m.ldual(a), a),
-                        m.par_mor(m.identity(m.rdual(x)), m.dual_counit_l(a)),
-                        m.runit_p(m.rdual(x)))
-                    if one != two:
-                        return CheckResult(
-                            "contraposition-agreement", False,
-                            f"at a={a}, x={x}, y={y}", done)
-                    if done >= samples and not m.is_linear:
-                        return CheckResult("contraposition-agreement", True, "",
-                                           done)
-                if done >= samples:
-                    return CheckResult("contraposition-agreement", True, "", done)
-    return CheckResult("contraposition-agreement", True, "", done)
+
+    def actions():
+        done = 0
+        for a, x, y in product(probes, repeat=3):
+            if m.is_linear:
+                # whole batches of random action arrows up to the sample size
+                alphas = [m.random_mor(rng, m.tens(a, x), y)
+                          for _ in range(max(1, samples // 8))]
+            else:
+                alphas = m.hom_span(m.tens(a, x), y)[:samples - done]
+            for alpha in alphas:
+                yield a, x, y, alpha
+            done += len(alphas)
+            if done >= samples:
+                return
+
+    def body(a, x, y, alpha):
+        ev = m.chain(m.assoc_t(m.ldual(y), a, x),
+                     m.tens_mor(m.identity(m.ldual(y)), alpha),
+                     m.dual_counit_l(y))
+        act = m.curry_right(m.ldual_adj(x), ev)
+        one = m.chain(
+            m.tens_mor(cycle.component(y), m.identity(a)),
+            act,
+            cycle.inverse_component(x))
+        g = m.chain(m.rdual_mor(alpha),
+                    m.demorgan("tens_r", a, x),
+                    m.par_mor(m.identity(m.rdual(x)),
+                              cycle.component(a)))
+        two = m.chain(
+            m.tens_mor(g, m.identity(a)),
+            m.dist_r(m.rdual(x), m.ldual(a), a),
+            m.par_mor(m.identity(m.rdual(x)), m.dual_counit_l(a)),
+            m.runit_p(m.rdual(x)))
+        return one != two and f"at a={a}, x={x}, y={y}"
+
+    return scan("contraposition-agreement", actions(), body)

@@ -17,7 +17,10 @@ listed in increasing mask order so reports and counterexamples are stable.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 import random
+
+from .core.quantify import scan
 
 
 class QuantaleError(Exception):
@@ -136,76 +139,61 @@ class Quantale:
     # ------------------------------------------------------------ validation
 
     def validate(self, seed=0, cap=4096, residual_cap=256):
-        """Brute-force the quantale axioms.
+        """Brute-force the quantale axioms, one CheckResult each.
 
         Pairs/triples are exhausted when their count stays under ``cap``
         (``residual_cap`` for the residual-existence scan, which costs a full
-        element sweep per pair), otherwise a seeded sample is drawn; the
-        report records which.  Returns (check-name, ok, witness) tuples.
+        element sweep per pair), otherwise drawn with replacement from a
+        seeded generator, and the check's name ends in "(sampled)".
         """
         rng = random.Random(seed)
         els = self.elements
         n = len(els)
-        out = []
+        le, tensor, unit = self.le, self.tensor, self.unit
 
-        bad = next((a for a in els
-                    if self.tensor(self.unit, a) != a or self.tensor(a, self.unit) != a),
-                   None)
-        out.append(("unit-law", bad is None,
-                    self.name(bad) if bad is not None else f"{n} elements"))
+        def tuples(k, budget):
+            if n ** k <= budget:
+                return list(product(els, repeat=k)), True
+            return [tuple(rng.choice(els) for _ in range(k)) for _ in range(budget)], False
 
-        def draw(k, budget=cap):
-            exhaustive = n ** k <= budget
-            if exhaustive:
-                tuples = [tuple()]
-                for _ in range(k):
-                    tuples = [t + (x,) for t in tuples for x in els]
-            else:
-                tuples = [tuple(rng.choice(els) for _ in range(k)) for _ in range(budget)]
-            return tuples, exhaustive
+        def names(*xs):
+            return str(tuple(map(self.name, xs)))
 
-        triples, exh = draw(3)
-        bad = next((t for t in triples
-                    if self.tensor(self.tensor(t[0], t[1]), t[2])
-                    != self.tensor(t[0], self.tensor(t[1], t[2]))), None)
-        out.append(("associativity" + ("" if exh else "(sampled)"), bad is None,
-                    bad and tuple(map(self.name, bad)) or f"{len(triples)} triples"))
+        def unit_law(a):
+            return (tensor(unit, a) != a or tensor(a, unit) != a) and self.name(a)
 
-        bad = None
-        for (a, b, c) in triples:
-            if self.le(a, b):
-                if not self.le(self.tensor(c, a), self.tensor(c, b)) or \
-                   not self.le(self.tensor(a, c), self.tensor(b, c)):
-                    bad = (a, b, c)
-                    break
-        out.append(("monotonicity" + ("" if exh else "(sampled)"), bad is None,
-                    bad and tuple(map(self.name, bad)) or f"{len(triples)} triples"))
+        def associative(a, b, c):
+            return tensor(tensor(a, b), c) != tensor(a, tensor(b, c)) and names(a, b, c)
 
-        pairs, exh2 = draw(2, residual_cap)
-        bad = None
-        for (a, b) in pairs:
+        def monotone(a, b, c):
+            return (le(a, b) and (not le(tensor(c, a), tensor(c, b))
+                                  or not le(tensor(a, c), tensor(b, c)))
+                    and names(a, b, c))
+
+        def residuals(a, b):
             try:
                 u, o = self.under(a, b), self.over(b, a)
             except QuantaleError:
-                bad = (a, b)
-                break
-            if not self.le(self.tensor(a, u), b) or not self.le(self.tensor(o, a), b):
-                bad = (a, b)
-                break
-        out.append(("residuals-exist" + ("" if exh2 else "(sampled)"), bad is None,
-                    bad and tuple(map(self.name, bad)) or f"{len(pairs)} pairs"))
+                return names(a, b)
+            return (not le(tensor(a, u), b) or not le(tensor(o, a), b)) and names(a, b)
 
-        bad = None
-        try:
-            bad = next((a for a in els
-                        if self.perp(self.prep(a)) != a
-                        or self.prep(self.perp(a)) != a), None)
-        except QuantaleError as exc:
-            bad = str(exc)
-        out.append(("dualizing-element", bad is None,
-                    self.name(bad) if bad is not None and bad in self._index
-                    else bad or f"{n} elements"))
-        return out
+        def dualizing(a):
+            try:
+                return (self.perp(self.prep(a)) != a or self.prep(self.perp(a)) != a) and self.name(a)
+            except QuantaleError as exc:
+                return str(exc)
+
+        def sampled(name, exhaustive):
+            return name + ("" if exhaustive else "(sampled)")
+
+        singles = [(a,) for a in els]   # wrapped, as an element may be a tuple
+        triples, exh3 = tuples(3, cap)
+        pairs, exh2 = tuples(2, residual_cap)
+        return [scan("unit-law", singles, unit_law),
+                scan(sampled("associativity", exh3), triples, associative, exh3),
+                scan(sampled("monotonicity", exh3), triples, monotone, exh3),
+                scan(sampled("residuals-exist", exh2), pairs, residuals, exh2),
+                scan("dualizing-element", singles, dualizing)]
 
 
 # --------------------------------------------------------------- relations
@@ -277,6 +265,15 @@ def rel_reverse(mask, n):
             if mask & (1 << (i * n + j)):
                 out |= 1 << (j * n + i)
     return out
+
+
+def duality_counterexample(q):
+    """The first element of a relation or two-valued profunctor quantale
+    whose right or left dual is not the complement of its reverse, else None."""
+    n = q.meta["n"]
+    full = (1 << (n * n)) - 1
+    return next((w for w in q.elements
+                 if not (q.perp(w) == (full & ~rel_reverse(w, n)) == q.prep(w))), None)
 
 
 def rel_diag(n):

@@ -15,9 +15,12 @@ tower, and for a full cycle the period-two strings compatible with it form a
 closed subcategory on which the extended cycle is the identity.
 """
 
+from itertools import product
+
 from .core.model import Adjunction
 from .core.morphisms import MorError, ShapeError
 from .core.objects import UniverseError
+from .core.quantify import scan
 from .report import CheckResult
 from .cyclicity import to_upper, lbind, rbind
 
@@ -295,22 +298,18 @@ class ZMate:
         """The defining compatibility through the counits on every adjacent
         pair of the window."""
         m = self.model
-        lo, hi = window
-        for n in range(lo, hi):
-            if n % 2 == 0:
-                lhs = m.chain(m.tens_mor(self.m(n), m.identity(self.dst.z(n + 1))),
-                              self.dst.gamma(n))
-                rhs = m.chain(m.tens_mor(m.identity(self.src.z(n)), self.m(n + 1)),
-                              self.src.gamma(n))
-            else:
-                lhs = m.chain(m.tens_mor(self.m(n), m.identity(self.src.z(n + 1))),
-                              self.src.gamma(n))
-                rhs = m.chain(m.tens_mor(m.identity(self.dst.z(n)), self.m(n + 1)),
-                              self.dst.gamma(n))
-            if lhs != rhs:
-                return CheckResult("mateship", False, f"between {n} and {n + 1}",
-                                   hi - lo)
-        return CheckResult("mateship", True, "", hi - lo)
+        # even components point source-to-target, odd ones backwards
+        ends = (self.dst, self.src)
+
+        def body(n):
+            near, far = ends[n % 2], ends[1 - n % 2]
+            lhs = m.chain(m.tens_mor(self.m(n), m.identity(near.z(n + 1))),
+                          near.gamma(n))
+            rhs = m.chain(m.tens_mor(m.identity(far.z(n)), self.m(n + 1)),
+                          far.gamma(n))
+            return lhs != rhs and f"between {n} and {n + 1}"
+
+        return scan("mateship", range(*window), body)
 
 
 def zangify_mor(model, f):
@@ -322,8 +321,8 @@ def zangify_mor(model, f):
 def check_triangles(string, window):
     """Both triangle identities for every adjacent pair in the window."""
     m = string.model
-    lo, hi = window
-    for n in range(lo, hi):
+
+    def body(n):
         zn, zn1 = string.z(n), string.z(n + 1)
         t1 = m.chain(m.invert(m.runit_t(zn)),
                      m.tens_mor(m.identity(zn), string.tau(n)),
@@ -331,17 +330,16 @@ def check_triangles(string, window):
                      m.par_mor(string.gamma(n), m.identity(zn)),
                      m.lunit_p(zn))
         if t1 != m.identity(zn):
-            return CheckResult("string-triangles", False,
-                               f"{string.describe()} object side at {n}", hi - lo)
+            return f"{string.describe()} object side at {n}"
         t2 = m.chain(m.invert(m.lunit_t(zn1)),
                      m.tens_mor(string.tau(n), m.identity(zn1)),
                      m.dist_r(zn1, zn, zn1),
                      m.par_mor(m.identity(zn1), string.gamma(n)),
                      m.runit_p(zn1))
         if t2 != m.identity(zn1):
-            return CheckResult("string-triangles", False,
-                               f"{string.describe()} dual side at {n}", hi - lo)
-    return CheckResult("string-triangles", True, "", hi - lo)
+            return f"{string.describe()} dual side at {n}"
+
+    return scan("string-triangles", range(*window), body)
 
 
 def strings_equal_on(a, b, window):
@@ -362,47 +360,36 @@ def check_strict_negations(model, window, strings=None):
     """All de Morgan and cancellation comparisons between string descriptors
     are literal componentwise identities on the window."""
     strings = strings or [zangify(model, p) for p in model.probe_objects()[:4]]
-    results = []
-    for i, P in enumerate(strings):
-        for j, Q in enumerate(strings):
-            cases = [
-                ("rdual-of-tens", ShiftZString(TensZString(P, Q), 1),
-                 ParZString(ShiftZString(Q, 1), ShiftZString(P, 1))),
-                ("ldual-of-tens", ShiftZString(TensZString(P, Q), -1),
-                 ParZString(ShiftZString(Q, -1), ShiftZString(P, -1))),
-                ("rduals-into-par", TensZString(ShiftZString(P, 1), ShiftZString(Q, 1)),
-                 ShiftZString(ParZString(Q, P), 1)),
-                ("lduals-into-par", TensZString(ShiftZString(P, -1), ShiftZString(Q, -1)),
-                 ShiftZString(ParZString(Q, P), -1)),
-            ]
-            for name, lhs, rhs in cases:
-                bad = strings_equal_on(lhs, rhs, window)
-                if bad:
-                    return CheckResult("strict-negations", False,
-                                       f"{name} on ({P.describe()},{Q.describe()}): {bad}")
-        cancel = [
-            ("cancel-right-left", ShiftZString(ShiftZString(P, -1), 1), P),
-            ("cancel-left-right", ShiftZString(ShiftZString(P, 1), -1), P),
-        ]
-        for name, lhs, rhs in cancel:
-            bad = strings_equal_on(lhs, rhs, window)
-            if bad:
-                return CheckResult("strict-negations", False,
-                                   f"{name} on {P.describe()}: {bad}")
     e_str, d_str = UnitZString(model, "e"), UnitZString(model, "d")
-    unit_cases = [
-        ("rdual-of-par-unit", ShiftZString(d_str, -1), e_str),
-        ("rdual-of-tens-unit", ShiftZString(e_str, 1), d_str),
-        ("ldual-of-par-unit", ShiftZString(d_str, 1), e_str),
-        ("ldual-of-tens-unit", ShiftZString(e_str, -1), d_str),
-    ]
-    for name, lhs, rhs in unit_cases:
+
+    def cases():
+        for P in strings:
+            for Q in strings:
+                on = f" on ({P.describe()},{Q.describe()})"
+                yield ("rdual-of-tens" + on, ShiftZString(TensZString(P, Q), 1),
+                       ParZString(ShiftZString(Q, 1), ShiftZString(P, 1)))
+                yield ("ldual-of-tens" + on, ShiftZString(TensZString(P, Q), -1),
+                       ParZString(ShiftZString(Q, -1), ShiftZString(P, -1)))
+                yield ("rduals-into-par" + on,
+                       TensZString(ShiftZString(P, 1), ShiftZString(Q, 1)),
+                       ShiftZString(ParZString(Q, P), 1))
+                yield ("lduals-into-par" + on,
+                       TensZString(ShiftZString(P, -1), ShiftZString(Q, -1)),
+                       ShiftZString(ParZString(Q, P), -1))
+            yield (f"cancel-right-left on {P.describe()}",
+                   ShiftZString(ShiftZString(P, -1), 1), P)
+            yield (f"cancel-left-right on {P.describe()}",
+                   ShiftZString(ShiftZString(P, 1), -1), P)
+        yield "rdual-of-par-unit", ShiftZString(d_str, -1), e_str
+        yield "rdual-of-tens-unit", ShiftZString(e_str, 1), d_str
+        yield "ldual-of-par-unit", ShiftZString(d_str, 1), e_str
+        yield "ldual-of-tens-unit", ShiftZString(e_str, -1), d_str
+
+    def body(case, lhs, rhs):
         bad = strings_equal_on(lhs, rhs, window)
-        if bad:
-            return CheckResult("strict-negations", False, f"{name}: {bad}")
-    n_strings = len(strings)
-    return CheckResult("strict-negations", True, "",
-                       4 * n_strings * n_strings + 2 * n_strings + 4)
+        return bad and f"{case}: {bad}"
+
+    return scan("strict-negations", cases(), body)
 
 
 def check_equivalence(model, window, strings=None):
@@ -410,28 +397,31 @@ def check_equivalence(model, window, strings=None):
     and every tested string is isomorphic to the canonical tower on its
     component zero through an invertible mate family."""
     probes = model.probe_objects()
-    for p in probes:
-        if project0(zangify(model, p)) is not p:
-            return CheckResult("zang-equivalence", False,
-                               f"projection fails at {p}")
+    res = scan("zang-equivalence", probes,
+               lambda p: project0(zangify(model, p)) is not p
+               and f"projection fails at {p}")
+    if not res.ok:
+        return res
     strings = strings or [zangify(model, p) for p in probes[:3]]
     lo, hi = window
-    count = 0
-    for P in strings:
-        target = zangify(model, P.z(0))
-        mate = ZMate(P, target, model.identity(P.z(0)))
-        res = mate.check_mateship(window)
-        if not res.ok:
-            return CheckResult("zang-equivalence", False,
-                               f"{P.describe()}: {res.witness}")
-        for n in range(lo, hi + 1):
-            count += 1
-            try:
-                model.invert(mate.m(n))
-            except MorError:
-                return CheckResult("zang-equivalence", False,
-                                   f"{P.describe()}: component {n} not invertible")
-    return CheckResult("zang-equivalence", True, "", count)
+
+    def mates():
+        for P in strings:
+            mate = ZMate(P, zangify(model, P.z(0)), model.identity(P.z(0)))
+            for n in range(lo, hi + 1):
+                yield P, mate, n
+
+    def body(P, mate, n):
+        if n == lo:
+            res = mate.check_mateship(window)
+            if not res.ok:
+                return f"{P.describe()}: {res.witness}"
+        try:
+            model.invert(mate.m(n))
+        except MorError:
+            return f"{P.describe()}: component {n} not invertible"
+
+    return scan("zang-equivalence", mates(), body)
 
 
 # ---------------------------------------------------------------- fang layer
@@ -477,11 +467,12 @@ def fang_closure(P, Q, cycle, window, profile=None):
     """Tensor and par of members are members."""
     _require_cycle(cycle, profile)
     big = to_upper(cycle)
-    for name, s in (("tens", TensZString(P, Q)), ("par", ParZString(P, Q))):
+
+    def body(name, s):
         bad = fang_membership(s, big, window)
-        if bad:
-            return CheckResult("fang-closure", False, f"{name}: {bad}")
-    return CheckResult("fang-closure", True, "", 2)
+        return bad and f"{name}: {bad}"
+
+    return scan("fang-closure", [("tens", TensZString(P, Q)), ("par", ParZString(P, Q))], body)
 
 
 def period2_from_cycle(model, p, cycle):
@@ -507,68 +498,46 @@ def check_zangcycle(model, cycle, window, strings=None, profile=None):
     identity on compatible period-two strings, and satisfies the binary
     coherence conditions componentwise (the string-level de Morgan maps being
     identities)."""
-    prof = _require_cycle(cycle, profile)
+    _require_cycle(cycle, profile)
     big = to_upper(cycle)
     lo, hi = window
-    out = []
     strings = strings or [zangify(model, p) for p in model.probe_objects()[:3]]
+    inner = range(lo + 1, hi)
 
-    bad = ""
-    n_checked = 0
-    for P in strings:
-        for n in range(lo + 1, hi):
-            n_checked += 1
-            try:
-                model.invert(zangcycle_component(P, cycle, n))
-            except MorError:
-                bad = f"{P.describe()} at {n}"
-                break
-    out.append(CheckResult("zangcycle-invertible", not bad, bad, n_checked))
+    def invertible(P, n):
+        try:
+            model.invert(zangcycle_component(P, cycle, n))
+        except MorError:
+            return f"{P.describe()} at {n}"
 
-    bad = ""
-    n_checked = 0
-    for P in strings:
-        for Q in strings:
-            PQ_t, PQ_p = TensZString(P, Q), ParZString(P, Q)
-            for n in range(lo + 1, hi):
-                n_checked += 1
-                lhs_t = zangcycle_component(PQ_t, cycle, n)
-                lhs_p = zangcycle_component(PQ_p, cycle, n)
-                cP = zangcycle_component(P, cycle, n)
-                cQ = zangcycle_component(Q, cycle, n)
-                if n % 2 == 0:
-                    rhs_t = model.par_mor(cQ, cP)
-                    rhs_p = model.tens_mor(cQ, cP)
-                else:
-                    rhs_t = model.tens_mor(cP, cQ)
-                    rhs_p = model.par_mor(cP, cQ)
-                if lhs_t != rhs_t:
-                    bad = f"tensor at {n} on ({P.describe()},{Q.describe()})"
-                    break
-                if lhs_p != rhs_p:
-                    bad = f"par at {n} on ({P.describe()},{Q.describe()})"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    out.append(CheckResult("zangcycle-binary-coherence", not bad, bad, n_checked))
+    def binary(P, Q, PQ_t, PQ_p, n):
+        lhs_t = zangcycle_component(PQ_t, cycle, n)
+        lhs_p = zangcycle_component(PQ_p, cycle, n)
+        cP = zangcycle_component(P, cycle, n)
+        cQ = zangcycle_component(Q, cycle, n)
+        if n % 2 == 0:
+            rhs_t = model.par_mor(cQ, cP)
+            rhs_p = model.tens_mor(cQ, cP)
+        else:
+            rhs_t = model.tens_mor(cP, cQ)
+            rhs_p = model.par_mor(cP, cQ)
+        if lhs_t != rhs_t:
+            return f"tensor at {n} on ({P.describe()},{Q.describe()})"
+        if lhs_p != rhs_p:
+            return f"par at {n} on ({P.describe()},{Q.describe()})"
 
-    bad = ""
-    n_checked = 0
-    for p in model.probe_objects()[:3]:
-        member = period2_from_cycle(model, p, cycle)
-        miss = fang_membership(member, big, (lo + 1, hi - 1))
-        if miss:
-            bad = f"period2({p}): {miss}"
-            break
-        for n in range(lo + 1, hi):
-            n_checked += 1
-            comp = zangcycle_component(member, cycle, n)
-            if comp != model.identity(member.z(n + 1)):
-                bad = f"period2({p}) at {n}"
-                break
-        if bad:
-            break
-    out.append(CheckResult("zangcycle-identity-on-fang", not bad, bad, n_checked))
-    return out
+    def on_fang(p, member, n):
+        if n == inner[0]:
+            miss = fang_membership(member, big, (lo + 1, hi - 1))
+            if miss:
+                return f"period2({p}): {miss}"
+        if zangcycle_component(member, cycle, n) != model.identity(member.z(n + 1)):
+            return f"period2({p}) at {n}"
+
+    pairs = ((P, Q, TensZString(P, Q), ParZString(P, Q)) for P in strings for Q in strings)
+    members = ((p, period2_from_cycle(model, p, cycle)) for p in model.probe_objects()[:3])
+    return [scan("zangcycle-invertible", product(strings, inner), invertible),
+            scan("zangcycle-binary-coherence",
+                 ((*pq, n) for pq in pairs for n in inner), binary),
+            scan("zangcycle-identity-on-fang",
+                 ((*pm, n) for pm in members for n in inner), on_fang)]

@@ -7,14 +7,16 @@ executes the complete acceptance battery; its exit status is the CLI's.
 
 import time
 from fractions import Fraction
+from itertools import product
 
 from .report import CheckResult, SuiteReport
 from .quantale import (build_rel_quantale, build_s3_pointed, build_bool2,
                        build_luk3, build_two_profunctor_quantale, all_posets,
-                       rel_reverse, is_central, s3_elements)
+                       duality_counterexample, is_central, s3_elements)
 from .thin import ThinModel, thin_identity_cycle
 from .linear import build_vec_model, GradedLineModel, scalar_cycle
 from .drinfeld import build_drinfeld_z2
+from .core.quantify import scan
 from .core.validate import validate_staut
 from . import cyclicity as cy
 from . import braided as br
@@ -39,12 +41,12 @@ def _timed(fn):
 @_timed
 def quantale_suite(q, seed=0, depth=8):
     rep = SuiteReport("quantale-check", q.label, seed)
-    core_ok = True
-    for name, ok, wit in q.validate(seed):
-        core_ok = core_ok and ok
-        rep.add(CheckResult(f"quantale-{name}", ok, "" if ok else str(wit)))
+    core = q.validate(seed)
+    for r in core:
+        r.name = "quantale-" + r.name
+    rep.add(core)
     rep.stats["elements"] = len(q)
-    if not core_ok:
+    if not all(core):
         rep.note("core axioms failed; model-level checks skipped")
         return rep
     cyc, wit = q.is_cyclic()
@@ -52,11 +54,7 @@ def quantale_suite(q, seed=0, depth=8):
     if not cyc:
         rep.note(f"not cyclic; witness element {q.name(wit)}")
     if q.family in ("rel", "two_prof"):
-        n = q.meta["n"]
-        full = (1 << (n * n)) - 1
-        bad = next((w for w in q.elements
-                    if not (q.perp(w) == (full & ~rel_reverse(w, n)) == q.prep(w))),
-                   None)
+        bad = duality_counterexample(q)
         rep.add(CheckResult("duality-is-complement-of-reverse", bad is None,
                             q.name(bad) if bad is not None else "",
                             len(q), True))
@@ -153,16 +151,14 @@ def _prof_rel2_bijection(pq):
     if bij[pq.unit] != r2.unit or bij[pq.dualizer] != r2.dualizer:
         return CheckResult("prof-disc2-matches-rel2", False,
                            "unit or dualizer mismatch")
-    for a in pq.elements:
-        for b in pq.elements:
-            if bij[pq.tensor(a, b)] != r2.tensor(bij[a], bij[b]):
-                return CheckResult("prof-disc2-matches-rel2", False,
-                                   f"tensor mismatch at {pq.name(a)}, {pq.name(b)}")
-            if pq.le(a, b) != r2.le(bij[a], bij[b]):
-                return CheckResult("prof-disc2-matches-rel2", False,
-                                   f"order mismatch at {pq.name(a)}, {pq.name(b)}")
-    return CheckResult("prof-disc2-matches-rel2", True, "",
-                       len(pq.elements) ** 2, True)
+
+    def body(a, b):
+        if bij[pq.tensor(a, b)] != r2.tensor(bij[a], bij[b]):
+            return f"tensor mismatch at {pq.name(a)}, {pq.name(b)}"
+        if pq.le(a, b) != r2.le(bij[a], bij[b]):
+            return f"order mismatch at {pq.name(a)}, {pq.name(b)}"
+
+    return scan("prof-disc2-matches-rel2", product(pq.elements, repeat=2), body)
 
 
 def luk3_two_object_vcat():
@@ -193,11 +189,8 @@ def braided_suite(seed=0):
     rep.add(CheckResult("mixed-simple-double-braiding-is-minus-one",
                         dbl.payload == ((Fraction(-1),),), str(dbl.payload)))
 
-    bad = next((p for p in model.probe_objects()
-                if br.stitch(model, p) != model.identity(p)), None)
-    rep.add(CheckResult("stitch-is-identity", bad is None,
-                        str(bad) if bad is not None else "",
-                        len(model.probe_objects())))
+    rep.add(scan("stitch-is-identity", model.probe_objects(),
+                 lambda p: br.stitch(model, p) != model.identity(p)))
     rep.add(br.check_stitch_natural(model, seed))
 
     ribbon = br.ribbon_balance(model)
@@ -296,14 +289,12 @@ def zang_suite(backend, window=(-3, 3), seed=0, depth=None):
     composite = [st.TensZString(towers[2], towers[2]),
                  st.ParZString(towers[2], towers[2]),
                  st.UnitZString(model, "e"), st.UnitZString(model, "d")]
-    bad = ""
-    for s in towers + per_strings + composite:
+
+    def triangles(s):
         res = st.check_triangles(s, window)
-        if not res.ok:
-            bad = f"{s.describe()}: {res.witness}"
-            break
-    rep.add(CheckResult("string-triangles", not bad, bad,
-                        len(towers + per_strings + composite)))
+        return not res.ok and f"{s.describe()}: {res.witness}"
+
+    rep.add(scan("string-triangles", towers + per_strings + composite, triangles))
 
     rep.add(st.check_strict_negations(model, window, towers[:3]))
     rep.add(st.check_equivalence(model, window, towers[:2] + per_strings[:1]))
@@ -328,20 +319,14 @@ def criterion_1(seed=0):
     rep = SuiteReport("criterion-1", "rel:1..3 + posets<=3", seed)
     for n in (1, 2, 3):
         q = build_rel_quantale(n)
-        full = q.meta["full"]
-        bad = next((w for w in q.elements
-                    if not (q.perp(w) == (full & ~rel_reverse(w, n)) == q.prep(w))),
-                   None)
+        bad = duality_counterexample(q)
         rep.add(CheckResult(f"rel:{n}-duality", bad is None,
                             q.name(bad) if bad is not None else "", len(q), True))
     total = 0
     for n in (1, 2, 3):
         for mask in all_posets(n):
             q = build_two_profunctor_quantale(mask, n)
-            full = (1 << (n * n)) - 1
-            bad = next((w for w in q.elements
-                        if not (q.perp(w) == (full & ~rel_reverse(w, n)) == q.prep(w))),
-                       None)
+            bad = duality_counterexample(q)
             if bad is not None:
                 rep.add(CheckResult(f"2prof-duality[{q.label}]", False, q.name(bad)))
             total += len(q)

@@ -181,3 +181,45 @@ def test_quasibalance_matches_quasicycle_verdict(graded, dz2):
         big = br.cycle_from_balance(idb)
         prof = cy.classify(cy.to_lower(big), cfg, big=big)
         assert br.check_quasibalance(idb).ok == prof.quasicycle
+
+
+def _failing_arrows(model, fails):
+    """1-based positions, in check order, of the arrows of the probe hom
+    spans on which ``fails(p, q, f)`` holds, with their (p, q, index, f)."""
+    out, pos = [], 0
+    for p in model.probe_objects():
+        for q in model.probe_objects():
+            for i, f in enumerate(model.hom_span(p, q)):
+                pos += 1
+                if fails(p, q, f):
+                    out.append((pos, (p, q), i, f))
+    return out
+
+
+def test_twist_natural_reports_its_first_failure(vec, monkeypatch):
+    bal = br.identity_balance(vec)
+    target = vec.probe_objects()[2]
+    real = bal.component
+    monkeypatch.setattr(bal, "component", lambda p: (
+        vec.mor_scale(2, real(p)) if p is target else real(p)))
+    bad = _failing_arrows(vec, lambda p, q, f: vec.compose(f, bal.component(q))
+                          != vec.compose(bal.component(p), f))
+    assert len({pq for _, pq, _, _ in bad}) >= 2
+    pos, _, i, f = bad[0]
+    res = bal.validate()[1]
+    assert res.name == "twist-natural" and not res.ok
+    assert (res.count, res.witness) == (pos, f"naturality fails at {f}, arrow #{i}")
+
+
+def test_stitch_natural_reports_its_first_failure(vec, monkeypatch):
+    target = vec.probe_objects()[3]
+    real = br.stitch
+    monkeypatch.setattr(br, "stitch", lambda m, p: (
+        m.mor_scale(-1, real(m, p)) if p is target else real(m, p)))
+    bad = _failing_arrows(vec, lambda p, q, f: vec.compose(f, br.stitch(vec, q))
+                          != vec.compose(br.stitch(vec, p), f))
+    assert len({pq for _, pq, _, _ in bad}) >= 2
+    pos, _, i, f = bad[0]
+    res = br.check_stitch_natural(vec)
+    assert res.name == "stitch-natural" and not res.ok
+    assert (res.count, res.witness) == (pos, f"at {f}, arrow #{i}")

@@ -39,7 +39,7 @@ def test_load_quantale_file(chain3_path):
     assert not q.le("top", "mid")
     assert q.perp("mid") == "mid"
     assert q.is_cyclic()[0]
-    assert all(ok for _, ok, _ in q.validate())
+    assert all(r.ok for r in q.validate())
 
 
 def test_quantale_file_errors(tmp_path):

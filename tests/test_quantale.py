@@ -92,7 +92,7 @@ def test_residual_adjunction_law(a, b, x):
 
 def test_validate_families():
     for q in (REL2, build_bool2(), build_luk3(), builtin_quantale("2prof:chain2")):
-        assert all(ok for _, ok, _ in q.validate())
+        assert all(r.ok for r in q.validate())
 
 
 def test_poset_counts():

@@ -179,3 +179,15 @@ def test_unit_tower_next_component_compares_to_dualizer(vm, tm):
             assert model.dim(tower.z(1)) == model.dim(model.d)
         else:
             assert model.value(tower.z(1)) == model.value(model.d)
+
+
+def test_zangcycle_invertible_reports_its_first_failure(vm, monkeypatch):
+    cyc = scalar_cycle(vm, 1)
+    towers = [st.zangify(vm, p) for p in vm.probe_objects()[:2]]
+    real = st.zangcycle_component
+    # singular at index 0 on every string: items (P, n) for n in -1, 0, 1
+    monkeypatch.setattr(st, "zangcycle_component", lambda s, c, n: (
+        vm.mor_scale(0, real(s, c, n)) if n == 0 else real(s, c, n)))
+    res = st.check_zangcycle(vm, cyc, (-2, 2), towers)[0]
+    assert res.name == "zangcycle-invertible" and not res.ok
+    assert (res.count, res.witness) == (2, f"{towers[0].describe()} at 0")
