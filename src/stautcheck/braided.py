@@ -259,7 +259,7 @@ def cycle_from_balance(balance):
     return BigCycle(m, ap, unap, f"from({balance.label})")
 
 
-def check_semibalance(balance, which, seed=0):
+def check_semibalance(balance, which):
     """(tensor|par) semibalance square on probe pairs; on success also pins
     the unit component to the identity."""
     m = balance.model
@@ -300,7 +300,7 @@ def stitch(model, p):
         m.lunit_p(p))
 
 
-def check_stitch_natural(model, seed=0):
+def check_stitch_natural(model):
     m = model
 
     def natural(p, q, i, f):
@@ -340,7 +340,7 @@ def check_balance_double(balance, probes=None):
     return scan("balance-double", probes, body)
 
 
-def roundtrip_check(balance, config=None):
+def roundtrip_check(balance):
     """balance -> hom family -> object family -> balance must be the
     identity round trip, and the same starting from the cycle."""
     m = balance.model

@@ -3,15 +3,27 @@
 Entries are ints or ``fractions.Fraction``; no floats ever enter the
 arithmetic, so matrix equality is decidable and literal.
 
+The four kernels skip zeros.  ``matmul`` and ``kron`` multiply only the
+nonzero entries of their operands; ``inverse`` and ``nullspace`` run
+Gauss-Jordan steps that update only the nonzero columns of the pivot row and
+skip the division when the pivot is 1.  Their cost follows the number of
+nonzero entries, not the dense shape, and their results are still dense
+tuples of tuples.  In a result of ``matmul`` or ``kron``, an entry that no
+nonzero product reaches is the int ``0`` whatever the operands' entry types
+(``matmul`` shares one zero row among the all-zero rows of its result), and
+every other entry is the exact sum of its products, so ints stay ints.
+``inverse`` and ``nullspace`` return ``Fraction`` entries throughout.
+
 >>> m = mat([[1, 2], [3, 4]])
 >>> matmul(m, identity(2)) == m
 True
 >>> matmul(m, inverse(m)) == identity(2)
 True
+>>> matmul(mat([[0, 0], [1, 0]]), m)
+((0, 0), (1, 2))
 """
 
 from fractions import Fraction
-from itertools import product
 
 
 def mat(rows):
@@ -59,16 +71,28 @@ def is_zero(m):
 
 def matmul(a, b):
     """Matrix product a @ b (a maps the codomain side, as usual)."""
-    ra, ca = shape(a)
+    ca = shape(a)[1]
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError(f"shape mismatch in matmul: {shape(a)} @ {shape(b)}")
-    bt = tuple(zip(*b)) if b else ()
+    b_nz = _nonzeros(b)
+    zero_row = (0,) * cb
     out = []
-    for i in range(ra):
-        arow = a[i]
-        out.append(tuple(sum(arow[k] * bcol[k] for k in range(ca)) for bcol in bt))
+    for arow in a:
+        acc = None
+        for k, x in enumerate(arow):
+            if x and b_nz[k]:
+                if acc is None:
+                    acc = [0] * cb
+                for j, y in b_nz[k]:
+                    acc[j] += x * y
+        out.append(zero_row if acc is None else tuple(acc))
     return tuple(out)
+
+
+def _nonzeros(m):
+    """Per row of m, the (column, entry) pairs of its nonzero entries."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
 
 
 def add(a, b):
@@ -91,12 +115,46 @@ def kron(a, b):
     Basis convention: index (i, j) of the product flattens to i * cols(b) + j.
     All structural maps of the linear backends derive from this one choice.
     """
-    ra, ca = shape(a)
-    rb, cb = shape(b)
+    cb = shape(b)[1]
+    width = shape(a)[1] * cb
+    b_nz = _nonzeros(b)
+    zero_row = (0,) * width
     out = []
-    for i, k in product(range(ra), range(rb)):
-        out.append(tuple(a[i][j] * b[k][l] for j, l in product(range(ca), range(cb))))
+    for arow in a:
+        a_nz = [(j * cb, x) for j, x in enumerate(arow) if x]
+        for bk in b_nz:
+            if not (a_nz and bk):
+                out.append(zero_row)
+                continue
+            row = [0] * width
+            for off, x in a_nz:
+                for l, y in bk:
+                    row[off + l] = x * y
+            out.append(tuple(row))
     return tuple(out)
+
+
+def _eliminate(rows, col, r):
+    """One Gauss-Jordan step on the list-of-lists ``rows``: scale row ``r``
+    so that its entry in ``col`` is 1 and clear that column in every other
+    row, touching only the nonzero columns of row ``r``."""
+    prow = rows[r]
+    pv = prow[col]
+    if pv != 1:
+        pv = Fraction(pv)
+        for j, x in enumerate(prow):
+            if x:
+                prow[j] = x / pv
+    p_nz = [(j, x) for j, x in enumerate(prow) if x]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if f and i != r:
+            for j, x in p_nz:
+                row[j] -= f * x
+
+
+def _fraction(x):
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def inverse(m):
@@ -104,39 +162,28 @@ def inverse(m):
     n, c = shape(m)
     if n != c:
         raise ValueError("inverse of non-square matrix")
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
             raise ValueError("singular matrix")
         aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+        _eliminate(aug, col, col)
+    return tuple(tuple(_fraction(x) for x in row[n:]) for row in aug)
 
 
 def nullspace(m):
     """Basis of the right nullspace {v : m v = 0}, as a list of column vectors."""
     rows, cols = shape(m)
-    a = [[Fraction(x) for x in row] for row in m]
+    a = [list(row) for row in m]
     pivots = []
     r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        _eliminate(a, c, r)
         pivots.append(c)
         r += 1
         if r == rows:
@@ -147,7 +194,7 @@ def nullspace(m):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
+            v[pc] = -_fraction(a[i][fc])
         basis.append(tuple(v))
     return basis
 

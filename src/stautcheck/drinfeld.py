@@ -154,6 +154,17 @@ class DoubleZ2Model(LinearModel):
     def _ldual_value(self, va):
         return self._rdual_value(va)
 
+    def mor(self, dom, cod, payload=None):
+        """A module map: besides the checks of ``LinearModel.mor``, the
+        matrix must commute with the g and b actions."""
+        f = super().mor(dom, cod, payload)
+        for letter in ("g", "b"):
+            if (mx.matmul(payload, self.action(dom, letter))
+                    != mx.matmul(self.action(cod, letter), payload)):
+                raise MorError(f"{dom} -> {cod} is not a module map: "
+                               f"it does not commute with the {letter} action")
+        return f
+
     def hom_span(self, p, q):
         """Basis of the module maps p -> q, by exact commutant solving."""
         def build():

@@ -75,14 +75,23 @@ class LinearModel(StautModel):
     # -------------------------------------------------------------- morphisms
 
     def mor(self, dom, cod, payload=None):
+        """A morphism from a caller's matrix: its shape and its entries are
+        checked (and, in subclasses, that it is a map of the structure)."""
         if payload is None:
             raise MorError("linear morphisms need a matrix payload")
+        f = self._mor(dom, cod, payload)
+        _validate_entries(payload)
+        return f
+
+    def _mor(self, dom, cod, payload):
+        """A morphism whose matrix the kernel computed from morphisms that
+        already passed ``mor``: exact and structure-preserving by
+        construction, so only its shape is checked."""
         r, c = mx.shape(payload)
         if (r, c) != (self.dim(cod), self.dim(dom)):
             raise MorError(
                 f"matrix shape {(r, c)} does not fit {dom} -> {cod} "
                 f"of dims {self.dim(dom)} -> {self.dim(cod)}")
-        _validate_entries(payload)
         return Mor(dom, cod, payload, mx.is_identity(payload))
 
     def identity(self, p):
@@ -94,15 +103,15 @@ class LinearModel(StautModel):
             return Mor(f.dom, g.cod, g.payload, g.payload_is_id)
         if g.payload_is_id:
             return Mor(f.dom, g.cod, f.payload, f.payload_is_id)
-        return self.mor(f.dom, g.cod, mx.matmul(g.payload, f.payload))
+        return self._mor(f.dom, g.cod, mx.matmul(g.payload, f.payload))
 
     def tens_mor(self, f, g):
-        return self.mor(self.tens(f.dom, g.dom), self.tens(f.cod, g.cod),
-                        mx.kron(f.payload, g.payload))
+        return self._mor(self.tens(f.dom, g.dom), self.tens(f.cod, g.cod),
+                         mx.kron(f.payload, g.payload))
 
     def par_mor(self, f, g):
-        return self.mor(self.par(f.dom, g.dom), self.par(f.cod, g.cod),
-                        mx.kron(f.payload, g.payload))
+        return self._mor(self.par(f.dom, g.dom), self.par(f.cod, g.cod),
+                         mx.kron(f.payload, g.payload))
 
     def invert(self, f):
         if f.payload_is_id:
@@ -111,7 +120,7 @@ class LinearModel(StautModel):
             inv = mx.inverse(f.payload)
         except ValueError:
             raise MorError(f"morphism {f} is not invertible") from None
-        return self.mor(f.cod, f.dom, inv)
+        return self._mor(f.cod, f.dom, inv)
 
     def hom_span(self, p, q):
         def build():
@@ -131,7 +140,7 @@ class LinearModel(StautModel):
     def mor_add(self, f, g):
         if f.dom is not g.dom or f.cod is not g.cod:
             raise MorError("cannot add morphisms of different shapes")
-        return self.mor(f.dom, f.cod, mx.add(f.payload, g.payload))
+        return self._mor(f.dom, f.cod, mx.add(f.payload, g.payload))
 
     def mor_scale(self, c, f):
         return self.mor(f.dom, f.cod, mx.scale(c, f.payload))

@@ -317,9 +317,8 @@ def check_prof_staut(c, cap=65536, seed=0):
         for r in pq.validate(seed):
             r.name = "profq-" + r.name
             out.append(r)
-        cyc, wit = pq.is_cyclic()
-        out.append(CheckResult("profq-cyclic", cyc,
-                               pq.name(wit) if wit is not None else ""))
+        out.append(scan("profq-cyclic", [(a,) for a in pq.elements],
+                        lambda a: pq.perp(a) != pq.prep(a) and pq.name(a)))
         model = ThinModel(pq)
         for r in validate_staut(model, seed):
             r.name = "profq-staut-" + r.name

@@ -191,12 +191,12 @@ def braided_suite(seed=0):
 
     rep.add(scan("stitch-is-identity", model.probe_objects(),
                  lambda p: br.stitch(model, p) != model.identity(p)))
-    rep.add(br.check_stitch_natural(model, seed))
+    rep.add(br.check_stitch_natural(model))
 
     ribbon = br.ribbon_balance(model)
     rep.add(ribbon.validate())
-    rep.add(br.check_semibalance(ribbon, "tens", seed))
-    rep.add(br.check_semibalance(ribbon, "par", seed))
+    rep.add(br.check_semibalance(ribbon, "tens"))
+    rep.add(br.check_semibalance(ribbon, "par"))
     rep.add(br.check_quasibalance(ribbon))
     rep.add(br.check_balance_double(ribbon))
     rep.add(br.roundtrip_check(ribbon))
@@ -214,8 +214,8 @@ def braided_suite(seed=0):
 
     semis = br.balance_from_cycle(cy.to_lower(br.cycle_from_balance(ribbon)))
     rep.add(CheckResult("semibalance-split-preserved",
-                        br.check_semibalance(semis, "tens", seed).ok
-                        and br.check_semibalance(semis, "par", seed).ok, ""))
+                        br.check_semibalance(semis, "tens").ok
+                        and br.check_semibalance(semis, "par").ok, ""))
     return rep
 
 
@@ -236,14 +236,14 @@ def counter_model_suite(seed=0, c=Fraction(2)):
     rep.add(CheckResult("identity-twist-fails-quasibalance",
                         not br.check_quasibalance(br.identity_balance(model)).ok, ""))
     square = br.graded_square_balance(model)
-    rep.add(br.check_semibalance(square, "tens", seed))
-    rep.add(br.check_semibalance(square, "par", seed))
+    rep.add(br.check_semibalance(square, "tens"))
+    rep.add(br.check_semibalance(square, "par"))
     rep.add(br.check_quasibalance(square))
     rep.add(br.check_balance_double(square))
     rep.add(br.roundtrip_check(square))
     lam2 = br.scaled_balance(model, Fraction(2))
     rep.add(CheckResult("scaled-twist-fails-semibalance",
-                        not br.check_semibalance(lam2, "tens", seed).ok, ""))
+                        not br.check_semibalance(lam2, "tens").ok, ""))
     res, profile = br.check_identity_cycle_symmetry(model, cy.CheckConfig(seed=seed))
     rep.add(res)
     rep.add(CheckResult("identity-family-not-quasicycle",

@@ -102,3 +102,24 @@ def test_bad_action_matrices_rejected():
         _check_action("x", mx.mat([[2]]), mx.mat([[1]]))
     with pytest.raises(MorError):
         _check_action("x", mx.mat([[0, 1], [1, 0]]), mx.mat([[1, 1], [0, 1]]))
+
+
+def test_mor_rejects_maps_that_are_not_module_maps(dz2):
+    s_pp, s_pm, reg = dz2.gen("s_pp"), dz2.gen("s_pm"), dz2.gen("regular")
+    assert dz2.hom_span(s_pp, s_pm) == []
+    with pytest.raises(MorError, match="not a module map"):
+        dz2.mor(s_pp, s_pm, ((1,),))
+    with pytest.raises(MorError, match="not a module map"):
+        dz2.mor(reg, reg, mx.mat([[1, 0, 0, 0]] + [[0] * 4] * 3))
+    # scalars on a simple and the zero map are module maps
+    assert dz2.mor(s_pm, s_pm, ((Fraction(3, 2),),)).payload == ((Fraction(3, 2),),)
+    assert dz2.mor(s_pp, s_pm, ((0,),)).payload == ((0,),)
+
+
+def test_mor_accepts_every_hom_span_element_and_braid(dz2):
+    probes = dz2.probe_objects() + [dz2.tens(dz2.gen("s_mp"), dz2.gen("s_pm"))]
+    for p, q in product(probes, repeat=2):
+        for f in dz2.hom_span(p, q):
+            assert dz2.mor(p, q, f.payload) == f
+        sigma = dz2.braid(p, q)
+        assert dz2.mor(sigma.dom, sigma.cod, sigma.payload) == sigma

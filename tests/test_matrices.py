@@ -1,7 +1,8 @@
+import doctest
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stautcheck.core import matrices as mx
 
@@ -70,3 +71,118 @@ def test_identity_is_cached_and_exact():
     assert mx.identity(4) is mx.identity(4)
     assert mx.is_identity(mx.identity(4))
     assert not mx.is_identity(mx.mat([[1, 0], [1, 1]]))
+
+
+# ------------------------------------------ the kernel against dense references
+# Operands are mostly zero, as the linear backends' matrices are, and mix int
+# and Fraction entries (zeros of both types included).
+
+dims = st.integers(min_value=1, max_value=6)
+nonzero = st.one_of(st.integers(min_value=-4, max_value=4),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=6)
+                    ).filter(bool)
+
+
+@st.composite
+def sparse(draw, rows=dims, cols=dims):
+    r, c = draw(rows), draw(cols)
+    m = [[draw(st.sampled_from((0, Fraction(0)))) for _ in range(c)] for _ in range(r)]
+    cells = st.tuples(st.integers(0, r - 1), st.integers(0, c - 1))
+    for (i, j), x in draw(st.dictionaries(cells, nonzero, max_size=max(1, r * c // 3))).items():
+        m[i][j] = x
+    return mx.mat(m)
+
+
+@st.composite
+def invertible(draw):
+    """A row permutation of a lower-triangular matrix with nonzero diagonal."""
+    n = draw(dims)
+    low = draw(sparse(st.just(n), st.just(n)))
+    rows = [list(low[i][:i]) + [draw(nonzero)] + [0] * (n - i - 1) for i in range(n)]
+    order = draw(st.permutations(range(n)))
+    return mx.mat([rows[i] for i in order])
+
+
+def dense_matmul(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def dense_kron(a, b):
+    return tuple(tuple(a[i][j] * b[k][l] for j in range(len(a[0])) for l in range(len(b[0])))
+                 for i in range(len(a)) for k in range(len(b)))
+
+
+def dense_rref(m):
+    """Reduced row echelon form over Fractions and its pivot columns."""
+    a = [[Fraction(x) for x in row] for row in m]
+    pivots = []
+    for c in range(len(a[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def dense_nullspace(m):
+    a, pivots = dense_rref(m)
+    basis = []
+    for fc in (c for c in range(len(m[0])) if c not in pivots):
+        v = [Fraction(0)] * len(m[0])
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -a[i][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+@st.composite
+def chained(draw):
+    r, k, c = draw(dims), draw(dims), draw(dims)
+    return draw(sparse(st.just(r), st.just(k))), draw(sparse(st.just(k), st.just(c)))
+
+
+@settings(deadline=None)
+@given(chained())
+@example((mx.mat([[0, 2, 0]]), mx.mat([[1], [0], [Fraction(1, 2)]])))
+@example((mx.mat([[Fraction(1, 3)], [0]]), mx.mat([[0, 0, 5]])))
+def test_matmul_matches_dense(ab):
+    a, b = ab
+    assert mx.matmul(a, b) == dense_matmul(a, b)
+
+
+@settings(deadline=None)
+@given(sparse(), sparse())
+def test_kron_matches_dense(a, b):
+    assert mx.kron(a, b) == dense_kron(a, b)
+
+
+@settings(deadline=None)
+@given(st.one_of(invertible(), dims.flatmap(lambda n: sparse(st.just(n), st.just(n)))))
+def test_inverse_matches_dense(m):
+    n = len(m)
+    a, pivots = dense_rref([list(row) + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(m)])
+    if pivots[:n] != list(range(n)):
+        with pytest.raises(ValueError):
+            mx.inverse(m)
+        return
+    assert mx.inverse(m) == tuple(tuple(row[n:]) for row in a)
+
+
+@settings(deadline=None)
+@given(sparse())
+def test_nullspace_matches_dense(m):
+    assert mx.nullspace(m) == dense_nullspace(m)
+
+
+def test_doctests():
+    result = doctest.testmod(mx)
+    assert result.attempted > 0 and result.failed == 0
