@@ -222,17 +222,11 @@ def balance_from_cycle(cycle):
     m = cycle.model
 
     def comp(p):
-        rp, lp = m.rdual(p), m.ldual(p)
         left_leg = m.chain(
             m.tens_mor(m.identity(p), cycle.component(p)),
-            m.invert(m.braid(lp, p)),
+            m.invert(m.braid(m.ldual(p), p)),
             m.dual_counit_l(p))
-        return m.chain(
-            m.invert(m.runit_t(p)),
-            m.tens_mor(m.identity(p), m.dual_unit_r(p)),
-            m.dist_l(p, rp, p),
-            m.par_mor(left_leg, m.identity(p)),
-            m.lunit_p(p))
+        return m.curry_right(m.rdual_adj(p), left_leg)
 
     return Balance(m, comp, f"from({cycle.label})")
 
@@ -292,12 +286,7 @@ def stitch(model, p):
         m.invert(m.braid(rp, p)),
         m.invert(m.braid(p, rp)),
         m.dual_counit_r(p))
-    return m.chain(
-        m.invert(m.runit_t(p)),
-        m.tens_mor(m.identity(p), m.dual_unit_r(p)),
-        m.dist_l(p, rp, p),
-        m.par_mor(crossings, m.identity(p)),
-        m.lunit_p(p))
+    return m.curry_right(m.rdual_adj(p), crossings)
 
 
 def check_stitch_natural(model):

@@ -3,9 +3,16 @@
 A backend supplies objects (via descriptor hooks), morphism payloads, exact
 equality, and the structural data: associators and unitors for both monoidal
 structures, the two linear distributions, and the unit/counit pairs of the
-chosen right and left duals.  Everything else -- currying, de Morgan and
+chosen right and left duals.  Everything else -- currying, the binders
+``lbind``/``rbind`` that pair two evaluations into one, de Morgan and
 cancellation isomorphisms, duals of morphisms, naming -- is derived here once,
 by the standard mate recipes, and shared by every backend.
+
+The diagrams the checkers test are built from these pieces, not restated:
+each triangle identity says that an ``Adjunction``'s counit curries to an
+identity (``curry_right(adj, adj.counit)`` on ``adj.left``,
+``curry_left(adj, adj.counit)`` on ``adj.right``), and each binary de Morgan
+map is the curry of one binder of two counits.
 
 Composites are written in diagrammatic order throughout: ``chain(f, g)``
 applies ``f`` first.  Each composition is dom/cod-validated, so a wrongly
@@ -287,6 +294,34 @@ class StautModel:
             raise ShapeError(f"rcurry_inv expects t -> ldual(p), got {h}")
         return self.uncurry_right(self.ldual_adj(h.cod.args[0]), h)
 
+    # ---------------------------------------------------------------- binders
+
+    def lbind(self, omega, psi):
+        """(p par q) (x) (s (x) t) -> d from omega: p (x) t -> d, psi: q (x) s -> d."""
+        if omega.dom.kind != TENS or psi.dom.kind != TENS:
+            raise ShapeError("lbind expects two arrows out of tensors")
+        p, t = omega.dom.args
+        q, s = psi.dom.args
+        return self.chain(
+            self.invert(self.assoc_t(self.par(p, q), s, t)),
+            self.tens_mor(self.dist_r(p, q, s), self.identity(t)),
+            self.tens_mor(self.par_mor(self.identity(p), psi), self.identity(t)),
+            self.tens_mor(self.runit_p(p), self.identity(t)),
+            omega)
+
+    def rbind(self, omega, psi):
+        """(p (x) q) (x) (s par t) -> d from omega: p (x) t -> d, psi: q (x) s -> d."""
+        if omega.dom.kind != TENS or psi.dom.kind != TENS:
+            raise ShapeError("rbind expects two arrows out of tensors")
+        p, t = omega.dom.args
+        q, s = psi.dom.args
+        return self.chain(
+            self.assoc_t(p, q, self.par(s, t)),
+            self.tens_mor(self.identity(p), self.dist_l(q, s, t)),
+            self.tens_mor(self.identity(p), self.par_mor(psi, self.identity(t))),
+            self.tens_mor(self.identity(p), self.lunit_p(t)),
+            omega)
+
     # ----------------------------------------------------- duals of morphisms
 
     def rdual_mor(self, f):
@@ -329,44 +364,16 @@ class StautModel:
     def _build_demorgan(self, variant, p, q):
         e, d = self.e, self.d
         if variant == "tens_r":
-            rp, rq = self.rdual(p), self.rdual(q)
-            ev = self.chain(
-                self.assoc_t(p, q, self.par(rq, rp)),
-                self.tens_mor(self.identity(p), self.dist_l(q, rq, rp)),
-                self.tens_mor(self.identity(p),
-                              self.par_mor(self.dual_counit_r(q), self.identity(rp))),
-                self.tens_mor(self.identity(p), self.lunit_p(rp)),
-                self.dual_counit_r(p))
+            ev = self.rbind(self.dual_counit_r(p), self.dual_counit_r(q))
             return self.invert(self.curry_left(self.rdual_adj(self.tens(p, q)), ev))
         if variant == "tens_l":
-            lp, lq = self.ldual(p), self.ldual(q)
-            ev = self.chain(
-                self.invert(self.assoc_t(self.par(lq, lp), p, q)),
-                self.tens_mor(self.dist_r(lq, lp, p), self.identity(q)),
-                self.tens_mor(self.par_mor(self.identity(lq), self.dual_counit_l(p)),
-                              self.identity(q)),
-                self.tens_mor(self.runit_p(lq), self.identity(q)),
-                self.dual_counit_l(q))
+            ev = self.lbind(self.dual_counit_l(q), self.dual_counit_l(p))
             return self.invert(self.curry_right(self.ldual_adj(self.tens(p, q)), ev))
         if variant == "par_r":
-            rp, rq = self.rdual(p), self.rdual(q)
-            ev = self.chain(
-                self.invert(self.assoc_t(self.par(q, p), rp, rq)),
-                self.tens_mor(self.dist_r(q, p, rp), self.identity(rq)),
-                self.tens_mor(self.par_mor(self.identity(q), self.dual_counit_r(p)),
-                              self.identity(rq)),
-                self.tens_mor(self.runit_p(q), self.identity(rq)),
-                self.dual_counit_r(q))
+            ev = self.lbind(self.dual_counit_r(q), self.dual_counit_r(p))
             return self.curry_left(self.rdual_adj(self.par(q, p)), ev)
         if variant == "par_l":
-            lp, lq = self.ldual(p), self.ldual(q)
-            ev = self.chain(
-                self.assoc_t(lp, lq, self.par(q, p)),
-                self.tens_mor(self.identity(lp), self.dist_l(lq, q, p)),
-                self.tens_mor(self.identity(lp),
-                              self.par_mor(self.dual_counit_l(q), self.identity(p))),
-                self.tens_mor(self.identity(lp), self.lunit_p(p)),
-                self.dual_counit_l(p))
+            ev = self.rbind(self.dual_counit_l(p), self.dual_counit_l(q))
             return self.curry_right(self.ldual_adj(self.par(q, p)), ev)
         if variant == "unit_er":
             return self.curry_left(self.rdual_adj(d), self.runit_t(d))

@@ -17,41 +17,15 @@ def validate_staut(model, seed=0, tuple_cap=24, dim_cap=8):
     def tuples(k):
         return draw(m, probes, k, tuple_cap, dim_cap, seed * 1000003 + k)
 
-    def triangle_right_obj(p):
-        rp = m.rdual(p)
-        t1 = m.chain(m.invert(m.runit_t(p)),
-                     m.tens_mor(m.identity(p), m.dual_unit_r(p)),
-                     m.dist_l(p, rp, p),
-                     m.par_mor(m.dual_counit_r(p), m.identity(p)),
-                     m.lunit_p(p))
-        return t1 != m.identity(p)
-
-    def triangle_right_dual(p):
-        rp = m.rdual(p)
-        t2 = m.chain(m.invert(m.lunit_t(rp)),
-                     m.tens_mor(m.dual_unit_r(p), m.identity(rp)),
-                     m.dist_r(rp, p, rp),
-                     m.par_mor(m.identity(rp), m.dual_counit_r(p)),
-                     m.runit_p(rp))
-        return t2 != m.identity(rp)
-
-    def triangle_left_obj(p):
-        lp = m.ldual(p)
-        t3 = m.chain(m.invert(m.lunit_t(p)),
-                     m.tens_mor(m.dual_unit_l(p), m.identity(p)),
-                     m.dist_r(p, lp, p),
-                     m.par_mor(m.identity(p), m.dual_counit_l(p)),
-                     m.runit_p(p))
-        return t3 != m.identity(p)
-
-    def triangle_left_dual(p):
-        lp = m.ldual(p)
-        t4 = m.chain(m.invert(m.runit_t(lp)),
-                     m.tens_mor(m.identity(lp), m.dual_unit_l(p)),
-                     m.dist_l(lp, p, lp),
-                     m.par_mor(m.dual_counit_l(p), m.identity(lp)),
-                     m.lunit_p(lp))
-        return t4 != m.identity(lp)
+    def triangle(adjunction, curry):
+        """The counit of ``adjunction(p)`` curried by ``curry`` is an
+        endomorphism (of the left object for curry_right, of the right one
+        for curry_left) that must be the identity."""
+        def fails(p):
+            adj = adjunction(p)
+            f = curry(adj, adj.counit)
+            return f != m.identity(f.dom)
+        return fails
 
     def pentagon_t(p, q, r, s):
         lhs = m.chain(m.tens_mor(m.assoc_t(p, q, r), m.identity(s)),
@@ -140,10 +114,10 @@ def validate_staut(model, seed=0, tuple_cap=24, dim_cap=8):
 
     everything = (probes, True)
     quads, pairs, triples = tuples(4), tuples(2), tuples(3)
-    checks = [("triangle-right-object", everything, triangle_right_obj),
-              ("triangle-right-dual", everything, triangle_right_dual),
-              ("triangle-left-object", everything, triangle_left_obj),
-              ("triangle-left-dual", everything, triangle_left_dual),
+    checks = [("triangle-right-object", everything, triangle(m.rdual_adj, m.curry_right)),
+              ("triangle-right-dual", everything, triangle(m.rdual_adj, m.curry_left)),
+              ("triangle-left-object", everything, triangle(m.ldual_adj, m.curry_left)),
+              ("triangle-left-dual", everything, triangle(m.ldual_adj, m.curry_right)),
               ("pentagon-tensor", quads, pentagon_t),
               ("pentagon-par", quads, pentagon_p),
               ("unit-triangle-tensor", pairs, unit_tri_t),

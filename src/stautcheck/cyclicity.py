@@ -13,24 +13,23 @@ and eight on the hom level
 
     blr0  kprime  e2  e2prime  m0  m2  m2prime  blr2
 
-each transcribed once into a composite builder.  Object-level conditions are
-quantified over probe objects; hom-level ones additionally over a spanning
-set of the relevant hom space, which suffices because every hom-level
-condition is linear in the quantified arrow on linear backends and trivial on
-thin ones.
+each declared once, as one row of the axiom table: how many probe objects it
+ranges over, a function returning the two sides of its diagram, and, for a
+hom-level condition, the objects x whose spanning sets of Hom(x, d) it ranges
+over as well.  One loop in ``check_axiom`` serves every row; the same span
+shapes drop vacuous tuples before drawing.  Quantifying over a spanning set
+suffices because every hom-level condition is linear in the quantified arrow
+on linear backends and trivial on thin ones.  The binders and de Morgan maps
+the diagrams use are the model's own (``core.model``).
 """
 
 from dataclasses import dataclass, field
+from itertools import product
 import random
 
 from .core.morphisms import ShapeError
-from .core.objects import TENS
 from .core.quantify import arrows, draw, scan
 from .report import CheckResult
-
-LOWER_AXIOMS = ("pnul", "k", "t0", "tbin", "pbin")
-UPPER_AXIOMS = ("blr0", "kprime", "e2", "e2prime", "m0", "m2", "m2prime", "blr2")
-AXIOMS = LOWER_AXIOMS + UPPER_AXIOMS
 
 
 class CycleData:
@@ -127,38 +126,6 @@ def to_lower(big, label=None):
     return CycleData(m, comp, label or f"lower({big.label})")
 
 
-# ------------------------------------------------------------------ binders
-
-def lbind(model, omega, psi):
-    """(p par q) (x) (s (x) t) -> d from omega: p (x) t -> d, psi: q (x) s -> d."""
-    m = model
-    if omega.dom.kind != TENS or psi.dom.kind != TENS:
-        raise ShapeError("lbind expects two arrows out of tensors")
-    p, t = omega.dom.args
-    q, s = psi.dom.args
-    return m.chain(
-        m.invert(m.assoc_t(m.par(p, q), s, t)),
-        m.tens_mor(m.dist_r(p, q, s), m.identity(t)),
-        m.tens_mor(m.par_mor(m.identity(p), psi), m.identity(t)),
-        m.tens_mor(m.runit_p(p), m.identity(t)),
-        omega)
-
-
-def rbind(model, omega, psi):
-    """(p (x) q) (x) (s par t) -> d from omega: p (x) t -> d, psi: q (x) s -> d."""
-    m = model
-    if omega.dom.kind != TENS or psi.dom.kind != TENS:
-        raise ShapeError("rbind expects two arrows out of tensors")
-    p, t = omega.dom.args
-    q, s = psi.dom.args
-    return m.chain(
-        m.assoc_t(p, q, m.par(s, t)),
-        m.tens_mor(m.identity(p), m.dist_l(q, s, t)),
-        m.tens_mor(m.identity(p), m.par_mor(psi, m.identity(t))),
-        m.tens_mor(m.identity(p), m.lunit_p(t)),
-        omega)
-
-
 # ------------------------------------------------------------ probe drawing
 
 @dataclass
@@ -187,152 +154,145 @@ def _hom_to_d(model, x):
     return model.hom_span(x, model.d)
 
 
-# ------------------------------------------------------------ axiom checks
+# ------------------------------------------------------------ axiom table
 
-def _lower_sides(m, cycle, which, t):
-    """The two sides of object-level axiom ``which`` at the tuple ``t``."""
-    comp = cycle.component
-    if which == "pnul":
-        return (m.compose(comp(m.d), m.invert(m.demorgan("unit_el"))),
-                m.invert(m.demorgan("unit_er")))
-    if which == "t0":
-        return m.compose(comp(m.e), m.demorgan("unit_dl")), m.demorgan("unit_dr")
-    if which == "k":
-        (r,) = t
-        return (m.chain(m.canon_r(r), m.rdual_mor(comp(r)), comp(m.rdual(r))),
-                m.canon_l(r))
-    if which == "tbin":
-        p, q = t
-        return (m.compose(comp(m.tens(p, q)), m.demorgan("tens_l", p, q)),
-                m.compose(m.demorgan("tens_r", p, q), m.par_mor(comp(q), comp(p))))
-    if which == "pbin":
-        p, q = t
-        return (m.compose(comp(m.par(p, q)), m.invert(m.demorgan("par_l", q, p))),
-                m.compose(m.invert(m.demorgan("par_r", q, p)),
-                          m.tens_mor(comp(q), comp(p))))
-    raise ValueError(which)
+@dataclass(frozen=True)
+class Axiom:
+    """One coherence condition.  It ranges over ``arity`` probe objects and,
+    when ``spans`` is given, over one arrow x -> d from the spanning set of
+    each x in ``spans(model, *objects)``.  ``sides`` returns the diagram's
+    two sides, which must be equal: ``sides(model, cycle, *objects)`` on the
+    object level, ``sides(model, big, *objects, *arrows)`` on the hom level.
+    ``dim_cap`` tightens the drawing budget."""
+
+    arity: int
+    sides: object
+    spans: object = None
+    dim_cap: int = None
 
 
-def _check_upper_tuple(m, big, which, t):
-    pre = m.compose
-    if which == "kprime":
-        p, q = t
-        for i, om in enumerate(_hom_to_d(m, m.tens(p, q))):
-            if big.apply(q, p, big.apply(p, q, om)) != om:
-                return i
-    elif which == "blr0":
-        (t0,) = t
-        for i, om in enumerate(_hom_to_d(m, m.tens(m.e, t0))):
-            lhs = big.apply(m.e, t0, om)
-            rhs = m.chain(m.runit_t(t0), m.invert(m.lunit_t(t0)), om)
-            if lhs != rhs:
-                return i
-    elif which == "m0":
-        (t0,) = t
-        for i, om in enumerate(_hom_to_d(m, m.tens(t0, m.e))):
-            lhs = big.apply(t0, m.e, om)
-            rhs = m.chain(m.lunit_t(t0), m.invert(m.runit_t(t0)), om)
-            if lhs != rhs:
-                return i
-    elif which == "blr2":
-        p, q, tt = t
-        for i, om in enumerate(_hom_to_d(m, m.tens(m.tens(p, q), tt))):
-            right = big.apply(m.tens(tt, p), q,
-                              pre(m.assoc_t(tt, p, q), big.apply(m.tens(p, q), tt, om)))
-            left = pre(m.invert(m.assoc_t(q, tt, p)),
-                       big.apply(p, m.tens(q, tt),
-                                 pre(m.invert(m.assoc_t(p, q, tt)), om)))
-            if left != right:
-                return i
-    elif which == "e2":
-        p, q, tt = t
-        for i, om in enumerate(_hom_to_d(m, m.tens(m.tens(p, q), tt))):
-            lhs = big.apply(m.tens(p, q), tt, om)
-            step = pre(m.invert(m.assoc_t(p, q, tt)), om)
-            step = big.apply(p, m.tens(q, tt), step)
-            step = pre(m.invert(m.assoc_t(q, tt, p)), step)
-            step = big.apply(q, m.tens(tt, p), step)
-            step = pre(m.invert(m.assoc_t(tt, p, q)), step)
-            if lhs != step:
-                return i
-    elif which == "e2prime":
-        p, s, tt = t
-        for i, om in enumerate(_hom_to_d(m, m.tens(p, m.tens(s, tt)))):
-            lhs = big.apply(p, m.tens(s, tt), om)
-            step = pre(m.assoc_t(p, s, tt), om)
-            step = big.apply(m.tens(p, s), tt, step)
-            step = pre(m.assoc_t(tt, p, s), step)
-            step = big.apply(m.tens(tt, p), s, step)
-            step = pre(m.assoc_t(s, tt, p), step)
-            if lhs != step:
-                return i
-    elif which in ("m2", "m2prime"):
-        p, q, s, tt = t
-        span_om = _hom_to_d(m, m.tens(p, tt))
-        span_ps = _hom_to_d(m, m.tens(q, s))
-        for i, om in enumerate(span_om):
-            for j, ps in enumerate(span_ps):
-                n_om = big.apply(p, tt, om)
-                n_ps = big.apply(q, s, ps)
-                if which == "m2":
-                    lhs = big.apply(m.par(p, q), m.tens(s, tt), lbind(m, om, ps))
-                    rhs = rbind(m, n_ps, n_om)
-                else:
-                    lhs = big.apply(m.tens(p, q), m.par(s, tt), rbind(m, om, ps))
-                    rhs = lbind(m, n_ps, n_om)
-                if lhs != rhs:
-                    return (i, j)
-    else:
-        raise ValueError(which)
-    return None
+def _pnul(m, c):
+    return (m.compose(c.component(m.d), m.invert(m.demorgan("unit_el"))),
+            m.invert(m.demorgan("unit_er")))
 
 
-_ARITY = {"pnul": 0, "t0": 0, "k": 1, "tbin": 2, "pbin": 2,
-          "kprime": 2, "blr0": 1, "m0": 1, "blr2": 3, "e2": 3,
-          "e2prime": 3, "m2": 4, "m2prime": 4}
+def _k(m, c, r):
+    return (m.chain(m.canon_r(r), m.rdual_mor(c.component(r)), c.component(m.rdual(r))),
+            m.canon_l(r))
+
+
+def _t0(m, c):
+    return m.compose(c.component(m.e), m.demorgan("unit_dl")), m.demorgan("unit_dr")
+
+
+def _tbin(m, c, p, q):
+    return (m.compose(c.component(m.tens(p, q)), m.demorgan("tens_l", p, q)),
+            m.compose(m.demorgan("tens_r", p, q), m.par_mor(c.component(q), c.component(p))))
+
+
+def _pbin(m, c, p, q):
+    return (m.compose(c.component(m.par(p, q)), m.invert(m.demorgan("par_l", q, p))),
+            m.compose(m.invert(m.demorgan("par_r", q, p)),
+                      m.tens_mor(c.component(q), c.component(p))))
+
+
+def _blr0(m, big, t, om):
+    return big.apply(m.e, t, om), m.chain(m.runit_t(t), m.invert(m.lunit_t(t)), om)
+
+
+def _kprime(m, big, p, q, om):
+    return big.apply(q, p, big.apply(p, q, om)), om
+
+
+def _e2(m, big, p, q, t, om):
+    lhs = big.apply(m.tens(p, q), t, om)
+    step = big.apply(p, m.tens(q, t), m.compose(m.invert(m.assoc_t(p, q, t)), om))
+    step = big.apply(q, m.tens(t, p), m.compose(m.invert(m.assoc_t(q, t, p)), step))
+    return lhs, m.compose(m.invert(m.assoc_t(t, p, q)), step)
+
+
+def _e2prime(m, big, p, s, t, om):
+    lhs = big.apply(p, m.tens(s, t), om)
+    step = big.apply(m.tens(p, s), t, m.compose(m.assoc_t(p, s, t), om))
+    step = big.apply(m.tens(t, p), s, m.compose(m.assoc_t(t, p, s), step))
+    return lhs, m.compose(m.assoc_t(s, t, p), step)
+
+
+def _m0(m, big, t, om):
+    return big.apply(t, m.e, om), m.chain(m.lunit_t(t), m.invert(m.runit_t(t)), om)
+
+
+def _m2(m, big, p, q, s, t, om, ps):
+    n_om, n_ps = big.apply(p, t, om), big.apply(q, s, ps)
+    return big.apply(m.par(p, q), m.tens(s, t), m.lbind(om, ps)), m.rbind(n_ps, n_om)
+
+
+def _m2prime(m, big, p, q, s, t, om, ps):
+    n_om, n_ps = big.apply(p, t, om), big.apply(q, s, ps)
+    return big.apply(m.tens(p, q), m.par(s, t), m.rbind(om, ps)), m.lbind(n_ps, n_om)
+
+
+def _blr2(m, big, p, q, t, om):
+    right = big.apply(m.tens(t, p), q,
+                      m.compose(m.assoc_t(t, p, q), big.apply(m.tens(p, q), t, om)))
+    left = m.compose(m.invert(m.assoc_t(q, t, p)),
+                     big.apply(p, m.tens(q, t), m.compose(m.invert(m.assoc_t(p, q, t)), om)))
+    return left, right
+
+
+def _m2_spans(m, p, q, s, t):
+    return [m.tens(p, t), m.tens(q, s)]
+
 
 # Currying over a tensor object cubes its dimension in the intermediate
 # stages, so the pair-level diagrams that build de Morgan maps on the tensor
 # of the two quantified objects get a tighter dimension budget.
-_DIM_CAPS = {"tbin": 8, "pbin": 2 * 4, "k": 4}
-
-# Objects whose hom spans into the dualizer each hom-level axiom quantifies
-# over, used to drop vacuous tuples during drawing.
-_SPAN_SHAPES = {
-    "kprime": lambda m, t: [m.tens(t[0], t[1])],
-    "blr0": lambda m, t: [m.tens(m.e, t[0])],
-    "m0": lambda m, t: [m.tens(t[0], m.e)],
-    "blr2": lambda m, t: [m.tens(m.tens(t[0], t[1]), t[2])],
-    "e2": lambda m, t: [m.tens(m.tens(t[0], t[1]), t[2])],
-    "e2prime": lambda m, t: [m.tens(t[0], m.tens(t[1], t[2]))],
-    "m2": lambda m, t: [m.tens(t[0], t[3]), m.tens(t[1], t[2])],
-    "m2prime": lambda m, t: [m.tens(t[0], t[3]), m.tens(t[1], t[2])],
+_AXIOMS = {
+    "pnul": Axiom(0, _pnul),
+    "k": Axiom(1, _k, dim_cap=4),
+    "t0": Axiom(0, _t0),
+    "tbin": Axiom(2, _tbin, dim_cap=8),
+    "pbin": Axiom(2, _pbin, dim_cap=8),
+    "blr0": Axiom(1, _blr0, lambda m, t: [m.tens(m.e, t)]),
+    "kprime": Axiom(2, _kprime, lambda m, p, q: [m.tens(p, q)]),
+    "e2": Axiom(3, _e2, lambda m, p, q, t: [m.tens(m.tens(p, q), t)]),
+    "e2prime": Axiom(3, _e2prime, lambda m, p, s, t: [m.tens(p, m.tens(s, t))]),
+    "m0": Axiom(1, _m0, lambda m, t: [m.tens(t, m.e)]),
+    "m2": Axiom(4, _m2, _m2_spans),
+    "m2prime": Axiom(4, _m2prime, _m2_spans),
+    "blr2": Axiom(3, _blr2, lambda m, p, q, t: [m.tens(m.tens(p, q), t)]),
 }
+AXIOMS = tuple(_AXIOMS)
 
 
 def check_axiom(cycle, which, config=None, big=None):
     """Exact check of one named coherence condition; returns verdict plus a
     replayable counterexample locator on failure."""
-    if which not in AXIOMS:
+    if which not in _AXIOMS:
         raise ValueError(f"unknown axiom {which!r}; known: {AXIOMS}")
+    ax = _AXIOMS[which]
     m = cycle.model
     cfg = (config or CheckConfig()).for_model(m)
-    k, shapes = _ARITY[which], _SPAN_SHAPES.get(which)
-    live = shapes and (lambda t: all(_hom_to_d(m, x) for x in shapes(m, t)))
-    tuples, exhaustive = draw(m, cfg.probes, k, cfg.tuple_cap,
-                              min(cfg.dim_cap, _DIM_CAPS.get(which, cfg.dim_cap)),
-                              cfg.seed * 1000003 + k, live)
-    if which in LOWER_AXIOMS:
+    live = ax.spans and (lambda t: all(_hom_to_d(m, x) for x in ax.spans(m, *t)))
+    tuples, exhaustive = draw(m, cfg.probes, ax.arity, cfg.tuple_cap,
+                              min(cfg.dim_cap, ax.dim_cap or cfg.dim_cap),
+                              cfg.seed * 1000003 + ax.arity, live)
+    if ax.spans is None:
         def body(*t):
-            lhs, rhs = _lower_sides(m, cycle, which, t)
+            lhs, rhs = ax.sides(m, cycle, *t)
             if lhs != rhs:
                 return True if t else "at the unit diagram"
     else:
         big = big or to_upper(cycle)
 
         def body(*t):
-            arrow = _check_upper_tuple(m, big, which, t)
-            return arrow is not None and f"at {tuple(map(str, t))}, arrow #{arrow}"
+            spans = [list(enumerate(_hom_to_d(m, x))) for x in ax.spans(m, *t)]
+            for picks in product(*spans):
+                index, mors = zip(*picks)
+                lhs, rhs = ax.sides(m, big, *t, *mors)
+                if lhs != rhs:
+                    arrow = index[0] if len(index) == 1 else index
+                    return f"at {tuple(map(str, t))}, arrow #{arrow}"
     return scan(which, tuples, body, exhaustive)
 
 
@@ -444,12 +404,13 @@ def check_upper_lower_equivalences(profile):
 
 # --------------------------------------------------------- base identity
 
-def check_base_identity(model, samples=100, seed=0, config=None):
+def check_base_identity(model, samples=100, seed=0, probes=None):
     """The two mixed-distribution composites that agree in every linearly
-    distributive category, sampled over arrow pairs (psi, omega)."""
+    distributive category, sampled over arrow pairs (psi, omega); object
+    quadruples and arrows are both drawn from ``seed``."""
     m = model
-    cfg = (config or CheckConfig()).for_model(m)
-    tuples, _ = draw(m, cfg.probes, 4, cfg.tuple_cap, cfg.dim_cap, cfg.seed * 1000003 + 4)
+    cfg = CheckConfig(probes).for_model(m)
+    tuples, _ = draw(m, cfg.probes, 4, cfg.tuple_cap, cfg.dim_cap, seed * 1000003 + 4)
     rng = random.Random(seed)
 
     def arrow_items():

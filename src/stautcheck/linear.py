@@ -134,9 +134,6 @@ class LinearModel(StautModel):
             return units
         return self._structural(("span", id(p), id(q)), build)
 
-    def zero_mor(self, p, q):
-        return self.mor(p, q, mx.zeros(self.dim(q), self.dim(p)))
-
     def mor_add(self, f, g):
         if f.dom is not g.dom or f.cod is not g.cod:
             raise MorError("cannot add morphisms of different shapes")
@@ -146,9 +143,13 @@ class LinearModel(StautModel):
         return self.mor(f.dom, f.cod, mx.scale(c, f.payload))
 
     def random_mor(self, rng, p, q, lo=-3, hi=3):
-        dp, dq = self.dim(p), self.dim(q)
-        return self.mor(p, q, mx.mat([[rng.randint(lo, hi) for _ in range(dp)]
-                                      for _ in range(dq)]))
+        """A seeded integer combination of the spanning arrows of Hom(p, q),
+        one ``rng.randint(lo, hi)`` each in span order, so it respects
+        whatever structure the span does."""
+        payload = mx.zeros(self.dim(q), self.dim(p))
+        for f in self.hom_span(p, q):
+            payload = mx.add(payload, mx.scale(rng.randint(lo, hi), f.payload))
+        return self.mor(p, q, payload)
 
     # ------------------------------------------------------- structural maps
     # With the fixed kron flattening, reassociation and unit absorptions are

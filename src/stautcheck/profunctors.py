@@ -184,14 +184,19 @@ def build_prof_quantale(c, cap=65536, seed=0):
     """Assemble Prof(c, c) as a quantale: pointwise order, composition as
     tensor, the hom profunctor as unit, its right dual as dualizer.  Requires
     exhaustive enumeration (a sampled element set is not join-closed)."""
-    v = c.base
-    cyc, wit = v.is_cyclic()
-    if not cyc:
-        raise ProfError(f"base quantale is not cyclic (witness {v.name(wit)})")
     profs, exhaustive = enumerate_profs(c, cap, seed)
     if not exhaustive:
         raise ProfError("profunctor quantale needs exhaustive enumeration; "
                         "raise the cap or shrink the category")
+    return _prof_quantale(c, profs)
+
+
+def _prof_quantale(c, profs):
+    """Prof(c, c) on the complete list ``profs`` of its profunctors."""
+    v = c.base
+    cyc, wit = v.is_cyclic()
+    if not cyc:
+        raise ProfError(f"base quantale is not cyclic (witness {v.name(wit)})")
     keys = [(q, r) for q in c.objects for r in c.objects]
     elements = [tuple(p[k] for k in keys) for p in profs]
     index = {el: i for i, el in enumerate(elements)}
@@ -313,7 +318,7 @@ def check_prof_staut(c, cap=65536, seed=0):
 
     profile = None
     if exhaustive:
-        pq = build_prof_quantale(c, cap, seed)
+        pq = _prof_quantale(c, profs)
         for r in pq.validate(seed):
             r.name = "profq-" + r.name
             out.append(r)

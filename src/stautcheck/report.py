@@ -8,7 +8,6 @@ locator (axiom or check name, object tuple, arrow index, seed).
 """
 
 from dataclasses import dataclass, field
-import json
 
 SCHEMA_VERSION = 1
 
@@ -85,7 +84,3 @@ class SuiteReport:
             "checks": [c.as_dict() for c in self.sorted_checks()],
             "ok": self.ok,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2,
-                          ensure_ascii=True)

@@ -4,8 +4,8 @@ When every component of the cycle is lam * identity, each of the thirteen
 axiom diagrams compares two composites that differ only in how many cycle
 components they traverse; all other arrows are invertible bookkeeping that
 cancels.  The table below records, per axiom, how many components each side
-uses, counted directly off the two paths of each diagram -- not computed via
-the composite builders, so it is an independent prediction of the verdict:
+uses, counted directly off the two paths of each diagram -- not computed from
+the axiom table's diagrams, so it is an independent prediction of the verdict:
 
     axiom holds at lam  <=>  lam**left == lam**right.
 
@@ -36,13 +36,3 @@ def predicted_profile(lam):
     if lam == 0:
         raise ValueError("scalar cycles need a nonzero scalar")
     return {name: lam ** a == lam ** b for name, (a, b) in SCALAR_EXPONENTS.items()}
-
-
-def predicted_classification(lam):
-    prof = predicted_profile(lam)
-    return {
-        "tens_semicycle": prof["tbin"],
-        "par_semicycle": prof["pbin"],
-        "quasicycle": prof["k"],
-        "cycle": prof["tbin"] and prof["pbin"],
-    }

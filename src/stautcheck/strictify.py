@@ -22,7 +22,7 @@ from .core.morphisms import MorError, ShapeError
 from .core.objects import UniverseError
 from .core.quantify import scan
 from .report import CheckResult
-from .cyclicity import to_upper, lbind, rbind
+from .cyclicity import to_upper
 
 
 class ZString:
@@ -167,8 +167,8 @@ class TensZString(ZString):
     def _gamma_at(self, n):
         m = self.model
         if n % 2 == 0:
-            return rbind(m, self.left.gamma(n), self.right.gamma(n))
-        return lbind(m, self.right.gamma(n), self.left.gamma(n))
+            return m.rbind(self.left.gamma(n), self.right.gamma(n))
+        return m.lbind(self.right.gamma(n), self.left.gamma(n))
 
     def describe(self):
         return f"tens({self.left.describe()},{self.right.describe()})"
@@ -190,8 +190,8 @@ class ParZString(ZString):
     def _gamma_at(self, n):
         m = self.model
         if n % 2 == 0:
-            return lbind(m, self.left.gamma(n), self.right.gamma(n))
-        return rbind(m, self.right.gamma(n), self.left.gamma(n))
+            return m.lbind(self.left.gamma(n), self.right.gamma(n))
+        return m.rbind(self.right.gamma(n), self.left.gamma(n))
 
     def describe(self):
         return f"par({self.left.describe()},{self.right.describe()})"
@@ -323,20 +323,10 @@ def check_triangles(string, window):
     m = string.model
 
     def body(n):
-        zn, zn1 = string.z(n), string.z(n + 1)
-        t1 = m.chain(m.invert(m.runit_t(zn)),
-                     m.tens_mor(m.identity(zn), string.tau(n)),
-                     m.dist_l(zn, zn1, zn),
-                     m.par_mor(string.gamma(n), m.identity(zn)),
-                     m.lunit_p(zn))
-        if t1 != m.identity(zn):
+        adj = string.adjunction(n)
+        if m.curry_right(adj, adj.counit) != m.identity(adj.left):
             return f"{string.describe()} object side at {n}"
-        t2 = m.chain(m.invert(m.lunit_t(zn1)),
-                     m.tens_mor(string.tau(n), m.identity(zn1)),
-                     m.dist_r(zn1, zn, zn1),
-                     m.par_mor(m.identity(zn1), string.gamma(n)),
-                     m.runit_p(zn1))
-        if t2 != m.identity(zn1):
+        if m.curry_left(adj, adj.counit) != m.identity(adj.right):
             return f"{string.describe()} dual side at {n}"
 
     return scan("string-triangles", range(*window), body)

@@ -393,8 +393,7 @@ def criterion_6(seed=0):
     rep = SuiteReport("criterion-6", "appendix identities", seed)
     vec = build_vec_model(2)
     small = [p for p in vec.probe_objects() if vec.dim(p) <= 2]
-    res = cy.check_base_identity(vec, samples=100, seed=seed,
-                                 config=cy.CheckConfig(probes=small, seed=seed))
+    res = cy.check_base_identity(vec, samples=100, seed=seed, probes=small)
     res.name = "base-identity-vec"
     rep.add(res)
     rep.add(CheckResult("base-identity-sample-size", res.count >= 100, "",

@@ -1,15 +1,19 @@
 """Interface-level behaviour shared by the backends: composition typing,
 curry bijections, canonical isomorphisms, the invariant suite."""
 
+from itertools import product
+import random
+
 import pytest
 
+from stautcheck import strictify as st
 from stautcheck.core import matrices as mx
 from stautcheck.core.morphisms import CompositionError, MorError, ShapeError
 from stautcheck.core.objects import UniverseError
 from stautcheck.core.validate import validate_staut
 from stautcheck.quantale import build_s3_pointed
 from stautcheck.thin import ThinModel
-from stautcheck.linear import build_vec_model
+from stautcheck.linear import VecModel, build_vec_model
 
 
 def test_hash_consing(vec):
@@ -165,3 +169,54 @@ def test_validate_staut_noncyclic_thin_model():
 def test_probe_objects_in_universe(vec):
     for p in vec.probe_objects():
         assert p.depth <= vec._interner.depth_limit
+
+
+class ScaledCounitVec(VecModel):
+    """vec with the right (side "r") or left (side "l") duality counit
+    doubled, so that the triangle identities of that side fail."""
+
+    def __init__(self, side):
+        self.side = side
+        super().__init__({"p": 2}, depth_limit=12)
+
+    def _build_dual_counit_r(self, p):
+        f = super()._build_dual_counit_r(p)
+        return self.mor_scale(2, f) if self.side == "r" else f
+
+    def _build_dual_counit_l(self, p):
+        f = super()._build_dual_counit_l(p)
+        return self.mor_scale(2, f) if self.side == "l" else f
+
+
+@pytest.mark.parametrize("side, failing, witness", [
+    ("r", {"triangle-right-object", "triangle-right-dual", "curry-counit-is-id"},
+     "canon(p) object side at 0"),
+    ("l", {"triangle-left-object", "triangle-left-dual"},
+     "canon(p) object side at -1"),
+])
+def test_triangle_checks_fail_on_a_scaled_counit(side, failing, witness):
+    m = ScaledCounitVec(side)
+    results = {r.name: r for r in validate_staut(m, seed=0)}
+    triangles = {name for name in results if name.startswith("triangle-")}
+    assert {name for name in triangles | {"curry-counit-is-id"}
+            if not results[name].ok} == failing
+    res = st.check_triangles(st.zangify(m, m.gen("p")), (-1, 1))
+    assert not res.ok and res.witness == witness
+
+
+def test_random_mor_is_a_module_map_on_every_probe_pair(graded, dz2):
+    for model in (graded, dz2):
+        rng = random.Random(0)
+        for p, q in product(model.probe_objects(), repeat=2):
+            f = model.random_mor(rng, p, q)
+            assert (f.dom, f.cod) == (p, q)
+
+
+def test_random_mor_on_vec_is_the_entrywise_draw(vec):
+    p = vec.gen("p")
+    q = vec.tens(p, p)
+    rng, ref = random.Random(5), random.Random(5)
+    want = mx.mat([[ref.randint(-3, 3) for _ in range(vec.dim(p))]
+                   for _ in range(vec.dim(q))])
+    assert vec.random_mor(rng, p, q).payload == want
+    assert rng.getstate() == ref.getstate()

@@ -7,6 +7,7 @@ import pytest
 
 from stautcheck import cyclicity as cy
 from stautcheck.core.morphisms import ShapeError
+from stautcheck.core.quantify import draw
 from stautcheck.linear import build_vec_model, scalar_cycle, identity_cycle
 from stautcheck.quantale import build_rel_quantale
 from stautcheck.scalar_oracle import SCALAR_EXPONENTS, predicted_profile
@@ -114,7 +115,7 @@ def test_rbind_of_counits_is_composite_counit(vec2):
     m = vec2
     p = m.gen("p")
     q = m.rdual(p)
-    bound = cy.rbind(m, m.dual_counit_r(p), m.dual_counit_r(q))
+    bound = m.rbind(m.dual_counit_r(p), m.dual_counit_r(q))
     lhs = m.chain(m.tens_mor(m.identity(m.tens(p, q)),
                              m.demorgan("tens_r", p, q)),
                   bound)
@@ -126,17 +127,35 @@ def test_binder_shapes(vec2):
     p = m.gen("p")
     om = m.dual_counit_r(p)
     ps = m.dual_counit_r(m.e)
-    got = cy.lbind(m, om, ps)
+    got = m.lbind(om, ps)
     assert got.dom is m.tens(m.par(p, m.e),
                              m.tens(m.rdual(m.e), m.rdual(p)))
     with pytest.raises(ShapeError):
-        cy.lbind(m, m.identity(p), ps)
+        m.lbind(m.identity(p), ps)
 
 
 def test_base_identity_vec_and_thin(vec2):
     assert cy.check_base_identity(vec2, samples=100, seed=1).ok
     thin = ThinModel(build_rel_quantale(2))
     assert cy.check_base_identity(thin, seed=1).ok
+
+
+def test_base_identity_draws_its_tuples_from_the_seed(monkeypatch):
+    thin = ThinModel(build_rel_quantale(2))
+    cfg = cy.CheckConfig()
+    seen = []
+
+    def spy(*args):
+        tuples, exhaustive = draw(*args)
+        seen.append(tuples)
+        return tuples, exhaustive
+
+    monkeypatch.setattr(cy, "draw", spy)
+    for seed in (0, 3):
+        cy.check_base_identity(thin, seed=seed)
+    want = [draw(thin, thin.probe_objects(), 4, cfg.tuple_cap, cfg.dim_cap,
+                 seed * 1000003 + 4)[0] for seed in (0, 3)]
+    assert seen == want and want[0] != want[1]
 
 
 def test_dependency_table_rejects_contradiction():

@@ -1,0 +1,22 @@
+"""Every program name the benchmark's tracer wraps must exist, so that a
+refactor that drops one fails here rather than in each traced run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def test_every_traced_name_resolves():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for modname, attr, _ in tracer.SPANS + tracer.COUNTED:
+        owner = importlib.import_module(f"stautcheck.{modname}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{modname}.{attr}")
+    assert not missing
