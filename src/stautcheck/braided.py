@@ -174,9 +174,9 @@ class Balance:
             self._memo[id(p)] = hit
         return hit
 
-    def validate(self, probes=None):
+    def validate(self):
         m = self.model
-        probes = probes if probes is not None else m.probe_objects()
+        probes = m.probe_objects()
 
         def not_invertible(p):
             m.invert(self.component(p))   # raises MorError when there is no inverse
@@ -299,11 +299,10 @@ def check_stitch_natural(model):
     return scan("stitch-natural", arrows(m, product(m.probe_objects(), repeat=2)), natural)
 
 
-def check_quasibalance(balance, probes=None):
+def check_quasibalance(balance):
     """twist ; cancel ; ldual(twist at the dual) ; cancel-back must equal the
     stitch on every probe object."""
     m = balance.model
-    probes = probes if probes is not None else m.probe_objects()
 
     def body(p):
         lhs = m.chain(balance.component(p),
@@ -312,21 +311,20 @@ def check_quasibalance(balance, probes=None):
                       m.invert(m.canon_l(p)))
         return lhs != stitch(m, p)
 
-    return scan("quasibalance", probes, body)
+    return scan("quasibalance", m.probe_objects(), body)
 
 
-def check_balance_double(balance, probes=None):
-    """Per object: the twist commutes with the right dual exactly when the
-    stitch is the twist squared."""
+def check_balance_double(balance):
+    """Per probe object: the twist commutes with the right dual exactly when
+    the stitch is the twist squared."""
     m = balance.model
-    probes = probes if probes is not None else m.probe_objects()
 
     def body(p):
         left = balance.component(m.rdual(p)) == m.rdual_mor(balance.component(p))
         right = stitch(m, p) == m.compose(balance.component(p), balance.component(p))
         return left != right
 
-    return scan("balance-double", probes, body)
+    return scan("balance-double", m.probe_objects(), body)
 
 
 def roundtrip_check(balance):
@@ -345,12 +343,12 @@ def roundtrip_check(balance):
     return scan("roundtrip", [(kind, p) for kind in trips for p in m.probe_objects()], body)
 
 
-def check_identity_cycle_symmetry(model, config=None):
+def check_identity_cycle_symmetry(model, seed=0):
     """The hom family induced by the identity twist is a full cycle exactly
     when the braiding is a symmetry."""
     big = cycle_from_balance(identity_balance(model))
     low = cyclicity.to_lower(big)
-    profile = cyclicity.classify(low, config, big=big)
+    profile = cyclicity.classify(low, seed, big=big)
     sym, wit = Braiding(model).is_symmetry()
     ok = profile.cycle == sym
     return CheckResult("identity-cycle-vs-symmetry", ok,

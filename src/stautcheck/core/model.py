@@ -393,21 +393,6 @@ class StautModel:
         return self.chain(self.dual_unit_r(p),
                           self.par_mor(self.identity(self.rdual(p)), f))
 
-    def residual_objects(self, x, z):
-        """Par encodings of both residuals of x and z, with contraposition isos.
-
-        Returns (x -o z, z o- x, contra_r, contra_l) where
-        x -o z  := rdual(x) par z,
-        z o- x  := z par ldual(x),
-        contra_r: (x -o z) -> rdual(x) par ldual(rdual(z))  (right contraposition)
-        contra_l: (z o- x) -> rdual(ldual(z)) par ldual(x)  (left contraposition)
-        """
-        left_res = self.par(self.rdual(x), z)
-        right_res = self.par(z, self.ldual(x))
-        contra_r = self.par_mor(self.identity(self.rdual(x)), self.canon_l(z))
-        contra_l = self.par_mor(self.canon_r(z), self.identity(self.ldual(x)))
-        return left_res, right_res, contra_r, contra_l
-
     # ----------------------------------------------------------------- probes
 
     def probe_objects(self):

@@ -13,6 +13,11 @@ import random
 from ..report import CheckResult
 from .morphisms import MorError
 
+# The most object tuples a model-level check ranges over: the validity
+# checks, the thirteen axioms and the base identity each draw at most this
+# many, and report ``exhaustive: false`` when they drew fewer than all.
+TUPLE_CAP = 24
+
 
 def draw(model, probes, k, cap=None, dim_cap=None, seed=0, live=None):
     """The k-tuples of ``probes`` a check ranges over, and whether they are

@@ -7,15 +7,18 @@ distribution coherence equations, invertibility of the de Morgan and
 cancellation maps, and the currying round trips on hom spanning sets.
 """
 
-from .quantify import draw, scan
+from .quantify import TUPLE_CAP, draw, scan
+
+# on linear models, the largest product of dimensions of a drawn tuple
+_DIM_CAP = 8
 
 
-def validate_staut(model, seed=0, tuple_cap=24, dim_cap=8):
+def validate_staut(model, seed=0):
     m = model
     probes = m.probe_objects()
 
     def tuples(k):
-        return draw(m, probes, k, tuple_cap, dim_cap, seed * 1000003 + k)
+        return draw(m, probes, k, TUPLE_CAP, _DIM_CAP, seed * 1000003 + k)
 
     def triangle(adjunction, curry):
         """The counit of ``adjunction(p)`` curried by ``curry`` is an
@@ -106,9 +109,6 @@ def validate_staut(model, seed=0, tuple_cap=24, dim_cap=8):
         return any(m.lcurry_inv(m.lcurry(f)) != f or m.rcurry_inv(m.rcurry(f)) != f
                    for f in m.hom_span(m.tens(p, t), m.d))
 
-    def curry_counit(p):
-        return m.lcurry(m.dual_counit_r(p)) != m.identity(m.rdual(p))
-
     def name_of_identity(p):
         return m.name_mor(m.identity(p)) != m.dual_unit_r(p)
 
@@ -131,7 +131,6 @@ def validate_staut(model, seed=0, tuple_cap=24, dim_cap=8):
               ("demorgan-units-invertible", (probes[:1], True), unit_demorgan),
               ("cancellation-invertible", everything, cancellation_iso),
               ("curry-roundtrip", pairs, curry_roundtrip),
-              ("curry-counit-is-id", everything, curry_counit),
               ("name-of-identity", everything, name_of_identity)]
     return [scan(name, items, body, exhaustive)
             for name, (items, exhaustive), body in checks]

@@ -28,7 +28,7 @@ from itertools import product
 import random
 
 from .core.morphisms import ShapeError
-from .core.quantify import arrows, draw, scan
+from .core.quantify import TUPLE_CAP, arrows, draw, scan
 from .report import CheckResult
 
 
@@ -60,12 +60,11 @@ class CycleData:
             self._inv[id(p)] = hit
         return hit
 
-    def validate(self, probes=None, mor_pairs=None):
-        """Invertibility on probes and naturality on morphism spanning sets."""
+    def validate(self):
+        """Invertibility on the probes and naturality on the hom spanning
+        sets of every probe pair."""
         m = self.model
-        probes = probes if probes is not None else m.probe_objects()
-        pairs = mor_pairs if mor_pairs is not None else [
-            (a, b) for a in probes for b in probes]
+        probes = m.probe_objects()
 
         def natural(a, b, i, f):
             lhs = m.compose(self.component(b), m.ldual_mor(f))
@@ -76,7 +75,7 @@ class CycleData:
             self.inverse_component(p)   # raises MorError when there is no inverse
 
         return [scan("cycle-invertible", probes, not_invertible),
-                scan("cycle-natural", arrows(m, pairs), natural)]
+                scan("cycle-natural", arrows(m, product(probes, repeat=2)), natural)]
 
 
 class BigCycle:
@@ -98,11 +97,8 @@ class BigCycle:
             raise ShapeError(f"expected {t} (x) {p} -> d, got {psi}")
         return self._unapply(p, t, psi)
 
-    def to_lower(self, label=None):
-        return to_lower(self, label=label)
 
-
-def to_upper(cycle, label=None):
+def to_upper(cycle):
     """Lower-to-upper direction of the case-change correspondence."""
     m = cycle.model
 
@@ -112,10 +108,10 @@ def to_upper(cycle, label=None):
     def unap(p, t, psi):
         return m.lcurry_inv(m.compose(m.rcurry(psi), cycle.inverse_component(p)))
 
-    return BigCycle(m, ap, unap, label or f"upper({cycle.label})")
+    return BigCycle(m, ap, unap, f"upper({cycle.label})")
 
 
-def to_lower(big, label=None):
+def to_lower(big):
     """Upper-to-lower direction; exact inverse of ``to_upper``."""
     m = big.model
 
@@ -123,27 +119,15 @@ def to_lower(big, label=None):
         gamma = m.dual_counit_r(p)
         return m.rcurry(big.apply(p, m.rdual(p), gamma))
 
-    return CycleData(m, comp, label or f"lower({big.label})")
+    return CycleData(m, comp, f"lower({big.label})")
 
 
 # ------------------------------------------------------------ probe drawing
 
-@dataclass
-class CheckConfig:
-    """Quantifier budget for axiom checks; every sampled draw is seeded and
-    the report records whether quantification was exhaustive."""
-
-    probes: list = None
-    seed: int = 0
-    tuple_cap: int = 24
-    dim_cap: int = 16
-
-    def for_model(self, model):
-        cfg = CheckConfig(list(self.probes) if self.probes is not None
-                          else model.probe_objects(),
-                          self.seed, self.tuple_cap, self.dim_cap)
-        return cfg
-
+# Axiom tuples are drawn from the probe objects within TUPLE_CAP (shared with
+# the model validity checks) and, on linear models, up to this product of
+# dimensions; an axiom row may tighten it.
+_DIM_CAP = 16
 
 # The benchmark's tracer (perfbench/tracer.py) times tuple drawing under this
 # name; it is ``draw`` itself.
@@ -163,12 +147,12 @@ class Axiom:
     each x in ``spans(model, *objects)``.  ``sides`` returns the diagram's
     two sides, which must be equal: ``sides(model, cycle, *objects)`` on the
     object level, ``sides(model, big, *objects, *arrows)`` on the hom level.
-    ``dim_cap`` tightens the drawing budget."""
+    ``dim_cap`` is the drawing budget of its tuples' dimensions."""
 
     arity: int
     sides: object
     spans: object = None
-    dim_cap: int = None
+    dim_cap: int = _DIM_CAP
 
 
 def _pnul(m, c):
@@ -265,18 +249,16 @@ _AXIOMS = {
 AXIOMS = tuple(_AXIOMS)
 
 
-def check_axiom(cycle, which, config=None, big=None):
+def check_axiom(cycle, which, seed=0, big=None):
     """Exact check of one named coherence condition; returns verdict plus a
-    replayable counterexample locator on failure."""
+    counterexample locator on failure, replayable from ``seed``."""
     if which not in _AXIOMS:
         raise ValueError(f"unknown axiom {which!r}; known: {AXIOMS}")
     ax = _AXIOMS[which]
     m = cycle.model
-    cfg = (config or CheckConfig()).for_model(m)
     live = ax.spans and (lambda t: all(_hom_to_d(m, x) for x in ax.spans(m, *t)))
-    tuples, exhaustive = draw(m, cfg.probes, ax.arity, cfg.tuple_cap,
-                              min(cfg.dim_cap, ax.dim_cap or cfg.dim_cap),
-                              cfg.seed * 1000003 + ax.arity, live)
+    tuples, exhaustive = draw(m, m.probe_objects(), ax.arity, TUPLE_CAP, ax.dim_cap,
+                              seed * 1000003 + ax.arity, live)
     if ax.spans is None:
         def body(*t):
             lhs, rhs = ax.sides(m, cycle, *t)
@@ -304,17 +286,6 @@ class AxiomProfile:
     witnesses: dict = field(default_factory=dict)
     label: str = ""
 
-    def __getitem__(self, name):
-        return self.verdicts[name]
-
-    @property
-    def tens_semicycle(self):
-        return self.verdicts["tbin"]
-
-    @property
-    def par_semicycle(self):
-        return self.verdicts["pbin"]
-
     @property
     def quasicycle(self):
         return self.verdicts["k"]
@@ -323,17 +294,8 @@ class AxiomProfile:
     def cycle(self):
         return self.verdicts["tbin"] and self.verdicts["pbin"]
 
-    def classification(self):
-        return {"tens_semicycle": self.tens_semicycle,
-                "par_semicycle": self.par_semicycle,
-                "quasicycle": self.quasicycle,
-                "cycle": self.cycle}
 
-    def row(self):
-        return {name: self.verdicts[name] for name in AXIOMS}
-
-
-def classify(cycle, config=None, big=None):
+def classify(cycle, seed=0, big=None):
     """Full thirteen-axiom profile plus the derived classification flags.
 
     Pass ``big`` when the cycle came from a hom-level family: the two forms
@@ -342,9 +304,8 @@ def classify(cycle, config=None, big=None):
     """
     big = big or to_upper(cycle)
     verdicts, witnesses = {}, {}
-    cfg = config or CheckConfig()
     for name in AXIOMS:
-        res = check_axiom(cycle, name, cfg, big)
+        res = check_axiom(cycle, name, seed, big)
         verdicts[name] = res.ok
         if not res.ok:
             witnesses[name] = res.witness
@@ -404,19 +365,25 @@ def check_upper_lower_equivalences(profile):
 
 # --------------------------------------------------------- base identity
 
-def check_base_identity(model, samples=100, seed=0, probes=None):
+# random arrow pairs per run of the base identity on a linear model
+_BASE_IDENTITY_SAMPLES = 100
+
+
+def check_base_identity(model, seed=0, probes=None):
     """The two mixed-distribution composites that agree in every linearly
-    distributive category, sampled over arrow pairs (psi, omega); object
-    quadruples and arrows are both drawn from ``seed``."""
+    distributive category, over object quadruples of ``probes`` (default:
+    the model's probe objects) and arrow pairs (psi, omega): on a linear
+    model about _BASE_IDENTITY_SAMPLES random pairs, on a thin one every
+    spanning pair.  Quadruples and arrows are both drawn from ``seed``."""
     m = model
-    cfg = CheckConfig(probes).for_model(m)
-    tuples, _ = draw(m, cfg.probes, 4, cfg.tuple_cap, cfg.dim_cap, seed * 1000003 + 4)
+    probes = m.probe_objects() if probes is None else probes
+    tuples, _ = draw(m, probes, 4, TUPLE_CAP, _DIM_CAP, seed * 1000003 + 4)
     rng = random.Random(seed)
 
     def arrow_items():
         for (q, s, t, p) in tuples:
             if m.is_linear:
-                per = -(-samples // max(1, len(tuples)))
+                per = -(-_BASE_IDENTITY_SAMPLES // max(1, len(tuples)))
                 pairs = [(m.random_mor(rng, m.tens(q, s), m.d),
                           m.random_mor(rng, m.tens(t, p), m.d)) for _ in range(per)]
             else:

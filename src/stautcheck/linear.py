@@ -134,21 +134,16 @@ class LinearModel(StautModel):
             return units
         return self._structural(("span", id(p), id(q)), build)
 
-    def mor_add(self, f, g):
-        if f.dom is not g.dom or f.cod is not g.cod:
-            raise MorError("cannot add morphisms of different shapes")
-        return self._mor(f.dom, f.cod, mx.add(f.payload, g.payload))
-
     def mor_scale(self, c, f):
         return self.mor(f.dom, f.cod, mx.scale(c, f.payload))
 
-    def random_mor(self, rng, p, q, lo=-3, hi=3):
+    def random_mor(self, rng, p, q):
         """A seeded integer combination of the spanning arrows of Hom(p, q),
-        one ``rng.randint(lo, hi)`` each in span order, so it respects
+        one ``rng.randint(-3, 3)`` each in span order, so it respects
         whatever structure the span does."""
         payload = mx.zeros(self.dim(q), self.dim(p))
         for f in self.hom_span(p, q):
-            payload = mx.add(payload, mx.scale(rng.randint(lo, hi), f.payload))
+            payload = mx.add(payload, mx.scale(rng.randint(-3, 3), f.payload))
         return self.mor(p, q, payload)
 
     # ------------------------------------------------------- structural maps
@@ -312,13 +307,3 @@ def scalar_cycle(model, lam):
 
     return CycleData(model, comp, label=f"scalar({lam})")
 
-
-def identity_cycle(model):
-    """The identity family rdual(p) -> ldual(p); needs equal duals."""
-    from .cyclicity import CycleData
-
-    def comp(p):
-        return model.mor(model.rdual(p), model.ldual(p),
-                         mx.identity(model.dim(p)))
-
-    return CycleData(model, comp, label="identity")

@@ -90,13 +90,6 @@ def prof_action_violation(src, dst, values):
     return None
 
 
-def is_modulation(f, g):
-    """Pointwise order witness f <= g; action compatibility is automatic in
-    the thin setting."""
-    v = f.src.base
-    return all(v.le(f.values[k], g.values[k]) for k in f.values)
-
-
 def identity_prof(c):
     return VProf(c, c, {k: v for k, v in c.hom.items()})
 
@@ -180,11 +173,11 @@ def enumerate_profs(c, cap=65536, seed=0):
     return found, False
 
 
-def build_prof_quantale(c, cap=65536, seed=0):
+def build_prof_quantale(c, seed=0):
     """Assemble Prof(c, c) as a quantale: pointwise order, composition as
     tensor, the hom profunctor as unit, its right dual as dualizer.  Requires
     exhaustive enumeration (a sampled element set is not join-closed)."""
-    profs, exhaustive = enumerate_profs(c, cap, seed)
+    profs, exhaustive = enumerate_profs(c, seed=seed)
     if not exhaustive:
         raise ProfError("profunctor quantale needs exhaustive enumeration; "
                         "raise the cap or shrink the category")
@@ -248,14 +241,14 @@ def _prof_quantale(c, profs):
 
 # ------------------------------------------------------------ full checker
 
-def check_prof_staut(c, cap=65536, seed=0):
+def check_prof_staut(c, seed=0):
     """Verify that Prof(c, c) is a cyclic thin star-autonomous model.
 
     Returns (SuiteReport-ready CheckResult list, AxiomProfile, prof quantale).
     """
     v = c.base
     out = []
-    profs, exhaustive = enumerate_profs(c, cap, seed)
+    profs, exhaustive = enumerate_profs(c, seed=seed)
     out.append(CheckResult("prof-enumeration", True,
                            f"{len(profs)} profunctors", len(profs), exhaustive))
 
@@ -330,7 +323,7 @@ def check_prof_staut(c, cap=65536, seed=0):
             out.append(r)
         from .thin import thin_identity_cycle
         cyc_data = thin_identity_cycle(model)
-        profile = cyclicity.classify(cyc_data)
+        profile = cyclicity.classify(cyc_data, seed)
         out.append(CheckResult("profq-cycle-classification", profile.cycle,
                                str(profile.witnesses)))
         return out, profile, pq
@@ -339,12 +332,17 @@ def check_prof_staut(c, cap=65536, seed=0):
 
 # ----------------------------------------------- contraposition agreement
 
-def check_contraposition_agreement(model, cycle, samples=50, seed=0):
+# action arrows per run of the contraposition check
+_CONTRAPOSITION_SAMPLES = 50
+
+
+def check_contraposition_agreement(model, cycle, seed=0):
     """The two derived actions on the right dual of the target of a module
     action a (x) x -> y: transporting through both cycle components versus
     dualizing and cycling the acting object.  They agree whenever the cycle
-    is at least tensor-semicyclic; exercised with random action arrows on
-    linear backends and with the unique witnesses on thin ones."""
+    is at least tensor-semicyclic; exercised on about
+    _CONTRAPOSITION_SAMPLES action arrows, random ones on linear backends
+    and the unique witnesses on thin ones."""
     m = model
     rng = random.Random(seed)
     probes = [p for p in m.probe_objects()
@@ -356,13 +354,13 @@ def check_contraposition_agreement(model, cycle, samples=50, seed=0):
             if m.is_linear:
                 # whole batches of random action arrows up to the sample size
                 alphas = [m.random_mor(rng, m.tens(a, x), y)
-                          for _ in range(max(1, samples // 8))]
+                          for _ in range(max(1, _CONTRAPOSITION_SAMPLES // 8))]
             else:
-                alphas = m.hom_span(m.tens(a, x), y)[:samples - done]
+                alphas = m.hom_span(m.tens(a, x), y)[:_CONTRAPOSITION_SAMPLES - done]
             for alpha in alphas:
                 yield a, x, y, alpha
             done += len(alphas)
-            if done >= samples:
+            if done >= _CONTRAPOSITION_SAMPLES:
                 return
 
     def body(a, x, y, alpha):

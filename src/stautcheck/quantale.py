@@ -22,6 +22,13 @@ import random
 
 from .core.quantify import scan
 
+# ``Quantale.validate`` exhausts the triples of elements while there are at
+# most _TRIPLE_CAP of them and the pairs for the residual scan (a full
+# element sweep each) while there are at most _PAIR_CAP; past that it draws
+# that many with replacement.
+_TRIPLE_CAP = 4096
+_PAIR_CAP = 256
+
 
 class QuantaleError(Exception):
     """Invalid quantale data or an operation without a defined result."""
@@ -138,13 +145,13 @@ class Quantale:
 
     # ------------------------------------------------------------ validation
 
-    def validate(self, seed=0, cap=4096, residual_cap=256):
+    def validate(self, seed=0):
         """Brute-force the quantale axioms, one CheckResult each.
 
-        Pairs/triples are exhausted when their count stays under ``cap``
-        (``residual_cap`` for the residual-existence scan, which costs a full
-        element sweep per pair), otherwise drawn with replacement from a
-        seeded generator, and the check's name ends in "(sampled)".
+        Triples are exhausted when there are at most _TRIPLE_CAP of them, and
+        the pairs of the residual-existence scan when there are at most
+        _PAIR_CAP; otherwise that many are drawn with replacement from
+        ``random.Random(seed)``, and the check's name ends in "(sampled)".
         """
         rng = random.Random(seed)
         els = self.elements
@@ -187,8 +194,8 @@ class Quantale:
             return name + ("" if exhaustive else "(sampled)")
 
         singles = [(a,) for a in els]   # wrapped, as an element may be a tuple
-        triples, exh3 = tuples(3, cap)
-        pairs, exh2 = tuples(2, residual_cap)
+        triples, exh3 = tuples(3, _TRIPLE_CAP)
+        pairs, exh2 = tuples(2, _PAIR_CAP)
         return [scan("unit-law", singles, unit_law),
                 scan(sampled("associativity", exh3), triples, associative, exh3),
                 scan(sampled("monotonicity", exh3), triples, monotone, exh3),

@@ -235,24 +235,6 @@ def project0(string):
     return string.z(0)
 
 
-def zang_ops(left, right, which):
-    """Componentwise structure of the string category: tensor, par, the two
-    duals (index shifts) and the two units."""
-    if which == "tens":
-        return TensZString(left, right)
-    if which == "par":
-        return ParZString(left, right)
-    if which == "rdual":
-        return ShiftZString(left, +1)
-    if which == "ldual":
-        return ShiftZString(left, -1)
-    if which == "e":
-        return UnitZString(left.model, "e")
-    if which == "d":
-        return UnitZString(left.model, "d")
-    raise ValueError(f"unknown string operation {which!r}")
-
-
 class ZMate:
     """A family of mates over two strings, generated from the component at
     index zero; even components point source-to-target, odd ones backwards."""
@@ -346,10 +328,9 @@ def strings_equal_on(a, b, window):
     return None
 
 
-def check_strict_negations(model, window, strings=None):
-    """All de Morgan and cancellation comparisons between string descriptors
+def check_strict_negations(model, window, strings):
+    """All de Morgan and cancellation comparisons between the given strings
     are literal componentwise identities on the window."""
-    strings = strings or [zangify(model, p) for p in model.probe_objects()[:4]]
     e_str, d_str = UnitZString(model, "e"), UnitZString(model, "d")
 
     def cases():
@@ -382,9 +363,9 @@ def check_strict_negations(model, window, strings=None):
     return scan("strict-negations", cases(), body)
 
 
-def check_equivalence(model, window, strings=None):
+def check_equivalence(model, window, strings):
     """Component zero projects the canonical tower back to its base object,
-    and every tested string is isomorphic to the canonical tower on its
+    and every given string is isomorphic to the canonical tower on its
     component zero through an invertible mate family."""
     probes = model.probe_objects()
     res = scan("zang-equivalence", probes,
@@ -392,7 +373,6 @@ def check_equivalence(model, window, strings=None):
                and f"projection fails at {p}")
     if not res.ok:
         return res
-    strings = strings or [zangify(model, p) for p in probes[:3]]
     lo, hi = window
 
     def mates():
@@ -420,14 +400,12 @@ class FangPreconditionError(Exception):
     """The supplied family is not a full cycle; names a failing axiom."""
 
 
-def _require_cycle(cycle, profile=None):
-    from . import cyclicity as cy
-    prof = profile or cy.classify(cycle)
-    if not prof.cycle:
-        failing = [name for name in ("tbin", "pbin") if not prof.verdicts[name]]
+def _require_cycle(cycle, profile):
+    """Raise unless ``profile``, the axiom profile of ``cycle``, is a cycle."""
+    if not profile.cycle:
+        failing = [name for name in ("tbin", "pbin") if not profile.verdicts[name]]
         raise FangPreconditionError(
             f"{cycle.label} is not a cycle: fails {', '.join(failing)}")
-    return prof
 
 
 def fang_membership(string, big, window):
@@ -444,8 +422,9 @@ def fang_membership(string, big, window):
     return None
 
 
-def fang_check(string, cycle, window, profile=None):
-    """Membership of one string; the cycle must be a full cycle."""
+def fang_check(string, cycle, window, profile):
+    """Membership of one string; the cycle, of axiom profile ``profile``,
+    must be a full cycle."""
     _require_cycle(cycle, profile)
     big = to_upper(cycle)
     bad = fang_membership(string, big, window)
@@ -453,8 +432,8 @@ def fang_check(string, cycle, window, profile=None):
                        window[1] - window[0])
 
 
-def fang_closure(P, Q, cycle, window, profile=None):
-    """Tensor and par of members are members."""
+def fang_closure(P, Q, cycle, window, profile):
+    """Tensor and par of members are members; as for ``fang_check``."""
     _require_cycle(cycle, profile)
     big = to_upper(cycle)
 
@@ -483,15 +462,15 @@ def zangcycle_component(string, cycle, n):
     return m.chain(into_rdual, cycle.component(string.z(n)), from_ldual)
 
 
-def check_zangcycle(model, cycle, window, strings=None, profile=None):
-    """The extended cycle is componentwise invertible, restricts to the
-    identity on compatible period-two strings, and satisfies the binary
-    coherence conditions componentwise (the string-level de Morgan maps being
+def check_zangcycle(model, cycle, window, strings, profile):
+    """The extended cycle (a full cycle, of axiom profile ``profile``) is
+    componentwise invertible on the given strings, restricts to the identity
+    on compatible period-two strings, and satisfies the binary coherence
+    conditions componentwise (the string-level de Morgan maps being
     identities)."""
     _require_cycle(cycle, profile)
     big = to_upper(cycle)
     lo, hi = window
-    strings = strings or [zangify(model, p) for p in model.probe_objects()[:3]]
     inner = range(lo + 1, hi)
 
     def invertible(P, n):

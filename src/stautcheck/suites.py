@@ -64,7 +64,7 @@ def quantale_suite(q, seed=0, depth=8):
     if cyc:
         cycle = thin_identity_cycle(model)
         rep.add(cycle.validate())
-        profile = cy.classify(cycle)
+        profile = cy.classify(cycle, seed)
         rep.add(CheckResult("thin-cycle-all-axioms", profile.cycle and profile.quasicycle,
                             str(profile.witnesses)))
         rep.add(cy.check_dependency_table([profile]))
@@ -79,13 +79,12 @@ def quantale_suite(q, seed=0, depth=8):
 def scalar_table_suite(seed=0, scalars=SCALARS, max_dim=2, depth=8):
     model = build_vec_model(max_dim, depth_limit=depth)
     rep = SuiteReport("vec-scalar-table", model.describe(), seed)
-    cfg = cy.CheckConfig(seed=seed)
     profiles = []
     table = {}
     for lam in scalars:
         cycle = scalar_cycle(model, lam)
         rep.add(cycle.validate())
-        profile = cy.classify(cycle, cfg)
+        profile = cy.classify(cycle, seed)
         profiles.append(profile)
         table[str(lam)] = {k: profile.verdicts[k] for k in cy.AXIOMS}
         predicted = predicted_profile(lam)
@@ -114,9 +113,9 @@ def scalar_table_suite(seed=0, scalars=SCALARS, max_dim=2, depth=8):
 # ------------------------------------------------------------- profunctors
 
 @_timed
-def prof_suite(vcat, seed=0, cap=65536):
+def prof_suite(vcat, seed=0):
     rep = SuiteReport("prof-check", vcat.label(), seed)
-    checks, profile, pq = pf.check_prof_staut(vcat, cap, seed)
+    checks, profile, pq = pf.check_prof_staut(vcat, seed)
     rep.add(checks)
     if profile is not None:
         rep.add(cy.check_dependency_table([profile]))
@@ -203,7 +202,7 @@ def braided_suite(seed=0):
 
     ident = br.identity_balance(model)
     rep.add(br.check_quasibalance(ident))
-    res, profile = br.check_identity_cycle_symmetry(model, cy.CheckConfig(seed=seed))
+    res, profile = br.check_identity_cycle_symmetry(model, seed)
     rep.add(res)
     rep.add(CheckResult("identity-family-quasicycle-not-cycle",
                         profile.quasicycle and not profile.cycle,
@@ -220,11 +219,12 @@ def braided_suite(seed=0):
 
 
 @_timed
-def counter_model_suite(seed=0, c=Fraction(2)):
-    """Negative branches on the graded-line model: its braiding is not a
-    symmetry, the canonical double-crossing is detectably non-identity, the
-    identity twist fails the quasi condition while the square twist passes."""
-    model = GradedLineModel(c)
+def counter_model_suite(seed=0):
+    """Negative branches on the graded-line model (braiding scale 2): its
+    braiding is not a symmetry, the canonical double-crossing is detectably
+    non-identity, the identity twist fails the quasi condition while the
+    square twist passes."""
+    model = GradedLineModel()
     rep = SuiteReport("braided-counter-model", model.describe(), seed)
     braiding = br.Braiding(model)
     rep.add(braiding.check_hexagons(seed))
@@ -244,7 +244,7 @@ def counter_model_suite(seed=0, c=Fraction(2)):
     lam2 = br.scaled_balance(model, Fraction(2))
     rep.add(CheckResult("scaled-twist-fails-semibalance",
                         not br.check_semibalance(lam2, "tens").ok, ""))
-    res, profile = br.check_identity_cycle_symmetry(model, cy.CheckConfig(seed=seed))
+    res, profile = br.check_identity_cycle_symmetry(model, seed)
     rep.add(res)
     rep.add(CheckResult("identity-family-not-quasicycle",
                         not profile.quasicycle, f"k={profile.quasicycle}"))
@@ -254,7 +254,7 @@ def counter_model_suite(seed=0, c=Fraction(2)):
 
 # -------------------------------------------------------------------- zang
 
-def _zang_model(backend, window, seed=0, depth=None):
+def _zang_model(backend, window, depth=None):
     depth = max(depth or 0, abs(window[0]) + abs(window[1]) + 3)
     if backend == "vec":
         model = build_vec_model(2, depth_limit=depth)
@@ -275,12 +275,12 @@ def _zang_model(backend, window, seed=0, depth=None):
 
 @_timed
 def zang_suite(backend, window=(-3, 3), seed=0, depth=None):
-    model, cycle = _zang_model(backend, window, seed, depth)
+    model, cycle = _zang_model(backend, window, depth)
     rep = SuiteReport(f"zang-suite-{backend}", model.describe(), seed)
     rep.stats["window"] = list(window)
     probes = model.probe_objects()
     towers = [st.zangify(model, p) for p in probes[:4]]
-    profile = cy.classify(cycle, cy.CheckConfig(seed=seed))
+    profile = cy.classify(cycle, seed)
     rep.add(CheckResult("base-cycle-is-a-cycle", profile.cycle,
                         str(profile.witnesses)))
     rep.profile = profile
@@ -393,7 +393,7 @@ def criterion_6(seed=0):
     rep = SuiteReport("criterion-6", "appendix identities", seed)
     vec = build_vec_model(2)
     small = [p for p in vec.probe_objects() if vec.dim(p) <= 2]
-    res = cy.check_base_identity(vec, samples=100, seed=seed, probes=small)
+    res = cy.check_base_identity(vec, seed=seed, probes=small)
     res.name = "base-identity-vec"
     rep.add(res)
     rep.add(CheckResult("base-identity-sample-size", res.count >= 100, "",
@@ -402,14 +402,12 @@ def criterion_6(seed=0):
     res = cy.check_base_identity(thin, seed=seed)
     res.name = "base-identity-thin"
     rep.add(res)
-    res = pf.check_contraposition_agreement(vec, scalar_cycle(vec, 1),
-                                            samples=50, seed=seed)
+    res = pf.check_contraposition_agreement(vec, scalar_cycle(vec, 1), seed=seed)
     res.name = "contraposition-vec"
     rep.add(res)
     rep.add(CheckResult("contraposition-sample-size", res.count >= 50, "",
                         res.count))
-    res = pf.check_contraposition_agreement(thin, thin_identity_cycle(thin),
-                                            samples=50, seed=seed)
+    res = pf.check_contraposition_agreement(thin, thin_identity_cycle(thin), seed=seed)
     res.name = "contraposition-thin"
     rep.add(res)
     dz2 = build_drinfeld_z2()

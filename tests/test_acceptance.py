@@ -8,6 +8,8 @@ through the CLI entry point and checks determinism of the structured report.
 import json
 import time
 
+import pytest
+
 from stautcheck import suites
 from stautcheck.cli import main
 
@@ -24,6 +26,14 @@ def _report_line(name, rep, budget):
     return ok
 
 
+@pytest.fixture(scope="module")
+def profiled():
+    """The reports whose axiom profiles criterion 4 cross-checks, each
+    computed once: criteria 3, 5 and 7 and the counter-model suite."""
+    return {"3": suites.criterion_3(seed=0), "5": suites.criterion_5(seed=0),
+            "7": suites.criterion_7(seed=0), "c": suites.counter_model_suite(seed=0)}
+
+
 def test_criterion_1_duality_identity_exhaustive():
     rep = suites.criterion_1(seed=0)
     assert _report_line("criterion 1 (relation/profunctor dualities)", rep, 5.0)
@@ -38,8 +48,8 @@ def test_criterion_2_pointed_group_criterion():
     assert len(rep.checks) == 6
 
 
-def test_criterion_3_scalar_table():
-    rep = suites.criterion_3(seed=0)
+def test_criterion_3_scalar_table(profiled):
+    rep = profiled["3"]
     assert _report_line("criterion 3 (scalar axiom table)", rep, 5.0)
     table = rep.stats["table"]
     assert table["1"]["k"] and table["-1"]["k"]
@@ -50,23 +60,16 @@ def test_criterion_3_scalar_table():
             assert table[lam][ax] == (lam == "1")
 
 
-def test_criterion_4_profile_consistency():
-    profiles = []
-    rep3 = suites.criterion_3(seed=0)
-    profiles.extend(rep3.profiles)
-    rep5 = suites.criterion_5(seed=0)
-    profiles.extend(rep5.profiles)
-    rep7 = suites.criterion_7(seed=0)
-    profiles.append(rep7.profile)
-    repc = suites.counter_model_suite(seed=0)
-    profiles.append(repc.profile)
+def test_criterion_4_profile_consistency(profiled):
+    profiles = (profiled["3"].profiles + profiled["5"].profiles
+                + [profiled["7"].profile, profiled["c"].profile])
     rep = suites.criterion_4(profiles, seed=0)
     assert _report_line("criterion 4 (dependency/equivalence consistency)", rep, 5.0)
     assert len(profiles) >= 8
 
 
-def test_criterion_5_profunctor_models():
-    rep = suites.criterion_5(seed=0)
+def test_criterion_5_profunctor_models(profiled):
+    rep = profiled["5"]
     assert _report_line("criterion 5 (enriched profunctor models)", rep, 30.0)
     assert any(c.name == "prof-disc2-matches-rel2" and c.ok for c in rep.checks)
     assert rep.stats["luk3_prof_elements"] >= 3
@@ -81,8 +84,8 @@ def test_criterion_6_appendix_identities():
     assert contra.count >= 50
 
 
-def test_criterion_7_braided_suite():
-    rep = suites.criterion_7(seed=0)
+def test_criterion_7_braided_suite(profiled):
+    rep = profiled["7"]
     assert _report_line("criterion 7 (braided module suite)", rep, 20.0)
     names = {c.name for c in rep.checks}
     assert "mixed-simple-double-braiding-is-minus-one" in names

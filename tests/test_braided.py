@@ -154,20 +154,18 @@ def test_cycle_to_balance_to_cycle(vec):
 
 
 def test_identity_cycle_vs_symmetry(vec, graded, dz2):
-    cfg = cy.CheckConfig(seed=0)
-    res, prof = br.check_identity_cycle_symmetry(vec, cfg)
+    res, prof = br.check_identity_cycle_symmetry(vec)
     assert res.ok and prof.cycle
-    res, prof = br.check_identity_cycle_symmetry(dz2, cfg)
+    res, prof = br.check_identity_cycle_symmetry(dz2)
     assert res.ok and not prof.cycle and prof.quasicycle
-    res, prof = br.check_identity_cycle_symmetry(graded, cfg)
+    res, prof = br.check_identity_cycle_symmetry(graded)
     assert res.ok and not prof.cycle and not prof.quasicycle
 
 
 def test_identity_derived_profiles_consistent(graded, dz2):
-    cfg = cy.CheckConfig(seed=0)
     for model in (graded, dz2):
         big = br.cycle_from_balance(br.identity_balance(model))
-        prof = cy.classify(cy.to_lower(big), cfg, big=big)
+        prof = cy.classify(cy.to_lower(big), big=big)
         assert not cy.dependency_violations(prof)
         assert cy.check_upper_lower_equivalences(prof).ok
 
@@ -175,11 +173,10 @@ def test_identity_derived_profiles_consistent(graded, dz2):
 def test_quasibalance_matches_quasicycle_verdict(graded, dz2):
     # the twist satisfies the quasi condition exactly when its hom family
     # satisfies the quasicycle axiom
-    cfg = cy.CheckConfig(seed=0)
     for model in (graded, dz2):
         idb = br.identity_balance(model)
         big = br.cycle_from_balance(idb)
-        prof = cy.classify(cy.to_lower(big), cfg, big=big)
+        prof = cy.classify(cy.to_lower(big), big=big)
         assert br.check_quasibalance(idb).ok == prof.quasicycle
 
 

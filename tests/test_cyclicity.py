@@ -6,14 +6,15 @@ from fractions import Fraction
 import pytest
 
 from stautcheck import cyclicity as cy
+from stautcheck import profunctors as pf
+from stautcheck import suites
+from stautcheck.core import matrices as mx
 from stautcheck.core.morphisms import ShapeError
-from stautcheck.core.quantify import draw
-from stautcheck.linear import build_vec_model, scalar_cycle, identity_cycle
+from stautcheck.core.quantify import TUPLE_CAP, draw
+from stautcheck.linear import build_vec_model, scalar_cycle
 from stautcheck.quantale import build_rel_quantale
 from stautcheck.scalar_oracle import SCALAR_EXPONENTS, predicted_profile
 from stautcheck.thin import ThinModel, thin_identity_cycle
-
-CFG = cy.CheckConfig(seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -28,27 +29,24 @@ def test_oracle_covers_all_axioms():
 @pytest.mark.parametrize("lam", [Fraction(1), Fraction(-1), Fraction(2),
                                  Fraction(1, 2), Fraction(-3, 2)])
 def test_scalar_profile_matches_oracle(vec2, lam):
-    profile = cy.classify(scalar_cycle(vec2, lam), CFG)
+    profile = cy.classify(scalar_cycle(vec2, lam))
     assert profile.verdicts == predicted_profile(lam)
 
 
 def test_minus_one_is_the_separation(vec2):
-    profile = cy.classify(scalar_cycle(vec2, -1), CFG)
+    profile = cy.classify(scalar_cycle(vec2, -1))
     assert profile.quasicycle and not profile.cycle
-    assert not profile.tens_semicycle and not profile.par_semicycle
-    assert profile.classification() == {
-        "tens_semicycle": False, "par_semicycle": False,
-        "quasicycle": True, "cycle": False}
+    assert not profile.verdicts["tbin"] and not profile.verdicts["pbin"]
 
 
 def test_lambda_one_is_a_cycle(vec2):
-    profile = cy.classify(scalar_cycle(vec2, 1), CFG)
+    profile = cy.classify(scalar_cycle(vec2, 1))
     assert all(profile.verdicts.values())
 
 
 def test_thin_identity_cycle_all_axioms():
     model = ThinModel(build_rel_quantale(2), probe_cap=6, depth_limit=12)
-    profile = cy.classify(thin_identity_cycle(model), CFG)
+    profile = cy.classify(thin_identity_cycle(model))
     assert all(profile.verdicts.values())
 
 
@@ -81,11 +79,13 @@ def test_big_cycle_linear_in_omega(vec2):
     t = vec2.ldual(p)
     span = vec2.hom_span(vec2.tens(p, t), vec2.d)
     om, om2 = span[0], span[3]
-    combo = vec2.mor_add(vec2.mor_scale(3, om), vec2.mor_scale(-2, om2))
-    lhs = big.apply(p, t, combo)
-    rhs = vec2.mor_add(vec2.mor_scale(3, big.apply(p, t, om)),
-                       vec2.mor_scale(-2, big.apply(p, t, om2)))
-    assert lhs == rhs
+
+    def combo(f, g):
+        return vec2.mor(f.dom, f.cod, mx.add(mx.scale(3, f.payload),
+                                             mx.scale(-2, g.payload)))
+
+    assert big.apply(p, t, combo(om, om2)) == combo(big.apply(p, t, om),
+                                                    big.apply(p, t, om2))
 
 
 def test_scalar_cycle_rejects_zero(vec2):
@@ -135,14 +135,13 @@ def test_binder_shapes(vec2):
 
 
 def test_base_identity_vec_and_thin(vec2):
-    assert cy.check_base_identity(vec2, samples=100, seed=1).ok
+    assert cy.check_base_identity(vec2, seed=1).ok
     thin = ThinModel(build_rel_quantale(2))
     assert cy.check_base_identity(thin, seed=1).ok
 
 
 def test_base_identity_draws_its_tuples_from_the_seed(monkeypatch):
     thin = ThinModel(build_rel_quantale(2))
-    cfg = cy.CheckConfig()
     seen = []
 
     def spy(*args):
@@ -153,13 +152,30 @@ def test_base_identity_draws_its_tuples_from_the_seed(monkeypatch):
     monkeypatch.setattr(cy, "draw", spy)
     for seed in (0, 3):
         cy.check_base_identity(thin, seed=seed)
-    want = [draw(thin, thin.probe_objects(), 4, cfg.tuple_cap, cfg.dim_cap,
+    want = [draw(thin, thin.probe_objects(), 4, TUPLE_CAP, cy._DIM_CAP,
                  seed * 1000003 + 4)[0] for seed in (0, 3)]
     assert seen == want and want[0] != want[1]
 
 
+@pytest.mark.parametrize("run", [
+    lambda seed: suites.quantale_suite(build_rel_quantale(2), seed=seed),
+    lambda seed: pf.check_prof_staut(pf.discrete_vcat(build_rel_quantale(1), ["x"]), seed=seed),
+], ids=["quantale_suite", "check_prof_staut"])
+def test_axiom_classification_draws_from_the_seed(monkeypatch, run):
+    seeds = []
+
+    def spy(*args):
+        seeds.append(args[5])
+        return draw(*args)
+
+    monkeypatch.setattr(cy, "draw", spy)
+    run(5)
+    assert len(seeds) >= len(cy.AXIOMS)
+    assert {s // 1000003 for s in seeds} == {5}
+
+
 def test_dependency_table_rejects_contradiction():
-    good = cy.classify(scalar_cycle(build_vec_model(1), 1), CFG)
+    good = cy.classify(scalar_cycle(build_vec_model(1), 1))
     broken = cy.AxiomProfile(dict(good.verdicts), label="forged")
     broken.verdicts["tbin"] = True
     broken.verdicts["t0"] = False
@@ -168,24 +184,17 @@ def test_dependency_table_rejects_contradiction():
 
 
 def test_equivalences_reject_contradiction():
-    good = cy.classify(scalar_cycle(build_vec_model(1), 1), CFG)
+    good = cy.classify(scalar_cycle(build_vec_model(1), 1))
     broken = cy.AxiomProfile(dict(good.verdicts), label="forged")
     broken.verdicts["e2"] = False
     assert not cy.check_upper_lower_equivalences(broken).ok
 
 
 def test_check_axiom_reports_witness(vec2):
-    res = cy.check_axiom(scalar_cycle(vec2, 2), "tbin", CFG)
+    res = cy.check_axiom(scalar_cycle(vec2, 2), "tbin")
     assert not res.ok and res.witness
 
 
 def test_unknown_axiom_rejected(vec2):
     with pytest.raises(ValueError):
-        cy.check_axiom(scalar_cycle(vec2, 1), "frobnicate", CFG)
-
-
-def test_identity_cycle_equals_scalar_one(vec2):
-    a = identity_cycle(vec2)
-    b = scalar_cycle(vec2, 1)
-    for p in vec2.probe_objects():
-        assert a.component(p) == b.component(p)
+        cy.check_axiom(scalar_cycle(vec2, 1), "frobnicate")

@@ -56,7 +56,7 @@ def test_draw_vec_tuples(vec, seed):
         (p, q) for p in probes for q in probes if vec.dim(p) * vec.dim(q) <= 8]
 
 
-def test_draw_drops_vacuous_tuples_unless_all_are(thin_rel2):
+def test_draw_drops_vacuous_tuples_unless_all_are(thin_rel2, monkeypatch):
     m = thin_rel2
     probes = m.probe_objects()
 
@@ -68,7 +68,8 @@ def test_draw_drops_vacuous_tuples_unless_all_are(thin_rel2):
     assert 0 < len(kept) < len(pool)
     assert draw(m, probes, 2, live=live) == (kept, True)
     assert draw(m, probes, 2, live=lambda t: False) == (pool, True)
-    res = cy.check_axiom(thin_identity_cycle(m), "kprime", cy.CheckConfig(tuple_cap=100))
+    monkeypatch.setattr(cy, "TUPLE_CAP", 100)
+    res = cy.check_axiom(thin_identity_cycle(m), "kprime")
     assert res.ok and res.count == len(kept)
 
 

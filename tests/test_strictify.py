@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from stautcheck import cyclicity as cy
 from stautcheck import strictify as st
 from stautcheck.core import matrices as mx
 from stautcheck.core.objects import UniverseError
@@ -37,13 +38,13 @@ def test_structure_table_parity(vm):
     p = vm.gen("p")
     P = st.zangify(vm, p)
     Q = st.zangify(vm, vm.rdual(p))
-    PQ = st.zang_ops(P, Q, "tens")
+    PQ = st.TensZString(P, Q)
     assert PQ.z(0) is vm.tens(P.z(0), Q.z(0))
     assert PQ.z(1) is vm.par(Q.z(1), P.z(1))
-    assert st.zang_ops(P, Q, "rdual").z(0) is P.z(1)
-    assert st.zang_ops(P, Q, "ldual").z(0) is P.z(-1)
-    e_str = st.zang_ops(P, Q, "e")
-    d_str = st.zang_ops(P, Q, "d")
+    assert st.ShiftZString(P, 1).z(0) is P.z(1)
+    assert st.ShiftZString(P, -1).z(0) is P.z(-1)
+    e_str = st.UnitZString(vm, "e")
+    d_str = st.UnitZString(vm, "d")
     assert e_str.z(0) is vm.e and e_str.z(1) is vm.d
     assert d_str.z(0) is vm.d and d_str.z(3) is vm.e
     # dual of the tensor-unit string is the par-unit string, componentwise
@@ -76,19 +77,21 @@ def test_zang_ops_rejects_model_mismatch(vm, tm):
     P = st.zangify(vm, vm.gen("p"))
     Q = st.zangify(tm, tm.probe_objects()[2])
     with pytest.raises(MorError):
-        st.zang_ops(P, Q, "tens")
-    with pytest.raises(ValueError):
-        st.zang_ops(P, P, "frobnicate")
+        st.TensZString(P, Q)
+
+
+def _towers(model, k):
+    return [st.zangify(model, p) for p in model.probe_objects()[:k]]
 
 
 def test_strict_negations(vm, tm):
     for model in (vm, tm):
-        assert st.check_strict_negations(model, WINDOW).ok
+        assert st.check_strict_negations(model, WINDOW, _towers(model, 4)).ok
 
 
 def test_equivalence(vm, tm):
     for model in (vm, tm):
-        assert st.check_equivalence(model, WINDOW).ok
+        assert st.check_equivalence(model, WINDOW, _towers(model, 3)).ok
 
 
 def test_equivalence_isos_are_double_dual_comparisons(vm):
@@ -125,14 +128,16 @@ def test_fang_membership_and_closure(vm, tm):
         q = model.probe_objects()[3]
         per_p = st.period2_from_cycle(model, p, cycle)
         per_q = st.period2_from_cycle(model, q, cycle)
-        assert st.fang_check(per_p, cycle, WINDOW).ok
-        assert st.fang_closure(per_p, per_q, cycle, WINDOW).ok
+        profile = cy.classify(cycle)
+        assert st.fang_check(per_p, cycle, WINDOW, profile).ok
+        assert st.fang_closure(per_p, per_q, cycle, WINDOW, profile).ok
 
 
 def test_fang_precondition_cites_axiom(vm):
     per = st.period2_from_cycle(vm, vm.gen("p"), scalar_cycle(vm, 1))
+    minus = scalar_cycle(vm, -1)
     with pytest.raises(st.FangPreconditionError, match="tbin"):
-        st.fang_check(per, scalar_cycle(vm, -1), WINDOW)
+        st.fang_check(per, minus, WINDOW, cy.classify(minus))
 
 
 def test_canonical_tower_is_not_period_two(vm):
@@ -144,7 +149,8 @@ def test_canonical_tower_is_not_period_two(vm):
 
 def test_zangcycle_checks(vm, tm):
     for model, cycle in ((vm, scalar_cycle(vm, 1)), (tm, thin_identity_cycle(tm))):
-        results = st.check_zangcycle(model, cycle, WINDOW)
+        results = st.check_zangcycle(model, cycle, WINDOW, _towers(model, 3),
+                                     cy.classify(cycle))
         assert all(r.ok for r in results), [(r.name, r.witness) for r in results]
 
 
@@ -188,6 +194,6 @@ def test_zangcycle_invertible_reports_its_first_failure(vm, monkeypatch):
     # singular at index 0 on every string: items (P, n) for n in -1, 0, 1
     monkeypatch.setattr(st, "zangcycle_component", lambda s, c, n: (
         vm.mor_scale(0, real(s, c, n)) if n == 0 else real(s, c, n)))
-    res = st.check_zangcycle(vm, cyc, (-2, 2), towers)[0]
+    res = st.check_zangcycle(vm, cyc, (-2, 2), towers, cy.classify(cyc))[0]
     assert res.name == "zangcycle-invertible" and not res.ok
     assert (res.count, res.witness) == (2, f"{towers[0].describe()} at 0")
