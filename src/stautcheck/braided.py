@@ -18,7 +18,6 @@ from itertools import product
 
 from .core.morphisms import MorError
 from .core.quantify import arrows, draw, scan
-from .report import CheckResult
 from . import cyclicity
 from .cyclicity import BigCycle
 
@@ -141,19 +140,18 @@ class Braiding:
         """In a degenerate model the derived par braiding must coincide with
         the tensor braiding entrywise."""
         m = self.model
-        pairs, _ = draw(m, m.probe_objects(), 2, dim_cap=_DIM_CAP)
+        pairs, exh = draw(m, m.probe_objects(), 2, dim_cap=_DIM_CAP)
         return scan("degenerate-braid-agreement", pairs,
-                    lambda p, q: self.par(p, q).payload != self.tens(p, q).payload)
+                    lambda p, q: self.par(p, q).payload != self.tens(p, q).payload, exh)
 
     def is_symmetry(self):
-        """(True, None) for a symmetry, else (False, the text of the first
-        pair (p, q) whose double braiding is not the identity)."""
+        """The check that the braiding is a symmetry; its witness is the
+        first pair (p, q) whose double braiding is not the identity."""
         m = self.model
-        pairs, _ = draw(m, m.probe_objects(), 2, dim_cap=_DIM_CAP)
-        res = scan("symmetry", pairs, lambda p, q: (
+        pairs, exh = draw(m, m.probe_objects(), 2, dim_cap=_DIM_CAP)
+        return scan("symmetry", pairs, lambda p, q: (
             m.compose(self.tens(p, q), self.tens(q, p)) != m.identity(m.tens(p, q))
-            and repr((p, q))))
-        return res.ok, res.witness or None
+            and repr((p, q))), exh)
 
 
 class Balance:
@@ -254,8 +252,8 @@ def cycle_from_balance(balance):
 
 
 def check_semibalance(balance, which):
-    """(tensor|par) semibalance square on probe pairs; on success also pins
-    the unit component to the identity."""
+    """(tensor|par) semibalance square on probe pairs, then the unit
+    component pinned to the identity."""
     m = balance.model
     braiding = Braiding(m)
     if which == "tens":
@@ -263,17 +261,17 @@ def check_semibalance(balance, which):
     else:
         unit, over, both, cross = m.d, m.par, m.par_mor, braiding.par
 
-    def body(p, q):
+    def body(p, q=None):
+        if q is None:   # the last item: the unit alone
+            return (balance.component(p) != m.identity(p)
+                    and "unit component is not the identity")
         lhs = balance.component(over(p, q))
         return lhs != m.chain(cross(p, q),
                               both(balance.component(q), balance.component(p)),
                               cross(q, p))
 
-    pairs, _ = draw(m, m.probe_objects(), 2, dim_cap=_DIM_CAP)
-    res = scan(f"semibalance-{which}", pairs, body)
-    if res.ok and balance.component(unit) != m.identity(unit):
-        res.ok, res.witness = False, "unit component is not the identity"
-    return res
+    pairs, exh = draw(m, m.probe_objects(), 2, dim_cap=_DIM_CAP)
+    return scan(f"semibalance-{which}", pairs + [unit], body, exh)
 
 
 def stitch(model, p):
@@ -349,8 +347,9 @@ def check_identity_cycle_symmetry(model, seed=0):
     big = cycle_from_balance(identity_balance(model))
     low = cyclicity.to_lower(big)
     profile = cyclicity.classify(low, seed, big=big)
-    sym, wit = Braiding(model).is_symmetry()
-    ok = profile.cycle == sym
-    return CheckResult("identity-cycle-vs-symmetry", ok,
-                       f"cycle={profile.cycle}, symmetry={sym}"
-                       + (f" (witness {wit})" if wit else ""), 1), profile
+
+    def body(sym):
+        return (profile.cycle != sym.ok and f"cycle={profile.cycle}, symmetry={sym.ok}"
+                + (f" (witness {sym.witness})" if sym.witness else ""))
+
+    return scan("identity-cycle-vs-symmetry", [Braiding(model).is_symmetry()], body), profile

@@ -3,7 +3,8 @@
 ``draw`` picks the object tuples a check ranges over: the full product of
 the probe objects when it is small enough, else a seeded sample, so every
 verdict can be replayed from its seed.  ``scan`` runs a check body over its
-items and reports the first witness with its 1-based position.
+items and reports the first witness with its 1-based position; it is the
+only code that builds a ``CheckResult``.
 """
 
 from itertools import product
@@ -24,17 +25,21 @@ def draw(model, probes, k, cap=None, dim_cap=None, seed=0, live=None):
     all of them.
 
     On a linear model, tuples whose dimensions multiply to more than
-    ``dim_cap`` are dropped.  Tuples failing ``live`` (vacuous ones, say)
-    are dropped too, unless none passes.  A pool larger than ``cap`` is
-    replaced by ``random.Random(seed).sample(pool, cap)``.
+    ``dim_cap`` are dropped, and the draw is then not all of them.  Tuples
+    failing ``live`` (vacuous ones, say) are dropped too, unless none
+    passes; they hold trivially, so dropping them keeps the draw whole.  A
+    pool larger than ``cap`` is replaced by
+    ``random.Random(seed).sample(pool, cap)``.
     """
     pool = list(product(probes, repeat=k))
+    whole = True
     if dim_cap is not None and model.is_linear:
-        pool = [t for t in pool if prod(model.dim(x) for x in t) <= dim_cap]
+        kept = [t for t in pool if prod(model.dim(x) for x in t) <= dim_cap]
+        pool, whole = kept, len(kept) == len(pool)
     if live is not None:
         pool = [t for t in pool if live(t)] or pool
     if cap is None or len(pool) <= cap:
-        return pool, True
+        return pool, whole
     return random.Random(seed).sample(pool, cap), False
 
 
@@ -58,6 +63,17 @@ def scan(name, items, body, exhaustive=True):
             witness = bad if isinstance(bad, str) else f"at {_show(item)}"
             return CheckResult(name, False, witness, n, exhaustive)
     return CheckResult(name, True, "", n, exhaustive)
+
+
+def expect(name, holds=(), fails=()):
+    """A check on the verdicts of other checks: each result in ``holds``
+    must pass and each in ``fails`` must fail.  The negative checks ("X
+    fails", "not X") are the ones with a single result in ``fails``."""
+    def body(res, want):
+        if res.ok != want:
+            return f"{res.name} fails: {res.witness}" if want else f"{res.name} holds"
+
+    return scan(name, [(r, True) for r in holds] + [(r, False) for r in fails], body)
 
 
 def arrows(model, pairs):

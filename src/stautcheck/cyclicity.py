@@ -29,7 +29,6 @@ import random
 
 from .core.morphisms import ShapeError
 from .core.quantify import TUPLE_CAP, arrows, draw, scan
-from .report import CheckResult
 
 
 class CycleData:
@@ -288,11 +287,22 @@ class AxiomProfile:
 
     @property
     def quasicycle(self):
-        return self.verdicts["k"]
+        return all(self.verdicts[a] for a in QUASICYCLE)
 
     @property
     def cycle(self):
-        return self.verdicts["tbin"] and self.verdicts["pbin"]
+        return all(self.verdicts[a] for a in CYCLE)
+
+    def check(self, name, axioms):
+        """The check that each of ``axioms`` holds, read from the profile;
+        the witness is the first failing axiom's."""
+        return scan(name, axioms,
+                    lambda a: not self.verdicts[a] and f"{a} {self.witnesses.get(a, '')}")
+
+
+# the axioms whose conjunction makes a quasicycle and a cycle
+QUASICYCLE = ("k",)
+CYCLE = ("tbin", "pbin")
 
 
 def classify(cycle, seed=0, big=None):
@@ -340,27 +350,25 @@ def dependency_violations(profile):
 def check_dependency_table(profiles):
     """Assert the dependency rows on every given profile; a violation is a
     library bug, not a property of the model."""
-    bad = []
-    for prof in profiles:
-        for name in dependency_violations(prof):
-            bad.append(f"{prof.label}: {name}")
-    return CheckResult("dependency-table", not bad, "; ".join(bad), len(profiles))
+    def body(prof):
+        bad = dependency_violations(prof)
+        return bad and f"{prof.label}: {'; '.join(bad)}"
+
+    return scan("dependency-table", profiles, body)
 
 
 def check_upper_lower_equivalences(profile):
     """tbin <=> e2 <=> m2prime, and blr2 <=> (kprime and e2)."""
     v = profile.verdicts
-    bad = []
-    if not (v["tbin"] == v["e2"] == v["m2prime"]):
-        bad.append("tbin<=>e2<=>m2prime")
-    if v["blr2"] != (v["kprime"] and v["e2"]):
-        bad.append("blr2<=>(kprime&e2)")
-    if v["pbin"] != v["m2"] or v["pbin"] != v["e2prime"]:
-        bad.append("pbin<=>m2<=>e2prime")
-    if v["pnul"] != v["m0"] or v["t0"] != v["blr0"] or v["k"] != v["kprime"]:
-        bad.append("unit-level case-change pairs")
-    return CheckResult("case-change-equivalences", not bad,
-                       f"{profile.label}: " + "; ".join(bad) if bad else "", 1)
+    rows = [
+        ("tbin<=>e2<=>m2prime", v["tbin"] == v["e2"] == v["m2prime"]),
+        ("blr2<=>(kprime&e2)", v["blr2"] == (v["kprime"] and v["e2"])),
+        ("pbin<=>m2<=>e2prime", v["pbin"] == v["m2"] == v["e2prime"]),
+        ("unit-level case-change pairs",
+         v["pnul"] == v["m0"] and v["t0"] == v["blr0"] and v["k"] == v["kprime"]),
+    ]
+    return scan("case-change-equivalences", rows,
+                lambda row, ok: not ok and f"{profile.label}: {row}")
 
 
 # --------------------------------------------------------- base identity
@@ -377,7 +385,7 @@ def check_base_identity(model, seed=0, probes=None):
     spanning pair.  Quadruples and arrows are both drawn from ``seed``."""
     m = model
     probes = m.probe_objects() if probes is None else probes
-    tuples, _ = draw(m, probes, 4, TUPLE_CAP, _DIM_CAP, seed * 1000003 + 4)
+    tuples, exhaustive = draw(m, probes, 4, TUPLE_CAP, _DIM_CAP, seed * 1000003 + 4)
     rng = random.Random(seed)
 
     def arrow_items():
@@ -408,4 +416,4 @@ def check_base_identity(model, seed=0, probes=None):
         assert lhs.dom is m.tens(q, big_dom_inner)
         return lhs != rhs and f"at ({q},{s},{t},{p})"
 
-    return scan("base-identity", arrow_items(), body)
+    return scan("base-identity", arrow_items(), body, exhaustive)

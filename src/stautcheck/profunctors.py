@@ -19,7 +19,7 @@ import random
 
 from .core.quantify import scan
 from .quantale import Quantale
-from .report import CheckResult
+from .report import renamed
 from .thin import ThinModel
 from .core.validate import validate_staut
 from . import cyclicity
@@ -106,9 +106,9 @@ def compose_prof(f, g):
     if f.dst is not g.src:
         raise ProfError("profunctor composition needs matching middle category")
     v = f.src.base
-    cyc, wit = v.is_cyclic()
-    if not cyc:
-        raise ProfError(f"base quantale is not cyclic (witness {v.name(wit)})")
+    cyclic = v.is_cyclic()
+    if not cyclic.ok:
+        raise ProfError(f"base quantale is not cyclic (witness {cyclic.witness})")
     vals = {}
     for q in f.src.objects:
         for s in g.dst.objects:
@@ -187,9 +187,9 @@ def build_prof_quantale(c, seed=0):
 def _prof_quantale(c, profs):
     """Prof(c, c) on the complete list ``profs`` of its profunctors."""
     v = c.base
-    cyc, wit = v.is_cyclic()
-    if not cyc:
-        raise ProfError(f"base quantale is not cyclic (witness {v.name(wit)})")
+    cyclic = v.is_cyclic()
+    if not cyclic.ok:
+        raise ProfError(f"base quantale is not cyclic (witness {cyclic.witness})")
     keys = [(q, r) for q in c.objects for r in c.objects]
     elements = [tuple(p[k] for k in keys) for p in profs]
     index = {el: i for i, el in enumerate(elements)}
@@ -247,10 +247,17 @@ def check_prof_staut(c, seed=0):
     Returns (SuiteReport-ready CheckResult list, AxiomProfile, prof quantale).
     """
     v = c.base
-    out = []
     profs, exhaustive = enumerate_profs(c, seed=seed)
-    out.append(CheckResult("prof-enumeration", True,
-                           f"{len(profs)} profunctors", len(profs), exhaustive))
+    seen = set()
+
+    def listed_once(i, vals):
+        key = frozenset(vals.items())
+        if key in seen:
+            return f"profunctor #{i} is listed twice"
+        seen.add(key)
+
+    # its count is the number of profunctors, which the benchmark reads
+    out = [scan("prof-enumeration", enumerate(profs), listed_once, exhaustive)]
 
     def duals_are_profunctors(i, vals):
         f = VProf(c, c, vals)
@@ -312,20 +319,13 @@ def check_prof_staut(c, seed=0):
     profile = None
     if exhaustive:
         pq = _prof_quantale(c, profs)
-        for r in pq.validate(seed):
-            r.name = "profq-" + r.name
-            out.append(r)
-        out.append(scan("profq-cyclic", [(a,) for a in pq.elements],
-                        lambda a: pq.perp(a) != pq.prep(a) and pq.name(a)))
+        out += renamed(pq.validate(seed) + [pq.is_cyclic()], "profq-")
         model = ThinModel(pq)
-        for r in validate_staut(model, seed):
-            r.name = "profq-staut-" + r.name
-            out.append(r)
+        out += renamed(validate_staut(model, seed), "profq-staut-")
         from .thin import thin_identity_cycle
         cyc_data = thin_identity_cycle(model)
         profile = cyclicity.classify(cyc_data, seed)
-        out.append(CheckResult("profq-cycle-classification", profile.cycle,
-                               str(profile.witnesses)))
+        out.append(profile.check("profq-cycle-classification", cyclicity.CYCLE))
         return out, profile, pq
     return out, profile, None
 
@@ -342,26 +342,26 @@ def check_contraposition_agreement(model, cycle, seed=0):
     dualizing and cycling the acting object.  They agree whenever the cycle
     is at least tensor-semicyclic; exercised on about
     _CONTRAPOSITION_SAMPLES action arrows, random ones on linear backends
-    and the unique witnesses on thin ones."""
+    and the unique witnesses on thin ones.  Only a thin run that reaches
+    every action arrow of the probes within that budget is exhaustive."""
     m = model
     rng = random.Random(seed)
     probes = [p for p in m.probe_objects()
               if not m.is_linear or m.dim(p) <= 2]
-
-    def actions():
-        done = 0
-        for a, x, y in product(probes, repeat=3):
-            if m.is_linear:
-                # whole batches of random action arrows up to the sample size
-                alphas = [m.random_mor(rng, m.tens(a, x), y)
-                          for _ in range(max(1, _CONTRAPOSITION_SAMPLES // 8))]
-            else:
-                alphas = m.hom_span(m.tens(a, x), y)[:_CONTRAPOSITION_SAMPLES - done]
-            for alpha in alphas:
-                yield a, x, y, alpha
-            done += len(alphas)
-            if done >= _CONTRAPOSITION_SAMPLES:
-                return
+    actions, sampled = [], m.is_linear
+    for a, x, y in product(probes, repeat=3):
+        if len(actions) >= _CONTRAPOSITION_SAMPLES:
+            sampled = True
+            break
+        if m.is_linear:
+            # whole batches of random action arrows up to the sample size
+            alphas = [m.random_mor(rng, m.tens(a, x), y)
+                      for _ in range(max(1, _CONTRAPOSITION_SAMPLES // 8))]
+        else:
+            span = m.hom_span(m.tens(a, x), y)
+            alphas = span[:_CONTRAPOSITION_SAMPLES - len(actions)]
+            sampled = sampled or len(alphas) < len(span)
+        actions += [(a, x, y, alpha) for alpha in alphas]
 
     def body(a, x, y, alpha):
         ev = m.chain(m.assoc_t(m.ldual(y), a, x),
@@ -383,4 +383,4 @@ def check_contraposition_agreement(model, cycle, seed=0):
             m.runit_p(m.rdual(x)))
         return one != two and f"at a={a}, x={x}, y={y}"
 
-    return scan("contraposition-agreement", actions(), body)
+    return scan("contraposition", actions, body, not sampled)

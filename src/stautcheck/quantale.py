@@ -137,11 +137,10 @@ class Quantale:
         return self.perp(self.tensor(self.prep(b), self.prep(a)))
 
     def is_cyclic(self):
-        """True iff both duals agree on every element; else a counterexample."""
-        for a in self.elements:
-            if self.perp(a) != self.prep(a):
-                return False, a
-        return True, None
+        """The check that both duals agree on every element; its witness is
+        the name of the first element where they differ."""
+        return scan("cyclic", [(a,) for a in self.elements],
+                    lambda a: self.perp(a) != self.prep(a) and self.name(a))
 
     # ------------------------------------------------------------ validation
 
@@ -151,7 +150,7 @@ class Quantale:
         Triples are exhausted when there are at most _TRIPLE_CAP of them, and
         the pairs of the residual-existence scan when there are at most
         _PAIR_CAP; otherwise that many are drawn with replacement from
-        ``random.Random(seed)``, and the check's name ends in "(sampled)".
+        ``random.Random(seed)``, and the check reports ``exhaustive: false``.
         """
         rng = random.Random(seed)
         els = self.elements
@@ -190,16 +189,13 @@ class Quantale:
             except QuantaleError as exc:
                 return str(exc)
 
-        def sampled(name, exhaustive):
-            return name + ("" if exhaustive else "(sampled)")
-
         singles = [(a,) for a in els]   # wrapped, as an element may be a tuple
         triples, exh3 = tuples(3, _TRIPLE_CAP)
         pairs, exh2 = tuples(2, _PAIR_CAP)
         return [scan("unit-law", singles, unit_law),
-                scan(sampled("associativity", exh3), triples, associative, exh3),
-                scan(sampled("monotonicity", exh3), triples, monotone, exh3),
-                scan(sampled("residuals-exist", exh2), pairs, residuals, exh2),
+                scan("associativity", triples, associative, exh3),
+                scan("monotonicity", triples, monotone, exh3),
+                scan("residuals-exist", pairs, residuals, exh2),
                 scan("dualizing-element", singles, dualizing)]
 
 
@@ -274,13 +270,16 @@ def rel_reverse(mask, n):
     return out
 
 
-def duality_counterexample(q):
-    """The first element of a relation or two-valued profunctor quantale
-    whose right or left dual is not the complement of its reverse, else None."""
-    n = q.meta["n"]
-    full = (1 << (n * n)) - 1
-    return next((w for w in q.elements
-                 if not (q.perp(w) == (full & ~rel_reverse(w, n)) == q.prep(w))), None)
+def check_duality(name, quantales):
+    """The check that on every element of every given relation or
+    two-valued profunctor quantale both duals are the complement of the
+    element's reverse, in one sweep; the witness names the quantale."""
+    def body(q, w):
+        n = q.meta["n"]
+        want = ((1 << (n * n)) - 1) & ~rel_reverse(w, n)
+        return not q.perp(w) == want == q.prep(w) and f"{q.label}: {q.name(w)}"
+
+    return scan(name, ((q, w) for q in quantales for w in q.elements), body)
 
 
 def rel_diag(n):

@@ -3,11 +3,14 @@
 Two renderings: human-readable text (includes wall-clock timing) and a
 versioned machine-readable JSON document.  The JSON form deliberately omits
 timing so that identical invocations with identical seeds serialize to
-byte-identical documents; every failing check carries a replayable witness
-locator (axiom or check name, object tuple, arrow index, seed).
+byte-identical documents.  Every result comes from ``core.quantify.scan``:
+``count`` is the number of items the check tried, a passing check's witness
+is empty, and a failing check carries a replayable witness locator (axiom or
+check name, object tuple, arrow index, seed).  Check names are unique within
+a suite.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 SCHEMA_VERSION = 1
 
@@ -16,9 +19,9 @@ SCHEMA_VERSION = 1
 class CheckResult:
     name: str
     ok: bool
-    witness: str = ""
-    count: int = 0
-    exhaustive: bool = True
+    witness: str
+    count: int
+    exhaustive: bool
 
     def __bool__(self):
         return self.ok
@@ -26,6 +29,12 @@ class CheckResult:
     def as_dict(self):
         return {"name": self.name, "ok": self.ok, "witness": self.witness,
                 "count": self.count, "exhaustive": self.exhaustive}
+
+
+def renamed(results, prefix="", suffix=""):
+    """Copies of ``results`` whose names are wrapped in ``prefix`` and
+    ``suffix``: the one way a check's name changes after its scan."""
+    return [replace(r, name=prefix + r.name + suffix) for r in results]
 
 
 @dataclass
@@ -36,14 +45,16 @@ class SuiteReport:
     checks: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)
+    # the axiom profiles the suite classified, for the cross-checks of
+    # criterion 4; not rendered
+    profiles: list = field(default_factory=list)
     duration: float = 0.0
 
-    def add(self, result):
-        if isinstance(result, (list, tuple)):
-            self.checks.extend(result)
-        else:
-            self.checks.append(result)
-        return result
+    def add(self, result, prefix="", suffix=""):
+        """Add one result or a list of them, names wrapped as ``renamed``
+        does."""
+        results = result if isinstance(result, (list, tuple)) else [result]
+        self.checks.extend(renamed(results, prefix, suffix))
 
     def note(self, text):
         self.notes.append(text)

@@ -21,7 +21,6 @@ from .core.model import Adjunction
 from .core.morphisms import MorError, ShapeError
 from .core.objects import UniverseError
 from .core.quantify import scan
-from .report import CheckResult
 from .cyclicity import to_upper
 
 
@@ -427,9 +426,7 @@ def fang_check(string, cycle, window, profile):
     must be a full cycle."""
     _require_cycle(cycle, profile)
     big = to_upper(cycle)
-    bad = fang_membership(string, big, window)
-    return CheckResult("fang-membership", bad is None, bad or "",
-                       window[1] - window[0])
+    return scan("fang-membership", [string], lambda s: fang_membership(s, big, window))
 
 
 def fang_closure(P, Q, cycle, window, profile):

@@ -9,14 +9,14 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from .report import CheckResult, SuiteReport
+from .report import SuiteReport
 from .quantale import (build_rel_quantale, build_s3_pointed, build_bool2,
                        build_luk3, build_two_profunctor_quantale, all_posets,
-                       duality_counterexample, is_central, s3_elements)
+                       check_duality, is_central, s3_elements)
 from .thin import ThinModel, thin_identity_cycle
 from .linear import build_vec_model, GradedLineModel, scalar_cycle
 from .drinfeld import build_drinfeld_z2
-from .core.quantify import scan
+from .core.quantify import expect, scan
 from .core.validate import validate_staut
 from . import cyclicity as cy
 from . import braided as br
@@ -42,34 +42,28 @@ def _timed(fn):
 def quantale_suite(q, seed=0, depth=8):
     rep = SuiteReport("quantale-check", q.label, seed)
     core = q.validate(seed)
-    for r in core:
-        r.name = "quantale-" + r.name
-    rep.add(core)
+    rep.add(core, prefix="quantale-")
     rep.stats["elements"] = len(q)
     if not all(core):
         rep.note("core axioms failed; model-level checks skipped")
         return rep
-    cyc, wit = q.is_cyclic()
-    rep.stats["cyclic"] = cyc
-    if not cyc:
-        rep.note(f"not cyclic; witness element {q.name(wit)}")
+    cyclic = q.is_cyclic()
+    rep.stats["cyclic"] = cyclic.ok
+    if not cyclic.ok:
+        rep.note(f"not cyclic; witness element {cyclic.witness}")
     if q.family in ("rel", "two_prof"):
-        bad = duality_counterexample(q)
-        rep.add(CheckResult("duality-is-complement-of-reverse", bad is None,
-                            q.name(bad) if bad is not None else "",
-                            len(q), True))
+        rep.add(check_duality("duality-is-complement-of-reverse", [q]))
     model = ThinModel(q, depth_limit=depth)
     rep.add(validate_staut(model, seed))
     rep.add(cy.check_base_identity(model, seed=seed))
-    if cyc:
+    if cyclic.ok:
         cycle = thin_identity_cycle(model)
         rep.add(cycle.validate())
         profile = cy.classify(cycle, seed)
-        rep.add(CheckResult("thin-cycle-all-axioms", profile.cycle and profile.quasicycle,
-                            str(profile.witnesses)))
+        rep.add(profile.check("thin-cycle-all-axioms", cy.CYCLE + cy.QUASICYCLE))
         rep.add(cy.check_dependency_table([profile]))
         rep.add(cy.check_upper_lower_equivalences(profile))
-        rep.profile = profile
+        rep.profiles.append(profile)
     return rep
 
 
@@ -79,25 +73,23 @@ def quantale_suite(q, seed=0, depth=8):
 def scalar_table_suite(seed=0, scalars=SCALARS, max_dim=2, depth=8):
     model = build_vec_model(max_dim, depth_limit=depth)
     rep = SuiteReport("vec-scalar-table", model.describe(), seed)
-    profiles = []
     table = {}
     for lam in scalars:
         cycle = scalar_cycle(model, lam)
-        rep.add(cycle.validate())
+        rep.add(cycle.validate(), prefix=f"scalar({lam})-")
         profile = cy.classify(cycle, seed)
-        profiles.append(profile)
+        rep.profiles.append(profile)
         table[str(lam)] = {k: profile.verdicts[k] for k in cy.AXIOMS}
         predicted = predicted_profile(lam)
-        bad = [k for k in cy.AXIOMS if profile.verdicts[k] != predicted[k]]
-        rep.add(CheckResult(f"scalar({lam})-matches-oracle", not bad,
-                            ", ".join(bad), len(cy.AXIOMS)))
-        rep.add(cy.check_upper_lower_equivalences(profile))
-    minus = profiles[[str(l) for l in scalars].index("-1")] if "-1" in [str(l) for l in scalars] else None
-    if minus is not None:
-        rep.add(CheckResult("scalar(-1)-separation",
-                            minus.quasicycle and not minus.cycle,
-                            f"quasicycle={minus.quasicycle}, cycle={minus.cycle}"))
-    rep.add(cy.check_dependency_table(profiles))
+        rep.add(scan(f"scalar({lam})-matches-oracle", cy.AXIOMS,
+                     lambda a: profile.verdicts[a] != predicted[a]
+                     and f"{a}: {profile.verdicts[a]}, oracle {predicted[a]}"))
+        rep.add(cy.check_upper_lower_equivalences(profile), prefix=f"scalar({lam})-")
+        if lam == -1:
+            rep.add(expect("scalar(-1)-separation",
+                           holds=[profile.check("quasicycle", cy.QUASICYCLE)],
+                           fails=[profile.check("cycle", cy.CYCLE)]))
+    rep.add(cy.check_dependency_table(rep.profiles))
     rep.add(validate_staut(model, seed))
     rep.stats["table"] = table
     header = "scalar".ljust(8) + " ".join(a.ljust(8) for a in cy.AXIOMS)
@@ -106,7 +98,6 @@ def scalar_table_suite(seed=0, scalars=SCALARS, max_dim=2, depth=8):
         row = table[str(lam)]
         rep.note(str(lam).ljust(8)
                  + " ".join(("yes" if row[a] else "no").ljust(8) for a in cy.AXIOMS))
-    rep.profiles = profiles
     return rep
 
 
@@ -120,7 +111,7 @@ def prof_suite(vcat, seed=0):
     if profile is not None:
         rep.add(cy.check_dependency_table([profile]))
         rep.add(cy.check_upper_lower_equivalences(profile))
-        rep.profile = profile
+        rep.profiles.append(profile)
     if pq is not None:
         rep.stats["prof_elements"] = len(pq.elements)
     return rep
@@ -129,13 +120,12 @@ def prof_suite(vcat, seed=0):
 def _prof_rel2_bijection(pq):
     """The enumeration of endo-profunctors of the discrete two-object
     category in the two-chain base is in bijection with the relation quantale
-    on two points, matching order, tensor, unit and dualizer."""
+    on two points, matching order, tensor, unit and dualizer.  A map that
+    matches the order is injective, so with equal element counts it is a
+    bijection."""
     r2 = build_rel_quantale(2)
     keys = pq.meta["keys"]
     objs = pq.meta["objects"]
-    if len(pq.elements) != len(r2.elements):
-        return CheckResult("prof-disc2-matches-rel2", False,
-                           f"{len(pq.elements)} vs {len(r2.elements)} elements")
 
     def as_mask(el):
         mask = 0
@@ -145,19 +135,18 @@ def _prof_rel2_bijection(pq):
         return mask
 
     bij = {el: as_mask(el) for el in pq.elements}
-    if len(set(bij.values())) != len(r2.elements):
-        return CheckResult("prof-disc2-matches-rel2", False, "not a bijection")
-    if bij[pq.unit] != r2.unit or bij[pq.dualizer] != r2.dualizer:
-        return CheckResult("prof-disc2-matches-rel2", False,
-                           "unit or dualizer mismatch")
 
-    def body(a, b):
-        if bij[pq.tensor(a, b)] != r2.tensor(bij[a], bij[b]):
-            return f"tensor mismatch at {pq.name(a)}, {pq.name(b)}"
-        if pq.le(a, b) != r2.le(bij[a], bij[b]):
-            return f"order mismatch at {pq.name(a)}, {pq.name(b)}"
+    def comparisons():
+        yield "element count", len(pq.elements), len(r2.elements)
+        yield "unit", bij[pq.unit], r2.unit
+        yield "dualizer", bij[pq.dualizer], r2.dualizer
+        for a, b in product(pq.elements, repeat=2):
+            at = f"at {pq.name(a)}, {pq.name(b)}"
+            yield f"tensor {at}", bij[pq.tensor(a, b)], r2.tensor(bij[a], bij[b])
+            yield f"order {at}", pq.le(a, b), r2.le(bij[a], bij[b])
 
-    return scan("prof-disc2-matches-rel2", product(pq.elements, repeat=2), body)
+    return scan("prof-disc2-matches-rel2", comparisons(),
+                lambda what, got, want: got != want and f"{what}: {got} vs {want}")
 
 
 def luk3_two_object_vcat():
@@ -178,15 +167,14 @@ def braided_suite(seed=0):
     rep.add(braiding.check_hexagons(seed))
     rep.add(braiding.check_mixed_distributions(seed))
     rep.add(braiding.check_degenerate_agreement())
+    rep.add(expect("double-braiding-nontrivial", fails=[braiding.is_symmetry()]))
 
-    sym, wit = braiding.is_symmetry()
-    rep.add(CheckResult("double-braiding-nontrivial", not sym,
-                        "braiding is a symmetry" if sym else "",
-                        len(model.probe_objects()) ** 2))
-    s_pm, s_mp = model.gen("s_pm"), model.gen("s_mp")
-    dbl = model.compose(braiding.tens(s_mp, s_pm), braiding.tens(s_pm, s_mp))
-    rep.add(CheckResult("mixed-simple-double-braiding-is-minus-one",
-                        dbl.payload == ((Fraction(-1),),), str(dbl.payload)))
+    def double_braiding(p, q):
+        dbl = model.compose(braiding.tens(p, q), braiding.tens(q, p))
+        return dbl.payload != ((Fraction(-1),),) and str(dbl.payload)
+
+    rep.add(scan("mixed-simple-double-braiding-is-minus-one",
+                 [(model.gen("s_mp"), model.gen("s_pm"))], double_braiding))
 
     rep.add(scan("stitch-is-identity", model.probe_objects(),
                  lambda p: br.stitch(model, p) != model.identity(p)))
@@ -200,21 +188,20 @@ def braided_suite(seed=0):
     rep.add(br.check_balance_double(ribbon))
     rep.add(br.roundtrip_check(ribbon))
 
-    ident = br.identity_balance(model)
-    rep.add(br.check_quasibalance(ident))
+    rep.add(br.check_quasibalance(br.identity_balance(model)), prefix="identity-twist-")
     res, profile = br.check_identity_cycle_symmetry(model, seed)
     rep.add(res)
-    rep.add(CheckResult("identity-family-quasicycle-not-cycle",
-                        profile.quasicycle and not profile.cycle,
-                        f"k={profile.quasicycle}, cycle={profile.cycle}"))
+    rep.add(expect("identity-family-quasicycle-not-cycle",
+                   holds=[profile.check("quasicycle", cy.QUASICYCLE)],
+                   fails=[profile.check("cycle", cy.CYCLE)]))
     rep.add(cy.check_dependency_table([profile]))
     rep.add(cy.check_upper_lower_equivalences(profile))
-    rep.profile = profile
+    rep.profiles.append(profile)
 
     semis = br.balance_from_cycle(cy.to_lower(br.cycle_from_balance(ribbon)))
-    rep.add(CheckResult("semibalance-split-preserved",
-                        br.check_semibalance(semis, "tens").ok
-                        and br.check_semibalance(semis, "par").ok, ""))
+    rep.add(expect("semibalance-split-preserved",
+                   holds=[br.check_semibalance(semis, "tens"),
+                          br.check_semibalance(semis, "par")]))
     return rep
 
 
@@ -230,25 +217,24 @@ def counter_model_suite(seed=0):
     rep.add(braiding.check_hexagons(seed))
     rep.add(braiding.check_mixed_distributions(seed))
     rep.add(braiding.check_degenerate_agreement())
-    x = model.gen("x")
-    rep.add(CheckResult("stitch-detects-braiding",
-                        br.stitch(model, x) != model.identity(x), ""))
-    rep.add(CheckResult("identity-twist-fails-quasibalance",
-                        not br.check_quasibalance(br.identity_balance(model)).ok, ""))
+    rep.add(scan("stitch-detects-braiding", [model.gen("x")],
+                 lambda x: br.stitch(model, x) == model.identity(x)
+                 and f"the stitch at {x} is the identity"))
+    rep.add(expect("identity-twist-fails-quasibalance",
+                   fails=[br.check_quasibalance(br.identity_balance(model))]))
     square = br.graded_square_balance(model)
     rep.add(br.check_semibalance(square, "tens"))
     rep.add(br.check_semibalance(square, "par"))
     rep.add(br.check_quasibalance(square))
     rep.add(br.check_balance_double(square))
     rep.add(br.roundtrip_check(square))
-    lam2 = br.scaled_balance(model, Fraction(2))
-    rep.add(CheckResult("scaled-twist-fails-semibalance",
-                        not br.check_semibalance(lam2, "tens").ok, ""))
+    rep.add(expect("scaled-twist-fails-semibalance",
+                   fails=[br.check_semibalance(br.scaled_balance(model, Fraction(2)), "tens")]))
     res, profile = br.check_identity_cycle_symmetry(model, seed)
     rep.add(res)
-    rep.add(CheckResult("identity-family-not-quasicycle",
-                        not profile.quasicycle, f"k={profile.quasicycle}"))
-    rep.profile = profile
+    rep.add(expect("identity-family-not-quasicycle",
+                   fails=[profile.check("quasicycle", cy.QUASICYCLE)]))
+    rep.profiles.append(profile)
     return rep
 
 
@@ -263,10 +249,10 @@ def _zang_model(backend, window, depth=None):
         from .files import resolve_quantale
         q = resolve_quantale(backend[5:])
         model = ThinModel(q, probe_cap=6, depth_limit=depth)
-        cyc, wit = q.is_cyclic()
-        if not cyc:
+        cyclic = q.is_cyclic()
+        if not cyclic.ok:
             raise st.FangPreconditionError(
-                f"{q.label} is not cyclic (witness {q.name(wit)})")
+                f"{q.label} is not cyclic (witness {cyclic.witness})")
         cycle = thin_identity_cycle(model)
     else:
         raise ValueError(f"unknown zang backend {backend!r}; use vec or thin:SPEC")
@@ -281,9 +267,8 @@ def zang_suite(backend, window=(-3, 3), seed=0, depth=None):
     probes = model.probe_objects()
     towers = [st.zangify(model, p) for p in probes[:4]]
     profile = cy.classify(cycle, seed)
-    rep.add(CheckResult("base-cycle-is-a-cycle", profile.cycle,
-                        str(profile.witnesses)))
-    rep.profile = profile
+    rep.add(profile.check("base-cycle-is-a-cycle", cy.CYCLE))
+    rep.profiles.append(profile)
 
     per_strings = [st.period2_from_cycle(model, p, cycle) for p in probes[:3]]
     composite = [st.TensZString(towers[2], towers[2]),
@@ -312,25 +297,21 @@ def zang_suite(backend, window=(-3, 3), seed=0, depth=None):
 
 # ------------------------------------------------------------- acceptance
 
+def _at_least(name, n, least):
+    """The check that a tally ``n`` is at least ``least``."""
+    return scan(name, [n], lambda got: got < least and f"{got}, want at least {least}")
+
+
 @_timed
 def criterion_1(seed=0):
     """Exhaustive dual-equals-complement-of-reverse for the relation and
     two-valued-profunctor families."""
     rep = SuiteReport("criterion-1", "rel:1..3 + posets<=3", seed)
     for n in (1, 2, 3):
-        q = build_rel_quantale(n)
-        bad = duality_counterexample(q)
-        rep.add(CheckResult(f"rel:{n}-duality", bad is None,
-                            q.name(bad) if bad is not None else "", len(q), True))
-    total = 0
-    for n in (1, 2, 3):
-        for mask in all_posets(n):
-            q = build_two_profunctor_quantale(mask, n)
-            bad = duality_counterexample(q)
-            if bad is not None:
-                rep.add(CheckResult(f"2prof-duality[{q.label}]", False, q.name(bad)))
-            total += len(q)
-    rep.add(CheckResult("2prof-duality-all-posets", True, "", total, True))
+        rep.add(check_duality(f"rel:{n}-duality", [build_rel_quantale(n)]))
+    rep.add(check_duality("2prof-duality-all-posets",
+                          (build_two_profunctor_quantale(mask, n)
+                           for n in (1, 2, 3) for mask in all_posets(n))))
     rep.stats["posets"] = {n: len(all_posets(n)) for n in (1, 2, 3)}
     return rep
 
@@ -343,12 +324,9 @@ def criterion_2(seed=0):
     _, names = s3_elements()
     for perm, label in names.items():
         q = build_s3_pointed(label)
-        cyc, wit = q.is_cyclic()
-        central = is_central(q, perm)
-        expected = label == "e"
-        ok = cyc == central == expected
-        rep.add(CheckResult(f"s3@{label}", ok,
-                            f"cyclic={cyc}, central={central}", len(q), True))
+        facts = [("cyclic", q.is_cyclic().ok), ("central", is_central(q, perm))]
+        rep.add(scan(f"s3@{label}", facts,
+                     lambda what, got: got != (label == "e") and f"{what}={got}"))
     return rep
 
 
@@ -364,8 +342,7 @@ def criterion_4(profiles, seed=0):
         res = cy.check_upper_lower_equivalences(prof)
         if not res.ok:
             rep.add(res)
-    rep.add(CheckResult("profiles-collected", len(profiles) >= 6, "",
-                        len(profiles)))
+    rep.add(_at_least("profiles-collected", len(profiles), 6))
     return rep
 
 
@@ -376,15 +353,13 @@ def criterion_5(seed=0):
     checks, profile, pq = pf.check_prof_staut(disc2, seed=seed)
     rep.add(checks)
     rep.add(_prof_rel2_bijection(pq))
-    rep.add(CheckResult("prof-disc2-cycle", profile.cycle, str(profile.witnesses)))
-    rep.profiles = [profile]
-    checks, profile2, pq2 = pf.check_prof_staut(luk3_two_object_vcat(), seed=seed)
-    for c in checks:
-        c.name = "luk3-" + c.name
-    rep.add(checks)
-    rep.add(CheckResult("luk3-prof-cycle", profile2.cycle, str(profile2.witnesses)))
-    rep.profiles.append(profile2)
-    rep.stats["luk3_prof_elements"] = len(pq2.elements)
+    rep.add(profile.check("prof-disc2-cycle", cy.CYCLE))
+    rep.profiles.append(profile)
+    checks, profile, pq = pf.check_prof_staut(luk3_two_object_vcat(), seed=seed)
+    rep.add(checks, prefix="luk3-")
+    rep.add(profile.check("luk3-prof-cycle", cy.CYCLE))
+    rep.profiles.append(profile)
+    rep.stats["luk3_prof_elements"] = len(pq.elements)
     return rep
 
 
@@ -394,27 +369,16 @@ def criterion_6(seed=0):
     vec = build_vec_model(2)
     small = [p for p in vec.probe_objects() if vec.dim(p) <= 2]
     res = cy.check_base_identity(vec, seed=seed, probes=small)
-    res.name = "base-identity-vec"
-    rep.add(res)
-    rep.add(CheckResult("base-identity-sample-size", res.count >= 100, "",
-                        res.count))
+    rep.add(res, suffix="-vec")
+    rep.add(_at_least("base-identity-sample-size", res.count, 100))
     thin = ThinModel(build_rel_quantale(2))
-    res = cy.check_base_identity(thin, seed=seed)
-    res.name = "base-identity-thin"
-    rep.add(res)
+    rep.add(cy.check_base_identity(thin, seed=seed), suffix="-thin")
     res = pf.check_contraposition_agreement(vec, scalar_cycle(vec, 1), seed=seed)
-    res.name = "contraposition-vec"
-    rep.add(res)
-    rep.add(CheckResult("contraposition-sample-size", res.count >= 50, "",
-                        res.count))
-    res = pf.check_contraposition_agreement(thin, thin_identity_cycle(thin), seed=seed)
-    res.name = "contraposition-thin"
-    rep.add(res)
-    dz2 = build_drinfeld_z2()
-    braiding = br.Braiding(dz2)
-    res = braiding.check_mixed_distributions(seed)
-    res.name = "mixed-distributions-d2"
-    rep.add(res)
+    rep.add(res, suffix="-vec")
+    rep.add(_at_least("contraposition-sample-size", res.count, 50))
+    rep.add(pf.check_contraposition_agreement(thin, thin_identity_cycle(thin), seed=seed),
+            suffix="-thin")
+    rep.add(br.Braiding(build_drinfeld_z2()).check_mixed_distributions(seed), suffix="-d2")
     return rep
 
 
@@ -426,35 +390,16 @@ def criterion_7(seed=0):
 def criterion_8(seed=0, window=(-3, 3)):
     rep = SuiteReport("criterion-8", "strictification", seed)
     for backend in ("thin:rel:2", "vec"):
-        sub = zang_suite(backend, window, seed)
-        for c in sub.checks:
-            c.name = f"{backend}-{c.name}"
-        rep.add(sub.checks)
+        rep.add(zang_suite(backend, window, seed).checks, prefix=f"{backend}-")
     rep.stats["window"] = list(window)
     return rep
 
 
 def paper_all(seed=0, window=(-3, 3)):
-    """The full acceptance battery, in order; returns the report list."""
-    reports = []
-    profiles = []
-
-    reports.append(criterion_1(seed))
-    reports.append(criterion_2(seed))
-    rep3 = criterion_3(seed)
-    profiles.extend(rep3.profiles)
-    reports.append(rep3)
-    rep5 = criterion_5(seed)
-    profiles.extend(rep5.profiles)
-    reports.append(rep5)
-    reports.append(criterion_6(seed))
-    rep7 = criterion_7(seed)
-    profiles.append(rep7.profile)
-    reports.append(rep7)
-    repc = counter_model_suite(seed)
-    profiles.append(repc.profile)
-    reports.append(repc)
-    rep8 = criterion_8(seed, window)
-    reports.append(rep8)
-    reports.append(criterion_4(profiles, seed))
+    """The full acceptance battery, in order; returns the report list.
+    Criterion 4 cross-checks the axiom profiles the others collected."""
+    reports = [criterion_1(seed), criterion_2(seed), criterion_3(seed), criterion_5(seed),
+               criterion_6(seed), criterion_7(seed), counter_model_suite(seed),
+               criterion_8(seed, window)]
+    reports.append(criterion_4([p for r in reports for p in r.profiles], seed))
     return reports

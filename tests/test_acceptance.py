@@ -12,6 +12,7 @@ import pytest
 
 from stautcheck import suites
 from stautcheck.cli import main
+from stautcheck.quantale import build_rel_quantale
 
 
 def _report_line(name, rep, budget):
@@ -32,6 +33,34 @@ def profiled():
     computed once: criteria 3, 5 and 7 and the counter-model suite."""
     return {"3": suites.criterion_3(seed=0), "5": suites.criterion_5(seed=0),
             "7": suites.criterion_7(seed=0), "c": suites.counter_model_suite(seed=0)}
+
+
+def test_every_check_counts_its_items_and_names_are_unique(profiled):
+    reports = list(profiled.values()) + [
+        suites.quantale_suite(build_rel_quantale(2)), suites.zang_suite("thin:rel:2")]
+    for rep in reports:
+        names = [c.name for c in rep.checks]
+        assert len(set(names)) == len(names), rep.suite
+        for c in rep.checks:
+            assert c.count >= 1, (rep.suite, c.name)
+            assert not c.ok or c.witness == "", (rep.suite, c.name, c.witness)
+
+
+def test_2prof_duality_fails_on_a_broken_poset_quantale(monkeypatch):
+    build = suites.build_two_profunctor_quantale
+    broken = []
+
+    def build_one_broken(mask, n):
+        q = build(mask, n)
+        if n == 2 and not broken:
+            q.perp = lambda a: a   # the empty relation's dual is then not full
+            broken.append(q.label)
+        return q
+
+    monkeypatch.setattr(suites, "build_two_profunctor_quantale", build_one_broken)
+    rep = suites.criterion_1(seed=0)
+    agg = next(c for c in rep.checks if c.name == "2prof-duality-all-posets")
+    assert not agg.ok and broken[0] in agg.witness
 
 
 def test_criterion_1_duality_identity_exhaustive():
@@ -62,7 +91,7 @@ def test_criterion_3_scalar_table(profiled):
 
 def test_criterion_4_profile_consistency(profiled):
     profiles = (profiled["3"].profiles + profiled["5"].profiles
-                + [profiled["7"].profile, profiled["c"].profile])
+                + profiled["7"].profiles + profiled["c"].profiles)
     rep = suites.criterion_4(profiles, seed=0)
     assert _report_line("criterion 4 (dependency/equivalence consistency)", rep, 5.0)
     assert len(profiles) >= 8

@@ -33,10 +33,10 @@ def test_derived_par_braiding_degenerate(vec, graded, dz2):
 
 
 def test_symmetry_detection(vec, graded, dz2):
-    assert br.Braiding(vec).is_symmetry()[0]
-    assert not br.Braiding(graded).is_symmetry()[0]
-    sym, wit = br.Braiding(dz2).is_symmetry()
-    assert not sym and wit is not None
+    assert br.Braiding(vec).is_symmetry().ok
+    assert not br.Braiding(graded).is_symmetry().ok
+    sym = br.Braiding(dz2).is_symmetry()
+    assert not sym.ok and sym.witness
 
 
 def test_dz2_double_braiding_on_mixed_simples(dz2):

@@ -125,10 +125,10 @@ def test_s3_cyclic_only_at_central():
     _, names = s3_elements()
     for perm, label in names.items():
         q = build_s3_pointed(label)
-        cyc, wit = q.is_cyclic()
-        assert cyc == is_central(q, perm) == (label == "e")
-        if not cyc:
-            assert wit is not None
+        cyc = q.is_cyclic()
+        assert cyc.ok == is_central(q, perm) == (label == "e")
+        if not cyc.ok:
+            assert cyc.witness
 
 
 def test_s3_neutral_not_commutative():
@@ -143,12 +143,12 @@ def test_zmod_residual_arithmetic():
     assert q.under(3, 5) == 2
     assert q.over(5, 3) == 2
     assert q.perp(3) == 9 == q.prep(3)
-    assert q.is_cyclic()[0]
+    assert q.is_cyclic().ok
 
 
 def test_zmod6_cyclic_everywhere():
     for d in range(6):
-        assert build_zmod(6, d).is_cyclic()[0]
+        assert build_zmod(6, d).is_cyclic().ok
 
 
 def test_pointed_group_rejects_incompatible_order():
@@ -163,7 +163,7 @@ def test_luk3_structure():
     assert q.tensor(h, h) == 0
     assert q.under(h, 0) == h
     assert q.perp(h) == h
-    assert q.is_cyclic()[0]
+    assert q.is_cyclic().ok
 
 
 def test_join_meet_and_missing_join():

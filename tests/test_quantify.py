@@ -73,6 +73,17 @@ def test_draw_drops_vacuous_tuples_unless_all_are(thin_rel2, monkeypatch):
     assert res.ok and res.count == len(kept)
 
 
+def test_a_dimension_filter_leaves_a_draw_sampled(dz2, thin_rel2):
+    probes = dz2.probe_objects()
+    pairs, exhaustive = draw(dz2, probes, 2, dim_cap=8)
+    assert len(pairs) == len(probes) ** 2 - 1 and not exhaustive
+    res = br.Braiding(dz2).check_degenerate_agreement()
+    assert res.ok and res.count == len(pairs) and not res.exhaustive
+    res = cy.check_base_identity(thin_rel2)
+    assert res.ok and not res.exhaustive
+    assert draw(thin_rel2, thin_rel2.probe_objects(), 4, cy.TUPLE_CAP)[1] is False
+
+
 def test_scan_stops_at_the_first_failure():
     seen = []
 
