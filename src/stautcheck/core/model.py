@@ -1,9 +1,11 @@
 """Interface contract for finite star-autonomous backends.
 
-A backend supplies objects (via descriptor hooks), morphism payloads, exact
-equality, and the structural data: associators and unitors for both monoidal
-structures, the two linear distributions, and the unit/counit pairs of the
-chosen right and left duals.  Everything else -- currying, the binders
+A backend supplies object values (via descriptor hooks), morphism payloads,
+exact equality, and one hook, ``_structural_mor``, that builds each of the
+twelve structural maps from its name, dom and cod: the associators and unitors
+of both monoidal structures, the two linear distributions, and the unit/counit
+pairs of the chosen right and left duals.  The dom and cod of each are stated
+once, in ``STRUCTURE``.  Everything else -- currying, the binders
 ``lbind``/``rbind`` that pair two evaluations into one, de Morgan and
 cancellation isomorphisms, duals of morphisms, naming -- is derived here once,
 by the standard mate recipes, and shared by every backend.
@@ -23,6 +25,27 @@ from dataclasses import dataclass
 
 from .objects import Interner, ObjRef, GEN, TENS, PAR, RDUAL, LDUAL, UNIT_T, UNIT_P, UniverseError
 from .morphisms import Mor, MorError, CompositionError, ShapeError
+
+
+# The twelve structural maps: each name gives the (dom, cod) of its
+# component at the given objects, in the model m.
+STRUCTURE = {
+    "assoc_t": lambda m, p, q, r: (m.tens(m.tens(p, q), r), m.tens(p, m.tens(q, r))),
+    "assoc_p": lambda m, p, q, r: (m.par(m.par(p, q), r), m.par(p, m.par(q, r))),
+    "lunit_t": lambda m, p: (m.tens(m.e, p), p),
+    "runit_t": lambda m, p: (m.tens(p, m.e), p),
+    "lunit_p": lambda m, p: (m.par(m.d, p), p),
+    "runit_p": lambda m, p: (m.par(p, m.d), p),
+    "dist_l": lambda m, q, s, t: (m.tens(q, m.par(s, t)), m.par(m.tens(q, s), t)),
+    "dist_r": lambda m, p, q, s: (m.tens(m.par(p, q), s), m.par(p, m.tens(q, s))),
+    "dual_unit_r": lambda m, p: (m.e, m.par(m.rdual(p), p)),
+    "dual_counit_r": lambda m, p: (m.tens(p, m.rdual(p)), m.d),
+    "dual_unit_l": lambda m, p: (m.e, m.par(p, m.ldual(p))),
+    "dual_counit_l": lambda m, p: (m.tens(m.ldual(p), p), m.d),
+}
+
+# The six of them that are isomorphisms: associators and unitors.
+ISOMORPHISMS = ("assoc_t", "assoc_p", "lunit_t", "runit_t", "lunit_p", "runit_p")
 
 
 @dataclass(frozen=True)
@@ -161,9 +184,10 @@ class StautModel:
             out = self.compose(out, m)
         return out
 
-    # ------------------------------------------------- structural map getters
-    # Subclasses implement the _build_* hooks; results are cached per object
-    # tuple so repeated coherence checks stay cheap.
+    # ------------------------------------------------------ structural maps
+    # Each of the twelve is built once per object tuple by the backend's
+    # _structural_mor hook, with its dom and cod read from STRUCTURE, and
+    # cached so repeated coherence checks stay cheap.
 
     def _structural(self, key, builder):
         hit = self._struct_cache.get(key)
@@ -172,53 +196,53 @@ class StautModel:
             self._struct_cache[key] = hit
         return hit
 
+    def _structure(self, kind, *objects):
+        def build():
+            dom, cod = STRUCTURE[kind](self, *objects)
+            return self._structural_mor(kind, dom, cod, objects)
+        # objects compare by identity, so they key the cache as their ids do
+        return self._structural((kind, *objects), build)
+
+    def _structural_mor(self, kind, dom, cod, objects):
+        """The structural map ``kind``, a name in STRUCTURE, at ``objects``:
+        an arrow ``dom -> cod``."""
+        raise NotImplementedError
+
     def assoc_t(self, p, q, r):
-        """(p (x) q) (x) r -> p (x) (q (x) r)"""
-        return self._structural(("at", id(p), id(q), id(r)), lambda: self._build_assoc_t(p, q, r))
+        return self._structure("assoc_t", p, q, r)
 
     def assoc_p(self, p, q, r):
-        """(p par q) par r -> p par (q par r)"""
-        return self._structural(("ap", id(p), id(q), id(r)), lambda: self._build_assoc_p(p, q, r))
+        return self._structure("assoc_p", p, q, r)
 
     def lunit_t(self, p):
-        """e (x) p -> p"""
-        return self._structural(("lt", id(p)), lambda: self._build_lunit_t(p))
+        return self._structure("lunit_t", p)
 
     def runit_t(self, p):
-        """p (x) e -> p"""
-        return self._structural(("rt", id(p)), lambda: self._build_runit_t(p))
+        return self._structure("runit_t", p)
 
     def lunit_p(self, p):
-        """d par p -> p"""
-        return self._structural(("lp", id(p)), lambda: self._build_lunit_p(p))
+        return self._structure("lunit_p", p)
 
     def runit_p(self, p):
-        """p par d -> p"""
-        return self._structural(("rp", id(p)), lambda: self._build_runit_p(p))
+        return self._structure("runit_p", p)
 
     def dist_l(self, q, s, t):
-        """q (x) (s par t) -> (q (x) s) par t"""
-        return self._structural(("dl", id(q), id(s), id(t)), lambda: self._build_dist_l(q, s, t))
+        return self._structure("dist_l", q, s, t)
 
     def dist_r(self, p, q, s):
-        """(p par q) (x) s -> p par (q (x) s)"""
-        return self._structural(("dr", id(p), id(q), id(s)), lambda: self._build_dist_r(p, q, s))
+        return self._structure("dist_r", p, q, s)
 
     def dual_unit_r(self, p):
-        """e -> rdual(p) par p"""
-        return self._structural(("ur", id(p)), lambda: self._build_dual_unit_r(p))
+        return self._structure("dual_unit_r", p)
 
     def dual_counit_r(self, p):
-        """p (x) rdual(p) -> d"""
-        return self._structural(("cr", id(p)), lambda: self._build_dual_counit_r(p))
+        return self._structure("dual_counit_r", p)
 
     def dual_unit_l(self, p):
-        """e -> p par ldual(p)"""
-        return self._structural(("ul", id(p)), lambda: self._build_dual_unit_l(p))
+        return self._structure("dual_unit_l", p)
 
     def dual_counit_l(self, p):
-        """ldual(p) (x) p -> d"""
-        return self._structural(("cl", id(p)), lambda: self._build_dual_counit_l(p))
+        return self._structure("dual_counit_l", p)
 
     # ----------------------------------------------------- adjunction currying
 

@@ -147,61 +147,19 @@ class LinearModel(StautModel):
         return self.mor(p, q, payload)
 
     # ------------------------------------------------------- structural maps
-    # With the fixed kron flattening, reassociation and unit absorptions are
-    # literally identity matrices; only the duality units/counits have content.
+    # With the fixed kron flattening, reassociations, unit absorptions and
+    # distributions are literally identity matrices; only the duality
+    # units/counits have content: sum_i e_i (x) e_i as a column or a row.
 
-    def _id_mor(self, a, b):
-        if self.dim(a) != self.dim(b):
-            raise MorError(f"structural identity between {a} and {b} of unequal dims")
-        return Mor(a, b, mx.identity(self.dim(a)), True)
-
-    def _build_assoc_t(self, p, q, r):
-        return self._id_mor(self.tens(self.tens(p, q), r), self.tens(p, self.tens(q, r)))
-
-    def _build_assoc_p(self, p, q, r):
-        return self._id_mor(self.par(self.par(p, q), r), self.par(p, self.par(q, r)))
-
-    def _build_lunit_t(self, p):
-        return self._id_mor(self.tens(self.e, p), p)
-
-    def _build_runit_t(self, p):
-        return self._id_mor(self.tens(p, self.e), p)
-
-    def _build_lunit_p(self, p):
-        return self._id_mor(self.par(self.d, p), p)
-
-    def _build_runit_p(self, p):
-        return self._id_mor(self.par(p, self.d), p)
-
-    def _build_dist_l(self, q, s, t):
-        return self._id_mor(self.tens(q, self.par(s, t)), self.par(self.tens(q, s), t))
-
-    def _build_dist_r(self, p, q, s):
-        return self._id_mor(self.tens(self.par(p, q), s), self.par(p, self.tens(q, s)))
-
-    def _coev_matrix(self, n):
-        col = [[0] for _ in range(n * n)]
-        for i in range(n):
-            col[i * n + i][0] = 1
-        return mx.mat(col)
-
-    def _ev_matrix(self, n):
-        row = [[0] * (n * n)]
-        for i in range(n):
-            row[0][i * n + i] = 1
-        return mx.mat(row)
-
-    def _build_dual_unit_r(self, p):
-        return self.mor(self.e, self.par(self.rdual(p), p), self._coev_matrix(self.dim(p)))
-
-    def _build_dual_counit_r(self, p):
-        return self.mor(self.tens(p, self.rdual(p)), self.d, self._ev_matrix(self.dim(p)))
-
-    def _build_dual_unit_l(self, p):
-        return self.mor(self.e, self.par(p, self.ldual(p)), self._coev_matrix(self.dim(p)))
-
-    def _build_dual_counit_l(self, p):
-        return self.mor(self.tens(self.ldual(p), p), self.d, self._ev_matrix(self.dim(p)))
+    def _structural_mor(self, kind, dom, cod, objects):
+        if kind.startswith("dual_"):
+            n = self.dim(objects[0])
+            diagonal = [int(j // n == j % n) for j in range(n * n)]
+            payload = [[x] for x in diagonal] if kind.startswith("dual_unit") else [diagonal]
+            return self.mor(dom, cod, mx.mat(payload))
+        if self.dim(dom) != self.dim(cod):
+            raise MorError(f"structural identity between {dom} and {cod} of unequal dims")
+        return Mor(dom, cod, mx.identity(self.dim(dom)), True)
 
 
 class VecModel(LinearModel):

@@ -366,21 +366,18 @@ def check_equivalence(model, window, strings):
     """Component zero projects the canonical tower back to its base object,
     and every given string is isomorphic to the canonical tower on its
     component zero through an invertible mate family."""
-    probes = model.probe_objects()
-    res = scan("zang-equivalence", probes,
-               lambda p: project0(zangify(model, p)) is not p
-               and f"projection fails at {p}")
-    if not res.ok:
-        return res
     lo, hi = window
 
-    def mates():
+    def items():
+        yield from ((p,) for p in model.probe_objects())
         for P in strings:
             mate = ZMate(P, zangify(model, P.z(0)), model.identity(P.z(0)))
             for n in range(lo, hi + 1):
                 yield P, mate, n
 
-    def body(P, mate, n):
+    def body(P, mate=None, n=None):
+        if mate is None:  # P is a probe object: its tower projects back to it
+            return project0(zangify(model, P)) is not P and f"projection fails at {P}"
         if n == lo:
             res = mate.check_mateship(window)
             if not res.ok:
@@ -390,7 +387,7 @@ def check_equivalence(model, window, strings):
         except MorError:
             return f"{P.describe()}: component {n} not invertible"
 
-    return scan("zang-equivalence", mates(), body)
+    return scan("zang-equivalence", items(), body)
 
 
 # ---------------------------------------------------------------- fang layer

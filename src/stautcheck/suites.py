@@ -62,7 +62,7 @@ def quantale_suite(q, seed=0, depth=8):
         profile = cy.classify(cycle, seed)
         rep.add(profile.check("thin-cycle-all-axioms", cy.CYCLE + cy.QUASICYCLE))
         rep.add(cy.check_dependency_table([profile]))
-        rep.add(cy.check_upper_lower_equivalences(profile))
+        rep.add(cy.check_upper_lower_equivalences([profile]))
         rep.profiles.append(profile)
     return rep
 
@@ -84,7 +84,7 @@ def scalar_table_suite(seed=0, scalars=SCALARS, max_dim=2, depth=8):
         rep.add(scan(f"scalar({lam})-matches-oracle", cy.AXIOMS,
                      lambda a: profile.verdicts[a] != predicted[a]
                      and f"{a}: {profile.verdicts[a]}, oracle {predicted[a]}"))
-        rep.add(cy.check_upper_lower_equivalences(profile), prefix=f"scalar({lam})-")
+        rep.add(cy.check_upper_lower_equivalences([profile]), prefix=f"scalar({lam})-")
         if lam == -1:
             rep.add(expect("scalar(-1)-separation",
                            holds=[profile.check("quasicycle", cy.QUASICYCLE)],
@@ -110,7 +110,7 @@ def prof_suite(vcat, seed=0):
     rep.add(checks)
     if profile is not None:
         rep.add(cy.check_dependency_table([profile]))
-        rep.add(cy.check_upper_lower_equivalences(profile))
+        rep.add(cy.check_upper_lower_equivalences([profile]))
         rep.profiles.append(profile)
     if pq is not None:
         rep.stats["prof_elements"] = len(pq.elements)
@@ -195,7 +195,7 @@ def braided_suite(seed=0):
                    holds=[profile.check("quasicycle", cy.QUASICYCLE)],
                    fails=[profile.check("cycle", cy.CYCLE)]))
     rep.add(cy.check_dependency_table([profile]))
-    rep.add(cy.check_upper_lower_equivalences(profile))
+    rep.add(cy.check_upper_lower_equivalences([profile]))
     rep.profiles.append(profile)
 
     semis = br.balance_from_cycle(cy.to_lower(br.cycle_from_balance(ribbon)))
@@ -338,10 +338,7 @@ def criterion_3(seed=0):
 def criterion_4(profiles, seed=0):
     rep = SuiteReport("criterion-4", "all collected axiom profiles", seed)
     rep.add(cy.check_dependency_table(profiles))
-    for prof in profiles:
-        res = cy.check_upper_lower_equivalences(prof)
-        if not res.ok:
-            rep.add(res)
+    rep.add(cy.check_upper_lower_equivalences(profiles))
     rep.add(_at_least("profiles-collected", len(profiles), 6))
     return rep
 

@@ -7,7 +7,7 @@ parallel morphisms is automatic, which is exactly why thin models satisfy
 every coherence diagram they can state.
 """
 
-from .core.model import StautModel
+from .core.model import ISOMORPHISMS, StautModel
 from .core.morphisms import Mor, MorError
 from .quantale import Quantale
 
@@ -89,46 +89,11 @@ class ThinModel(StautModel):
 
     # ------------------------------------------------------- structural maps
 
-    def _iso(self, a, b):
-        m = self.mor(a, b)
-        self.mor(b, a)
+    def _structural_mor(self, kind, dom, cod, objects):
+        m = self.mor(dom, cod)
+        if kind in ISOMORPHISMS:  # the inverse inequality must hold too
+            self.mor(cod, dom)
         return m
-
-    def _build_assoc_t(self, p, q, r):
-        return self._iso(self.tens(self.tens(p, q), r), self.tens(p, self.tens(q, r)))
-
-    def _build_assoc_p(self, p, q, r):
-        return self._iso(self.par(self.par(p, q), r), self.par(p, self.par(q, r)))
-
-    def _build_lunit_t(self, p):
-        return self._iso(self.tens(self.e, p), p)
-
-    def _build_runit_t(self, p):
-        return self._iso(self.tens(p, self.e), p)
-
-    def _build_lunit_p(self, p):
-        return self._iso(self.par(self.d, p), p)
-
-    def _build_runit_p(self, p):
-        return self._iso(self.par(p, self.d), p)
-
-    def _build_dist_l(self, q, s, t):
-        return self.mor(self.tens(q, self.par(s, t)), self.par(self.tens(q, s), t))
-
-    def _build_dist_r(self, p, q, s):
-        return self.mor(self.tens(self.par(p, q), s), self.par(p, self.tens(q, s)))
-
-    def _build_dual_unit_r(self, p):
-        return self.mor(self.e, self.par(self.rdual(p), p))
-
-    def _build_dual_counit_r(self, p):
-        return self.mor(self.tens(p, self.rdual(p)), self.d)
-
-    def _build_dual_unit_l(self, p):
-        return self.mor(self.e, self.par(p, self.ldual(p)))
-
-    def _build_dual_counit_l(self, p):
-        return self.mor(self.tens(self.ldual(p), p), self.d)
 
 
 def thin_identity_cycle(model):

@@ -167,7 +167,7 @@ def test_identity_derived_profiles_consistent(graded, dz2):
         big = br.cycle_from_balance(br.identity_balance(model))
         prof = cy.classify(cy.to_lower(big), big=big)
         assert not cy.dependency_violations(prof)
-        assert cy.check_upper_lower_equivalences(prof).ok
+        assert cy.check_upper_lower_equivalences([prof]).ok
 
 
 def test_quasibalance_matches_quasicycle_verdict(graded, dz2):

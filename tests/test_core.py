@@ -172,21 +172,16 @@ def test_probe_objects_in_universe(vec):
         assert p.depth <= vec._interner.depth_limit
 
 
-class ScaledCounitVec(VecModel):
-    """vec with the right (side "r") or left (side "l") duality counit
-    doubled, so that the triangle identities of that side fail."""
+class ScaledDualityVec(VecModel):
+    """vec with one duality map, named by ``kind``, doubled."""
 
-    def __init__(self, side):
-        self.side = side
+    def __init__(self, kind):
+        self.kind = kind
         super().__init__({"p": 2}, depth_limit=12)
 
-    def _build_dual_counit_r(self, p):
-        f = super()._build_dual_counit_r(p)
-        return self.mor_scale(2, f) if self.side == "r" else f
-
-    def _build_dual_counit_l(self, p):
-        f = super()._build_dual_counit_l(p)
-        return self.mor_scale(2, f) if self.side == "l" else f
+    def _structural_mor(self, kind, dom, cod, objects):
+        f = super()._structural_mor(kind, dom, cod, objects)
+        return self.mor_scale(2, f) if kind == self.kind else f
 
 
 @pytest.mark.parametrize("side, failing, witness", [
@@ -196,10 +191,14 @@ class ScaledCounitVec(VecModel):
      "canon(p) object side at -1"),
 ])
 def test_triangle_checks_fail_on_a_scaled_counit(side, failing, witness):
-    m = ScaledCounitVec(side)
-    results = {r.name: r for r in validate_staut(m, seed=0)}
-    triangles = {name for name in results if name.startswith("triangle-")}
-    assert {name for name in triangles if not results[name].ok} == failing
+    # scaling either map of one side's duality fails exactly that side's
+    # two triangles
+    for kind in (f"dual_unit_{side}", f"dual_counit_{side}"):
+        m = ScaledDualityVec(kind)
+        results = {r.name: r for r in validate_staut(m, seed=0)}
+        triangles = {name for name in results if name.startswith("triangle-")}
+        assert {name for name in triangles if not results[name].ok} == failing, kind
+    m = ScaledDualityVec(f"dual_counit_{side}")
     res = st.check_triangles(st.zangify(m, m.gen("p")), (-1, 1))
     assert not res.ok and res.witness == witness
 

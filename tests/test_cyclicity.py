@@ -187,7 +187,20 @@ def test_equivalences_reject_contradiction():
     good = cy.classify(scalar_cycle(build_vec_model(1), 1))
     broken = cy.AxiomProfile(dict(good.verdicts), label="forged")
     broken.verdicts["e2"] = False
-    assert not cy.check_upper_lower_equivalences(broken).ok
+    assert not cy.check_upper_lower_equivalences([broken]).ok
+
+
+def test_equivalences_over_many_profiles_give_one_result():
+    good = cy.classify(scalar_cycle(build_vec_model(1), 1))
+    forged = []
+    for label in ("first", "second"):
+        broken = cy.AxiomProfile(dict(good.verdicts), label=label)
+        broken.verdicts["e2"] = False
+        forged.append(broken)
+    res = cy.check_upper_lower_equivalences([good] + forged)
+    assert not res.ok and res.name == "case-change-equivalences"
+    assert res.witness == "first: tbin<=>e2<=>m2prime"
+    assert res.count == 5
 
 
 def test_check_axiom_reports_witness(vec2):
