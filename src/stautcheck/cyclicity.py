@@ -17,10 +17,12 @@ each declared once, as one row of the axiom table: how many probe objects it
 ranges over, a function returning the two sides of its diagram, and, for a
 hom-level condition, the objects x whose spanning sets of Hom(x, d) it ranges
 over as well.  One loop in ``check_axiom`` serves every row; the same span
-shapes drop vacuous tuples before drawing.  Quantifying over a spanning set
-suffices because every hom-level condition is linear in the quantified arrow
-on linear backends and trivial on thin ones.  The binders and de Morgan maps
-the diagrams use are the model's own (``core.model``).
+shapes drop vacuous tuples before drawing, and ``classify`` draws once for
+the rows that share arity, dimension budget and span shape.  Quantifying
+over a spanning set suffices because every hom-level condition is linear in
+the quantified arrow on linear backends and trivial on thin ones.  The
+binders and de Morgan maps the diagrams use are the model's own
+(``core.model``).
 """
 
 from dataclasses import dataclass, field
@@ -223,6 +225,10 @@ def _blr2(m, big, p, q, t, om):
     return left, right
 
 
+def _e2_spans(m, p, q, t):
+    return [m.tens(m.tens(p, q), t)]
+
+
 def _m2_spans(m, p, q, s, t):
     return [m.tens(p, t), m.tens(q, s)]
 
@@ -238,26 +244,34 @@ _AXIOMS = {
     "pbin": Axiom(2, _pbin, dim_cap=8),
     "blr0": Axiom(1, _blr0, lambda m, t: [m.tens(m.e, t)]),
     "kprime": Axiom(2, _kprime, lambda m, p, q: [m.tens(p, q)]),
-    "e2": Axiom(3, _e2, lambda m, p, q, t: [m.tens(m.tens(p, q), t)]),
+    "e2": Axiom(3, _e2, _e2_spans),
     "e2prime": Axiom(3, _e2prime, lambda m, p, s, t: [m.tens(p, m.tens(s, t))]),
     "m0": Axiom(1, _m0, lambda m, t: [m.tens(t, m.e)]),
     "m2": Axiom(4, _m2, _m2_spans),
     "m2prime": Axiom(4, _m2prime, _m2_spans),
-    "blr2": Axiom(3, _blr2, lambda m, p, q, t: [m.tens(m.tens(p, q), t)]),
+    "blr2": Axiom(3, _blr2, _e2_spans),
 }
 AXIOMS = tuple(_AXIOMS)
 
 
-def check_axiom(cycle, which, seed=0, big=None):
+def check_axiom(cycle, which, seed=0, big=None, draws=None):
     """Exact check of one named coherence condition; returns verdict plus a
-    counterexample locator on failure, replayable from ``seed``."""
+    counterexample locator on failure, replayable from ``seed``.
+
+    Rows with the same arity, dimension budget and span function draw the
+    same tuples from the same seed; ``draws`` keeps those draws, so that
+    rows checked with one seed share them."""
     if which not in _AXIOMS:
         raise ValueError(f"unknown axiom {which!r}; known: {AXIOMS}")
     ax = _AXIOMS[which]
     m = cycle.model
-    live = ax.spans and (lambda t: all(_hom_to_d(m, x) for x in ax.spans(m, *t)))
-    tuples, exhaustive = draw(m, m.probe_objects(), ax.arity, TUPLE_CAP, ax.dim_cap,
-                              seed * 1000003 + ax.arity, live)
+    draws = {} if draws is None else draws
+    key = (ax.arity, ax.dim_cap, ax.spans)
+    if key not in draws:
+        live = ax.spans and (lambda t: all(_hom_to_d(m, x) for x in ax.spans(m, *t)))
+        draws[key] = draw(m, m.probe_objects(), ax.arity, TUPLE_CAP, ax.dim_cap,
+                          seed * 1000003 + ax.arity, live)
+    tuples, exhaustive = draws[key]
     if ax.spans is None:
         def body(*t):
             lhs, rhs = ax.sides(m, cycle, *t)
@@ -313,9 +327,9 @@ def classify(cycle, seed=0, big=None):
     original family avoids re-deriving it through the duals.
     """
     big = big or to_upper(cycle)
-    verdicts, witnesses = {}, {}
+    verdicts, witnesses, draws = {}, {}, {}
     for name in AXIOMS:
-        res = check_axiom(cycle, name, seed, big)
+        res = check_axiom(cycle, name, seed, big, draws)
         verdicts[name] = res.ok
         if not res.ok:
             witnesses[name] = res.witness

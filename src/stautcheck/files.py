@@ -96,7 +96,7 @@ def load_quantale_file(path):
             raise FileFormatError(path, 0, f"order is not antisymmetric on {a}, {b}")
     q = Quantale(
         label=os.path.basename(path),
-        elements=elements,
+        values=elements,
         le_fn=lambda a, b: (a, b) in order,
         tensor_fn=lambda a, b: tensor[(a, b)],
         unit=unit,

@@ -185,41 +185,26 @@ def build_prof_quantale(c, seed=0):
 
 
 def _prof_quantale(c, profs):
-    """Prof(c, c) on the complete list ``profs`` of its profunctors."""
+    """Prof(c, c) on the complete list ``profs`` of its profunctors; its
+    values are the matrices as tuples of base elements in ``keys`` order."""
     v = c.base
     cyclic = v.is_cyclic()
     if not cyclic.ok:
         raise ProfError(f"base quantale is not cyclic (witness {cyclic.witness})")
     keys = [(q, r) for q in c.objects for r in c.objects]
-    elements = [tuple(p[k] for k in keys) for p in profs]
-    index = {el: i for i, el in enumerate(elements)}
-
-    def as_dict(el):
-        return dict(zip(keys, el))
+    values = [tuple(p[k] for k in keys) for p in profs]
 
     def le(a, b):
         return all(v.le(x, y) for x, y in zip(a, b))
 
-    tensor_memo = {}
-
     def tensor(a, b):
-        hit = tensor_memo.get((a, b))
-        if hit is None:
-            fa, fb = as_dict(a), as_dict(b)
-            out = []
-            for q, s in keys:
-                out.append(v.join([v.tensor(fa[(q, r)], fb[(r, s)])
-                                   for r in c.objects]))
-            hit = tuple(out)
-            tensor_memo[(a, b)] = hit
-        return hit
-
-    def join2(a, b):
-        return tuple(v.join([x, y]) for x, y in zip(a, b))
+        fa, fb = dict(zip(keys, a)), dict(zip(keys, b))
+        return tuple(v.join([v.tensor(fa[(q, r)], fb[(r, s)]) for r in c.objects])
+                     for q, s in keys)
 
     unit = tuple(c.hom[k] for k in keys)
     dzr = tuple(v.perp(c.hom[(r, q)]) for (q, r) in keys)
-    if unit not in index or dzr not in index:
+    if not {unit, dzr} <= set(values):
         raise ProfError("unit or dualizer profunctor missing from enumeration")
 
     def name(el):
@@ -227,12 +212,11 @@ def _prof_quantale(c, profs):
 
     return Quantale(
         label=f"prof({c.label()})",
-        elements=elements,
+        values=values,
         le_fn=le,
         tensor_fn=tensor,
         unit=unit,
         dualizer=dzr,
-        join2=join2,
         name_fn=name,
         family="prof",
         meta={"keys": keys, "base": v.label, "objects": list(c.objects)},

@@ -1,6 +1,31 @@
 """Finite quantales: complete-lattice (or at least residuated) ordered monoids
 with a dualizing element.  These are the thin star-autonomous models.
 
+Elements are indices.  A ``Quantale`` is built from its user-facing values
+(relation masks, fractions, permutations, names read from a file, tuples of
+base elements for a profunctor quantale) with an order ``le_fn`` and a
+tensor ``tensor_fn`` on those values.  It holds its elements as the indices
+``0..n-1``, in the order of the values, so a seeded draw over ``elements``
+picks the same items a draw over the values would.  The values serve only
+``name``, parsing and ``index(value)``; every operation takes and returns
+indices.  There are two kernels:
+
+* the index kernel: the order is one up-set bitmask per element, built once
+  from ``le_fn``, so ``le`` is a bit test, and ``join``/``meet`` are an AND
+  of up-sets (or down-sets) and one lookup of the element with that up-set.
+  The tensor is a Cayley table on indices, one flat array filled from
+  ``tensor_fn`` on first use of each cell.
+* the mask kernel, kept by the relation families (``rel:n`` and
+  ``2prof:*``): the values are relation masks, the order is inclusion,
+  joins and meets are OR and AND, and the tensor is the table-driven
+  ``rel_compose``.  No structure of size |Q|^2 is built (``rel:4`` has
+  65,536 elements).  For ``rel:n`` the index of a relation is its mask.
+
+Residuals are brute force: a sweep of the products a * x (or x * a) over
+every element, memoized per pair.  ``validate`` checks the axioms on what
+the kernel computes, over every triple and pair of elements up to
+``_EXHAUSTIVE_MAX`` = 53 elements and over a seeded sample past that.
+
 Built-in families:
 
 * ``build_rel_quantale(n)`` -- all binary relations on an n-element set under
@@ -15,98 +40,184 @@ Relations are encoded as n*n-bit masks, bit i*n+j for the pair (i, j), and are
 listed in increasing mask order so reports and counterexamples are stable.
 """
 
-from dataclasses import dataclass, field
+from array import array
 from fractions import Fraction
 from itertools import product
 import random
 
 from .core.quantify import scan
 
-# ``Quantale.validate`` exhausts the triples of elements while there are at
-# most _TRIPLE_CAP of them and the pairs for the residual scan (a full
-# element sweep each) while there are at most _PAIR_CAP; past that it draws
-# that many with replacement.
-_TRIPLE_CAP = 4096
-_PAIR_CAP = 256
+# ``Quantale.validate`` tries every triple of elements and every pair of the
+# residual scan when there are at most _EXHAUSTIVE_MAX elements (53 is the
+# luk3 profunctor quantale: 148,877 triples); past that it draws
+# _TRIPLE_SAMPLES triples and _PAIR_SAMPLES pairs with replacement.
+_EXHAUSTIVE_MAX = 53
+_TRIPLE_SAMPLES = 4096
+_PAIR_SAMPLES = 256
 
 
 class QuantaleError(Exception):
     """Invalid quantale data or an operation without a defined result."""
 
 
-@dataclass
 class Quantale:
-    label: str
-    elements: list
-    le_fn: object
-    tensor_fn: object
-    unit: object
-    dualizer: object
-    join2: object = None
-    name_fn: object = field(default=None)
-    family: str = "custom"
-    meta: dict = field(default_factory=dict)
+    """A finite quantale on the indices of ``values`` (see the module
+    docstring).  ``unit`` and ``dualizer`` are given as values and held as
+    indices.  ``masks`` selects the mask kernel: the values are relation
+    masks in increasing order, ordered by inclusion, and ``tensor_fn``
+    composes them."""
 
-    def __post_init__(self):
-        self._index = {x: i for i, x in enumerate(self.elements)}
+    def __init__(self, label, values, le_fn, tensor_fn, unit, dualizer,
+                 name_fn=None, family="custom", meta=None, masks=False):
+        self.label = label
+        self.values = values
+        self.le_fn = le_fn
+        self.tensor_fn = tensor_fn
+        self.name_fn = name_fn
+        self.family = family
+        self.meta = meta or {}
+        n = self._n = len(values)
+        self.elements = range(n)
+        # value -> index; a range of masks is its own index
+        self._index = values if values == self.elements else {x: i for i, x in enumerate(values)}
+        if len(self._index) != n:
+            raise QuantaleError("duplicate elements")
+        if unit not in self._index or dualizer not in self._index:
+            raise QuantaleError("unit and dualizer must be elements")
+        self.unit = self._index[unit]
+        self.dualizer = self._index[dualizer]
         self._under = {}
         self._over = {}
-        if self.unit not in self._index or self.dualizer not in self._index:
-            raise QuantaleError("unit and dualizer must be elements")
+        if masks:
+            self._up = self._table = None
+            return
+        up, down = [0] * n, [0] * n
+        for i, x in enumerate(values):
+            for j, y in enumerate(values):
+                if le_fn(x, y):
+                    up[i] |= 1 << j
+                    down[j] |= 1 << i
+        self._up, self._down = up, down
+        self._by_up = {u: i for i, u in enumerate(up)}
+        self._by_down = {d: i for i, d in enumerate(down)}
+        if len(self._by_up) != n:
+            raise QuantaleError("the order is not antisymmetric")
+        self._full = (1 << n) - 1
+        self._table = array("b" if n < 1 << 7 else "h" if n < 1 << 15 else "i",
+                            [-1]) * (n * n)
 
     # ------------------------------------------------------------- basic ops
 
     def __len__(self):
-        return len(self.elements)
+        return self._n
+
+    def index(self, value):
+        """The element whose user-facing value is ``value``; a value the
+        kernel computed that is not one means the tensor, join or meet
+        leaves the carrier."""
+        if value not in self._index:
+            raise QuantaleError(f"{value!r} is not an element of {self.label}")
+        return self._index[value]
 
     def name(self, x):
-        return self.name_fn(x) if self.name_fn else str(x)
+        value = self.values[x]
+        return self.name_fn(value) if self.name_fn else str(value)
 
     def le(self, a, b):
-        return self.le_fn(a, b)
+        up = self._up
+        if up is None:
+            vals = self.values
+            return not vals[a] & ~vals[b]
+        return up[a] >> b & 1 == 1
 
     def tensor(self, a, b):
-        return self.tensor_fn(a, b)
-
-    def greatest(self, xs):
-        """Greatest element of xs, or None if xs has no maximum."""
-        if not xs:
-            return None
-        if self.join2 is not None:
-            m = xs[0]
-            for x in xs[1:]:
-                m = self.join2(m, x)
-            return m if m in self._index and all(self.le(x, m) for x in xs) else None
-        for c in xs:
-            if all(self.le(x, c) for x in xs):
-                return c
-        return None
+        table = self._table
+        if table is None:
+            vals, index = self.values, self._index
+            value = self.tensor_fn(vals[a], vals[b])
+            # inline lookup on this hot path; ``index`` raises for a non-element
+            return index[value] if value in index else self.index(value)
+        cell = a * self._n + b
+        c = table[cell]
+        if c < 0:
+            c = table[cell] = self.index(self.tensor_fn(self.values[a], self.values[b]))
+        return c
 
     def join(self, xs):
-        xs = list(xs)
-        ubs = [c for c in self.elements if all(self.le(x, c) for x in xs)]
-        lub = next((c for c in ubs if all(self.le(c, u) for u in ubs)), None)
+        up = self._up
+        if up is None:
+            vals, m = self.values, 0
+            for x in xs:
+                m |= vals[x]
+            return self.index(m)
+        u = self._full
+        for x in xs:
+            u &= up[x]
+        lub = self._by_up.get(u)
         if lub is None:
             raise QuantaleError(f"join does not exist for {[self.name(x) for x in xs]}")
         return lub
 
     def meet(self, xs):
-        xs = list(xs)
-        lbs = [c for c in self.elements if all(self.le(c, x) for x in xs)]
-        glb = next((c for c in lbs if all(self.le(u, c) for u in lbs)), None)
+        if self._up is None:
+            vals = self.values
+            m = vals[-1]   # the full relation: masks are listed in increasing order
+            for x in xs:
+                m &= vals[x]
+            return self.index(m)
+        d, down = self._full, self._down
+        for x in xs:
+            d &= down[x]
+        glb = self._by_down.get(d)
         if glb is None:
             raise QuantaleError(f"meet does not exist for {[self.name(x) for x in xs]}")
         return glb
 
     # ------------------------------------------------------------- residuals
 
+    def _products(self, a, left):
+        """a * x (``left``) or x * a for every element x, in element order:
+        indices on the index kernel, masks on the mask kernel."""
+        table, vals, mul = self._table, self.values, self.tensor_fn
+        if table is None:
+            va = vals[a]
+            return [mul(va, x) for x in vals] if left else [mul(x, va) for x in vals]
+        n = self._n
+        cells = range(a * n, a * n + n) if left else range(a, n * n, n)
+        line = table[cells.start:cells.stop:cells.step]
+        if -1 in line:
+            for x, cell in enumerate(cells):
+                if line[x] < 0:
+                    value = mul(vals[a], vals[x]) if left else mul(vals[x], vals[a])
+                    line[x] = table[cell] = self.index(value)
+        return line
+
+    def _greatest_below(self, line, b):
+        """The greatest x with line[x] <= b, or None if there is none: the
+        join of all such x, when it is one of them."""
+        if self._up is None:
+            vals = self.values
+            outside = ~vals[b]
+            m = 0
+            for x, p in enumerate(line):
+                if not p & outside:
+                    m |= vals[x]
+            c = self._index[m] if m in self._index else None
+            return c if c is not None and not line[c] & outside else None
+        below, up = self._down[b], self._up
+        u = self._full
+        for x, p in enumerate(line):
+            if below >> p & 1:
+                u &= up[x]
+        c = self._by_up.get(u)
+        return c if c is not None and below >> line[c] & 1 else None
+
     def under(self, a, b):
         """Largest x with a * x <= b (brute force over all elements)."""
         key = (a, b)
         hit = self._under.get(key)
         if hit is None:
-            le, tensor = self.le_fn, self.tensor_fn
-            hit = self.greatest([x for x in self.elements if le(tensor(a, x), b)])
+            hit = self._greatest_below(self._products(a, True), b)
             if hit is None:
                 raise QuantaleError(
                     f"residual {self.name(a)} \\ {self.name(b)} does not exist")
@@ -118,8 +229,7 @@ class Quantale:
         key = (b, a)
         hit = self._over.get(key)
         if hit is None:
-            le, tensor = self.le_fn, self.tensor_fn
-            hit = self.greatest([x for x in self.elements if le(tensor(x, a), b)])
+            hit = self._greatest_below(self._products(a, False), b)
             if hit is None:
                 raise QuantaleError(
                     f"residual {self.name(b)} / {self.name(a)} does not exist")
@@ -139,28 +249,32 @@ class Quantale:
     def is_cyclic(self):
         """The check that both duals agree on every element; its witness is
         the name of the first element where they differ."""
-        return scan("cyclic", [(a,) for a in self.elements],
+        return scan("cyclic", self.elements,
                     lambda a: self.perp(a) != self.prep(a) and self.name(a))
 
     # ------------------------------------------------------------ validation
 
     def validate(self, seed=0):
-        """Brute-force the quantale axioms, one CheckResult each.
+        """Brute-force the quantale axioms on the kernel, one CheckResult each.
 
-        Triples are exhausted when there are at most _TRIPLE_CAP of them, and
-        the pairs of the residual-existence scan when there are at most
-        _PAIR_CAP; otherwise that many are drawn with replacement from
-        ``random.Random(seed)``, and the check reports ``exhaustive: false``.
+        With at most _EXHAUSTIVE_MAX elements every triple and every pair of
+        the residual-existence scan is tried, each check iterating its own
+        product; past that _TRIPLE_SAMPLES triples and _PAIR_SAMPLES pairs are
+        drawn with replacement from ``random.Random(seed)``, and the check
+        reports ``exhaustive: false``.
         """
         rng = random.Random(seed)
         els = self.elements
-        n = len(els)
+        exhaustive = len(els) <= _EXHAUSTIVE_MAX
         le, tensor, unit = self.le, self.tensor, self.unit
 
-        def tuples(k, budget):
-            if n ** k <= budget:
-                return list(product(els, repeat=k)), True
-            return [tuple(rng.choice(els) for _ in range(k)) for _ in range(budget)], False
+        def tuples(k, samples):
+            """What gives each check its k-tuples: a fresh product per check,
+            or one seeded sample shared by the checks."""
+            if exhaustive:
+                return lambda: product(els, repeat=k)
+            drawn = [tuple(rng.choice(els) for _ in range(k)) for _ in range(samples)]
+            return lambda: drawn
 
         def names(*xs):
             return str(tuple(map(self.name, xs)))
@@ -189,14 +303,12 @@ class Quantale:
             except QuantaleError as exc:
                 return str(exc)
 
-        singles = [(a,) for a in els]   # wrapped, as an element may be a tuple
-        triples, exh3 = tuples(3, _TRIPLE_CAP)
-        pairs, exh2 = tuples(2, _PAIR_CAP)
-        return [scan("unit-law", singles, unit_law),
-                scan("associativity", triples, associative, exh3),
-                scan("monotonicity", triples, monotone, exh3),
-                scan("residuals-exist", pairs, residuals, exh2),
-                scan("dualizing-element", singles, dualizing)]
+        triples, pairs = tuples(3, _TRIPLE_SAMPLES), tuples(2, _PAIR_SAMPLES)
+        return [scan("unit-law", els, unit_law),
+                scan("associativity", triples(), associative, exhaustive),
+                scan("monotonicity", triples(), monotone, exhaustive),
+                scan("residuals-exist", pairs(), residuals, exhaustive),
+                scan("dualizing-element", els, dualizing)]
 
 
 # --------------------------------------------------------------- relations
@@ -275,9 +387,9 @@ def check_duality(name, quantales):
     two-valued profunctor quantale both duals are the complement of the
     element's reverse, in one sweep; the witness names the quantale."""
     def body(q, w):
-        n = q.meta["n"]
-        want = ((1 << (n * n)) - 1) & ~rel_reverse(w, n)
-        return not q.perp(w) == want == q.prep(w) and f"{q.label}: {q.name(w)}"
+        n, vals = q.meta["n"], q.values
+        want = ((1 << (n * n)) - 1) & ~rel_reverse(vals[w], n)
+        return not vals[q.perp(w)] == want == vals[q.prep(w)] and f"{q.label}: {q.name(w)}"
 
     return scan(name, ((q, w) for q in quantales for w in q.elements), body)
 
@@ -300,18 +412,17 @@ def build_rel_quantale(n):
     if not 1 <= n <= 4:
         raise QuantaleError(f"relation quantale size must be 1..4, got {n}")
     full = (1 << (n * n)) - 1
-    elements = list(range(full + 1))
     return Quantale(
         label=f"rel:{n}",
-        elements=elements,
+        values=range(full + 1),
         le_fn=lambda a, b: (a & ~b) == 0,
         tensor_fn=_REL_COMPOSERS[n],
         unit=rel_diag(n),
         dualizer=full & ~rel_diag(n),
-        join2=lambda a, b: a | b,
         name_fn=lambda m: rel_name(m, n),
         family="rel",
         meta={"n": n, "full": full},
+        masks=True,
     )
 
 
@@ -344,21 +455,21 @@ def build_two_profunctor_quantale(poset_mask, n, label=None):
         raise QuantaleError("two-valued profunctor quantale needs |poset| <= 3")
     full = (1 << (n * n)) - 1
     leq = poset_mask
-    elements = [w for w in range(full + 1)
-                if rel_compose(rel_compose(leq, w, n), leq, n) & ~w == 0]
-    if leq not in elements:
+    values = [w for w in range(full + 1)
+              if rel_compose(rel_compose(leq, w, n), leq, n) & ~w == 0]
+    if leq not in values:
         raise QuantaleError("poset order is not among its own profunctors")
     return Quantale(
         label=label or f"2prof:{rel_name(poset_mask, n)}",
-        elements=elements,
+        values=values,
         le_fn=lambda a, b: (a & ~b) == 0,
         tensor_fn=_REL_COMPOSERS[n],
         unit=leq,
         dualizer=full & ~rel_reverse(leq, n),
-        join2=lambda a, b: a | b,
         name_fn=lambda m: rel_name(m, n),
         family="two_prof",
         meta={"n": n, "poset": poset_mask},
+        masks=True,
     )
 
 
@@ -379,7 +490,7 @@ def build_pointed_group(elements, op, dualizer, le=None, label="group", names=No
     unit = next(x for x in elements if all(op(x, y) == y == op(y, x) for y in elements))
     return Quantale(
         label=label,
-        elements=list(elements),
+        values=list(elements),
         le_fn=le,
         tensor_fn=op,
         unit=unit,
@@ -422,6 +533,7 @@ def build_zmod(n, dualizer=0):
 
 
 def is_central(q, x):
+    """Whether the element x commutes with every element."""
     return all(q.tensor(x, y) == q.tensor(y, x) for y in q.elements)
 
 
@@ -431,12 +543,11 @@ def build_bool2():
     """The two-element chain 0 < 1 with meet as tensor; dualizer 0."""
     return Quantale(
         label="bool2",
-        elements=[0, 1],
+        values=[0, 1],
         le_fn=lambda a, b: a <= b,
-        tensor_fn=lambda a, b: min(a, b),
+        tensor_fn=min,
         unit=1,
         dualizer=0,
-        join2=max,
         family="chain",
     )
 
@@ -451,12 +562,11 @@ def build_luk3():
     els = [Fraction(0), half, Fraction(1)]
     return Quantale(
         label="luk3",
-        elements=els,
+        values=els,
         le_fn=lambda a, b: a <= b,
         tensor_fn=lambda a, b: max(Fraction(0), a + b - 1),
         unit=Fraction(1),
         dualizer=Fraction(0),
-        join2=max,
         family="chain",
     )
 

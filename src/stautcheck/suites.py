@@ -124,17 +124,18 @@ def _prof_rel2_bijection(pq):
     matches the order is injective, so with equal element counts it is a
     bijection."""
     r2 = build_rel_quantale(2)
+    top = build_bool2().index(1)
     keys = pq.meta["keys"]
     objs = pq.meta["objects"]
 
-    def as_mask(el):
+    def as_relation(el):
         mask = 0
-        for val, (x, y) in zip(el, keys):
-            if val == 1:
+        for val, (x, y) in zip(pq.values[el], keys):
+            if val == top:
                 mask |= 1 << (objs.index(x) * 2 + objs.index(y))
-        return mask
+        return r2.index(mask)
 
-    bij = {el: as_mask(el) for el in pq.elements}
+    bij = {el: as_relation(el) for el in pq.elements}
 
     def comparisons():
         yield "element count", len(pq.elements), len(r2.elements)
@@ -151,9 +152,8 @@ def _prof_rel2_bijection(pq):
 
 def luk3_two_object_vcat():
     v = build_luk3()
-    half = Fraction(1, 2)
-    hom = {("x", "x"): Fraction(1), ("x", "y"): half,
-           ("y", "x"): Fraction(0), ("y", "y"): Fraction(1)}
+    one, half, zero = (v.index(Fraction(k, 2)) for k in (2, 1, 0))
+    hom = {("x", "x"): one, ("x", "y"): half, ("y", "x"): zero, ("y", "y"): one}
     return pf.VCat(v, ["x", "y"], hom)
 
 
@@ -324,7 +324,7 @@ def criterion_2(seed=0):
     _, names = s3_elements()
     for perm, label in names.items():
         q = build_s3_pointed(label)
-        facts = [("cyclic", q.is_cyclic().ok), ("central", is_central(q, perm))]
+        facts = [("cyclic", q.is_cyclic().ok), ("central", is_central(q, q.index(perm)))]
         rep.add(scan(f"s3@{label}", facts,
                      lambda what, got: got != (label == "e") and f"{what}={got}"))
     return rep

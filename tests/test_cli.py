@@ -35,9 +35,10 @@ def chain3_path(tmp_path):
 def test_load_quantale_file(chain3_path):
     q = load_quantale_file(chain3_path)
     assert len(q) == 3
-    assert q.le("bot", "top")
-    assert not q.le("top", "mid")
-    assert q.perp("mid") == "mid"
+    bot, mid, top = map(q.index, ("bot", "mid", "top"))
+    assert q.le(bot, top)
+    assert not q.le(top, mid)
+    assert q.values[q.perp(mid)] == "mid"
     assert q.is_cyclic().ok
     assert all(r.ok for r in q.validate())
 
@@ -64,7 +65,7 @@ def test_load_vcat_file(tmp_path, chain3_path):
                     "hom x x top\nhom x y mid\nhom y x bot\nhom y y top\n")
     c = load_vcat_file(str(path))
     assert c.objects == ["x", "y"]
-    assert c.hom[("x", "y")] == "mid"
+    assert c.base.values[c.hom[("x", "y")]] == "mid"
 
 
 def test_vcat_file_errors(tmp_path):

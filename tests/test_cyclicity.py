@@ -170,7 +170,9 @@ def test_axiom_classification_draws_from_the_seed(monkeypatch, run):
 
     monkeypatch.setattr(cy, "draw", spy)
     run(5)
-    assert len(seeds) >= len(cy.AXIOMS)
+    # one draw per shape of axiom row: rows of one shape share their draw
+    shapes = {(ax.arity, ax.dim_cap, ax.spans) for ax in cy._AXIOMS.values()}
+    assert len(seeds) >= len(shapes)
     assert {s // 1000003 for s in seeds} == {5}
 
 
@@ -211,3 +213,22 @@ def test_check_axiom_reports_witness(vec2):
 def test_unknown_axiom_rejected(vec2):
     with pytest.raises(ValueError):
         cy.check_axiom(scalar_cycle(vec2, 1), "frobnicate")
+
+
+def test_classify_draws_once_per_row_shape(monkeypatch):
+    cycle = scalar_cycle(build_vec_model(1), 2)   # fails some axioms
+    alone = {a: cy.check_axiom(cycle, a, seed=2) for a in cy.AXIOMS}
+    calls = []
+
+    def spy(*args):
+        calls.append(args[2:6])
+        return draw(*args)
+
+    monkeypatch.setattr(cy, "draw", spy)
+    profile = cy.classify(cycle, seed=2)
+    shapes = {(ax.arity, ax.dim_cap, ax.spans) for ax in cy._AXIOMS.values()}
+    assert len(calls) == len(shapes) == 9
+    # sharing a draw changes no verdict and no witness
+    assert not profile.cycle
+    assert profile.verdicts == {a: r.ok for a, r in alone.items()}
+    assert profile.witnesses == {a: r.witness for a, r in alone.items() if not r.ok}

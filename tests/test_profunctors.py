@@ -31,13 +31,13 @@ def test_vcat_rejects_bad_hom():
 
 def test_vprof_rejects_action_violation():
     v = build_luk3()
-    half = Fraction(1, 2)
-    c = pf.VCat(v, ["x", "y"], {("x", "x"): 1, ("x", "y"): half,
-                                ("y", "x"): Fraction(0), ("y", "y"): 1})
+    one, half, zero = (v.index(Fraction(k, 2)) for k in (2, 1, 0))
+    c = pf.VCat(v, ["x", "y"], {("x", "x"): one, ("x", "y"): half,
+                                ("y", "x"): zero, ("y", "y"): one})
     with pytest.raises(pf.ProfError):
         # fails the left action along hom(x, y) = 1/2
-        pf.VProf(c, c, {("x", "x"): Fraction(0), ("x", "y"): Fraction(0),
-                        ("y", "x"): Fraction(1), ("y", "y"): Fraction(0)})
+        pf.VProf(c, c, {("x", "x"): zero, ("x", "y"): zero,
+                        ("y", "x"): one, ("y", "y"): zero})
 
 
 def test_compose_discrete_example():
@@ -116,7 +116,7 @@ def test_one_object_prof_is_base():
     c = pf.discrete_vcat(v, ["x"])
     pq = pf.build_prof_quantale(c)
     assert len(pq.elements) == len(v.elements)
-    bij = {el: el[0] for el in pq.elements}
+    bij = {el: pq.values[el][0] for el in pq.elements}
     for a in pq.elements:
         for b in pq.elements:
             assert bij[pq.tensor(a, b)] == v.tensor(bij[a], bij[b])
