@@ -21,6 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import suites
+from .core.objects import UniverseError
 from .files import FileFormatError, load_vcat_file, resolve_quantale
 from .quantale import QuantaleError, BUILTIN_HELP, build_bool2
 from .report import SCHEMA_VERSION
@@ -110,24 +111,31 @@ def _parse_scalars(text):
             raise InputError(f"bad scalar {tok!r}")
         if val == 0:
             raise InputError("scalars must be nonzero")
+        if val in out:
+            raise InputError(f"repeated scalar {tok!r}")
         out.append(val)
     return out
 
 
 def _run(args):
+    if args.window < 1:
+        raise InputError("--window must be at least 1")
+    if args.depth is not None and args.depth < 1:
+        raise InputError("--depth must be at least 1")
     window = (-args.window, args.window)
+    depth = 8 if args.depth is None else args.depth
     if args.command == "quantale":
         try:
             q = resolve_quantale(args.spec)
         except (QuantaleError, FileNotFoundError) as exc:
             raise InputError(str(exc))
-        return [suites.quantale_suite(q, args.seed, depth=args.depth or 8)]
+        return [suites.quantale_suite(q, args.seed, depth=depth)]
     if args.command == "vec":
         scalars = _parse_scalars(args.values)
         if not 1 <= args.max_dim <= 3:
             raise InputError("--max-dim must be 1..3")
         return [suites.scalar_table_suite(args.seed, tuple(scalars), args.max_dim,
-                                          depth=args.depth or 8)]
+                                          depth=depth)]
     if args.command == "prof":
         if args.vcat == "builtin:disc2":
             vcat = pf.discrete_vcat(build_bool2(), ["a", "b"])
@@ -176,7 +184,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         reports = _run(args)
-    except (InputError, FileFormatError, FileNotFoundError) as exc:
+    except (InputError, FileFormatError, FileNotFoundError, UniverseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     _emit(reports, args)

@@ -26,6 +26,7 @@ binders and de Morgan maps the diagrams use are the model's own
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 import random
 
@@ -398,10 +399,18 @@ def check_base_identity(model, seed=0, probes=None):
     distributive category, over object quadruples of ``probes`` (default:
     the model's probe objects) and arrow pairs (psi, omega): on a linear
     model about _BASE_IDENTITY_SAMPLES random pairs, on a thin one every
-    spanning pair.  Quadruples and arrows are both drawn from ``seed``."""
+    spanning pair.  Quadruples and arrows are both drawn from ``seed``, and
+    only quadruples with arrows q*s -> d and t*p -> d are drawn, unless
+    there are none."""
     m = model
     probes = m.probe_objects() if probes is None else probes
-    tuples, exhaustive = draw(m, probes, 4, TUPLE_CAP, _DIM_CAP, seed * 1000003 + 4)
+
+    @cache
+    def has_arrow(x, y):
+        return bool(_hom_to_d(m, m.tens(x, y)))
+
+    tuples, exhaustive = draw(m, probes, 4, TUPLE_CAP, _DIM_CAP, seed * 1000003 + 4,
+                              lambda t: has_arrow(*t[:2]) and has_arrow(*t[2:]))
     rng = random.Random(seed)
 
     def arrow_items():

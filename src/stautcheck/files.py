@@ -63,10 +63,13 @@ def load_quantale_file(path):
             if len(rest) != 3:
                 raise FileFormatError(path, i, "tensor needs three names")
             tensor[(rest[0], rest[1])] = rest[2]
-        elif head == "unit":
-            unit = rest[0]
-        elif head == "dualizer":
-            dualizer = rest[0]
+        elif head in ("unit", "dualizer"):
+            if len(rest) != 1:
+                raise FileFormatError(path, i, f"{head} needs exactly one name")
+            if head == "unit":
+                unit = rest[0]
+            else:
+                dualizer = rest[0]
         elif head == "quantale":
             continue
         else:

@@ -8,18 +8,24 @@ tensor ``tensor_fn`` on those values.  It holds its elements as the indices
 ``0..n-1``, in the order of the values, so a seeded draw over ``elements``
 picks the same items a draw over the values would.  The values serve only
 ``name``, parsing and ``index(value)``; every operation takes and returns
-indices.  There are two kernels:
+indices.  One kernel serves every family:
 
-* the index kernel: the order is one up-set bitmask per element, built once
-  from ``le_fn``, so ``le`` is a bit test, and ``join``/``meet`` are an AND
-  of up-sets (or down-sets) and one lookup of the element with that up-set.
-  The tensor is a Cayley table on indices, one flat array filled from
-  ``tensor_fn`` on first use of each cell.
-* the mask kernel, kept by the relation families (``rel:n`` and
-  ``2prof:*``): the values are relation masks, the order is inclusion,
-  joins and meets are OR and AND, and the tensor is the table-driven
-  ``rel_compose``.  No structure of size |Q|^2 is built (``rel:4`` has
-  65,536 elements).  For ``rel:n`` the index of a relation is its mask.
+* the order: every element has an order code, an int with x <= y iff
+  code(x) is a subset of code(y).  The relation families (``rel:n`` and
+  ``2prof:*``) use their masks, ordered by inclusion; every other family
+  uses the complement of the element's up-set, built once from ``le_fn``.
+  Either way the code of a join is the OR of the codes (up(x v y) is
+  up(x) & up(y)), so ``le`` is a subset test and ``join`` an OR and one
+  lookup of the element with that code.  ``meet`` and the residuals are one
+  sweep: the greatest x whose image has its code inside a bound is the
+  join of all such x, when it is one of them.
+* the tensor: a Cayley table on indices, one flat array filled from
+  ``tensor_fn`` on first use of each cell, for every carrier whose indices
+  fit one- or two-byte cells (fewer than 2**15 elements: a 512-element
+  carrier such as ``rel:3`` takes 512 KiB).  Past that each product is
+  computed from ``tensor_fn``, and no structure of size |Q|^2 is built
+  (``rel:4`` has 65,536 elements).  For ``rel:n`` the index of a relation
+  is its mask.
 
 Residuals are brute force: a sweep of the products a * x (or x * a) over
 every element, memoized per pair.  ``validate`` checks the axioms on what
@@ -63,9 +69,8 @@ class QuantaleError(Exception):
 class Quantale:
     """A finite quantale on the indices of ``values`` (see the module
     docstring).  ``unit`` and ``dualizer`` are given as values and held as
-    indices.  ``masks`` selects the mask kernel: the values are relation
-    masks in increasing order, ordered by inclusion, and ``tensor_fn``
-    composes them."""
+    indices.  ``masks`` says that the values are relation masks, ordered by
+    inclusion, so that each is its own order code."""
 
     def __init__(self, label, values, le_fn, tensor_fn, unit, dualizer,
                  name_fn=None, family="custom", meta=None, masks=False):
@@ -89,22 +94,16 @@ class Quantale:
         self._under = {}
         self._over = {}
         if masks:
-            self._up = self._table = None
-            return
-        up, down = [0] * n, [0] * n
-        for i, x in enumerate(values):
-            for j, y in enumerate(values):
-                if le_fn(x, y):
-                    up[i] |= 1 << j
-                    down[j] |= 1 << i
-        self._up, self._down = up, down
-        self._by_up = {u: i for i, u in enumerate(up)}
-        self._by_down = {d: i for i, d in enumerate(down)}
-        if len(self._by_up) != n:
-            raise QuantaleError("the order is not antisymmetric")
-        self._full = (1 << n) - 1
-        self._table = array("b" if n < 1 << 7 else "h" if n < 1 << 15 else "i",
-                            [-1]) * (n * n)
+            self._codes, self._by_code = values, self._index
+        else:
+            # bit j of code(x) says that x is not below element j
+            self._codes = [sum(1 << j for j, y in enumerate(values) if not le_fn(x, y))
+                           for x in values]
+            self._by_code = {c: i for i, c in enumerate(self._codes)}
+            if len(self._by_code) != n:
+                raise QuantaleError("the order is not antisymmetric")
+        self._table = (array("b" if n < 1 << 7 else "h", [-1]) * (n * n)
+                       if n < 1 << 15 else None)
 
     # ------------------------------------------------------------- basic ops
 
@@ -112,9 +111,9 @@ class Quantale:
         return self._n
 
     def index(self, value):
-        """The element whose user-facing value is ``value``; a value the
-        kernel computed that is not one means the tensor, join or meet
-        leaves the carrier."""
+        """The element whose user-facing value is ``value``; a value that
+        ``tensor_fn`` computed and that is not one means the tensor leaves
+        the carrier."""
         if value not in self._index:
             raise QuantaleError(f"{value!r} is not an element of {self.label}")
         return self._index[value]
@@ -124,51 +123,36 @@ class Quantale:
         return self.name_fn(value) if self.name_fn else str(value)
 
     def le(self, a, b):
-        up = self._up
-        if up is None:
-            vals = self.values
-            return not vals[a] & ~vals[b]
-        return up[a] >> b & 1 == 1
+        codes = self._codes
+        return not codes[a] & ~codes[b]
+
+    def _product(self, a, b):
+        vals = self.values
+        return self.index(self.tensor_fn(vals[a], vals[b]))
 
     def tensor(self, a, b):
         table = self._table
         if table is None:
-            vals, index = self.values, self._index
-            value = self.tensor_fn(vals[a], vals[b])
-            # inline lookup on this hot path; ``index`` raises for a non-element
-            return index[value] if value in index else self.index(value)
+            return self._product(a, b)
         cell = a * self._n + b
         c = table[cell]
         if c < 0:
-            c = table[cell] = self.index(self.tensor_fn(self.values[a], self.values[b]))
+            c = table[cell] = self._product(a, b)
         return c
 
     def join(self, xs):
-        up = self._up
-        if up is None:
-            vals, m = self.values, 0
-            for x in xs:
-                m |= vals[x]
-            return self.index(m)
-        u = self._full
+        codes, by_code, m = self._codes, self._by_code, 0
         for x in xs:
-            u &= up[x]
-        lub = self._by_up.get(u)
-        if lub is None:
+            m |= codes[x]
+        if m not in by_code:
             raise QuantaleError(f"join does not exist for {[self.name(x) for x in xs]}")
-        return lub
+        return by_code[m]
 
     def meet(self, xs):
-        if self._up is None:
-            vals = self.values
-            m = vals[-1]   # the full relation: masks are listed in increasing order
-            for x in xs:
-                m &= vals[x]
-            return self.index(m)
-        d, down = self._full, self._down
+        bound, codes = -1, self._codes
         for x in xs:
-            d &= down[x]
-        glb = self._by_down.get(d)
+            bound &= codes[x]
+        glb = self._greatest_below(self.elements, bound)
         if glb is None:
             raise QuantaleError(f"meet does not exist for {[self.name(x) for x in xs]}")
         return glb
@@ -176,48 +160,36 @@ class Quantale:
     # ------------------------------------------------------------- residuals
 
     def _products(self, a, left):
-        """a * x (``left``) or x * a for every element x, in element order:
-        indices on the index kernel, masks on the mask kernel."""
-        table, vals, mul = self._table, self.values, self.tensor_fn
+        """a * x (``left``) or x * a for every element x, in element order."""
+        n, table = self._n, self._table
         if table is None:
-            va = vals[a]
-            return [mul(va, x) for x in vals] if left else [mul(x, va) for x in vals]
-        n = self._n
+            return [self._product(a, x) if left else self._product(x, a) for x in self.elements]
         cells = range(a * n, a * n + n) if left else range(a, n * n, n)
         line = table[cells.start:cells.stop:cells.step]
         if -1 in line:
             for x, cell in enumerate(cells):
                 if line[x] < 0:
-                    value = mul(vals[a], vals[x]) if left else mul(vals[x], vals[a])
-                    line[x] = table[cell] = self.index(value)
+                    line[x] = table[cell] = self._product(a, x) if left else self._product(x, a)
         return line
 
-    def _greatest_below(self, line, b):
-        """The greatest x with line[x] <= b, or None if there is none: the
-        join of all such x, when it is one of them."""
-        if self._up is None:
-            vals = self.values
-            outside = ~vals[b]
-            m = 0
-            for x, p in enumerate(line):
-                if not p & outside:
-                    m |= vals[x]
-            c = self._index[m] if m in self._index else None
-            return c if c is not None and not line[c] & outside else None
-        below, up = self._down[b], self._up
-        u = self._full
+    def _greatest_below(self, line, bound):
+        """The greatest x whose line[x] has its code inside ``bound``, or
+        None if there is none: the join of all such x, when it is one of
+        them."""
+        codes, by_code, outside = self._codes, self._by_code, ~bound
+        m = 0
         for x, p in enumerate(line):
-            if below >> p & 1:
-                u &= up[x]
-        c = self._by_up.get(u)
-        return c if c is not None and below >> line[c] & 1 else None
+            if not codes[p] & outside:
+                m |= codes[x]
+        c = by_code[m] if m in by_code else None
+        return c if c is not None and not codes[line[c]] & outside else None
 
     def under(self, a, b):
         """Largest x with a * x <= b (brute force over all elements)."""
         key = (a, b)
         hit = self._under.get(key)
         if hit is None:
-            hit = self._greatest_below(self._products(a, True), b)
+            hit = self._greatest_below(self._products(a, True), self._codes[b])
             if hit is None:
                 raise QuantaleError(
                     f"residual {self.name(a)} \\ {self.name(b)} does not exist")
@@ -229,7 +201,7 @@ class Quantale:
         key = (b, a)
         hit = self._over.get(key)
         if hit is None:
-            hit = self._greatest_below(self._products(a, False), b)
+            hit = self._greatest_below(self._products(a, False), self._codes[b])
             if hit is None:
                 raise QuantaleError(
                     f"residual {self.name(b)} / {self.name(a)} does not exist")

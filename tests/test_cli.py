@@ -56,6 +56,11 @@ def test_quantale_file_errors(tmp_path):
                    "unit a\ndualizer b\n")
     with pytest.raises(FileFormatError, match="antisymmetric"):
         load_quantale_file(str(bad))
+    for line in ("unit", "dualizer a b"):
+        bad.write_text(f"elements a b\n{line}\n")
+        with pytest.raises(FileFormatError, match="bad.quantale:2: .* exactly one name"):
+            load_quantale_file(str(bad))
+    assert main(["quantale", "check", str(bad)]) == 2
 
 
 def test_load_vcat_file(tmp_path, chain3_path):
@@ -111,6 +116,11 @@ def test_cli_input_errors(capsys):
     assert main(["vec", "scalar-table", "--max-dim", "9"]) == 2
     assert main(["prof", "check", "/does/not/exist.vcat"]) == 2
     assert main(["zang", "suite", "thin:s3:(01)"]) not in (0, None)
+    assert main(["--depth", "1", "quantale", "check", "rel:2"]) == 2
+    assert main(["--depth", "0", "quantale", "check", "bool2"]) == 2
+    assert main(["--window", "-2", "zang", "suite", "vec"]) == 2
+    assert main(["--window", "0", "zang", "suite", "vec"]) == 2
+    assert main(["vec", "scalar-table", "--values", "1,1"]) == 2
 
 
 def test_cli_structured_report_deterministic(tmp_path, capsys):

@@ -137,7 +137,10 @@ def test_binder_shapes(vec2):
 def test_base_identity_vec_and_thin(vec2):
     assert cy.check_base_identity(vec2, seed=1).ok
     thin = ThinModel(build_rel_quantale(2))
-    assert cy.check_base_identity(thin, seed=1).ok
+    # no drawn quadruple is vacuous: each has exactly one arrow pair, and
+    # rel:2 has more than TUPLE_CAP quadruples with arrows into d
+    res = cy.check_base_identity(thin, seed=1)
+    assert res.ok and res.count == TUPLE_CAP
 
 
 def test_base_identity_draws_its_tuples_from_the_seed(monkeypatch):
@@ -152,8 +155,12 @@ def test_base_identity_draws_its_tuples_from_the_seed(monkeypatch):
     monkeypatch.setattr(cy, "draw", spy)
     for seed in (0, 3):
         cy.check_base_identity(thin, seed=seed)
+
+    def live(t):
+        return all(thin.hom_span(thin.tens(x, y), thin.d) for x, y in (t[:2], t[2:]))
+
     want = [draw(thin, thin.probe_objects(), 4, TUPLE_CAP, cy._DIM_CAP,
-                 seed * 1000003 + 4)[0] for seed in (0, 3)]
+                 seed * 1000003 + 4, live)[0] for seed in (0, 3)]
     assert seen == want and want[0] != want[1]
 
 

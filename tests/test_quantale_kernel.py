@@ -93,9 +93,12 @@ def test_relation_families_build_no_square_table():
     # rules out a table of any size n^2
     q, peak = _peak_bytes(lambda: build_rel_quantale(4))
     assert len(q) == 1 << 16 and peak < len(q) * 8
-    # 2prof:disc3 has 512: a flat table of two-byte cells would take 512 KiB
+    # 2prof:disc3 has 512: one flat table of two-byte cells (512 KiB), filled
+    # only in the cells the kernel used, and no other structure of size n^2
     q, peak = _peak_bytes(lambda: builtin_quantale("2prof:disc3"))
-    assert len(q) == 512 and peak < len(q) ** 2
+    table = q._table
+    assert len(q) == 512 and table.itemsize == 2 and len(table) == len(q) ** 2
+    assert table.count(-1) == len(table) - 1 and peak < 3 * len(q) ** 2
 
 
 def _filled(spec):
@@ -106,7 +109,7 @@ def _filled(spec):
     return q
 
 
-@pytest.mark.parametrize("spec", ["luk3", "s3:e"])
+@pytest.mark.parametrize("spec", ["luk3", "s3:e", "2prof:chain2"])
 def test_validate_fails_on_every_swap_in_a_tensor_table(spec):
     q = _filled(spec)
     assert all(r.ok for r in q.validate())
