@@ -42,15 +42,14 @@ class Braiding:
 
     def par(self, p, q):
         """p par q -> q par p, transported through the right duals."""
-        key = (id(p), id(q))
-        hit = self._par_memo.get(key)
+        hit = self._par_memo.get((p, q))
         if hit is None:
             m = self.model
             hit = m.chain(
                 m.invert(self._par_encoding(p, q)),
                 m.rdual_mor(m.braid(m.ldual(p), m.ldual(q))),
                 self._par_encoding(q, p))
-            self._par_memo[key] = hit
+            self._par_memo[p, q] = hit
         return hit
 
     def _par_encoding(self, a, b):
@@ -164,12 +163,12 @@ class Balance:
         self._memo = {}
 
     def component(self, p):
-        hit = self._memo.get(id(p))
+        hit = self._memo.get(p)
         if hit is None:
             hit = self._fn(p)
             if hit.dom is not p or hit.cod is not p:
                 raise MorError(f"twist component at {p} has shape {hit}")
-            self._memo[id(p)] = hit
+            self._memo[p] = hit
         return hit
 
     def validate(self):

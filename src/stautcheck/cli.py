@@ -143,7 +143,10 @@ def _run(args):
             vcat = suites.luk3_two_object_vcat()
         else:
             vcat = load_vcat_file(args.vcat)
-        return [suites.prof_suite(vcat, args.seed)]
+        try:
+            return [suites.prof_suite(vcat, args.seed)]
+        except pf.ProfError as exc:   # a base that is not cyclic, or a category too large
+            raise InputError(str(exc))
     if args.command == "braided":
         reports = [suites.braided_suite(args.seed)]
         if args.counter_model:

@@ -1,11 +1,16 @@
 """Interface contract for finite star-autonomous backends.
 
-A backend supplies object values (via descriptor hooks), morphism payloads,
-exact equality, and one hook, ``_structural_mor``, that builds each of the
-twelve structural maps from its name, dom and cod: the associators and unitors
-of both monoidal structures, the two linear distributions, and the unit/counit
+A backend is one interpretation of the seven object constructors and the
+twelve structural maps.  It passes a table of its generators' values to
+``StautModel.__init__`` and states the other six constructors in one hook,
+``_object_value``, which maps a kind and the values of its children to a
+value; ``value`` caches the result per handle.  Beside morphism payloads and
+exact equality, one more hook, ``_structural_mor``, builds each of the twelve
+structural maps from its name, dom and cod: the associators and unitors of
+both monoidal structures, the two linear distributions, and the unit/counit
 pairs of the chosen right and left duals.  The dom and cod of each are stated
-once, in ``STRUCTURE``.  Everything else -- currying, the binders
+once, in ``STRUCTURE``.  Every cache keys objects on their handles, which
+hash by identity.  Everything else -- currying, the binders
 ``lbind``/``rbind`` that pair two evaluations into one, de Morgan and
 cancellation isomorphisms, duals of morphisms, naming -- is derived here once,
 by the standard mate recipes, and shared by every backend.
@@ -62,18 +67,18 @@ class StautModel:
     is_linear = False
     is_braided = False
 
-    def __init__(self, depth_limit=6):
+    def __init__(self, generators, depth_limit=6):
         self._interner = Interner(depth_limit)
+        self._generators = dict(generators)
         self._values = {}
         self._struct_cache = {}
-        self._gen_names = []
         self.probes = []
 
     # ---------------------------------------------------------------- objects
 
     def gen(self, name):
-        if name not in self._gen_names:
-            raise UniverseError(f"unknown generator {name!r}; declared: {self._gen_names}")
+        if name not in self._generators:
+            raise UniverseError(f"unknown generator {name!r}; declared: {list(self._generators)}")
         return self._interner.intern(GEN, (name,))
 
     @property
@@ -97,50 +102,21 @@ class StautModel:
         return self._interner.intern(LDUAL, (a,))
 
     def value(self, ref):
-        v = self._values.get(id(ref))
-        if v is not None:
-            return v
-        k = ref.kind
-        if k == GEN:
-            v = self._gen_value(ref.args[0])
-        elif k == UNIT_T:
-            v = self._unit_t_value()
-        elif k == UNIT_P:
-            v = self._unit_p_value()
-        elif k == TENS:
-            v = self._tens_value(self.value(ref.args[0]), self.value(ref.args[1]))
-        elif k == PAR:
-            v = self._par_value(self.value(ref.args[0]), self.value(ref.args[1]))
-        elif k == RDUAL:
-            v = self._rdual_value(self.value(ref.args[0]))
-        elif k == LDUAL:
-            v = self._ldual_value(self.value(ref.args[0]))
-        else:
-            raise ValueError(k)
-        self._values[id(ref)] = v
+        v = self._values.get(ref)
+        if v is None:
+            if ref.kind == GEN:
+                v = self._generators[ref.args[0]]
+            else:
+                v = self._object_value(ref.kind, *map(self.value, ref.args))
+            self._values[ref] = v
         return v
 
     # ------------------------------------------------------- backend contract
 
-    def _gen_value(self, name):
-        raise NotImplementedError
-
-    def _unit_t_value(self):
-        raise NotImplementedError
-
-    def _unit_p_value(self):
-        raise NotImplementedError
-
-    def _tens_value(self, va, vb):
-        raise NotImplementedError
-
-    def _par_value(self, va, vb):
-        raise NotImplementedError
-
-    def _rdual_value(self, va):
-        raise NotImplementedError
-
-    def _ldual_value(self, va):
+    def _object_value(self, kind, *child_values):
+        """The value of an object of ``kind``, any kind but GEN, from the
+        values of its children: none for a unit, one for a dual, two for
+        tensor and par."""
         raise NotImplementedError
 
     def mor(self, dom, cod, payload=None):
@@ -200,7 +176,6 @@ class StautModel:
         def build():
             dom, cod = STRUCTURE[kind](self, *objects)
             return self._structural_mor(kind, dom, cod, objects)
-        # objects compare by identity, so they key the cache as their ids do
         return self._structural((kind, *objects), build)
 
     def _structural_mor(self, kind, dom, cod, objects):
@@ -366,11 +341,11 @@ class StautModel:
 
     def canon_r(self, p):
         """p -> rdual(ldual(p)), one of the two cancellation isomorphisms."""
-        return self._structural(("canr", id(p)), lambda: self.lcurry(self.dual_counit_l(p)))
+        return self._structural(("canr", p), lambda: self.lcurry(self.dual_counit_l(p)))
 
     def canon_l(self, p):
         """p -> ldual(rdual(p)), the other cancellation isomorphism."""
-        return self._structural(("canl", id(p)), lambda: self.rcurry(self.dual_counit_r(p)))
+        return self._structural(("canl", p), lambda: self.rcurry(self.dual_counit_r(p)))
 
     def demorgan(self, variant, p=None, q=None):
         """The canonical de Morgan isomorphism named by ``variant``.
@@ -382,8 +357,7 @@ class StautModel:
         unit_er: e -> rdual(d)      unit_dr: rdual(e) -> d
         unit_el: e -> ldual(d)      unit_dl: ldual(e) -> d
         """
-        key = ("dm", variant, id(p), id(q))
-        return self._structural(key, lambda: self._build_demorgan(variant, p, q))
+        return self._structural(("dm", variant, p, q), lambda: self._build_demorgan(variant, p, q))
 
     def _build_demorgan(self, variant, p, q):
         e, d = self.e, self.d

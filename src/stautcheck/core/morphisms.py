@@ -38,7 +38,7 @@ class Mor:
                 and self.payload == other.payload)
 
     def __hash__(self):
-        return hash((id(self.dom), id(self.cod)))
+        return hash((self.dom, self.cod))
 
     def __str__(self):
         return f"{self.dom} -> {self.cod}"

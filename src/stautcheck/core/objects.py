@@ -3,10 +3,8 @@
 Objects are hash-consed descriptor terms over a model's declared generators,
 closed under tensor, par, the two units and the two duals.  Structurally
 equal descriptors are interned to the same handle, so ``is`` comparison is
-object equality.
+object equality, and a handle keys a dict as itself: it hashes by identity.
 """
-
-from dataclasses import dataclass, field
 
 
 class UniverseError(Exception):
@@ -21,8 +19,12 @@ RDUAL = "rdual"     # right dual, written with a leading bottom in reports
 LDUAL = "ldual"     # left dual
 GEN = "gen"
 
+# each kind's printed key, filled with the keys of its children (a
+# generator's with its name)
+_KEYS = {GEN: "{}", UNIT_T: "e", UNIT_P: "d", RDUAL: "⊥{}", LDUAL: "ᵖ{}",
+         TENS: "({}⊗{})", PAR: "({}⅋{})"}
 
-@dataclass(frozen=True, eq=False)
+
 class ObjRef:
     """Interned handle for an object descriptor.
 
@@ -31,34 +33,17 @@ class ObjRef:
     structural equality implies identity within one model.
     """
 
-    kind: str
-    args: tuple
-    depth: int
-    key: str = field(default="", compare=False)
+    def __init__(self, kind, args):
+        self.kind = kind
+        self.args = args
+        self.depth = 0 if kind == GEN else 1 + max((a.depth for a in args), default=-1)
+        self.key = _KEYS[kind].format(*args)
 
     def __str__(self):
         return self.key
 
     def __repr__(self):
         return f"ObjRef({self.key})"
-
-
-def _key_of(kind, args):
-    if kind == GEN:
-        return args[0]
-    if kind == UNIT_T:
-        return "e"
-    if kind == UNIT_P:
-        return "d"
-    if kind == RDUAL:
-        return "⊥" + args[0].key
-    if kind == LDUAL:
-        return "ᵖ" + args[0].key
-    if kind == TENS:
-        return f"({args[0].key}⊗{args[1].key})"
-    if kind == PAR:
-        return f"({args[0].key}⅋{args[1].key})"
-    raise ValueError(kind)
 
 
 class Interner:
@@ -69,24 +54,15 @@ class Interner:
         self._table = {}
 
     def intern(self, kind, args):
-        ident = (kind,) + tuple(id(a) if isinstance(a, ObjRef) else a for a in args)
+        ident = (kind, *args)
         hit = self._table.get(ident)
         if hit is not None:
             return hit
-        if kind in (UNIT_T, UNIT_P):
-            depth = 0
-        elif kind == GEN:
-            depth = 0
-        elif kind in (RDUAL, LDUAL):
-            depth = args[0].depth + 1
-        else:
-            depth = 1 + max(args[0].depth, args[1].depth)
-        if depth > self.depth_limit:
+        ref = ObjRef(kind, args)
+        if ref.depth > self.depth_limit:
             raise UniverseError(
-                f"descriptor depth {depth} exceeds the universe depth limit "
+                f"descriptor depth {ref.depth} exceeds the universe depth limit "
                 f"{self.depth_limit}; rebuild the model with a larger depth "
                 f"(CLI flag --depth)")
-        ref = ObjRef(kind, tuple(args), depth)
-        object.__setattr__(ref, "key", _key_of(kind, args))
         self._table[ident] = ref
         return ref

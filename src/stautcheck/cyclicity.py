@@ -46,20 +46,20 @@ class CycleData:
         self._inv = {}
 
     def component(self, p):
-        hit = self._memo.get(id(p))
+        hit = self._memo.get(p)
         if hit is None:
             hit = self._fn(p)
             m = self.model
             if hit.dom is not m.rdual(p) or hit.cod is not m.ldual(p):
                 raise ShapeError(f"cycle component at {p} has shape {hit}")
-            self._memo[id(p)] = hit
+            self._memo[p] = hit
         return hit
 
     def inverse_component(self, p):
-        hit = self._inv.get(id(p))
+        hit = self._inv.get(p)
         if hit is None:
             hit = self.model.invert(self.component(p))
-            self._inv[id(p)] = hit
+            self._inv[p] = hit
         return hit
 
     def validate(self):

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .core import matrices as mx
 from .core.morphisms import MorError
+from .core.objects import PAR, TENS
 from .linear import LinearModel, Space
 
 HALF = Fraction(1, 2)
@@ -138,21 +139,16 @@ class DoubleZ2Model(LinearModel):
             return mx.identity(v.dim)
         return v.data[letter]
 
-    def _unit_t_value(self):
-        return Space(1, {"g": ((1,),), "b": ((1,),)})
-
-    def _unit_p_value(self):
-        return self._unit_t_value()
-
-    def _tens_value(self, va, vb):
-        return Space(va.dim * vb.dim,
-                     {k: mx.kron(va.data[k], vb.data[k]) for k in ("g", "b")})
-
-    def _rdual_value(self, va):
-        return Space(va.dim, {k: mx.transpose(va.data[k]) for k in ("g", "b")})
-
-    def _ldual_value(self, va):
-        return self._rdual_value(va)
+    def _object_value(self, kind, *vs):
+        # tensor and par act through the coproduct of the group-likes, duals
+        # through the transpose; both units are the trivial module
+        if not vs:
+            return Space(1, {k: ((1,),) for k in ("g", "b")})
+        if kind in (TENS, PAR):
+            va, vb = vs
+            return Space(va.dim * vb.dim,
+                         {k: mx.kron(va.data[k], vb.data[k]) for k in ("g", "b")})
+        return Space(vs[0].dim, {k: mx.transpose(vs[0].data[k]) for k in ("g", "b")})
 
     def mor(self, dom, cod, payload=None):
         """A module map: besides the checks of ``LinearModel.mor``, the
@@ -186,7 +182,7 @@ class DoubleZ2Model(LinearModel):
                 m = tuple(tuple(v[i * dp + j] for j in range(dp)) for i in range(dq))
                 out.append(self.mor(p, q, m))
             return out
-        return self._structural(("span", id(p), id(q)), build)
+        return self._structural(("span", p, q), build)
 
     # ----------------------------------------------------------------- braid
 
@@ -204,7 +200,7 @@ class DoubleZ2Model(LinearModel):
                 r_act = mx.add(r_act, mx.scale(coeff, mx.kron(ax, ay)))
             swap = mx.swap_matrix(self.dim(p), self.dim(q))
             return self.mor(self.tens(p, q), self.tens(q, p), mx.matmul(swap, r_act))
-        return self._structural(("br", id(p), id(q)), build)
+        return self._structural(("br", p, q), build)
 
     def twist_matrix(self, ref):
         """Action of the canonical twist element on the module of ``ref``."""

@@ -22,7 +22,7 @@ Parse errors carry the offending line number and exit the CLI with code 2.
 import os
 
 from .quantale import Quantale, QuantaleError, builtin_quantale
-from .profunctors import VCat
+from .profunctors import ProfError, VCat
 
 
 class FileFormatError(Exception):
@@ -62,10 +62,14 @@ def load_quantale_file(path):
         elif head == "tensor":
             if len(rest) != 3:
                 raise FileFormatError(path, i, "tensor needs three names")
+            if (rest[0], rest[1]) in tensor:
+                raise FileFormatError(path, i, f"repeated tensor {rest[0]} {rest[1]}")
             tensor[(rest[0], rest[1])] = rest[2]
         elif head in ("unit", "dualizer"):
             if len(rest) != 1:
                 raise FileFormatError(path, i, f"{head} needs exactly one name")
+            if (unit if head == "unit" else dualizer) is not None:
+                raise FileFormatError(path, i, f"repeated {head} line")
             if head == "unit":
                 unit = rest[0]
             else:
@@ -126,6 +130,8 @@ def load_vcat_file(path):
     for i, toks in _lines(path):
         head, rest = toks[0], toks[1:]
         if head == "quantale":
+            if base is not None:
+                raise FileFormatError(path, i, "duplicate quantale line")
             if len(rest) != 1:
                 raise FileFormatError(path, i, "quantale needs one spec")
             try:
@@ -133,15 +139,26 @@ def load_vcat_file(path):
             except (QuantaleError, FileNotFoundError) as exc:
                 raise FileFormatError(path, i, str(exc)) from None
         elif head == "objects":
+            if objects is not None:
+                raise FileFormatError(path, i, "duplicate objects line")
+            if not rest:
+                raise FileFormatError(path, i, "objects line needs names")
+            if len(set(rest)) != len(rest):
+                raise FileFormatError(path, i, "duplicate object names")
             objects = list(rest)
         elif head == "hom":
             if len(rest) != 3:
                 raise FileFormatError(path, i, "hom needs: src dst element")
+            if (rest[0], rest[1]) in hom_names:
+                raise FileFormatError(path, i, f"repeated hom {rest[0]} {rest[1]}")
             hom_names[(rest[0], rest[1])] = (rest[2], i)
         else:
             raise FileFormatError(path, i, f"unknown directive {head!r}")
     if base is None or objects is None:
         raise FileFormatError(path, 0, "missing quantale or objects line")
+    for (a, b), (_, line_no) in hom_names.items():
+        if a not in objects or b not in objects:
+            raise FileFormatError(path, line_no, f"hom {a} {b} names an undeclared object")
     by_name = {base.name(x): x for x in base.elements}
     hom = {}
     for a in objects:
@@ -153,4 +170,7 @@ def load_vcat_file(path):
                 raise FileFormatError(path, line_no,
                                       f"unknown base element {name!r}")
             hom[(a, b)] = by_name[name]
-    return VCat(base, objects, hom)
+    try:
+        return VCat(base, objects, hom)
+    except ProfError as exc:
+        raise FileFormatError(path, 0, f"not an enriched category: {exc}") from None

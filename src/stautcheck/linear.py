@@ -23,6 +23,7 @@ from fractions import Fraction
 from .core import matrices as mx
 from .core.model import StautModel
 from .core.morphisms import Mor, MorError
+from .core.objects import PAR, TENS
 
 
 @dataclass(frozen=True)
@@ -41,36 +42,15 @@ def _validate_entries(payload):
 class LinearModel(StautModel):
     is_linear = True
 
-    def __init__(self, gens, depth_limit=8):
-        super().__init__(depth_limit)
-        self._gen_spaces = dict(gens)
-        self._gen_names = list(self._gen_spaces)
-
     def dim(self, ref):
         return self.value(ref).dim
 
-    # ------------------------------------------------------------- evaluation
-
-    def _gen_value(self, name):
-        return self._gen_spaces[name]
-
-    def _unit_t_value(self):
-        return Space(1)
-
-    def _unit_p_value(self):
-        return Space(1)
-
-    def _tens_value(self, va, vb):
-        return Space(va.dim * vb.dim)
-
-    def _par_value(self, va, vb):
-        return self._tens_value(va, vb)
-
-    def _rdual_value(self, va):
-        return va
-
-    def _ldual_value(self, va):
-        return va
+    def _object_value(self, kind, *vs):
+        # par is tensor value-wise, both units are the line and both duals
+        # reuse the space
+        if kind in (TENS, PAR):
+            return Space(vs[0].dim * vs[1].dim)
+        return vs[0] if vs else Space(1)
 
     # -------------------------------------------------------------- morphisms
 
@@ -95,7 +75,7 @@ class LinearModel(StautModel):
         return Mor(dom, cod, payload, mx.is_identity(payload))
 
     def identity(self, p):
-        return self._structural(("id", id(p)),
+        return self._structural(("id", p),
                                 lambda: Mor(p, p, mx.identity(self.dim(p)), True))
 
     def _compose_payload(self, f, g):
@@ -132,7 +112,7 @@ class LinearModel(StautModel):
                     m[i][j] = 1
                     units.append(self.mor(p, q, mx.mat(m)))
             return units
-        return self._structural(("span", id(p), id(q)), build)
+        return self._structural(("span", p, q), build)
 
     def mor_scale(self, c, f):
         return self.mor(f.dom, f.cod, mx.scale(c, f.payload))
@@ -173,16 +153,16 @@ class VecModel(LinearModel):
             if not 1 <= n <= 3:
                 raise MorError(f"generator {name!r} dim {n} out of range 1..3")
         super().__init__({name: Space(n) for name, n in dims.items()}, depth_limit)
-        first = self.gen(self._gen_names[0])
+        first = self.gen(next(iter(dims)))
         self.probes = [self.e, self.d, first, self.rdual(first), self.ldual(first),
                        self.tens(first, first)]
 
     def describe(self):
-        dims = {n: s.dim for n, s in self._gen_spaces.items()}
+        dims = {n: s.dim for n, s in self._generators.items()}
         return f"vec({dims})"
 
     def braid(self, p, q):
-        return self._structural(("br", id(p), id(q)), lambda: self.mor(
+        return self._structural(("br", p, q), lambda: self.mor(
             self.tens(p, q), self.tens(q, p), mx.swap_matrix(self.dim(p), self.dim(q))))
 
 
@@ -218,20 +198,11 @@ class GradedLineModel(LinearModel):
     def degree(self, ref):
         return self.value(ref).data
 
-    def _unit_t_value(self):
-        return Space(1, 0)
-
-    def _unit_p_value(self):
-        return Space(1, 0)
-
-    def _tens_value(self, va, vb):
-        return Space(1, va.data + vb.data)
-
-    def _rdual_value(self, va):
-        return Space(1, -va.data)
-
-    def _ldual_value(self, va):
-        return Space(1, -va.data)
+    def _object_value(self, kind, *vs):
+        # degrees add under tensor and par, duals negate them, units have 0
+        if kind in (TENS, PAR):
+            return Space(1, vs[0].data + vs[1].data)
+        return Space(1, -vs[0].data if vs else 0)
 
     def mor(self, dom, cod, payload=None):
         m = super().mor(dom, cod, payload)

@@ -8,22 +8,27 @@ every coherence diagram they can state.
 """
 
 from .core.model import ISOMORPHISMS, StautModel
+from .core.objects import LDUAL, PAR, RDUAL, TENS, UNIT_P, UNIT_T
 from .core.morphisms import Mor, MorError
 from .quantale import Quantale
 
 
+# the quantale attribute that evaluates each object kind: an operation on the
+# children's values, or for a unit the element itself
+_OPS = {UNIT_T: "unit", UNIT_P: "dualizer", TENS: "tensor", PAR: "par",
+        RDUAL: "perp", LDUAL: "prep"}
+
+
 class ThinModel(StautModel):
     def __init__(self, quantale: Quantale, probe_cap=10, depth_limit=8):
-        super().__init__(depth_limit)
+        super().__init__({quantale.name(x): x for x in quantale.elements}, depth_limit)
         self.q = quantale
-        self._gen_names = [quantale.name(x) for x in quantale.elements]
-        self._by_name = dict(zip(self._gen_names, quantale.elements))
         self.probes = self._default_probes(probe_cap)
 
     def _default_probes(self, cap):
         q = self.q
-        picked = [q.unit, q.dualizer]
-        for x in q.elements:
+        picked = []
+        for x in (q.unit, q.dualizer, *q.elements):
             if len(picked) >= cap:
                 break
             if x not in picked:
@@ -33,28 +38,9 @@ class ThinModel(StautModel):
     def describe(self):
         return f"thin({self.q.label})"
 
-    # ------------------------------------------------------------- evaluation
-
-    def _gen_value(self, name):
-        return self._by_name[name]
-
-    def _unit_t_value(self):
-        return self.q.unit
-
-    def _unit_p_value(self):
-        return self.q.dualizer
-
-    def _tens_value(self, va, vb):
-        return self.q.tensor(va, vb)
-
-    def _par_value(self, va, vb):
-        return self.q.par(va, vb)
-
-    def _rdual_value(self, va):
-        return self.q.perp(va)
-
-    def _ldual_value(self, va):
-        return self.q.prep(va)
+    def _object_value(self, kind, *vs):
+        op = getattr(self.q, _OPS[kind])
+        return op(*vs) if vs else op
 
     # -------------------------------------------------------------- morphisms
 

@@ -5,6 +5,7 @@ wall-clock bounds are asserted too.  Criterion 9 runs the complete battery
 through the CLI entry point and checks determinism of the structured report.
 """
 
+import hashlib
 import json
 import time
 
@@ -13,6 +14,9 @@ import pytest
 from stautcheck import suites
 from stautcheck.cli import main
 from stautcheck.quantale import build_rel_quantale
+
+# SHA-256 of the structured report of ``paper all --seed 3``
+PAPER_ALL_SEED_3_SHA256 = "e59810a70de7416910b22db3b9b13af4e82c4d0f97d1f2fdff93038ce95acc03"
 
 
 def _report_line(name, rep, budget):
@@ -148,12 +152,19 @@ def test_criterion_9_full_run_deterministic(tmp_path, capsys):
     one = (tmp_path / "one.json").read_text()
     two = (tmp_path / "two.json").read_text()
     identical = one == two
-    status = "PASS" if (ok and identical) else "FAIL"
+    # the digest pins the report across processes and hash seeds, not only
+    # between the two runs above; a change that alters the report on
+    # purpose updates it
+    digest = hashlib.sha256((tmp_path / "one.json").read_bytes()).hexdigest()
+    pinned = digest == PAPER_ALL_SEED_3_SHA256
+    status = "PASS" if (ok and identical and pinned) else "FAIL"
     print(f"[{status}] criterion 9 (paper all): exit={code1}, "
-          f"{elapsed:.1f}s (budget 90s), byte-identical={identical}")
+          f"{elapsed:.1f}s (budget 90s), byte-identical={identical}, "
+          f"digest-pinned={pinned}")
     assert code1 == 0 and code2 == 0
     assert elapsed < 90.0
     assert identical
+    assert digest == PAPER_ALL_SEED_3_SHA256
     doc = json.loads(one)
     assert doc["ok"] is True
     assert len(doc["reports"]) == 9

@@ -61,6 +61,12 @@ def test_quantale_file_errors(tmp_path):
         with pytest.raises(FileFormatError, match="bad.quantale:2: .* exactly one name"):
             load_quantale_file(str(bad))
     assert main(["quantale", "check", str(bad)]) == 2
+    # a repeated line would silently override the earlier one
+    for line in ("tensor a a a", "unit a", "dualizer b"):
+        bad.write_text(f"elements a b\n{line}\n{line}\n")
+        with pytest.raises(FileFormatError, match="bad.quantale:3: repeated"):
+            load_quantale_file(str(bad))
+        assert main(["quantale", "check", str(bad)]) == 2
 
 
 def test_load_vcat_file(tmp_path, chain3_path):
@@ -81,6 +87,22 @@ def test_vcat_file_errors(tmp_path):
     path.write_text("quantale bool2\nobjects x y\nhom x x 1\n")
     with pytest.raises(FileFormatError, match="missing hom"):
         load_vcat_file(str(path))
+    cases = [
+        ("objects\n", "bad.vcat:2: objects line needs names"),
+        ("objects x x\nhom x x 1\n", "bad.vcat:2: duplicate object names"),
+        ("quantale luk3\nobjects x\nhom x x 1\n", "bad.vcat:2: duplicate quantale line"),
+        ("objects x\nhom x x 1\nhom x z 1\n", "bad.vcat:4: hom x z names an undeclared"),
+        ("objects x\nhom x x 1\nhom x x 1\n", "bad.vcat:4: repeated hom x x"),
+        ("objects x\nhom x x 0\n", "identity inequality fails at x"),
+        ("objects x y z\nhom x y 1\nhom y z 1\nhom x z 0\nhom y x 0\nhom z x 0\n"
+         "hom z y 0\n" + "".join(f"hom {a} {a} 1\n" for a in "xyz"),
+         "composition inequality fails at \\(x,y,z\\)"),
+    ]
+    for body, message in cases:
+        path.write_text("quantale bool2\n" + body)
+        with pytest.raises(FileFormatError, match=message):
+            load_vcat_file(str(path))
+        assert main(["prof", "check", str(path)]) == 2
 
 
 def test_resolve_quantale_builtin_and_file(chain3_path):
@@ -109,13 +131,17 @@ def test_cli_scalar_table(capsys):
     assert "scalar(-1)-separation" in out
 
 
-def test_cli_input_errors(capsys):
+def test_cli_input_errors(tmp_path, capsys):
     assert main(["quantale", "check", "nosuch:1"]) == 2
     assert main(["vec", "scalar-table", "--values", "0"]) == 2
     assert main(["vec", "scalar-table", "--values", "x"]) == 2
     assert main(["vec", "scalar-table", "--max-dim", "9"]) == 2
     assert main(["prof", "check", "/does/not/exist.vcat"]) == 2
-    assert main(["zang", "suite", "thin:s3:(01)"]) not in (0, None)
+    assert main(["zang", "suite", "thin:s3:(01)"]) == 2
+    noncyclic = tmp_path / "noncyclic.vcat"
+    noncyclic.write_text("quantale s3:(01)\nobjects x\nhom x x e\n")
+    assert main(["prof", "check", str(noncyclic)]) == 2
+    assert "not cyclic (witness (02))" in capsys.readouterr().err
     assert main(["--depth", "1", "quantale", "check", "rel:2"]) == 2
     assert main(["--depth", "0", "quantale", "check", "bool2"]) == 2
     assert main(["--window", "-2", "zang", "suite", "vec"]) == 2

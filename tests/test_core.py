@@ -11,9 +11,9 @@ from stautcheck.core import matrices as mx
 from stautcheck.core.morphisms import CompositionError, MorError, ShapeError
 from stautcheck.core.objects import UniverseError
 from stautcheck.core.validate import validate_staut
-from stautcheck.quantale import build_s3_pointed
+from stautcheck.quantale import build_s3_pointed, build_zmod
 from stautcheck.thin import ThinModel
-from stautcheck.linear import VecModel, build_vec_model
+from stautcheck.linear import Space, VecModel, build_vec_model
 
 
 def test_hash_consing(vec):
@@ -23,9 +23,71 @@ def test_hash_consing(vec):
     assert vec.tens(p, p) is not vec.par(p, p)
 
 
-def test_unknown_generator(vec):
-    with pytest.raises(UniverseError):
+def test_unknown_generator(vec, dz2):
+    with pytest.raises(UniverseError, match=r"'nope'; declared: \['p'\]"):
         vec.gen("nope")
+    names = "'s_pp', 's_pm', 's_mp', 's_mm', 'regular'"
+    with pytest.raises(UniverseError, match=rf"declared: \[{names}\]"):
+        dz2.gen("nope")
+
+
+def test_depth_and_key_of_each_kind(vec):
+    p = vec.gen("p")
+    assert (p.depth, vec.e.depth, vec.d.depth) == (0, 0, 0)
+    rp = vec.rdual(p)
+    lrp = vec.ldual(rp)
+    assert (rp.depth, lrp.depth) == (1, 2)
+    assert vec.tens(lrp, p).depth == 3 and vec.tens(vec.e, lrp).depth == 3
+    assert vec.par(vec.d, vec.tens(lrp, p)).depth == 4
+    assert str(vec.par(rp, vec.tens(vec.ldual(vec.e), vec.d))) == "(⊥p⅋(ᵖe⊗d))"
+
+
+def test_object_values_thin():
+    # a non-cyclic base, so that the two duals differ
+    m = ThinModel(build_s3_pointed("(01)"))
+    q = m.q
+    assert (m.value(m.e), m.value(m.d)) == (q.unit, q.dualizer)
+    gens = [m.gen(q.name(x)) for x in q.elements]
+    assert [m.value(x) for x in gens] == list(q.elements)
+    assert any(q.perp(x) != q.prep(x) for x in q.elements)
+    for x in gens:
+        vx = m.value(x)
+        assert m.value(m.rdual(x)) == q.perp(vx)
+        assert m.value(m.ldual(x)) == q.prep(vx)
+        for y in gens:
+            assert m.value(m.tens(x, y)) == q.tensor(vx, m.value(y))
+            assert m.value(m.par(x, y)) == q.par(vx, m.value(y))
+
+
+def test_object_values_linear(vec, graded, dz2):
+    p = vec.gen("p")
+    assert vec.value(vec.e) == vec.value(vec.d) == Space(1)
+    assert vec.value(vec.rdual(p)) == vec.value(vec.ldual(p)) == vec.value(p) == Space(2)
+    assert vec.value(vec.tens(p, p)) == vec.value(vec.par(p, p)) == Space(4)
+    assert vec.value(vec.par(p, vec.e)) == Space(2)
+
+    x = graded.gen("x")
+    assert graded.value(graded.e) == graded.value(graded.d) == Space(1, 0)
+    assert graded.value(graded.rdual(x)) == graded.value(graded.ldual(x)) == Space(1, -1)
+    assert graded.value(graded.tens(x, x)) == graded.value(graded.par(x, x)) == Space(1, 2)
+    assert graded.value(graded.par(x, graded.rdual(x))) == Space(1, 0)
+
+    one = ((1,),)
+    assert dz2.value(dz2.e) == dz2.value(dz2.d) == Space(1, {"g": one, "b": one})
+    s, r = dz2.gen("s_pm"), dz2.gen("regular")
+    assert dz2.dim(dz2.tens(s, r)) == dz2.dim(dz2.par(r, s)) == 4
+    for k in ("g", "b"):
+        assert dz2.action(dz2.tens(s, r), k) == mx.kron(dz2.action(s, k), dz2.action(r, k))
+        assert dz2.action(dz2.par(r, s), k) == mx.kron(dz2.action(r, k), dz2.action(s, k))
+        assert (dz2.action(dz2.rdual(r), k) == dz2.action(dz2.ldual(r), k)
+                == mx.transpose(dz2.action(r, k)))
+
+
+def test_thin_probes_are_distinct():
+    # in both the unit is the dualizer, which is picked once
+    for q in (build_s3_pointed("e"), build_zmod(5)):
+        probes = ThinModel(q).probe_objects()
+        assert len(set(probes)) == len(probes) == len(q) + 2
 
 
 def test_depth_limit_error_mentions_flag():
