@@ -17,8 +17,7 @@ indices.  One kernel serves every family:
   Either way the code of a join is the OR of the codes (up(x v y) is
   up(x) & up(y)), so ``le`` is a subset test and ``join`` an OR and one
   lookup of the element with that code.  ``meet`` and the residuals are one
-  sweep: the greatest x whose image has its code inside a bound is the
-  join of all such x, when it is one of them.
+  sweep (below).
 * the tensor: a Cayley table on indices, one flat array filled from
   ``tensor_fn`` on first use of each cell, for every carrier whose indices
   fit one- or two-byte cells (fewer than 2**15 elements: a 512-element
@@ -27,10 +26,17 @@ indices.  One kernel serves every family:
   (``rel:4`` has 65,536 elements).  For ``rel:n`` the index of a relation
   is its mask.
 
-Residuals are brute force: a sweep of the products a * x (or x * a) over
-every element, memoized per pair.  ``validate`` checks the axioms on what
-the kernel computes, over every triple and pair of elements up to
-``_EXHAUSTIVE_MAX`` = 53 elements and over a seeded sample past that.
+Residuals, memoized per pair, and ``meet`` sweep a list J: the greatest x
+with a * x <= b is x* = join{ j in J : a * j <= b } when a * x* <= b, and
+there is none otherwise.  When J is every element this needs nothing more.
+For the relation families J is the least element holding each mask bit;
+each y is then the join of the j below it, and a * - is monotone (relation
+composition), so every y with a * y <= b lies below x*.  Should some bit
+have no least element, J is every element.
+
+``validate`` checks the axioms on what the kernel computes, over every
+triple and pair of elements up to ``_EXHAUSTIVE_MAX`` = 53 elements and
+over a seeded sample past that.
 
 Built-in families:
 
@@ -70,7 +76,9 @@ class Quantale:
     """A finite quantale on the indices of ``values`` (see the module
     docstring).  ``unit`` and ``dualizer`` are given as values and held as
     indices.  ``masks`` says that the values are relation masks, ordered by
-    inclusion, so that each is its own order code."""
+    inclusion, so that each is its own order code, under a tensor that is
+    monotone by definition, as relation composition is; the residuals then
+    sweep only the join-irreducibles."""
 
     def __init__(self, label, values, le_fn, tensor_fn, unit, dualizer,
                  name_fn=None, family="custom", meta=None, masks=False):
@@ -102,6 +110,7 @@ class Quantale:
             self._by_code = {c: i for i, c in enumerate(self._codes)}
             if len(self._by_code) != n:
                 raise QuantaleError("the order is not antisymmetric")
+        self._sweep = self._join_irreducibles() if masks else self.elements
         self._table = (array("b" if n < 1 << 7 else "h", [-1]) * (n * n)
                        if n < 1 << 15 else None)
 
@@ -152,44 +161,51 @@ class Quantale:
         bound, codes = -1, self._codes
         for x in xs:
             bound &= codes[x]
-        glb = self._greatest_below(self.elements, bound)
+        glb = self._greatest_below(lambda x: x, bound)
         if glb is None:
             raise QuantaleError(f"meet does not exist for {[self.name(x) for x in xs]}")
         return glb
 
     # ------------------------------------------------------------- residuals
 
-    def _products(self, a, left):
-        """a * x (``left``) or x * a for every element x, in element order."""
-        n, table = self._n, self._table
-        if table is None:
-            return [self._product(a, x) if left else self._product(x, a) for x in self.elements]
-        cells = range(a * n, a * n + n) if left else range(a, n * n, n)
-        line = table[cells.start:cells.stop:cells.step]
-        if -1 in line:
-            for x, cell in enumerate(cells):
-                if line[x] < 0:
-                    line[x] = table[cell] = self._product(a, x) if left else self._product(x, a)
-        return line
+    def _join_irreducibles(self):
+        """The least element holding each mask bit (the meet of the codes
+        that hold it), in index order, when every one of these meets is an
+        element, so that each element is the join of those below it; else
+        every element."""
+        codes, by_code, least = self._codes, self._by_code, set()
+        for k in range(max(codes).bit_length()):
+            bit, meet = 1 << k, -1
+            for c in codes:
+                if c & bit:
+                    meet &= c
+                    if meet == bit:  # no code holds less
+                        break
+            if meet not in by_code:
+                return self.elements
+            least.add(by_code[meet])
+        return sorted(least)
 
-    def _greatest_below(self, line, bound):
-        """The greatest x whose line[x] has its code inside ``bound``, or
-        None if there is none: the join of all such x, when it is one of
-        them."""
+    def _greatest_below(self, image, bound):
+        """The greatest x whose image(x) has its code inside ``bound``, or
+        None if there is none: the join x* of the swept x whose image lies
+        inside, when image(x*) does too.  The sweep is every element, or,
+        for a monotone ``image``, the join-irreducibles (see the module
+        docstring)."""
         codes, by_code, outside = self._codes, self._by_code, ~bound
         m = 0
-        for x, p in enumerate(line):
-            if not codes[p] & outside:
+        for x in self._sweep:
+            if not codes[image(x)] & outside:
                 m |= codes[x]
         c = by_code[m] if m in by_code else None
-        return c if c is not None and not codes[line[c]] & outside else None
+        return c if c is not None and not codes[image(c)] & outside else None
 
     def under(self, a, b):
-        """Largest x with a * x <= b (brute force over all elements)."""
+        """Largest x with a * x <= b."""
         key = (a, b)
         hit = self._under.get(key)
         if hit is None:
-            hit = self._greatest_below(self._products(a, True), self._codes[b])
+            hit = self._greatest_below(lambda x: self.tensor(a, x), self._codes[b])
             if hit is None:
                 raise QuantaleError(
                     f"residual {self.name(a)} \\ {self.name(b)} does not exist")
@@ -201,7 +217,7 @@ class Quantale:
         key = (b, a)
         hit = self._over.get(key)
         if hit is None:
-            hit = self._greatest_below(self._products(a, False), self._codes[b])
+            hit = self._greatest_below(lambda x: self.tensor(x, a), self._codes[b])
             if hit is None:
                 raise QuantaleError(
                     f"residual {self.name(b)} / {self.name(a)} does not exist")

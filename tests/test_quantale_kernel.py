@@ -1,16 +1,21 @@
 """The index-coded quantale kernel against the value-level definitions it is
 built from: order, tensor, binary joins and meets, and brute-force
-residuals computed from ``le_fn`` and ``tensor_fn`` alone."""
+residuals computed from ``le_fn`` and ``tensor_fn`` alone; on the relation
+families, its join-irreducibles and its residuals against their closed
+forms."""
 
 from fractions import Fraction
+import random
+import time
 import tracemalloc
 
 import pytest
 
 from stautcheck import profunctors as pf
 from stautcheck.files import load_quantale_file
-from stautcheck.quantale import QuantaleError, build_rel_quantale, builtin_quantale
-from stautcheck.suites import luk3_two_object_vcat
+from stautcheck.quantale import (Quantale, QuantaleError, build_rel_quantale,
+                                 builtin_quantale, rel_compose, rel_reverse)
+from stautcheck.suites import luk3_two_object_vcat, quantale_suite
 
 from test_cli import CHAIN3
 
@@ -78,6 +83,84 @@ def test_kernel_matches_values_on_luk3_profunctor_quantales(make):
     _agrees_with_values(pq)
 
 
+TWO_PROF_BUILTINS = ("2prof:chain1", "2prof:chain2", "2prof:chain3",
+                     "2prof:disc1", "2prof:disc2", "2prof:disc3", "2prof:vee")
+
+
+@pytest.mark.parametrize("spec", ["rel:3", "2prof:disc3"])
+def test_residuals_match_closed_form_on_all_512_relations(spec):
+    # a\b = not(a^op ; not b) and b/a = not(not b ; a^op), on masks
+    q = builtin_quantale(spec)
+    n, vals = q.meta["n"], q.values
+    full = (1 << (n * n)) - 1
+    for a in q.elements:
+        rev = rel_reverse(vals[a], n)
+        for b in q.elements:
+            off = full & ~vals[b]
+            assert vals[q.under(a, b)] == full & ~rel_compose(rev, off, n), (spec, a, b)
+            assert vals[q.over(b, a)] == full & ~rel_compose(off, rev, n), (spec, a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rel_join_irreducibles_are_the_single_pairs(n):
+    q = build_rel_quantale(n)
+    assert q._sweep == [1 << k for k in range(n * n)]
+
+
+@pytest.mark.parametrize("spec", ["rel:1", "rel:2", "rel:3", *TWO_PROF_BUILTINS])
+def test_every_element_is_the_join_of_the_join_irreducibles_below_it(spec):
+    q = builtin_quantale(spec)
+    codes = q._codes
+    assert q._sweep != q.elements
+    for x in q.elements:
+        below = 0
+        for j in q._sweep:
+            if q.le(j, x):
+                below |= codes[j]
+        assert below == codes[x], (spec, q.name(x))
+
+
+def test_a_mask_carrier_without_a_meet_sweeps_every_element():
+    # the four-element Boolean algebra on masks 0 < 011, 101 < 111: the
+    # codes that hold bit 0 meet in 001, which is no element
+    values = [0b000, 0b011, 0b101, 0b111]
+    q = Quantale("diamond", values, lambda a, b: not a & ~b,
+                 lambda a, b: a & b if (a & b) in values else 0,
+                 unit=0b111, dualizer=0b000, masks=True)
+    assert q._sweep == q.elements
+    assert all(q.validate())
+    _agrees_with_values(q)
+
+
+def test_a_residual_that_does_not_exist_raises():
+    # union of relations on two points: monotone with unit 0, but 0 is no
+    # zero, so a\b and b/a exist (and are b) only when a <= b
+    q = Quantale("union", range(16), lambda a, b: not a & ~b, lambda a, b: a | b,
+                 unit=0, dualizer=0, masks=True)
+    assert q._sweep == [1, 2, 4, 8]
+    for a in q.elements:
+        for b in q.elements:
+            if q.le(a, b):
+                assert q.under(a, b) == b == q.over(b, a)
+                continue
+            with pytest.raises(QuantaleError):
+                q.under(a, b)
+            with pytest.raises(QuantaleError):
+                q.over(b, a)
+
+
+def test_rel4_gets_a_verdict():
+    start = time.perf_counter()
+    rep = quantale_suite(build_rel_quantale(4), seed=1)
+    elapsed = time.perf_counter() - start
+    assert rep.ok and elapsed < 30.0, (elapsed, [c for c in rep.checks if not c.ok])
+    checks = {c.name: c for c in rep.checks}
+    for name in ("quantale-unit-law", "quantale-dualizing-element",
+                 "duality-is-complement-of-reverse"):
+        assert checks[name].exhaustive and checks[name].count == 1 << 16, checks[name]
+    assert rep.stats["cyclic"] is True
+
+
 def _peak_bytes(build):
     tracemalloc.start()
     try:
@@ -121,3 +204,26 @@ def test_validate_fails_on_every_swap_in_a_tensor_table(spec):
             broken = _filled(spec)
             broken._table[i], broken._table[j] = table[j], table[i]
             assert not all(r.ok for r in broken.validate()), (spec, i, j)
+
+
+def test_suite_skips_model_checks_on_swapped_rel2_tensor_cells():
+    # rel:2 sweeps its four join-irreducibles: a broken tensor must still
+    # fail the axioms, so the certified residuals are never trusted on it
+    q = _filled("rel:2")
+    table = q._table
+    unequal = [(i, j) for i in range(len(table)) for j in range(i + 1, len(table))
+               if table[i] != table[j]]
+    for i, j in random.Random(13).sample(unequal, 100):
+        broken = _filled("rel:2")
+        broken._table[i], broken._table[j] = table[j], table[i]
+        rep = quantale_suite(broken, seed=1)
+        assert not rep.ok and "cyclic" not in rep.stats, (i, j)
+        assert all(c.name.startswith("quantale-") for c in rep.checks), (i, j)
+
+
+def test_rel3_suite_fills_few_table_cells():
+    # a sweep of the whole carrier would fill all 512 * 512 cells
+    q = build_rel_quantale(3)
+    assert quantale_suite(q, seed=1).ok
+    table = q._table
+    assert len(table) - table.count(-1) < len(table) // 8
