@@ -17,6 +17,7 @@ with the same seed.
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -122,12 +123,15 @@ def _run(args):
         raise InputError("--window must be at least 1")
     if args.depth is not None and args.depth < 1:
         raise InputError("--depth must be at least 1")
+    if args.report and (os.path.isdir(args.report)
+                        or not os.path.isdir(os.path.dirname(args.report) or ".")):
+        raise InputError(f"--report {args.report}: not a file in an existing directory")
     window = (-args.window, args.window)
     depth = 8 if args.depth is None else args.depth
     if args.command == "quantale":
         try:
             q = resolve_quantale(args.spec)
-        except (QuantaleError, FileNotFoundError) as exc:
+        except QuantaleError as exc:
             raise InputError(str(exc))
         return [suites.quantale_suite(q, args.seed, depth=depth)]
     if args.command == "vec":
@@ -187,7 +191,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         reports = _run(args)
-    except (InputError, FileFormatError, FileNotFoundError, UniverseError) as exc:
+    except (InputError, FileFormatError, OSError, UnicodeDecodeError, UniverseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     _emit(reports, args)

@@ -2,13 +2,16 @@
 
 ``draw`` picks the object tuples a check ranges over: the full product of
 the probe objects when it is small enough, else a seeded sample, so every
-verdict can be replayed from its seed.  ``scan`` runs a check body over its
-items and reports the first witness with its 1-based position; it is the
-only code that builds a ``CheckResult``.
+verdict can be replayed from its seed; its vacuity filter calls each
+predicate once per distinct projection of the product, not once per tuple.
+``scan`` runs a check body over its items and reports the first witness
+with its 1-based position; it is the only code that builds a
+``CheckResult``.
 """
 
-from itertools import product
+from itertools import compress, product
 from math import prod
+from operator import itemgetter
 import random
 
 from ..report import CheckResult
@@ -20,15 +23,18 @@ from .morphisms import MorError
 TUPLE_CAP = 24
 
 
-def draw(model, probes, k, cap=None, dim_cap=None, seed=0, live=None):
+def draw(model, probes, k, cap=None, dim_cap=None, seed=0, live=()):
     """The k-tuples of ``probes`` a check ranges over, and whether they are
     all of them.
 
     On a linear model, tuples whose dimensions multiply to more than
-    ``dim_cap`` are dropped, and the draw is then not all of them.  Tuples
-    failing ``live`` (vacuous ones, say) are dropped too, unless none
-    passes; they hold trivially, so dropping them keeps the draw whole.  A
-    pool larger than ``cap`` is replaced by
+    ``dim_cap`` are dropped, and the draw is then not all of them.  ``live``
+    holds (positions, predicate) pairs: t is live when each
+    ``predicate(*(t[i] for i in positions))`` holds, and only live tuples
+    are kept, unless none is (one that is not live, vacuous say, holds
+    trivially, so dropping it keeps the draw whole).  Each predicate is
+    called once per distinct projection of the tuples within ``dim_cap``,
+    in first-seen order.  A pool larger than ``cap`` is replaced by
     ``random.Random(seed).sample(pool, cap)``.
     """
     pool = list(product(probes, repeat=k))
@@ -36,8 +42,12 @@ def draw(model, probes, k, cap=None, dim_cap=None, seed=0, live=None):
     if dim_cap is not None and model.is_linear:
         kept = [t for t in pool if prod(model.dim(x) for x in t) <= dim_cap]
         pool, whole = kept, len(kept) == len(pool)
-    if live is not None:
-        pool = [t for t in pool if live(t)] or pool
+    tests = []
+    for positions, predicate in live:
+        get, one = itemgetter(*positions), len(positions) == 1
+        ok = {x for x in dict.fromkeys(map(get, pool)) if (predicate(x) if one else predicate(*x))}
+        tests.append(map(ok.__contains__, map(get, pool)))
+    pool = list(compress(pool, map(all, zip(*tests)))) or pool
     if cap is None or len(pool) <= cap:
         return pool, whole
     return random.Random(seed).sample(pool, cap), False

@@ -26,7 +26,6 @@ binders and de Morgan maps the diagrams use are the model's own
 """
 
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import product
 import random
 
@@ -140,20 +139,47 @@ def _hom_to_d(model, x):
     return model.hom_span(x, model.d)
 
 
+def _span_object(m, shape, t):
+    """The object a span shape names over the objects ``t``: ``t[i]`` for a
+    position i, the unit for ``"e"``, the tensor for a pair of shapes."""
+    if isinstance(shape, tuple):
+        return m.tens(_span_object(m, shape[0], t), _span_object(m, shape[1], t))
+    return m.e if shape == "e" else t[shape]
+
+
+def _positions(shape):
+    if isinstance(shape, tuple):
+        return _positions(shape[0]) | _positions(shape[1])
+    return set() if shape == "e" else {shape}
+
+
+def _live(m, shapes):
+    """The vacuity filter of ``draw`` for span shapes: a tuple is live when
+    the object of each shape has an arrow into d.  Each shape tests only
+    the positions it names."""
+    def test(shape):
+        pos = tuple(_positions(shape))
+        return pos, lambda *xs: bool(_hom_to_d(m, _span_object(m, shape, dict(zip(pos, xs)))))
+
+    return [test(shape) for shape in shapes]
+
+
 # ------------------------------------------------------------ axiom table
 
 @dataclass(frozen=True)
 class Axiom:
     """One coherence condition.  It ranges over ``arity`` probe objects and,
     when ``spans`` is given, over one arrow x -> d from the spanning set of
-    each x in ``spans(model, *objects)``.  ``sides`` returns the diagram's
+    each x that a shape in ``spans`` names over the objects: a position,
+    ``"e"``, or a pair of shapes read as their tensor, so ``((0, 3), (1, 2))``
+    names p (x) t and q (x) s over (p, q, s, t).  ``sides`` returns the diagram's
     two sides, which must be equal: ``sides(model, cycle, *objects)`` on the
     object level, ``sides(model, big, *objects, *arrows)`` on the hom level.
     ``dim_cap`` is the drawing budget of its tuples' dimensions."""
 
     arity: int
     sides: object
-    spans: object = None
+    spans: tuple = ()
     dim_cap: int = _DIM_CAP
 
 
@@ -226,14 +252,6 @@ def _blr2(m, big, p, q, t, om):
     return left, right
 
 
-def _e2_spans(m, p, q, t):
-    return [m.tens(m.tens(p, q), t)]
-
-
-def _m2_spans(m, p, q, s, t):
-    return [m.tens(p, t), m.tens(q, s)]
-
-
 # Currying over a tensor object cubes its dimension in the intermediate
 # stages, so the pair-level diagrams that build de Morgan maps on the tensor
 # of the two quantified objects get a tighter dimension budget.
@@ -243,14 +261,14 @@ _AXIOMS = {
     "t0": Axiom(0, _t0),
     "tbin": Axiom(2, _tbin, dim_cap=8),
     "pbin": Axiom(2, _pbin, dim_cap=8),
-    "blr0": Axiom(1, _blr0, lambda m, t: [m.tens(m.e, t)]),
-    "kprime": Axiom(2, _kprime, lambda m, p, q: [m.tens(p, q)]),
-    "e2": Axiom(3, _e2, _e2_spans),
-    "e2prime": Axiom(3, _e2prime, lambda m, p, s, t: [m.tens(p, m.tens(s, t))]),
-    "m0": Axiom(1, _m0, lambda m, t: [m.tens(t, m.e)]),
-    "m2": Axiom(4, _m2, _m2_spans),
-    "m2prime": Axiom(4, _m2prime, _m2_spans),
-    "blr2": Axiom(3, _blr2, _e2_spans),
+    "blr0": Axiom(1, _blr0, (("e", 0),)),
+    "kprime": Axiom(2, _kprime, ((0, 1),)),
+    "e2": Axiom(3, _e2, (((0, 1), 2),)),
+    "e2prime": Axiom(3, _e2prime, ((0, (1, 2)),)),
+    "m0": Axiom(1, _m0, ((0, "e"),)),
+    "m2": Axiom(4, _m2, ((0, 3), (1, 2))),
+    "m2prime": Axiom(4, _m2prime, ((0, 3), (1, 2))),
+    "blr2": Axiom(3, _blr2, (((0, 1), 2),)),
 }
 AXIOMS = tuple(_AXIOMS)
 
@@ -259,7 +277,7 @@ def check_axiom(cycle, which, seed=0, big=None, draws=None):
     """Exact check of one named coherence condition; returns verdict plus a
     counterexample locator on failure, replayable from ``seed``.
 
-    Rows with the same arity, dimension budget and span function draw the
+    Rows with the same arity, dimension budget and span shapes draw the
     same tuples from the same seed; ``draws`` keeps those draws, so that
     rows checked with one seed share them."""
     if which not in _AXIOMS:
@@ -269,11 +287,10 @@ def check_axiom(cycle, which, seed=0, big=None, draws=None):
     draws = {} if draws is None else draws
     key = (ax.arity, ax.dim_cap, ax.spans)
     if key not in draws:
-        live = ax.spans and (lambda t: all(_hom_to_d(m, x) for x in ax.spans(m, *t)))
         draws[key] = draw(m, m.probe_objects(), ax.arity, TUPLE_CAP, ax.dim_cap,
-                          seed * 1000003 + ax.arity, live)
+                          seed * 1000003 + ax.arity, _live(m, ax.spans))
     tuples, exhaustive = draws[key]
-    if ax.spans is None:
+    if not ax.spans:
         def body(*t):
             lhs, rhs = ax.sides(m, cycle, *t)
             if lhs != rhs:
@@ -282,7 +299,7 @@ def check_axiom(cycle, which, seed=0, big=None, draws=None):
         big = big or to_upper(cycle)
 
         def body(*t):
-            spans = [list(enumerate(_hom_to_d(m, x))) for x in ax.spans(m, *t)]
+            spans = [list(enumerate(_hom_to_d(m, _span_object(m, s, t)))) for s in ax.spans]
             for picks in product(*spans):
                 index, mors = zip(*picks)
                 lhs, rhs = ax.sides(m, big, *t, *mors)
@@ -405,12 +422,8 @@ def check_base_identity(model, seed=0, probes=None):
     m = model
     probes = m.probe_objects() if probes is None else probes
 
-    @cache
-    def has_arrow(x, y):
-        return bool(_hom_to_d(m, m.tens(x, y)))
-
     tuples, exhaustive = draw(m, probes, 4, TUPLE_CAP, _DIM_CAP, seed * 1000003 + 4,
-                              lambda t: has_arrow(*t[:2]) and has_arrow(*t[2:]))
+                              _live(m, ((0, 1), (2, 3))))
     rng = random.Random(seed)
 
     def arrow_items():

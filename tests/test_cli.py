@@ -147,6 +147,19 @@ def test_cli_input_errors(tmp_path, capsys):
     assert main(["--window", "-2", "zang", "suite", "vec"]) == 2
     assert main(["--window", "0", "zang", "suite", "vec"]) == 2
     assert main(["vec", "scalar-table", "--values", "1,1"]) == 2
+    # unreadable input: a directory, a file that is not UTF-8, a report
+    # path in a missing directory or naming a directory (refused before
+    # any check runs)
+    assert main(["quantale", "check", str(tmp_path)]) == 2
+    latin1 = tmp_path / "latin1.quantale"
+    latin1.write_bytes("elements b\xe9 top\n".encode("latin-1"))
+    assert main(["quantale", "check", str(latin1)]) == 2
+    latin1.write_bytes("quantale bool2\nobjects \xe9\n".encode("latin-1"))
+    assert main(["prof", "check", str(latin1)]) == 2
+    capsys.readouterr()
+    assert main(["--report", str(tmp_path / "nodir" / "r.txt"), "quantale", "check", "bool2"]) == 2
+    assert main(["--report", str(tmp_path), "quantale", "check", "bool2"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_structured_report_deterministic(tmp_path, capsys):

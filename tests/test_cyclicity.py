@@ -156,9 +156,10 @@ def test_base_identity_draws_its_tuples_from_the_seed(monkeypatch):
     for seed in (0, 3):
         cy.check_base_identity(thin, seed=seed)
 
-    def live(t):
-        return all(thin.hom_span(thin.tens(x, y), thin.d) for x, y in (t[:2], t[2:]))
+    def has_arrow(x, y):
+        return bool(thin.hom_span(thin.tens(x, y), thin.d))
 
+    live = [((0, 1), has_arrow), ((2, 3), has_arrow)]
     want = [draw(thin, thin.probe_objects(), 4, TUPLE_CAP, cy._DIM_CAP,
                  seed * 1000003 + 4, live)[0] for seed in (0, 3)]
     assert seen == want and want[0] != want[1]

@@ -5,6 +5,7 @@ families, its join-irreducibles and its residuals against their closed
 forms."""
 
 from fractions import Fraction
+from itertools import product
 import random
 import time
 import tracemalloc
@@ -12,6 +13,7 @@ import tracemalloc
 import pytest
 
 from stautcheck import profunctors as pf
+from stautcheck.core.quantify import scan
 from stautcheck.files import load_quantale_file
 from stautcheck.quantale import (Quantale, QuantaleError, build_rel_quantale,
                                  builtin_quantale, rel_compose, rel_reverse)
@@ -192,10 +194,37 @@ def _filled(spec):
     return q
 
 
+def _per_triple(q):
+    """(ok, witness, count) of associativity and monotonicity by the plain
+    scan of every triple, each tried in full."""
+    t, le = q.tensor, q.le
+
+    def names(*xs):
+        return str(tuple(map(q.name, xs)))
+
+    def associative(a, b, c):
+        return t(t(a, b), c) != t(a, t(b, c)) and names(a, b, c)
+
+    def monotone(a, b, c):
+        return (le(a, b) and (not le(t(c, a), t(c, b)) or not le(t(a, c), t(b, c)))
+                and names(a, b, c))
+
+    return [(r.ok, r.witness, r.count)
+            for r in (scan("associativity", product(q.elements, repeat=3), associative),
+                      scan("monotonicity", product(q.elements, repeat=3), monotone))]
+
+
+def _triple_checks(q):
+    return [(r.ok, r.witness, r.count) for r in q.validate()
+            if r.name in ("associativity", "monotonicity")]
+
+
 @pytest.mark.parametrize("spec", ["luk3", "s3:e", "2prof:chain2"])
 def test_validate_fails_on_every_swap_in_a_tensor_table(spec):
+    # the row pre-filter of validate reports what the per-triple scan does
     q = _filled(spec)
     assert all(r.ok for r in q.validate())
+    assert _triple_checks(q) == _per_triple(q)
     table = q._table
     for i in range(len(table)):
         for j in range(i + 1, len(table)):
@@ -204,6 +233,15 @@ def test_validate_fails_on_every_swap_in_a_tensor_table(spec):
             broken = _filled(spec)
             broken._table[i], broken._table[j] = table[j], table[i]
             assert not all(r.ok for r in broken.validate()), (spec, i, j)
+            assert _triple_checks(broken) == _per_triple(broken), (spec, i, j)
+
+
+def test_validate_finds_a_tensor_that_is_only_not_monotone():
+    # the group Z2 on the chain 0 < 1: associative, but 1 * - reverses the order
+    q = Quantale("z2-on-a-chain", [0, 1], lambda a, b: a <= b, lambda a, b: a ^ b, 0, 0)
+    checks = _triple_checks(q)
+    assert checks == _per_triple(q)
+    assert checks[0] == (True, "", 8) and checks[1] == (False, "('0', '1', '1')", 4)
 
 
 def test_suite_skips_model_checks_on_swapped_rel2_tensor_cells():

@@ -1,7 +1,8 @@
 """The shared quantifiers: ``draw`` picks exactly the tuples an explicit
-product, dimension filter and seeded sample give, and ``scan`` stops at the
-first witness."""
+product, dimension filter, per-tuple vacuity filter and seeded sample give,
+and ``scan`` stops at the first witness."""
 
+from itertools import product
 import random
 
 import pytest
@@ -60,17 +61,58 @@ def test_draw_drops_vacuous_tuples_unless_all_are(thin_rel2, monkeypatch):
     m = thin_rel2
     probes = m.probe_objects()
 
-    def live(t):
-        return bool(m.hom_span(m.tens(*t), m.d))
+    def live(p, q):
+        return bool(m.hom_span(m.tens(p, q), m.d))
 
     pool = [(p, q) for p in probes for q in probes]
-    kept = [t for t in pool if live(t)]
+    kept = [t for t in pool if live(*t)]
     assert 0 < len(kept) < len(pool)
-    assert draw(m, probes, 2, live=live) == (kept, True)
-    assert draw(m, probes, 2, live=lambda t: False) == (pool, True)
+    assert draw(m, probes, 2, live=[((0, 1), live)]) == (kept, True)
+    assert draw(m, probes, 2, live=[((0, 1), lambda p, q: False)]) == (pool, True)
     monkeypatch.setattr(cy, "TUPLE_CAP", 100)
     res = cy.check_axiom(thin_identity_cycle(m), "kprime")
     assert res.ok and res.count == len(kept)
+
+
+@pytest.mark.parametrize("model, k, positions", [
+    ("thin_rel2", 2, [(0, 1)]),
+    ("thin_rel2", 4, [(0, 3), (1, 2)]),
+    ("thin_rel2", 4, [(2,), (0, 1, 3)]),
+    ("dz2", 2, [(1,), (0, 1)]),
+])
+@pytest.mark.parametrize("seed", range(4))
+def test_factored_draw_is_the_per_tuple_filter(request, model, k, positions, seed):
+    # random predicates on projections: the factored draw keeps what the
+    # plain filter of the (dimension-capped) product keeps, and calls each
+    # predicate once per distinct projection of the tuples that survive the
+    # dimension filter, in order of first occurrence
+    m = request.getfixturevalue(model)
+    probes = m.probe_objects()
+    rate = random.Random(seed).choice([0.0, 0.3, 0.7, 1.0])
+    calls = {pos: [] for pos in positions}
+
+    def truth(pos, xs):
+        return random.Random(f"{seed}{pos}{tuple(map(str, xs))}").random() < rate
+
+    def predicate(pos):
+        def holds(*xs):
+            calls[pos].append(xs)
+            return truth(pos, xs)
+        return holds
+
+    dim_cap = 8 if m.is_linear else None
+    pool = [t for t in product(probes, repeat=k)
+            if dim_cap is None or _dim_product(m, t) <= dim_cap]
+    assert not m.is_linear or len(pool) < len(probes) ** k
+    kept = [t for t in pool
+            if all(truth(pos, [t[i] for i in pos]) for pos in positions)] or pool
+    live = [(pos, predicate(pos)) for pos in positions]
+    assert draw(m, probes, k, None, dim_cap, seed, live) == (kept, not m.is_linear)
+    for pos in positions:
+        assert calls[pos] == list(dict.fromkeys(tuple(t[i] for i in pos) for t in pool))
+    if len(kept) > 5:
+        sampled = draw(m, probes, k, 5, dim_cap, seed, live)
+        assert sampled == (random.Random(seed).sample(kept, 5), False)
 
 
 def test_a_dimension_filter_leaves_a_draw_sampled(dz2, thin_rel2):
