@@ -9,10 +9,10 @@ Subcommands::
     stautcheck zang suite <vec | thin:SPEC>
     stautcheck paper all
 
-Global flags: --seed N, --window N, --depth N, --report PATH,
---format text|structured.  Exit codes: 0 all verdicts pass, 1 some verdict
-failed, 2 input error.  Structured reports are byte-identical across runs
-with the same seed.
+Global flags: --seed N, --window N, --depth N (quantale, vec and zang
+only), --report PATH, --format text|structured.  Exit codes: 0 all verdicts
+pass, 1 some verdict failed, 2 input error.  Structured reports are
+byte-identical across runs with the same seed.
 """
 
 import argparse
@@ -121,6 +121,8 @@ def _parse_scalars(text):
 def _run(args):
     if args.window < 1:
         raise InputError("--window must be at least 1")
+    if args.depth is not None and args.command not in ("quantale", "vec", "zang"):
+        raise InputError(f"--depth is read only by quantale, vec and zang, not by {args.command}")
     if args.depth is not None and args.depth < 1:
         raise InputError("--depth must be at least 1")
     if args.report and (os.path.isdir(args.report)

@@ -1,16 +1,21 @@
 """Quantale-enriched categories and profunctors.
 
-At thin enrichment a profunctor is a value matrix over the base quantale
-subject to two action inequalities; composition is a join of tensors
-(the colimit formula collapses to a join) and par is a meet of pars.  The
-endo-profunctors of a finite enriched category therefore assemble into a
+At thin enrichment a profunctor of a finite enriched category c is a value
+matrix over the base quantale subject to two action inequalities.  It is
+held as a tuple of base elements, one per pair of ``c.keys`` (the pairs of
+objects in row-major order), which is exactly its element of Prof(c, c):
+the pointwise operations below and the quantale that
+``build_prof_quantale`` assembles share that one representation.
+Composition is a join of tensors (the colimit formula collapses to a join)
+and par is a meet of pars.  The endo-profunctors therefore assemble into a
 quantale of their own, which plugs straight back into the thin
 star-autonomous machinery: that is the construction this module verifies.
 
 Composition requires the base to be cyclic (its two duals must agree
 pointwise); duals of profunctors transpose the matrix and dualize entries,
-and the action inequalities of the dual are re-verified, never assumed --
-a failure there is exactly a witness of non-cyclicity of the base.
+and the action inequalities of composites, pars and duals are re-verified,
+never assumed -- a failure on a dual is exactly a witness of non-cyclicity
+of the base.
 """
 
 from dataclasses import dataclass
@@ -20,7 +25,7 @@ import random
 from .core.quantify import scan
 from .quantale import Quantale
 from .report import renamed
-from .thin import ThinModel
+from .thin import ThinModel, thin_identity_cycle
 from .core.validate import validate_staut
 from . import cyclicity
 
@@ -31,7 +36,9 @@ class ProfError(Exception):
 
 @dataclass
 class VCat:
-    """A category enriched in a quantale: objects plus a hom matrix."""
+    """A category enriched in a quantale: objects plus a hom matrix.
+    ``keys`` lists the pairs of objects in row-major order, the order of
+    the entries of each of its profunctors."""
 
     base: Quantale
     objects: list
@@ -46,6 +53,7 @@ class VCat:
             if not v.le(v.tensor(self.hom[(a, b)], self.hom[(b, c)]),
                         self.hom[(a, c)]):
                 raise ProfError(f"composition inequality fails at ({a},{b},{c})")
+        self.keys = [(q, r) for q in self.objects for r in self.objects]
 
     def label(self):
         return f"vcat({self.base.label};{len(self.objects)} objects)"
@@ -57,169 +65,118 @@ def discrete_vcat(base, names):
     return VCat(base, list(names), hom)
 
 
-@dataclass
-class VProf:
-    """A profunctor between enriched categories: a value matrix with both
-    action inequalities verified at construction."""
-
-    src: VCat
-    dst: VCat
-    values: dict
-
-    def __post_init__(self):
-        bad = prof_action_violation(self.src, self.dst, self.values)
-        if bad is not None:
-            raise ProfError(f"action inequality fails at {bad}; "
-                            "if this arose from a dual, the base quantale is "
-                            "not cyclic there")
-
-    def value(self, q, r):
-        return self.values[(q, r)]
-
-
-def prof_action_violation(src, dst, values):
-    v = src.base
-    for p, q in product(src.objects, repeat=2):
-        for r in dst.objects:
-            if not v.le(v.tensor(src.hom[(p, q)], values[(q, r)]), values[(p, r)]):
-                return ("left", p, q, r)
-    for q in src.objects:
-        for r, s in product(dst.objects, repeat=2):
-            if not v.le(v.tensor(values[(q, r)], dst.hom[(r, s)]), values[(q, s)]):
-                return ("right", q, r, s)
+def action_violation(c, f):
+    """The first action inequality the value tuple ``f`` of c fails, as
+    ("left", p, q, r) or ("right", q, r, s), or None if it is a profunctor."""
+    v, hom, at = c.base, c.hom, dict(zip(c.keys, f))
+    for p, q, r in product(c.objects, repeat=3):
+        if not v.le(v.tensor(hom[(p, q)], at[(q, r)]), at[(p, r)]):
+            return ("left", p, q, r)
+    for q, r, s in product(c.objects, repeat=3):
+        if not v.le(v.tensor(at[(q, r)], hom[(r, s)]), at[(q, s)]):
+            return ("right", q, r, s)
     return None
 
 
-def identity_prof(c):
-    return VProf(c, c, {k: v for k, v in c.hom.items()})
+def _verified(c, f):
+    bad = action_violation(c, f)
+    if bad is not None:
+        raise ProfError(f"action inequality fails at {bad}; "
+                        "if this arose from a dual, the base quantale is "
+                        "not cyclic there")
+    return f
 
 
-def dualizer_prof(c):
-    v = c.base
-    return VProf(c, c, {(q, r): v.perp(c.hom[(r, q)]) for q in c.objects
-                        for r in c.objects})
-
-
-def compose_prof(f, g):
-    """Join-of-tensors composite; the action inequalities of the result are
-    re-verified by the VProf constructor."""
-    if f.dst is not g.src:
-        raise ProfError("profunctor composition needs matching middle category")
-    v = f.src.base
+def _require_cyclic(v):
     cyclic = v.is_cyclic()
     if not cyclic.ok:
         raise ProfError(f"base quantale is not cyclic (witness {cyclic.witness})")
-    vals = {}
-    for q in f.src.objects:
-        for s in g.dst.objects:
-            vals[(q, s)] = v.join([v.tensor(f.value(q, r), g.value(r, s))
-                                   for r in f.dst.objects])
-    return VProf(f.src, g.dst, vals)
 
 
-def par_prof(f, g):
+def _contract(c, f, g, times, total):
+    """The matrix product of f and g over the middle object, with ``times``
+    as product and ``total`` as sum: the join of tensors for composition,
+    the meet of pars for par."""
+    n = len(c.objects)
+    return tuple(total(list(map(times, f[i:i + n], g[j::n])))
+                 for i in range(0, n * n, n) for j in range(n))
+
+
+def identity_prof(c):
+    return tuple(c.hom[k] for k in c.keys)
+
+
+def dualizer_prof(c):
+    return dual_prof(c, identity_prof(c), "right")
+
+
+def compose_prof(c, f, g):
+    """Join-of-tensors composite, re-verified as a profunctor."""
+    _require_cyclic(c.base)
+    return _verified(c, _contract(c, f, g, c.base.tensor, c.base.join))
+
+
+def par_prof(c, f, g):
     """Meet-of-pars composite, the de Morgan dual of composition."""
-    if f.dst is not g.src:
-        raise ProfError("profunctor par needs matching middle category")
-    v = f.src.base
-    vals = {}
-    for q in f.src.objects:
-        for s in g.dst.objects:
-            vals[(q, s)] = v.meet([v.par(f.value(q, r), g.value(r, s))
-                                   for r in f.dst.objects])
-    return VProf(f.src, g.dst, vals)
+    return _verified(c, _contract(c, f, g, c.base.par, c.base.meet))
 
 
-def dual_prof(f, side):
+def dual_prof(c, f, side):
     """Pointwise dual on the transposed matrix; ``side`` is "right" or "left"."""
-    v = f.src.base
+    v, n = c.base, len(c.objects)
     dualize = v.perp if side == "right" else v.prep
-    vals = {(q, r): dualize(f.value(r, q))
-            for q in f.dst.objects for r in f.src.objects}
-    return VProf(f.dst, f.src, vals)
+    return _verified(c, tuple(dualize(x) for q in range(n) for x in f[q::n]))
 
 
 # ----------------------------------------------------------- enumeration
 
 def enumerate_profs(c, cap=65536, seed=0):
-    """All endo-profunctor matrices of c, exhaustively when the raw matrix
-    count |V| ** n^2 stays within cap, else a seeded sample of candidates.
-    Returns (list of value dicts, exhaustive flag)."""
-    v = c.base
-    n = len(c.objects)
-    keys = [(q, r) for q in c.objects for r in c.objects]
-    total = len(v.elements) ** (n * n)
-    found = []
-    if total <= cap:
-        for combo in product(v.elements, repeat=len(keys)):
-            vals = dict(zip(keys, combo))
-            if prof_action_violation(c, c, vals) is None:
-                found.append(vals)
-        return found, True
+    """All profunctors of c, exhaustively when the raw matrix count
+    |V| ** n^2 stays within cap, else those among a seeded sample of
+    candidates, with the unit and the dualizer.  Returns (list of value
+    tuples, exhaustive flag)."""
+    elements = c.base.elements
+    if len(elements) ** len(c.keys) <= cap:
+        return [f for f in product(elements, repeat=len(c.keys))
+                if action_violation(c, f) is None], True
     rng = random.Random(seed)
-    seen = set()
+    seen, found = set(), []
     for _ in range(cap):
-        combo = tuple(rng.choice(v.elements) for _ in keys)
-        if combo in seen:
-            continue
-        seen.add(combo)
-        vals = dict(zip(keys, combo))
-        if prof_action_violation(c, c, vals) is None:
-            found.append(vals)
-    if identity_prof(c).values not in found:
-        found.append(identity_prof(c).values)
-    if dualizer_prof(c).values not in found:
-        found.append(dualizer_prof(c).values)
+        f = tuple(rng.choice(elements) for _ in c.keys)
+        if f not in seen:
+            seen.add(f)
+            if action_violation(c, f) is None:
+                found.append(f)
+    for f in (identity_prof(c), dualizer_prof(c)):
+        if f not in found:
+            found.append(f)
     return found, False
 
 
-def build_prof_quantale(c, seed=0):
-    """Assemble Prof(c, c) as a quantale: pointwise order, composition as
-    tensor, the hom profunctor as unit, its right dual as dualizer.  Requires
-    exhaustive enumeration (a sampled element set is not join-closed)."""
-    profs, exhaustive = enumerate_profs(c, seed=seed)
+def build_prof_quantale(c, enumeration):
+    """Prof(c, c) as a quantale on ``enumeration``, the result of
+    ``enumerate_profs(c)``: pointwise order, composition as tensor, the hom
+    profunctor as unit, its right dual as dualizer.  A sampled enumeration
+    is refused, since its element set is not join-closed."""
+    profs, exhaustive = enumeration
     if not exhaustive:
         raise ProfError("profunctor quantale needs exhaustive enumeration; "
                         "raise the cap or shrink the category")
-    return _prof_quantale(c, profs)
-
-
-def _prof_quantale(c, profs):
-    """Prof(c, c) on the complete list ``profs`` of its profunctors; its
-    values are the matrices as tuples of base elements in ``keys`` order."""
     v = c.base
-    cyclic = v.is_cyclic()
-    if not cyclic.ok:
-        raise ProfError(f"base quantale is not cyclic (witness {cyclic.witness})")
-    keys = [(q, r) for q in c.objects for r in c.objects]
-    values = [tuple(p[k] for k in keys) for p in profs]
-
-    def le(a, b):
-        return all(v.le(x, y) for x, y in zip(a, b))
-
-    def tensor(a, b):
-        fa, fb = dict(zip(keys, a)), dict(zip(keys, b))
-        return tuple(v.join([v.tensor(fa[(q, r)], fb[(r, s)]) for r in c.objects])
-                     for q, s in keys)
-
-    unit = tuple(c.hom[k] for k in keys)
-    dzr = tuple(v.perp(c.hom[(r, q)]) for (q, r) in keys)
-    if not {unit, dzr} <= set(values):
+    _require_cyclic(v)
+    unit, dzr = identity_prof(c), dualizer_prof(c)
+    if not {unit, dzr} <= set(profs):
         raise ProfError("unit or dualizer profunctor missing from enumeration")
-
-    def name(el):
-        return "[" + ",".join(v.name(x) for x in el) + "]"
-
     return Quantale(
         label=f"prof({c.label()})",
-        values=values,
-        le_fn=le,
-        tensor_fn=tensor,
+        values=profs,
+        le_fn=lambda a, b: all(map(v.le, a, b)),
+        tensor_fn=lambda a, b: _contract(c, a, b, v.tensor, v.join),
         unit=unit,
         dualizer=dzr,
-        name_fn=name,
+        name_fn=lambda el: "[" + ",".join(map(v.name, el)) + "]",
         family="prof",
-        meta={"keys": keys, "base": v.label, "objects": list(c.objects)},
+        meta={"keys": c.keys, "base": v.label, "objects": list(c.objects)},
     )
 
 
@@ -231,31 +188,26 @@ def check_prof_staut(c, seed=0):
     Returns (SuiteReport-ready CheckResult list, AxiomProfile, prof quantale).
     """
     v = c.base
-    profs, exhaustive = enumerate_profs(c, seed=seed)
+    enumeration = profs, exhaustive = enumerate_profs(c, seed=seed)
     seen = set()
 
-    def listed_once(i, vals):
-        key = frozenset(vals.items())
-        if key in seen:
+    def listed_once(i, f):
+        if f in seen:
             return f"profunctor #{i} is listed twice"
-        seen.add(key)
+        seen.add(f)
 
     # its count is the number of profunctors, which the benchmark reads
     out = [scan("prof-enumeration", enumerate(profs), listed_once, exhaustive)]
 
-    def duals_are_profunctors(i, vals):
-        f = VProf(c, c, vals)
+    def duals_are_profunctors(i, f):
         for side in ("right", "left"):
             try:
-                dual_prof(f, side)
+                dual_prof(c, f, side)
             except ProfError as exc:
                 return f"profunctor #{i}, {side}: {exc}"
 
-    def cyclic_duals_agree(i, vals):
-        f = VProf(c, c, vals)
-        pr = dual_prof(f, "right").values
-        pl = dual_prof(f, "left").values
-        return pr != pl and f"profunctor #{i}"
+    def cyclic_duals_agree(i, f):
+        return dual_prof(c, f, "right") != dual_prof(c, f, "left") and f"profunctor #{i}"
 
     out.append(scan("prof-duals-are-profunctors", enumerate(profs),
                     duals_are_profunctors, exhaustive))
@@ -266,51 +218,46 @@ def check_prof_staut(c, seed=0):
     picks = profs if len(profs) <= 12 else rng.sample(profs, 12)
 
     def demorgan(i, j):
-        f, g = VProf(c, c, picks[i]), VProf(c, c, picks[j])
-        lhs = dual_prof(compose_prof(f, g), "right")
-        rhs = par_prof(dual_prof(g, "right"), dual_prof(f, "right"))
-        return lhs.values != rhs.values and f"de Morgan of a composite at picks #{i}, #{j}"
+        f, g = picks[i], picks[j]
+        lhs = dual_prof(c, compose_prof(c, f, g), "right")
+        rhs = par_prof(c, dual_prof(c, g, "right"), dual_prof(c, f, "right"))
+        return lhs != rhs and f"de Morgan of a composite at picks #{i}, #{j}"
 
-    def unit_counit(fa):
-        f = VProf(c, c, fa)
+    def unit_counit(f):
         i = identity_prof(c)
-        if compose_prof(i, f).values != f.values or compose_prof(f, i).values != f.values:
+        if compose_prof(c, i, f) != f or compose_prof(c, f, i) != f:
             return "identity profunctor is not neutral"
-        rf = dual_prof(f, "right")
-        tau, gamma = par_prof(rf, f).values, compose_prof(f, rf).values
-        dz = dualizer_prof(c).values
-        for (q, s) in f.values:
-            if not (v.le(c.hom[(q, s)], tau[(q, s)]) and v.le(gamma[(q, s)], dz[(q, s)])):
-                return f"duality unit/counit inequality at {(q, s)}"
+        rf = dual_prof(c, f, "right")
+        tau, gamma = par_prof(c, rf, f), compose_prof(c, f, rf)
+        for k, h, t, g, d in zip(c.keys, i, tau, gamma, dualizer_prof(c)):
+            if not (v.le(h, t) and v.le(g, d)):
+                return f"duality unit/counit inequality at {k}"
 
-    def distribution(fa, fb, fc):
-        f, g, h = (VProf(c, c, x) for x in (fa, fb, fc))
-        gh_par = par_prof(g, h)
-        fg = compose_prof(f, g)
-        for p, q, r, s in product(c.objects, repeat=4):
-            lhs = v.tensor(f.value(p, q), gh_par.value(q, s))
-            rhs = v.par(fg.value(p, r), h.value(r, s))
+    def distribution(f, g, h):
+        gh_par, fg = par_prof(c, g, h), compose_prof(c, f, g)
+        n = len(c.objects)
+        for p, q, r, s in product(range(n), repeat=4):
+            lhs = v.tensor(f[p * n + q], gh_par[q * n + s])
+            rhs = v.par(fg[p * n + r], h[r * n + s])
             if not v.le(lhs, rhs):
-                return f"linear distribution at {(p, q, r, s)}"
+                return f"linear distribution at {tuple(c.objects[x] for x in (p, q, r, s))}"
 
     out.append(scan("prof-demorgan-pointwise", product(range(len(picks)), repeat=2),
                     demorgan, len(picks) == len(profs)))
-    out.append(scan("prof-duality-unit-counit", picks, unit_counit))
+    # a profunctor is a tuple, which scan would spread over the arguments
+    out.append(scan("prof-duality-unit-counit", ((f,) for f in picks), unit_counit))
     out.append(scan("prof-linear-distribution", product(picks[:6], repeat=3),
                     distribution))
 
-    profile = None
+    profile = pq = None
     if exhaustive:
-        pq = _prof_quantale(c, profs)
+        pq = build_prof_quantale(c, enumeration)
         out += renamed(pq.validate(seed) + [pq.is_cyclic()], "profq-")
         model = ThinModel(pq)
         out += renamed(validate_staut(model, seed), "profq-staut-")
-        from .thin import thin_identity_cycle
-        cyc_data = thin_identity_cycle(model)
-        profile = cyclicity.classify(cyc_data, seed)
+        profile = cyclicity.classify(thin_identity_cycle(model), seed)
         out.append(profile.check("profq-cycle-classification", cyclicity.CYCLE))
-        return out, profile, pq
-    return out, profile, None
+    return out, profile, pq
 
 
 # ----------------------------------------------- contraposition agreement

@@ -162,6 +162,19 @@ def test_cli_input_errors(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["--depth", "1", "prof", "check", "builtin:disc2"],
+    ["braided", "d2-suite", "--depth", "1"],
+    ["--depth", "8", "paper", "all"],
+], ids=["prof", "braided", "paper"])
+def test_cli_depth_refused_where_unread(argv, capsys):
+    # refused before any check runs, naming the commands that read it
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--depth is read only by quantale, vec and zang, not by" in captured.err
+
+
 def test_cli_structured_report_deterministic(tmp_path, capsys):
     args = ["--format", "structured", "--seed", "5",
             "--report", str(tmp_path / "a.json"), "quantale", "check", "bool2"]

@@ -15,13 +15,16 @@ V2 = build_bool2()
 DISC2 = pf.discrete_vcat(V2, ["a", "b"])
 
 
-def prof(vals):
-    return pf.VProf(DISC2, DISC2, vals)
-
-
 def as_vals(pairs):
-    return {(x, y): (1 if (x, y) in pairs else 0)
-            for x in "ab" for y in "ab"}
+    """The profunctor of DISC2 that is 1 exactly on ``pairs``."""
+    return tuple(1 if k in pairs else 0 for k in DISC2.keys)
+
+
+def _luk3_vcat(xy, yx):
+    v = build_luk3()
+    one = v.index(Fraction(1))
+    return pf.VCat(v, ["x", "y"], {("x", "x"): one, ("x", "y"): v.index(xy),
+                                   ("y", "x"): v.index(yx), ("y", "y"): one})
 
 
 def test_vcat_rejects_bad_hom():
@@ -29,78 +32,107 @@ def test_vcat_rejects_bad_hom():
         pf.VCat(V2, ["a"], {("a", "a"): 0})
 
 
-def test_vprof_rejects_action_violation():
-    v = build_luk3()
-    one, half, zero = (v.index(Fraction(k, 2)) for k in (2, 1, 0))
-    c = pf.VCat(v, ["x", "y"], {("x", "x"): one, ("x", "y"): half,
-                                ("y", "x"): zero, ("y", "y"): one})
-    with pytest.raises(pf.ProfError):
-        # fails the left action along hom(x, y) = 1/2
-        pf.VProf(c, c, {("x", "x"): zero, ("x", "y"): zero,
-                        ("y", "x"): one, ("y", "y"): zero})
+def test_vcat_keys_are_row_major():
+    assert DISC2.keys == [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+
+
+def test_action_violation_rejects_left_action():
+    c = _luk3_vcat(Fraction(1, 2), Fraction(0))
+    zero, one = (c.base.index(Fraction(k)) for k in (0, 1))
+    # fails the left action along hom(x, y) = 1/2
+    f = (zero, zero, one, zero)
+    assert pf.action_violation(c, f) == ("left", "x", "y", "x")
+    with pytest.raises(pf.ProfError, match="action inequality fails"):
+        pf.dual_prof(c, f, "right")
+
+
+def test_action_violation_rejects_right_action():
+    c = _luk3_vcat(Fraction(1, 2), Fraction(0))
+    zero, one = (c.base.index(Fraction(k)) for k in (0, 1))
+    # passes the left action, fails the right one along hom(x, y) = 1/2
+    f = (one, zero, zero, zero)
+    assert pf.action_violation(c, f) == ("right", "x", "x", "y")
+    with pytest.raises(pf.ProfError, match="action inequality fails"):
+        pf.dual_prof(c, f, "left")
 
 
 def test_compose_discrete_example():
-    f = prof(as_vals({("a", "b")}))
-    g = prof(as_vals({("b", "a")}))
-    assert pf.compose_prof(f, g).values == as_vals({("a", "a")})
+    f = as_vals({("a", "b")})
+    g = as_vals({("b", "a")})
+    assert pf.compose_prof(DISC2, f, g) == as_vals({("a", "a")})
 
 
 def test_identity_profunctor_neutral():
     i = pf.identity_prof(DISC2)
     for pairs in ({("a", "b")}, {("a", "a"), ("b", "a")}, set()):
-        f = prof(as_vals(pairs))
-        assert pf.compose_prof(i, f).values == f.values
-        assert pf.compose_prof(f, i).values == f.values
+        f = as_vals(pairs)
+        assert pf.compose_prof(DISC2, i, f) == f
+        assert pf.compose_prof(DISC2, f, i) == f
 
 
 def test_compose_associative_exhaustive():
     profs, exhaustive = pf.enumerate_profs(DISC2)
     assert exhaustive and len(profs) == 16
-    for fa in profs[:8]:
-        for fb in profs[:8]:
-            for fc in profs[:8]:
-                f, g, h = prof(fa), prof(fb), prof(fc)
-                lhs = pf.compose_prof(f, pf.compose_prof(g, h))
-                rhs = pf.compose_prof(pf.compose_prof(f, g), h)
-                assert lhs.values == rhs.values
+    for f in profs[:8]:
+        for g in profs[:8]:
+            for h in profs[:8]:
+                lhs = pf.compose_prof(DISC2, f, pf.compose_prof(DISC2, g, h))
+                rhs = pf.compose_prof(DISC2, pf.compose_prof(DISC2, f, g), h)
+                assert lhs == rhs
 
 
 def test_par_of_all_top_is_all_top():
-    top = prof(as_vals({(x, y) for x in "ab" for y in "ab"}))
-    assert pf.par_prof(top, top).values == top.values
+    top = as_vals(set(DISC2.keys))
+    assert pf.par_prof(DISC2, top, top) == top
 
 
 def test_dual_is_complement_of_reverse():
-    f = prof(as_vals({("a", "b"), ("b", "b")}))
-    d = pf.dual_prof(f, "right")
-    expected = {(q, r): (0 if (r, q) in {("a", "b"), ("b", "b")} else 1)
-                for q in "ab" for r in "ab"}
-    assert d.values == expected
-    assert pf.dual_prof(f, "left").values == expected
+    f = as_vals({("a", "b"), ("b", "b")})
+    expected = tuple(0 if (r, q) in {("a", "b"), ("b", "b")} else 1
+                     for q, r in DISC2.keys)
+    assert pf.dual_prof(DISC2, f, "right") == expected
+    assert pf.dual_prof(DISC2, f, "left") == expected
 
 
-def test_dual_of_identity_is_dualizer():
-    assert pf.dual_prof(pf.identity_prof(DISC2), "right").values == \
-        pf.dualizer_prof(DISC2).values
+def test_dualizer_is_perp_of_reversed_hom():
+    assert pf.dualizer_prof(DISC2) == (0, 1, 1, 0)
+    c = luk3_two_object_vcat()
+    # perp(hom(r, q)) = 1 - hom(r, q) at (q, r), for hom(x, y) = 1/2, hom(y, x) = 0
+    assert [c.base.name(x) for x in pf.dualizer_prof(c)] == ["0", "1", "1/2", "0"]
 
 
 def test_double_dual_is_identity_exhaustive():
     profs, _ = pf.enumerate_profs(DISC2)
-    for vals in profs:
-        f = prof(vals)
-        assert pf.dual_prof(pf.dual_prof(f, "right"), "left").values == vals
-        assert pf.dual_prof(pf.dual_prof(f, "left"), "right").values == vals
+    for f in profs:
+        assert pf.dual_prof(DISC2, pf.dual_prof(DISC2, f, "right"), "left") == f
+        assert pf.dual_prof(DISC2, pf.dual_prof(DISC2, f, "left"), "right") == f
 
 
 def test_demorgan_pointwise_exhaustive():
     profs, _ = pf.enumerate_profs(DISC2)
-    for fa in profs[:6]:
-        for fb in profs[:6]:
-            f, g = prof(fa), prof(fb)
-            lhs = pf.dual_prof(pf.compose_prof(f, g), "right")
-            rhs = pf.par_prof(pf.dual_prof(g, "right"), pf.dual_prof(f, "right"))
-            assert lhs.values == rhs.values
+    for f in profs[:6]:
+        for g in profs[:6]:
+            lhs = pf.dual_prof(DISC2, pf.compose_prof(DISC2, f, g), "right")
+            rhs = pf.par_prof(DISC2, pf.dual_prof(DISC2, g, "right"),
+                              pf.dual_prof(DISC2, f, "right"))
+            assert lhs == rhs
+
+
+@pytest.mark.parametrize("c", [
+    DISC2,
+    _luk3_vcat(Fraction(1, 2), Fraction(0)),
+    _luk3_vcat(Fraction(1), Fraction(1)),
+], ids=["disc2", "luk3-1/2-0", "luk3-1-1"])
+def test_prof_quantale_duals_and_par_are_the_pointwise_formulas(c):
+    # the kernel's residual sweeps on Prof(c, c) against the transposed
+    # pointwise duals and the meet-of-pars composite
+    pq = pf.build_prof_quantale(c, pf.enumerate_profs(c))
+    vals = pq.values
+    for x in pq.elements:
+        assert vals[pq.perp(x)] == pf.dual_prof(c, vals[x], "right"), pq.name(x)
+        assert vals[pq.prep(x)] == pf.dual_prof(c, vals[x], "left"), pq.name(x)
+        for y in pq.elements:
+            assert vals[pq.par(x, y)] == pf.par_prof(c, vals[x], vals[y]), (x, y)
 
 
 def test_compose_requires_cyclic_base():
@@ -108,13 +140,13 @@ def test_compose_requires_cyclic_base():
     c = pf.discrete_vcat(q, ["x"])
     f = pf.identity_prof(c)
     with pytest.raises(pf.ProfError, match="not cyclic"):
-        pf.compose_prof(f, f)
+        pf.compose_prof(c, f, f)
 
 
 def test_one_object_prof_is_base():
     v = build_rel_quantale(1)
     c = pf.discrete_vcat(v, ["x"])
-    pq = pf.build_prof_quantale(c)
+    pq = pf.build_prof_quantale(c, pf.enumerate_profs(c))
     assert len(pq.elements) == len(v.elements)
     bij = {el: pq.values[el][0] for el in pq.elements}
     for a in pq.elements:
@@ -124,7 +156,7 @@ def test_one_object_prof_is_base():
 
 
 def test_disc2_prof_quantale_is_rel2():
-    pq = pf.build_prof_quantale(DISC2)
+    pq = pf.build_prof_quantale(DISC2, pf.enumerate_profs(DISC2))
     assert _prof_rel2_bijection(pq).ok
 
 
@@ -149,8 +181,9 @@ def test_check_prof_staut_sampled_path(monkeypatch):
     enum = next(c for c in checks if c.name == "prof-enumeration")
     assert not enum.exhaustive
     assert all(c.ok for c in checks)
+    c = luk3_two_object_vcat()
     with pytest.raises(pf.ProfError, match="exhaustive"):
-        pf.build_prof_quantale(luk3_two_object_vcat())
+        pf.build_prof_quantale(c, pf.enumerate_profs(c))
 
 
 def test_contraposition_agreement_vec_and_thin(monkeypatch):

@@ -80,7 +80,8 @@ def test_kernel_matches_values_on_a_file_quantale(tmp_path):
 
 @pytest.mark.parametrize("make", [luk3_two_object_vcat, _luk3_indiscrete_vcat])
 def test_kernel_matches_values_on_luk3_profunctor_quantales(make):
-    pq = pf.build_prof_quantale(make())
+    c = make()
+    pq = pf.build_prof_quantale(c, pf.enumerate_profs(c))
     assert pq.family == "prof" and len(pq) >= 3
     _agrees_with_values(pq)
 

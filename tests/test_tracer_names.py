@@ -7,7 +7,7 @@ import importlib.util
 from pathlib import Path
 
 from stautcheck import profunctors as pf
-from stautcheck.quantale import builtin_quantale
+from stautcheck.quantale import build_bool2, builtin_quantale
 from stautcheck.suites import luk3_two_object_vcat
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -45,7 +45,25 @@ def test_no_quantale_shadows_a_traced_method():
               if modname == "quantale" and attr.startswith("Quantale.")}
     assert {"tensor", "under", "over", "join", "validate"} <= traced
     quantales = [builtin_quantale(spec) for spec in ("rel:2", "2prof:vee", "luk3")]
-    quantales.append(pf.build_prof_quantale(luk3_two_object_vcat()))
+    c = luk3_two_object_vcat()
+    quantales.append(pf.build_prof_quantale(c, pf.enumerate_profs(c)))
     assert [q.family for q in quantales] == ["rel", "two_prof", "chain", "prof"]
     for q in quantales:
         assert not traced & set(vars(q)), q.label
+
+
+def test_prof_check_runs_each_traced_profunctor_span_once(monkeypatch):
+    # the tracer wraps these module attributes; check_prof_staut must reach
+    # both through them, once each, so their spans time the real path
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("enumerate_profs", "build_prof_quantale"):
+        monkeypatch.setattr(pf, name, counted(name, getattr(pf, name)))
+    pf.check_prof_staut(pf.discrete_vcat(build_bool2(), ["a", "b"]))
+    assert calls == ["enumerate_profs", "build_prof_quantale"]
