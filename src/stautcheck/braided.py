@@ -3,9 +3,10 @@
 A braiding on the tensor induces one on the par through the duals and the de
 Morgan isomorphisms; the two cohere through four mixed-distribution diagrams
 checked here, and agree outright in degenerate models (par = tensor, equal
-units).  The bridge to the axiom engine: a twist theta yields the hom-level
-family omega |-> braid; (theta (x) id); omega, and a cycle family yields a
-twist through the evaluation loop below; the two constructions are exact
+units).  A twist and the stitch are p => p families (``cyclicity.Family``),
+checked as cycles are.  The bridge to the axiom engine: a twist theta yields
+the hom-level family omega |-> braid; (theta (x) id); omega, and a cycle
+family yields a twist through the evaluation loop below; the two are exact
 mutual inverses, which ``roundtrip_check`` verifies.
 
 Sign conventions (which crossing is an inverse braiding) were fixed once by
@@ -14,10 +15,8 @@ crossing contributes a detectable scalar; the checks then re-verify them on
 every braided backend.
 """
 
-from itertools import product
-
 from .core.morphisms import MorError
-from .core.quantify import arrows, draw, scan
+from .core.quantify import draw, scan
 from . import cyclicity
 from .cyclicity import BigCycle
 
@@ -35,22 +34,17 @@ class Braiding:
         if not model.is_braided:
             raise MorError("model has no braiding")
         self.model = model
-        self._par_memo = {}
 
     def tens(self, p, q):
         return self.model.braid(p, q)
 
     def par(self, p, q):
-        """p par q -> q par p, transported through the right duals."""
-        hit = self._par_memo.get((p, q))
-        if hit is None:
-            m = self.model
-            hit = m.chain(
-                m.invert(self._par_encoding(p, q)),
-                m.rdual_mor(m.braid(m.ldual(p), m.ldual(q))),
-                self._par_encoding(q, p))
-            self._par_memo[p, q] = hit
-        return hit
+        """p par q -> q par p through the right duals, built once per model."""
+        m = self.model
+        return m._structural(("par_braid", p, q), lambda: m.chain(
+            m.invert(self._par_encoding(p, q)),
+            m.rdual_mor(m.braid(m.ldual(p), m.ldual(q))),
+            self._par_encoding(q, p)))
 
     def _par_encoding(self, a, b):
         """rdual(ldual(b) (x) ldual(a)) -> a par b, the canonical comparison."""
@@ -153,37 +147,19 @@ class Braiding:
             and repr((p, q))), exh)
 
 
-class Balance:
-    """A candidate twist: one automorphism per object, memoized."""
+class Balance(cyclicity.Family):
+    """A candidate twist: one automorphism p -> p per object."""
 
-    def __init__(self, model, component_fn, label="twist"):
-        self.model = model
-        self.label = label
-        self._fn = component_fn
-        self._memo = {}
+    kind = "twist"
+    # the benchmark's tracer (perfbench/tracer.py) wraps this name
+    validate = cyclicity.Family.validate
 
-    def component(self, p):
-        hit = self._memo.get(p)
-        if hit is None:
-            hit = self._fn(p)
-            if hit.dom is not p or hit.cod is not p:
-                raise MorError(f"twist component at {p} has shape {hit}")
-            self._memo[p] = hit
-        return hit
+    def _ends(self, p):
+        return p, p
 
-    def validate(self):
+    def _square(self, a, b, f):
         m = self.model
-        probes = m.probe_objects()
-
-        def not_invertible(p):
-            m.invert(self.component(p))   # raises MorError when there is no inverse
-
-        def natural(p, q, i, f):
-            return (m.compose(f, self.component(q)) != m.compose(self.component(p), f)
-                    and f"naturality fails at {f}, arrow #{i}")
-
-        return [scan("twist-invertible", probes, not_invertible),
-                scan("twist-natural", arrows(m, product(probes, repeat=2)), natural)]
+        return m.compose(f, self.component(b)), m.compose(self.component(a), f)
 
 
 def identity_balance(model):
@@ -274,26 +250,20 @@ def check_semibalance(balance, which):
 
 
 def stitch(model, p):
-    """The canonical double-crossing automorphism of p: an evaluation loop
-    whose two crossings are same-handed, so it measures the failure of the
-    braiding to be a symmetry.  Identity in any symmetric model."""
+    """The canonical double-crossing automorphism of p, built once per model:
+    an evaluation loop whose two crossings are same-handed, so it measures
+    the failure of the braiding to be a symmetry.  Identity in any symmetric
+    model."""
     m = model
-    rp = m.rdual(p)
-    crossings = m.chain(
-        m.invert(m.braid(rp, p)),
-        m.invert(m.braid(p, rp)),
-        m.dual_counit_r(p))
-    return m.curry_right(m.rdual_adj(p), crossings)
+    return m._structural(("stitch", p), lambda: m.curry_right(m.rdual_adj(p), m.chain(
+        m.invert(m.braid(m.rdual(p), p)),
+        m.invert(m.braid(p, m.rdual(p))),
+        m.dual_counit_r(p))))
 
 
 def check_stitch_natural(model):
-    m = model
-
-    def natural(p, q, i, f):
-        return (m.compose(f, stitch(m, q)) != m.compose(stitch(m, p), f)
-                and f"at {f}, arrow #{i}")
-
-    return scan("stitch-natural", arrows(m, product(m.probe_objects(), repeat=2)), natural)
+    """Naturality of the p => p family p |-> stitch(model, p)."""
+    return Balance(model, lambda p: stitch(model, p), "stitch", "stitch").natural()
 
 
 def check_quasibalance(balance):

@@ -33,6 +33,12 @@ class InputError(Exception):
     pass
 
 
+# The strings of a window are built by recursion on the index, about four
+# interpreter frames an index, so past this width Python's recursion limit
+# is hit (--window 250 raised RecursionError on vec and thin:rel:2).
+_MAX_WINDOW = 200
+
+
 def _add_common(p, leaf):
     """Global flags, accepted both before and after the subcommand; the leaf
     copies suppress their defaults so they never clobber a prefix value."""
@@ -119,8 +125,8 @@ def _parse_scalars(text):
 
 
 def _run(args):
-    if args.window < 1:
-        raise InputError("--window must be at least 1")
+    if not 1 <= args.window <= _MAX_WINDOW:
+        raise InputError(f"--window must be 1..{_MAX_WINDOW}")
     if args.depth is not None and args.command not in ("quantale", "vec", "zang"):
         raise InputError(f"--depth is read only by quantale, vec and zang, not by {args.command}")
     if args.depth is not None and args.depth < 1:

@@ -28,6 +28,7 @@ transcribed diagram fails at construction instead of producing garbage.
 
 from dataclasses import dataclass
 
+from .memo import LazyTable
 from .objects import Interner, ObjRef, GEN, TENS, PAR, RDUAL, LDUAL, UNIT_T, UNIT_P, UniverseError
 from .morphisms import Mor, MorError, CompositionError, ShapeError
 
@@ -67,10 +68,10 @@ class StautModel:
     is_linear = False
     is_braided = False
 
-    def __init__(self, generators, depth_limit=6):
+    def __init__(self, generators, depth_limit):
         self._interner = Interner(depth_limit)
         self._generators = dict(generators)
-        self._values = {}
+        self._values = LazyTable(self._value_at)
         self._struct_cache = {}
         self.probes = []
 
@@ -102,14 +103,12 @@ class StautModel:
         return self._interner.intern(LDUAL, (a,))
 
     def value(self, ref):
-        v = self._values.get(ref)
-        if v is None:
-            if ref.kind == GEN:
-                v = self._generators[ref.args[0]]
-            else:
-                v = self._object_value(ref.kind, *map(self.value, ref.args))
-            self._values[ref] = v
-        return v
+        return self._values[ref]
+
+    def _value_at(self, ref):
+        if ref.kind == GEN:
+            return self._generators[ref.args[0]]
+        return self._object_value(ref.kind, *map(self.value, ref.args))
 
     # ------------------------------------------------------- backend contract
 

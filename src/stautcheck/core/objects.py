@@ -6,6 +6,8 @@ equal descriptors are interned to the same handle, so ``is`` comparison is
 object equality, and a handle keys a dict as itself: it hashes by identity.
 """
 
+from .memo import LazyTable
+
 
 class UniverseError(Exception):
     """A descriptor falls outside the model's generated universe."""
@@ -51,18 +53,16 @@ class Interner:
 
     def __init__(self, depth_limit):
         self.depth_limit = depth_limit
-        self._table = {}
+        self._table = LazyTable(self._new)
 
     def intern(self, kind, args):
-        ident = (kind, *args)
-        hit = self._table.get(ident)
-        if hit is not None:
-            return hit
-        ref = ObjRef(kind, args)
+        return self._table[(kind, *args)]
+
+    def _new(self, ident):
+        ref = ObjRef(ident[0], ident[1:])
         if ref.depth > self.depth_limit:
             raise UniverseError(
                 f"descriptor depth {ref.depth} exceeds the universe depth limit "
                 f"{self.depth_limit}; rebuild the model with a larger depth "
                 f"(CLI flag --depth)")
-        self._table[ident] = ref
         return ref

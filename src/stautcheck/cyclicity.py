@@ -1,9 +1,10 @@
 """The axiom engine for cyclicity data.
 
-A ``CycleData`` is a family of isomorphisms rdual(p) -> ldual(p); a
-``BigCycle`` is the equivalent family of hom-set bijections
-Hom(p (x) t, d) -> Hom(t (x) p, d).  ``to_upper``/``to_lower`` convert between
-them and are exact mutual inverses.
+A ``CycleData`` is a ``Family`` of isomorphisms rdual(p) -> ldual(p), and
+a twist (``braided.Balance``) one of automorphisms p -> p: one memo, shape
+check, invertibility scan and naturality scan serve both.  A ``BigCycle`` is
+the equivalent family of hom-set bijections Hom(p (x) t, d) -> Hom(t (x) p, d);
+``to_upper``/``to_lower`` convert between them and are exact mutual inverses.
 
 Thirteen named coherence conditions are checked, five on the object level
 
@@ -29,54 +30,70 @@ from dataclasses import dataclass, field
 from itertools import product
 import random
 
+from .core.memo import LazyTable
 from .core.morphisms import ShapeError
 from .core.quantify import TUPLE_CAP, arrows, draw, scan
 
 
-class CycleData:
-    """Candidate cyclicity family on a model: one iso rdual(p) -> ldual(p)
-    per object, produced on demand and memoized."""
+class Family:
+    """A candidate natural family: one morphism per object, built on first
+    use from ``component_fn`` and memoized, as are its inverses.  A subclass
+    states the ends of each component (``_ends``) and the two sides of the
+    naturality square at an arrow f: a -> b (``_square``).  ``validate``
+    checks invertibility on the probes and naturality on the hom spanning
+    sets of every probe pair, in checks named after ``kind``."""
 
-    def __init__(self, model, component_fn, label="cycle"):
-        self.model = model
-        self.label = label
-        self._fn = component_fn
-        self._memo = {}
-        self._inv = {}
+    kind = "family"
+
+    def __init__(self, model, component_fn, label, kind=None):
+        self.model, self.label, self._fn = model, label, component_fn
+        self.kind = kind or self.kind
+        self._components = LazyTable(self._component_at)
+        self._inverses = LazyTable(lambda p: model.invert(self.component(p)))
 
     def component(self, p):
-        hit = self._memo.get(p)
-        if hit is None:
-            hit = self._fn(p)
-            m = self.model
-            if hit.dom is not m.rdual(p) or hit.cod is not m.ldual(p):
-                raise ShapeError(f"cycle component at {p} has shape {hit}")
-            self._memo[p] = hit
-        return hit
+        return self._components[p]
 
     def inverse_component(self, p):
-        hit = self._inv.get(p)
-        if hit is None:
-            hit = self.model.invert(self.component(p))
-            self._inv[p] = hit
+        return self._inverses[p]
+
+    def _component_at(self, p):
+        hit = self._fn(p)
+        dom, cod = self._ends(p)
+        if hit.dom is not dom or hit.cod is not cod:
+            raise ShapeError(f"{self.kind} component at {p} has shape {hit}")
         return hit
 
-    def validate(self):
-        """Invertibility on the probes and naturality on the hom spanning
-        sets of every probe pair."""
-        m = self.model
-        probes = m.probe_objects()
-
-        def natural(a, b, i, f):
-            lhs = m.compose(self.component(b), m.ldual_mor(f))
-            rhs = m.compose(m.rdual_mor(f), self.component(a))
-            return lhs != rhs and f"naturality fails at {f}, arrow #{i}"
-
+    def invertible(self):
         def not_invertible(p):
             self.inverse_component(p)   # raises MorError when there is no inverse
 
-        return [scan("cycle-invertible", probes, not_invertible),
-                scan("cycle-natural", arrows(m, product(probes, repeat=2)), natural)]
+        return scan(f"{self.kind}-invertible", self.model.probe_objects(), not_invertible)
+
+    def natural(self):
+        def body(a, b, i, f):
+            lhs, rhs = self._square(a, b, f)
+            return lhs != rhs and f"naturality fails at {f}, arrow #{i}"
+
+        probes = self.model.probe_objects()
+        return scan(f"{self.kind}-natural", arrows(self.model, product(probes, repeat=2)), body)
+
+    def validate(self):
+        return [self.invertible(), self.natural()]
+
+
+class CycleData(Family):
+    """Candidate cyclicity family: one iso rdual(p) -> ldual(p) per object."""
+
+    kind = "cycle"
+
+    def _ends(self, p):
+        return self.model.rdual(p), self.model.ldual(p)
+
+    def _square(self, a, b, f):
+        m = self.model
+        return (m.compose(self.component(b), m.ldual_mor(f)),
+                m.compose(m.rdual_mor(f), self.component(a)))
 
 
 class BigCycle:
@@ -273,23 +290,26 @@ _AXIOMS = {
 AXIOMS = tuple(_AXIOMS)
 
 
+def _draws(m, seed):
+    """The tuples of each row shape (arity, dim_cap, spans), drawn from
+    ``seed`` on first use."""
+    return LazyTable(lambda key: draw(m, m.probe_objects(), key[0], TUPLE_CAP, key[1],
+                                      seed * 1000003 + key[0], _live(m, key[2])))
+
+
 def check_axiom(cycle, which, seed=0, big=None, draws=None):
     """Exact check of one named coherence condition; returns verdict plus a
     counterexample locator on failure, replayable from ``seed``.
 
     Rows with the same arity, dimension budget and span shapes draw the
-    same tuples from the same seed; ``draws`` keeps those draws, so that
-    rows checked with one seed share them."""
+    same tuples from the same seed; ``draws``, made by ``_draws``, keeps
+    those draws, so that rows checked with one seed share them."""
     if which not in _AXIOMS:
         raise ValueError(f"unknown axiom {which!r}; known: {AXIOMS}")
     ax = _AXIOMS[which]
     m = cycle.model
-    draws = {} if draws is None else draws
-    key = (ax.arity, ax.dim_cap, ax.spans)
-    if key not in draws:
-        draws[key] = draw(m, m.probe_objects(), ax.arity, TUPLE_CAP, ax.dim_cap,
-                          seed * 1000003 + ax.arity, _live(m, ax.spans))
-    tuples, exhaustive = draws[key]
+    draws = _draws(m, seed) if draws is None else draws
+    tuples, exhaustive = draws[ax.arity, ax.dim_cap, ax.spans]
     if not ax.spans:
         def body(*t):
             lhs, rhs = ax.sides(m, cycle, *t)
@@ -345,7 +365,7 @@ def classify(cycle, seed=0, big=None):
     original family avoids re-deriving it through the duals.
     """
     big = big or to_upper(cycle)
-    verdicts, witnesses, draws = {}, {}, {}
+    verdicts, witnesses, draws = {}, {}, _draws(cycle.model, seed)
     for name in AXIOMS:
         res = check_axiom(cycle, name, seed, big, draws)
         verdicts[name] = res.ok

@@ -58,6 +58,7 @@ from fractions import Fraction
 from itertools import product
 import random
 
+from .core.memo import LazyTable
 from .core.quantify import scan
 
 # ``Quantale.validate`` tries every triple of elements and every pair of the
@@ -100,8 +101,8 @@ class Quantale:
             raise QuantaleError("unit and dualizer must be elements")
         self.unit = self._index[unit]
         self.dualizer = self._index[dualizer]
-        self._under = {}
-        self._over = {}
+        self._under = LazyTable(self._under_at)
+        self._over = LazyTable(self._over_at)
         if masks:
             self._codes, self._by_code = values, self._index
         else:
@@ -203,26 +204,24 @@ class Quantale:
 
     def under(self, a, b):
         """Largest x with a * x <= b."""
-        key = (a, b)
-        hit = self._under.get(key)
-        if hit is None:
-            hit = self._greatest_below(lambda x: self.tensor(a, x), self._codes[b])
-            if hit is None:
-                raise QuantaleError(
-                    f"residual {self.name(a)} \\ {self.name(b)} does not exist")
-            self._under[key] = hit
-        return hit
+        return self._under[a, b]
 
     def over(self, b, a):
         """Largest x with x * a <= b."""
-        key = (b, a)
-        hit = self._over.get(key)
+        return self._over[b, a]
+
+    def _under_at(self, key):
+        a, b = key
+        hit = self._greatest_below(lambda x: self.tensor(a, x), self._codes[b])
         if hit is None:
-            hit = self._greatest_below(lambda x: self.tensor(x, a), self._codes[b])
-            if hit is None:
-                raise QuantaleError(
-                    f"residual {self.name(b)} / {self.name(a)} does not exist")
-            self._over[key] = hit
+            raise QuantaleError(f"residual {self.name(a)} \\ {self.name(b)} does not exist")
+        return hit
+
+    def _over_at(self, key):
+        b, a = key
+        hit = self._greatest_below(lambda x: self.tensor(x, a), self._codes[b])
+        if hit is None:
+            raise QuantaleError(f"residual {self.name(b)} / {self.name(a)} does not exist")
         return hit
 
     def perp(self, a):
@@ -324,18 +323,6 @@ class Quantale:
 
 # --------------------------------------------------------------- relations
 
-class _LazyTable(dict):
-    """A dict that fills a missing key with ``make(key)`` on first lookup."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 def _make_rel_composer(n):
     """The composition kernel ``compose(a, b)`` for relations on n points.
 
@@ -361,8 +348,8 @@ def _make_rel_composer(n):
             joined[s] = joined[s ^ low] | brows[low.bit_length() - 1]
         return tuple(joined)
 
-    rows = _LazyTable(lambda m: tuple((m >> (i * n)) & full for i in range(n)))
-    spread = _LazyTable(spread_of)
+    rows = LazyTable(lambda m: tuple((m >> (i * n)) & full for i in range(n)))
+    spread = LazyTable(spread_of)
 
     def compose(a, b):
         # row i of a;b is the OR of b's rows picked out by row i of a
@@ -376,7 +363,7 @@ def _make_rel_composer(n):
     return compose
 
 
-_REL_COMPOSERS = _LazyTable(_make_rel_composer)
+_REL_COMPOSERS = LazyTable(_make_rel_composer)
 
 
 def rel_compose(a, b, n):

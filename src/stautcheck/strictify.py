@@ -17,6 +17,7 @@ closed subcategory on which the extended cycle is the identity.
 
 from itertools import product
 
+from .core.memo import LazyTable
 from .core.model import Adjunction
 from .core.morphisms import MorError, ShapeError
 from .core.objects import UniverseError
@@ -29,37 +30,25 @@ class ZString:
 
     def __init__(self, model):
         self.model = model
-        self._z = {}
-        self._gamma = {}
-        self._tau = {}
+        self._z = LazyTable(self._z_at)
+        self._gamma = LazyTable(self._gamma_at)
+        self._tau = LazyTable(self._tau_at)
 
     def z(self, n):
-        hit = self._z.get(n)
-        if hit is None:
-            try:
-                hit = self._z_at(n)
-            except UniverseError as exc:
-                raise UniverseError(
-                    f"string component {n} of {self.describe()} needs a deeper "
-                    f"universe: {exc}") from None
-            self._z[n] = hit
-        return hit
+        try:
+            return self._z[n]
+        except UniverseError as exc:
+            raise UniverseError(
+                f"string component {n} of {self.describe()} needs a deeper "
+                f"universe: {exc}") from None
 
     def gamma(self, n):
         """Counit z(n) (x) z(n+1) -> d."""
-        hit = self._gamma.get(n)
-        if hit is None:
-            hit = self._gamma_at(n)
-            self._gamma[n] = hit
-        return hit
+        return self._gamma[n]
 
     def tau(self, n):
         """Unit e -> z(n+1) par z(n); derived from gamma unless overridden."""
-        hit = self._tau.get(n)
-        if hit is None:
-            hit = self._tau_at(n)
-            self._tau[n] = hit
-        return hit
+        return self._tau[n]
 
     def _tau_at(self, n):
         m = self.model
@@ -246,14 +235,11 @@ class ZMate:
                              f"{src.z(0)} -> {dst.z(0)}")
         self.model = src.model
         self.src, self.dst = src, dst
-        self._m = {0: base}
+        self._m = LazyTable(self._lift)
+        self._m[0] = base
 
     def m(self, n):
-        hit = self._m.get(n)
-        if hit is None:
-            hit = self._lift(n)
-            self._m[n] = hit
-        return hit
+        return self._m[n]
 
     def _lift(self, n):
         m = self.model

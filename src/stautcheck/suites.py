@@ -159,14 +159,25 @@ def luk3_two_object_vcat():
 
 # ----------------------------------------------------------------- braided
 
+def _braiding_checks(braiding, seed):
+    """The coherence checks of a braiding."""
+    return [braiding.check_hexagons(seed), braiding.check_mixed_distributions(seed),
+            braiding.check_degenerate_agreement()]
+
+
+def _twist_checks(twist):
+    """The balance conditions and the cyclicity round trip of one twist."""
+    return [br.check_semibalance(twist, "tens"), br.check_semibalance(twist, "par"),
+            br.check_quasibalance(twist), br.check_balance_double(twist),
+            br.roundtrip_check(twist)]
+
+
 @_timed
 def braided_suite(seed=0):
     model = build_drinfeld_z2()
     rep = SuiteReport("braided-d2-suite", model.describe(), seed)
     braiding = br.Braiding(model)
-    rep.add(braiding.check_hexagons(seed))
-    rep.add(braiding.check_mixed_distributions(seed))
-    rep.add(braiding.check_degenerate_agreement())
+    rep.add(_braiding_checks(braiding, seed))
     rep.add(expect("double-braiding-nontrivial", fails=[braiding.is_symmetry()]))
 
     def double_braiding(p, q):
@@ -182,11 +193,7 @@ def braided_suite(seed=0):
 
     ribbon = br.ribbon_balance(model)
     rep.add(ribbon.validate())
-    rep.add(br.check_semibalance(ribbon, "tens"))
-    rep.add(br.check_semibalance(ribbon, "par"))
-    rep.add(br.check_quasibalance(ribbon))
-    rep.add(br.check_balance_double(ribbon))
-    rep.add(br.roundtrip_check(ribbon))
+    rep.add(_twist_checks(ribbon))
 
     rep.add(br.check_quasibalance(br.identity_balance(model)), prefix="identity-twist-")
     res, profile = br.check_identity_cycle_symmetry(model, seed)
@@ -213,21 +220,13 @@ def counter_model_suite(seed=0):
     square twist passes."""
     model = GradedLineModel()
     rep = SuiteReport("braided-counter-model", model.describe(), seed)
-    braiding = br.Braiding(model)
-    rep.add(braiding.check_hexagons(seed))
-    rep.add(braiding.check_mixed_distributions(seed))
-    rep.add(braiding.check_degenerate_agreement())
+    rep.add(_braiding_checks(br.Braiding(model), seed))
     rep.add(scan("stitch-detects-braiding", [model.gen("x")],
                  lambda x: br.stitch(model, x) == model.identity(x)
                  and f"the stitch at {x} is the identity"))
     rep.add(expect("identity-twist-fails-quasibalance",
                    fails=[br.check_quasibalance(br.identity_balance(model))]))
-    square = br.graded_square_balance(model)
-    rep.add(br.check_semibalance(square, "tens"))
-    rep.add(br.check_semibalance(square, "par"))
-    rep.add(br.check_quasibalance(square))
-    rep.add(br.check_balance_double(square))
-    rep.add(br.roundtrip_check(square))
+    rep.add(_twist_checks(br.graded_square_balance(model)))
     rep.add(expect("scaled-twist-fails-semibalance",
                    fails=[br.check_semibalance(br.scaled_balance(model, Fraction(2)), "tens")]))
     res, profile = br.check_identity_cycle_symmetry(model, seed)

@@ -219,4 +219,42 @@ def test_stitch_natural_reports_its_first_failure(vec, monkeypatch):
     pos, _, i, f = bad[0]
     res = br.check_stitch_natural(vec)
     assert res.name == "stitch-natural" and not res.ok
-    assert (res.count, res.witness) == (pos, f"at {f}, arrow #{i}")
+    assert (res.count, res.witness) == (pos, f"naturality fails at {f}, arrow #{i}")
+
+
+@pytest.mark.parametrize("check", ["cycle-invertible", "cycle-natural", "twist-invertible"])
+def test_family_reports_its_first_failure(vec, check):
+    # one component is scaled: by 0 to break invertibility, by 2 to break
+    # naturality; the reference finds the first failure by brute force
+    kind, what = check.split("-")
+    target = vec.probe_objects()[3]
+    base = scalar_cycle(vec, 1).component if kind == "cycle" else vec.identity
+    lam = 0 if what == "invertible" else 2
+
+    def comp(p):
+        return vec.mor_scale(lam, base(p)) if p is target else base(p)
+
+    if what == "invertible":
+        def singular(p):
+            try:
+                vec.invert(comp(p))
+            except MorError as exc:
+                return f"at {p}: {exc}"
+
+        expected = next((pos, w) for pos, w in enumerate(map(singular, vec.probe_objects()), 1)
+                        if w)
+    else:
+        bad = _failing_arrows(vec, lambda p, q, f: vec.compose(comp(q), vec.ldual_mor(f))
+                              != vec.compose(vec.rdual_mor(f), comp(p)))
+        assert len({pq for _, pq, _, _ in bad}) >= 2
+        pos, _, i, f = bad[0]
+        expected = (pos, f"naturality fails at {f}, arrow #{i}")
+    family = (cy.CycleData if kind == "cycle" else br.Balance)(vec, comp, "broken")
+    res = {r.name: r for r in family.validate()}[check]
+    assert not res.ok and (res.count, res.witness) == expected
+
+
+def test_par_braid_and_stitch_are_built_once_per_model(dz2):
+    p, q = dz2.probe_objects()[2:4]
+    assert br.Braiding(dz2).par(p, q) is br.Braiding(dz2).par(p, q)
+    assert br.stitch(dz2, p) is br.stitch(dz2, p)

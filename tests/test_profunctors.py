@@ -4,6 +4,7 @@ from functools import partial
 import pytest
 
 from stautcheck import profunctors as pf
+from stautcheck.cli import main
 from stautcheck import cyclicity as cy
 from stautcheck.linear import build_vec_model, scalar_cycle
 from stautcheck.quantale import (build_bool2, build_luk3, build_rel_quantale,
@@ -199,3 +200,17 @@ def test_contraposition_needs_tensor_semicycle(monkeypatch):
     vec = build_vec_model(2)
     res = pf.check_contraposition_agreement(vec, scalar_cycle(vec, 3), seed=4)
     assert not res.ok
+
+
+def test_prof_quantale_is_bounded(tmp_path, capsys, monkeypatch):
+    # the discrete three-object bool2 category has 512 profunctors and is
+    # built; the luk3 one has 19,683 and is refused before any quantale is
+    disc3 = pf.discrete_vcat(V2, ["a", "b", "c"])
+    assert len(pf.build_prof_quantale(disc3, pf.enumerate_profs(disc3))) == 512
+    path = tmp_path / "disc3-luk3.vcat"
+    path.write_text("quantale luk3\nobjects a b c\n" + "".join(
+        f"hom {x} {y} {1 if x == y else 0}\n" for x in "abc" for y in "abc"))
+    built = []
+    monkeypatch.setattr(pf, "Quantale", lambda *args, **kwargs: built.append(args))
+    assert main(["prof", "check", str(path)]) == 2
+    assert "19,683 elements" in capsys.readouterr().err and not built
