@@ -261,9 +261,13 @@ def stitch(model, p):
         m.dual_counit_r(p))))
 
 
+class _Stitch(Balance):
+    kind = "stitch"
+
+
 def check_stitch_natural(model):
     """Naturality of the p => p family p |-> stitch(model, p)."""
-    return Balance(model, lambda p: stitch(model, p), "stitch", "stitch").natural()
+    return _Stitch(model, lambda p: stitch(model, p), "stitch").natural()
 
 
 def check_quasibalance(balance):

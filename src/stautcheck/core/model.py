@@ -108,6 +108,14 @@ class StautModel:
     def _value_at(self, ref):
         if ref.kind == GEN:
             return self._generators[ref.args[0]]
+        values = self._values
+        todo = [a for a in reversed(ref.args) if a.kind != GEN and a not in values]
+        while todo:   # the missing sub-objects, innermost first: no build recurses
+            kids = [a for a in reversed(todo[-1].args) if a.kind != GEN and a not in values]
+            if kids:
+                todo.extend(kids)
+            else:
+                values[todo.pop()]
         return self._object_value(ref.kind, *map(self.value, ref.args))
 
     # ------------------------------------------------------- backend contract

@@ -45,9 +45,8 @@ class Family:
 
     kind = "family"
 
-    def __init__(self, model, component_fn, label, kind=None):
+    def __init__(self, model, component_fn, label):
         self.model, self.label, self._fn = model, label, component_fn
-        self.kind = kind or self.kind
         self._components = LazyTable(self._component_at)
         self._inverses = LazyTable(lambda p: model.invert(self.component(p)))
 

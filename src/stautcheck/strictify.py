@@ -25,6 +25,15 @@ from .core.quantify import scan
 from .cyclicity import to_upper
 
 
+def _outward(table, n):
+    """``table[n]``, filled from index 0 toward n, so that a build recursing
+    on the index goes one level deep and no window meets the recursion limit."""
+    if n not in table:
+        for k in range(0, n, 1 if n > 0 else -1):
+            table[k]
+    return table[n]
+
+
 class ZString:
     """Base: finite-descriptor family of objects with adjunction data."""
 
@@ -36,7 +45,7 @@ class ZString:
 
     def z(self, n):
         try:
-            return self._z[n]
+            return _outward(self._z, n)
         except UniverseError as exc:
             raise UniverseError(
                 f"string component {n} of {self.describe()} needs a deeper "
@@ -44,7 +53,7 @@ class ZString:
 
     def gamma(self, n):
         """Counit z(n) (x) z(n+1) -> d."""
-        return self._gamma[n]
+        return _outward(self._gamma, n)
 
     def tau(self, n):
         """Unit e -> z(n+1) par z(n); derived from gamma unless overridden."""
@@ -239,7 +248,7 @@ class ZMate:
         self._m[0] = base
 
     def m(self, n):
-        return self._m[n]
+        return _outward(self._m, n)
 
     def _lift(self, n):
         m = self.model
@@ -382,12 +391,14 @@ class FangPreconditionError(Exception):
     """The supplied family is not a full cycle; names a failing axiom."""
 
 
-def _require_cycle(cycle, profile):
-    """Raise unless ``profile``, the axiom profile of ``cycle``, is a cycle."""
+def _upper_cycle(cycle, profile):
+    """The hom-level form of ``cycle``; raises unless ``profile``, the axiom
+    profile of ``cycle``, is a cycle."""
     if not profile.cycle:
         failing = [name for name in ("tbin", "pbin") if not profile.verdicts[name]]
         raise FangPreconditionError(
             f"{cycle.label} is not a cycle: fails {', '.join(failing)}")
+    return to_upper(cycle)
 
 
 def fang_membership(string, big, window):
@@ -407,15 +418,13 @@ def fang_membership(string, big, window):
 def fang_check(string, cycle, window, profile):
     """Membership of one string; the cycle, of axiom profile ``profile``,
     must be a full cycle."""
-    _require_cycle(cycle, profile)
-    big = to_upper(cycle)
+    big = _upper_cycle(cycle, profile)
     return scan("fang-membership", [string], lambda s: fang_membership(s, big, window))
 
 
 def fang_closure(P, Q, cycle, window, profile):
     """Tensor and par of members are members; as for ``fang_check``."""
-    _require_cycle(cycle, profile)
-    big = to_upper(cycle)
+    big = _upper_cycle(cycle, profile)
 
     def body(name, s):
         bad = fang_membership(s, big, window)
@@ -448,8 +457,7 @@ def check_zangcycle(model, cycle, window, strings, profile):
     on compatible period-two strings, and satisfies the binary coherence
     conditions componentwise (the string-level de Morgan maps being
     identities)."""
-    _require_cycle(cycle, profile)
-    big = to_upper(cycle)
+    big = _upper_cycle(cycle, profile)
     lo, hi = window
     inner = range(lo + 1, hi)
 

@@ -146,7 +146,6 @@ def test_cli_input_errors(tmp_path, capsys):
     assert main(["--depth", "0", "quantale", "check", "bool2"]) == 2
     assert main(["--window", "-2", "zang", "suite", "vec"]) == 2
     assert main(["--window", "0", "zang", "suite", "vec"]) == 2
-    assert main(["--window", "201", "zang", "suite", "vec"]) == 2
     assert main(["vec", "scalar-table", "--values", "1,1"]) == 2
     # unreadable input: a directory, a file that is not UTF-8, a report
     # path in a missing directory or naming a directory (refused before

@@ -72,6 +72,20 @@ def test_window_exceeding_universe_depth_errors():
         z.z(3)
 
 
+def test_wide_window_needs_no_deep_stack():
+    # a component is built from its neighbour and an object's value from its
+    # children; neither may recurse once per index, or the interpreter's
+    # recursion limit would cap the window (here 601 indices, 603 levels deep)
+    w = 300
+    model = build_vec_model(2, depth_limit=2 * w + 3)
+    p = model.probe_objects()[2]
+    strings = [st.zangify(model, p),
+               st.period2_from_cycle(model, p, scalar_cycle(model, 1))]
+    for s in strings:
+        assert st.check_triangles(s, (-w, w)).ok, s.describe()
+    assert st.zangify_mor(model, model.identity(p)).check_mateship((-w, w)).ok
+
+
 def test_zang_ops_rejects_model_mismatch(vm, tm):
     from stautcheck.core.morphisms import MorError
     P = st.zangify(vm, vm.gen("p"))
