@@ -70,6 +70,7 @@ class StautModel:
 
     def __init__(self, generators, depth_limit):
         self._interner = Interner(depth_limit)
+        self._objects = self._interner.table
         self._generators = dict(generators)
         self._values = LazyTable(self._value_at)
         self._struct_cache = {}
@@ -90,11 +91,12 @@ class StautModel:
     def d(self):
         return self._interner.intern(UNIT_P, ())
 
+    # tens and par, the most built kinds, look up an existing handle first
     def tens(self, a, b):
-        return self._interner.intern(TENS, (a, b))
+        return self._objects.get((TENS, a, b)) or self._interner.intern(TENS, (a, b))
 
     def par(self, a, b):
-        return self._interner.intern(PAR, (a, b))
+        return self._objects.get((PAR, a, b)) or self._interner.intern(PAR, (a, b))
 
     def rdual(self, a):
         return self._interner.intern(RDUAL, (a,))
@@ -116,7 +118,7 @@ class StautModel:
                 todo.extend(kids)
             else:
                 values[todo.pop()]
-        return self._object_value(ref.kind, *map(self.value, ref.args))
+        return self._object_value(ref.kind, *map(values.__getitem__, ref.args))
 
     # ------------------------------------------------------- backend contract
 
@@ -172,18 +174,19 @@ class StautModel:
     # _structural_mor hook, with its dom and cod read from STRUCTURE, and
     # cached so repeated coherence checks stay cheap.
 
-    def _structural(self, key, builder):
+    def _structural(self, key, build, *args):
+        """The arrow cached under ``key``, made by ``build(*args)`` on a miss."""
         hit = self._struct_cache.get(key)
         if hit is None:
-            hit = builder()
-            self._struct_cache[key] = hit
+            hit = self._struct_cache[key] = build(*args)
         return hit
 
     def _structure(self, kind, *objects):
-        def build():
-            dom, cod = STRUCTURE[kind](self, *objects)
-            return self._structural_mor(kind, dom, cod, objects)
-        return self._structural((kind, *objects), build)
+        return self._structural((kind, *objects), self._build_structure, kind, objects)
+
+    def _build_structure(self, kind, objects):
+        dom, cod = STRUCTURE[kind](self, *objects)
+        return self._structural_mor(kind, dom, cod, objects)
 
     def _structural_mor(self, kind, dom, cod, objects):
         """The structural map ``kind``, a name in STRUCTURE, at ``objects``:
@@ -364,7 +367,7 @@ class StautModel:
         unit_er: e -> rdual(d)      unit_dr: rdual(e) -> d
         unit_el: e -> ldual(d)      unit_dl: ldual(e) -> d
         """
-        return self._structural(("dm", variant, p, q), lambda: self._build_demorgan(variant, p, q))
+        return self._structural(("dm", variant, p, q), self._build_demorgan, variant, p, q)
 
     def _build_demorgan(self, variant, p, q):
         e, d = self.e, self.d

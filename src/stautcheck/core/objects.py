@@ -4,6 +4,8 @@ Objects are hash-consed descriptor terms over a model's declared generators,
 closed under tensor, par, the two units and the two duals.  Structurally
 equal descriptors are interned to the same handle, so ``is`` comparison is
 object equality, and a handle keys a dict as itself: it hashes by identity.
+A handle is a slotted object; its printed key is built on its first ``str``,
+since most handles are never printed.
 """
 
 from .memo import LazyTable
@@ -35,28 +37,40 @@ class ObjRef:
     structural equality implies identity within one model.
     """
 
+    __slots__ = ("kind", "args", "depth", "_key")
+
     def __init__(self, kind, args):
         self.kind = kind
         self.args = args
         self.depth = 0 if kind == GEN else 1 + max((a.depth for a in args), default=-1)
-        self.key = _KEYS[kind].format(*args)
+        self._key = None
 
     def __str__(self):
-        return self.key
+        if self._key is None:
+            todo = [self]
+            while todo:   # the unprinted sub-objects, innermost first: no key recurses
+                kids = [a for a in todo[-1].args if type(a) is ObjRef and a._key is None]
+                if kids:
+                    todo.extend(kids)
+                else:
+                    ref = todo.pop()
+                    ref._key = _KEYS[ref.kind].format(*ref.args)
+        return self._key
 
     def __repr__(self):
-        return f"ObjRef({self.key})"
+        return f"ObjRef({self})"
 
 
 class Interner:
-    """Hash-consing table for one model's descriptors."""
+    """Hash-consing table for one model's descriptors, keyed by
+    ``(kind, *args)``."""
 
     def __init__(self, depth_limit):
         self.depth_limit = depth_limit
-        self._table = LazyTable(self._new)
+        self.table = LazyTable(self._new)
 
     def intern(self, kind, args):
-        return self._table[(kind, *args)]
+        return self.table[(kind, *args)]
 
     def _new(self, ident):
         ref = ObjRef(ident[0], ident[1:])

@@ -4,9 +4,10 @@
 the probe objects when it is small enough, else a seeded sample, so every
 verdict can be replayed from its seed; its vacuity filter calls each
 predicate once per distinct projection of the product, not once per tuple.
-``scan`` runs a check body over its items and reports the first witness
-with its 1-based position; it is the only code that builds a
-``CheckResult``.
+A sampled draw without a dimension budget counts the live tuples from the
+predicates' verdicts and builds only the tuples it keeps.  ``scan`` runs a
+check body over its items and reports the first witness with its 1-based
+position; it is the only code that builds a ``CheckResult``.
 """
 
 from itertools import compress, product
@@ -29,28 +30,105 @@ def draw(model, probes, k, cap=None, dim_cap=None, seed=0, live=()):
 
     On a linear model, tuples whose dimensions multiply to more than
     ``dim_cap`` are dropped, and the draw is then not all of them.  ``live``
-    holds (positions, predicate) pairs: t is live when each
-    ``predicate(*(t[i] for i in positions))`` holds, and only live tuples
-    are kept, unless none is (one that is not live, vacuous say, holds
-    trivially, so dropping it keeps the draw whole).  Each predicate is
-    called once per distinct projection of the tuples within ``dim_cap``,
-    in first-seen order.  A pool larger than ``cap`` is replaced by
+    holds (positions, predicate) pairs, each with ascending positions: t is
+    live when each ``predicate(*(t[i] for i in positions))`` holds, and
+    only live tuples are kept, unless none is (one that is not live,
+    vacuous say, holds trivially, so dropping it keeps the draw whole).
+    Each predicate is called once per distinct projection of the tuples
+    within ``dim_cap``, in order of first occurrence (lexicographic when
+    no tuple was dropped).  A pool larger than ``cap`` is replaced by
     ``random.Random(seed).sample(pool, cap)``.
+
+    Without a dimension budget the pool is counted, not listed, so the
+    pairs must also be disjoint (else ValueError): its size is the product
+    of each predicate's passing projections and of the probes at the
+    other positions.  A pool larger than ``cap`` then has its sampled
+    ranks unranked in its (lexicographic) order; ``sample`` picks its
+    positions from the pool's size and ``cap`` alone, so the tuples are
+    those of the listed pool.
     """
-    pool = list(product(probes, repeat=k))
-    whole = True
     if dim_cap is not None and model.is_linear:
-        kept = [t for t in pool if prod(model.dim(x) for x in t) <= dim_cap]
-        pool, whole = kept, len(kept) == len(pool)
-    tests = []
-    for positions, predicate in live:
-        get, one = itemgetter(*positions), len(positions) == 1
-        ok = {x for x in dict.fromkeys(map(get, pool)) if (predicate(x) if one else predicate(*x))}
-        tests.append(map(ok.__contains__, map(get, pool)))
+        every = list(product(probes, repeat=k))
+        pool = [t for t in every if prod(model.dim(x) for x in t) <= dim_cap]
+        verdicts = [_verdicts(predicate, map(itemgetter(*pos), pool), len(pos) == 1)
+                    for pos, predicate in live]
+        return _listed(pool, live, verdicts, cap, seed, len(pool) == len(every))
+    groups = [pos for pos, _ in live]
+    taken = [i for pos in groups for i in pos]
+    if len(set(taken)) != len(taken) or any(
+            list(pos) != sorted(pos) or not 0 <= pos[0] <= pos[-1] < k for pos in groups):
+        raise ValueError(f"live positions {groups} are not ascending, disjoint and below {k}")
+    verdicts = [_verdicts(predicate, probes if len(pos) == 1 else product(probes, repeat=len(pos)),
+                          len(pos) == 1)
+                for pos, predicate in live]
+    n = len(probes)
+    counts = [_prefix_counts(probes, len(pos), verdict) for pos, verdict in zip(groups, verdicts)]
+    size = prod(c[0][0] for c in counts) * n ** (k - len(taken))
+    if not size:   # no tuple is live: the draw ranges over all of them
+        size, groups, counts = n ** k, [], []
+    if cap is None or size <= cap:
+        return _listed(list(product(probes, repeat=k)), live, verdicts, cap, seed, True)
+    ranks = random.Random(seed).sample(range(size), cap)
+    return [tuple(map(probes.__getitem__, _unrank(r, k, n, groups, counts))) for r in ranks], False
+
+
+def _verdicts(predicate, projections, one):
+    """``predicate``'s verdict on each distinct projection, called once on
+    each, in their order."""
+    return {x: predicate(x) if one else predicate(*x) for x in dict.fromkeys(projections)}
+
+
+def _listed(pool, live, verdicts, cap, seed, whole):
+    """The live tuples of the listed ``pool`` (all of it if none is live),
+    sampled down to ``cap``."""
+    tests = [map(verdict.__getitem__, map(itemgetter(*pos), pool))
+             for (pos, _), verdict in zip(live, verdicts)]
     pool = list(compress(pool, map(all, zip(*tests)))) or pool
     if cap is None or len(pool) <= cap:
         return pool, whole
     return random.Random(seed).sample(pool, cap), False
+
+
+def _prefix_counts(probes, m, verdict):
+    """``counts[j][r]``: how many passing projections begin with the j probe
+    indices whose base-n number is r."""
+    n = len(probes)
+    level = [1 if verdict[x] else 0 for x in (probes if m == 1 else product(probes, repeat=m))]
+    counts = [level]
+    for _ in range(m):
+        level = [sum(level[r:r + n]) for r in range(0, len(level), n)]
+        counts.append(level)
+    return counts[::-1]
+
+
+def _unrank(rank, k, n, groups, counts):
+    """The probe indices of the live k-tuple at ``rank`` in lexicographic
+    order, where the positions of each of ``groups`` hold a passing
+    projection (``counts`` from ``_prefix_counts``) and the others any of
+    the n probes."""
+    owner = {i: g for g, positions in enumerate(groups) for i in positions}
+    done = [0] * len(groups)     # how many positions of each group are set
+    prefix = [0] * len(groups)   # and their indices as a base-n number
+    free = k - len(owner)        # the free positions after the current one
+    out = []
+    for i in range(k):
+        g = owner.get(i)
+        free -= g is None
+        rest = n ** free * prod(c[j][r] for h, (c, j, r) in enumerate(zip(counts, done, prefix))
+                                if h != g)
+        if g is None:
+            v, rank = divmod(rank, rest)
+        else:
+            below = counts[g][done[g] + 1]
+            for v in range(n):
+                block = below[prefix[g] * n + v] * rest
+                if rank < block:
+                    break
+                rank -= block
+            done[g] += 1
+            prefix[g] = prefix[g] * n + v
+        out.append(v)
+    return out
 
 
 def scan(name, items, body, exhaustive=True):

@@ -172,9 +172,9 @@ def _positions(shape):
 def _live(m, shapes):
     """The vacuity filter of ``draw`` for span shapes: a tuple is live when
     the object of each shape has an arrow into d.  Each shape tests only
-    the positions it names."""
+    the positions it names, in ascending order."""
     def test(shape):
-        pos = tuple(_positions(shape))
+        pos = tuple(sorted(_positions(shape)))
         return pos, lambda *xs: bool(_hom_to_d(m, _span_object(m, shape, dict(zip(pos, xs)))))
 
     return [test(shape) for shape in shapes]

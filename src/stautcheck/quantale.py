@@ -32,7 +32,11 @@ there is none otherwise.  When J is every element this needs nothing more.
 For the relation families J is the least element holding each mask bit;
 each y is then the join of the j below it, and a * - is monotone (relation
 composition), so every y with a * y <= b lies below x*.  Should some bit
-have no least element, J is every element.
+have no least element, J is every element.  A sweep reads the order codes
+of a * j (or j * a) over J from a row stored per element on first use, so
+all residuals of a share one row of products; rows are stored only beside
+a Cayley table (at most 2 * n * |J| codes) and computed afresh past it
+(``rel:4``).
 
 ``validate`` checks the axioms on what the kernel computes, over every
 triple and pair of elements up to ``_EXHAUSTIVE_MAX`` = 53 elements (the
@@ -113,8 +117,12 @@ class Quantale:
             if len(self._by_code) != n:
                 raise QuantaleError("the order is not antisymmetric")
         self._sweep = self._join_irreducibles() if masks else self.elements
+        self._sweep_codes = [self._codes[x] for x in self._sweep]
         self._table = (array("b" if n < 1 << 7 else "h", [-1]) * (n * n)
                        if n < 1 << 15 else None)
+        # the sweep's rows, stored only beside a table: 2 * n * len(sweep)
+        # codes at most, where rel:4's would outweigh its residual memos
+        self._rows = LazyTable(self._row_at) if self._table is not None else None
 
     # ------------------------------------------------------------- basic ops
 
@@ -163,7 +171,7 @@ class Quantale:
         bound, codes = -1, self._codes
         for x in xs:
             bound &= codes[x]
-        glb = self._greatest_below(lambda x: x, bound)
+        glb = self._greatest_below(self._sweep_codes, bound, lambda x: x)
         if glb is None:
             raise QuantaleError(f"meet does not exist for {[self.name(x) for x in xs]}")
         return glb
@@ -188,17 +196,29 @@ class Quantale:
             least.add(by_code[meet])
         return sorted(least)
 
-    def _greatest_below(self, image, bound):
+    def _row_at(self, key):
+        """The order codes of a * x (``left``) or of x * a over the sweep."""
+        a, left = key
+        codes, tensor = self._codes, self.tensor
+        if left:
+            return [codes[tensor(a, x)] for x in self._sweep]
+        return [codes[tensor(x, a)] for x in self._sweep]
+
+    def _row(self, a, left):
+        rows = self._rows
+        return rows[a, left] if rows is not None else self._row_at((a, left))
+
+    def _greatest_below(self, images, bound, image):
         """The greatest x whose image(x) has its code inside ``bound``, or
-        None if there is none: the join x* of the swept x whose image lies
-        inside, when image(x*) does too.  The sweep is every element, or,
-        for a monotone ``image``, the join-irreducibles (see the module
-        docstring)."""
+        None if there is none: the join x* of the swept x whose image, with
+        its code read from ``images``, lies inside, when image(x*) does too.
+        The sweep is every element, or, for a monotone ``image``, the
+        join-irreducibles (see the module docstring)."""
         codes, by_code, outside = self._codes, self._by_code, ~bound
         m = 0
-        for x in self._sweep:
-            if not codes[image(x)] & outside:
-                m |= codes[x]
+        for x_code, image_code in zip(self._sweep_codes, images):
+            if not image_code & outside:
+                m |= x_code
         c = by_code[m] if m in by_code else None
         return c if c is not None and not codes[image(c)] & outside else None
 
@@ -212,14 +232,14 @@ class Quantale:
 
     def _under_at(self, key):
         a, b = key
-        hit = self._greatest_below(lambda x: self.tensor(a, x), self._codes[b])
+        hit = self._greatest_below(self._row(a, True), self._codes[b], lambda x: self.tensor(a, x))
         if hit is None:
             raise QuantaleError(f"residual {self.name(a)} \\ {self.name(b)} does not exist")
         return hit
 
     def _over_at(self, key):
         b, a = key
-        hit = self._greatest_below(lambda x: self.tensor(x, a), self._codes[b])
+        hit = self._greatest_below(self._row(a, False), self._codes[b], lambda x: self.tensor(x, a))
         if hit is None:
             raise QuantaleError(f"residual {self.name(b)} / {self.name(a)} does not exist")
         return hit

@@ -13,16 +13,14 @@ from .core.morphisms import Mor, MorError
 from .quantale import Quantale
 
 
-# the quantale attribute that evaluates each object kind: an operation on the
-# children's values, or for a unit the element itself
-_OPS = {UNIT_T: "unit", UNIT_P: "dualizer", TENS: "tensor", PAR: "par",
-        RDUAL: "perp", LDUAL: "prep"}
-
-
 class ThinModel(StautModel):
     def __init__(self, quantale: Quantale, probe_cap=10, depth_limit=8):
         super().__init__({quantale.name(x): x for x in quantale.elements}, depth_limit)
-        self.q = quantale
+        self.q = q = quantale
+        # what evaluates each object kind: an operation of the quantale on
+        # the children's values, or for a unit the element itself
+        self._ops = {UNIT_T: q.unit, UNIT_P: q.dualizer, TENS: q.tensor, PAR: q.par,
+                     RDUAL: q.perp, LDUAL: q.prep}
         self.probes = self._default_probes(probe_cap)
 
     def _default_probes(self, cap):
@@ -39,7 +37,7 @@ class ThinModel(StautModel):
         return f"thin({self.q.label})"
 
     def _object_value(self, kind, *vs):
-        op = getattr(self.q, _OPS[kind])
+        op = self._ops[kind]
         return op(*vs) if vs else op
 
     # -------------------------------------------------------------- morphisms

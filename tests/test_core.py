@@ -8,7 +8,7 @@ import pytest
 
 from stautcheck import strictify as st
 from stautcheck.core import matrices as mx
-from stautcheck.core.morphisms import CompositionError, MorError, ShapeError
+from stautcheck.core.morphisms import CompositionError, Mor, MorError, ShapeError
 from stautcheck.core.objects import UniverseError
 from stautcheck.core.validate import validate_staut
 from stautcheck.quantale import build_s3_pointed, build_zmod
@@ -40,6 +40,48 @@ def test_depth_and_key_of_each_kind(vec):
     assert vec.tens(lrp, p).depth == 3 and vec.tens(vec.e, lrp).depth == 3
     assert vec.par(vec.d, vec.tens(lrp, p)).depth == 4
     assert str(vec.par(rp, vec.tens(vec.ldual(vec.e), vec.d))) == "(⊥p⅋(ᵖe⊗d))"
+
+
+def test_keys_of_nested_objects():
+    m = VecModel({"a": 1, "b": 2})
+    a, b = m.gen("a"), m.gen("b")
+    x = m.tens(a, m.rdual(b))
+    assert (str(x), repr(x)) == ("(a⊗⊥b)", "ObjRef((a⊗⊥b))")
+    assert str(m.par(m.ldual(x), m.tens(m.e, m.d))) == "(ᵖ(a⊗⊥b)⅋(e⊗d))"
+    assert m.tens(a, m.rdual(b)) is x and not hasattr(x, "__dict__")
+
+
+def test_the_key_of_a_deep_object_needs_no_deep_stack():
+    m = VecModel({"a": 1}, depth_limit=5000)
+    x = m.gen("a")
+    for _ in range(5000):
+        x = m.rdual(x)
+    assert str(x) == "⊥" * 5000 + "a"
+
+
+def test_mor_equality_hash_and_text(vec, thin_rel2):
+    p, q = vec.gen("p"), vec.tens(vec.gen("p"), vec.e)
+    f = Mor(p, q, mx.mat([[1, 0], [0, 2]]))
+    assert f == Mor(p, q, mx.mat([[1, 0], [0, 2]]), True)
+    assert f != Mor(p, q, mx.mat([[1, 0], [0, 3]])) and f != Mor(q, p, f.payload)
+    assert f.__eq__("p -> (p⊗e)") is NotImplemented and f != "p -> (p⊗e)"
+    assert hash(f) == hash((p, q)) == hash(Mor(p, q))
+    assert str(f) == "p -> (p⊗e)"
+    assert repr(f) == f"Mor(p -> (p⊗e), {f.payload!r})"
+    assert not hasattr(f, "__dict__")
+    g = thin_rel2.identity(thin_rel2.e)
+    assert (g.payload, g.payload_is_id) == (None, True)
+    assert (str(g), repr(g)) == ("e -> e", "Mor(e -> e)")
+    assert g == thin_rel2.mor(thin_rel2.e, thin_rel2.e)
+
+
+def test_a_thin_arrow_that_does_not_exist_raises_on_every_call(thin_rel2):
+    m = thin_rel2
+    top = m.gen(m.q.name(m.q.meta["full"]))
+    for _ in range(3):
+        with pytest.raises(MorError, match="no witness"):
+            m.mor(top, m.e)
+    assert m.hom_span(top, m.e) == []
 
 
 def test_object_values_thin():

@@ -4,7 +4,9 @@ and ``scan`` stops at the first witness."""
 
 from itertools import product
 import random
+from types import SimpleNamespace
 
+from hypothesis import given, settings, strategies as hs
 import pytest
 
 from stautcheck import braided as br
@@ -113,6 +115,98 @@ def test_factored_draw_is_the_per_tuple_filter(request, model, k, positions, see
     if len(kept) > 5:
         sampled = draw(m, probes, k, 5, dim_cap, seed, live)
         assert sampled == (random.Random(seed).sample(kept, 5), False)
+
+
+def _reference_draw(model, probes, k, cap, dim_cap, seed, tables):
+    """What ``draw`` must return, from the listed product: filtered by the
+    dimension budget, then by the live tables (kept whole if none is
+    live), then sampled."""
+    every = list(product(probes, repeat=k))
+    pool = [t for t in every
+            if dim_cap is None or not model.is_linear or _dim_product(model, t) <= dim_cap]
+    kept = [t for t in pool
+            if all(table[tuple(t[i] for i in pos)] for pos, table in tables)] or pool
+    if cap is None or len(kept) <= cap:
+        return kept, len(pool) == len(every)
+    return random.Random(seed).sample(kept, cap), False
+
+
+def _recorded(tables):
+    """The live pairs of ``tables``, each predicate logging its calls."""
+    calls = {pos: [] for pos, _ in tables}
+
+    def predicate(pos, table):
+        def holds(*xs):
+            calls[pos].append(xs)
+            return table[xs]
+        return holds
+
+    return [(pos, predicate(pos, table)) for pos, table in tables], calls
+
+
+@hs.composite
+def _draw_cases(draw_from, linear):
+    n = draw_from(hs.integers(1, 6))
+    k = draw_from(hs.integers(0, 4))
+    probes = [f"x{i}" for i in range(n)]
+    # each position is free or belongs to one of up to three predicates
+    owner = draw_from(hs.lists(hs.integers(-1, 2), min_size=k, max_size=k))
+    groups = [tuple(i for i in range(k) if owner[i] == g) for g in range(3)]
+    rate = draw_from(hs.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]))
+    rng = random.Random(draw_from(hs.integers(0, 2 ** 32)))
+    tables = [(pos, {xs: rng.random() < rate for xs in product(probes, repeat=len(pos))})
+              for pos in groups if pos]
+    cap = draw_from(hs.none() | hs.integers(1, 30))
+    seed = draw_from(hs.integers(0, 2 ** 32))
+    if not linear:
+        return SimpleNamespace(is_linear=False), probes, k, cap, None, seed, tables
+    dims = {x: draw_from(hs.integers(1, 4)) for x in probes}
+    model = SimpleNamespace(is_linear=True, dim=dims.__getitem__)
+    return model, probes, k, cap, draw_from(hs.integers(1, 40)), seed, tables
+
+
+def _check_draw(case):
+    model, probes, k, cap, dim_cap, seed, tables = case
+    live, calls = _recorded(tables)
+    assert draw(model, probes, k, cap, dim_cap, seed, live) == _reference_draw(*case)
+    pool = [t for t in product(probes, repeat=k)
+            if dim_cap is None or _dim_product(model, t) <= dim_cap]
+    for pos, _ in tables:
+        # once per distinct projection, in order of first occurrence, which
+        # is lexicographic unless a dimension budget dropped tuples
+        projections = [tuple(t[i] for i in pos) for t in pool]
+        assert calls[pos] == list(dict.fromkeys(projections))
+        assert dim_cap is not None or calls[pos] == sorted(set(projections))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_draw_cases(linear=False))
+def test_draw_is_the_listed_filtered_sample(case):
+    _check_draw(case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_draw_cases(linear=True))
+def test_draw_under_a_dimension_budget_is_the_listed_filtered_sample(case):
+    _check_draw(case)
+
+
+@pytest.mark.parametrize("cap", [None, 5, 30])
+def test_a_draw_with_no_live_tuple_ranges_over_all(cap):
+    probes = ["a", "b", "c"]
+    live, calls = _recorded([((0, 2), {xs: False for xs in product(probes, repeat=2)})])
+    tuples, whole = draw(SimpleNamespace(is_linear=False), probes, 3, cap, None, 4, live)
+    every = list(product(probes, repeat=3))
+    assert (tuples, whole) == ((every, True) if cap != 5 else
+                               (random.Random(4).sample(every, 5), False))
+    assert calls[(0, 2)] == list(product(probes, repeat=2))
+
+
+@pytest.mark.parametrize("positions", [[(0, 1), (1, 2)], [(1, 0)], [(0, 3)], [(2,), (2,)]])
+def test_a_counted_draw_refuses_positions_that_are_not_ascending_and_disjoint(positions):
+    live = [(pos, lambda *xs: True) for pos in positions]
+    with pytest.raises(ValueError, match="ascending, disjoint"):
+        draw(SimpleNamespace(is_linear=False), ["a", "b"], 3, 2, None, 0, live)
 
 
 def test_a_dimension_filter_leaves_a_draw_sampled(dz2, thin_rel2):
