@@ -1,112 +1,141 @@
-"""Exact rational matrices as immutable tuples of row tuples.
+"""Exact rational matrices in one sparse, canonical form.
 
-Entries are ints or ``fractions.Fraction``; no floats ever enter the
-arithmetic, so matrix equality is decidable and literal.
+A ``Matrix`` records its column count and its rows; a row is the tuple of
+the (column, value) pairs of its nonzero entries, in ascending column order.
+No zero is ever stored, so the form is canonical and ``==`` is literal,
+exact matrix equality.  Entries are ints or ``fractions.Fraction``; no floats
+ever enter the arithmetic.
 
-The four kernels skip zeros.  ``matmul`` and ``kron`` multiply only the
-nonzero entries of their operands; ``inverse`` and ``nullspace`` run
-Gauss-Jordan steps that update only the nonzero columns of the pivot row and
-skip the division when the pivot is 1.  Their cost follows the number of
-nonzero entries, not the dense shape, and their results are still dense
-tuples of tuples.  In a result of ``matmul`` or ``kron``, an entry that no
-nonzero product reaches is the int ``0`` whatever the operands' entry types
-(``matmul`` shares one zero row among the all-zero rows of its result), and
-every other entry is the exact sum of its products, so ints stay ints.
-``inverse`` and ``nullspace`` return ``Fraction`` entries throughout.
+Every kernel works on the stored entries alone, so its cost and the memory
+of its result follow the nonzeros, not the dense shape: ``identity(n)``
+holds n entries, ``matmul`` and ``kron`` multiply only nonzero pairs, and
+``inverse`` and ``nullspace`` run Gauss-Jordan steps over sparse rows that
+skip the division when the pivot is 1.  An entry of a product or a sum is
+the exact sum of its terms, so ints stay ints; ``inverse`` and ``nullspace``
+return ``Fraction`` entries throughout.  ``dense`` gives the tuple-of-tuples
+view, with the int 0 where nothing is stored, for printing.
 
 >>> m = mat([[1, 2], [3, 4]])
 >>> matmul(m, identity(2)) == m
 True
 >>> matmul(m, inverse(m)) == identity(2)
 True
->>> matmul(mat([[0, 0], [1, 0]]), m)
+>>> p = matmul(mat([[0, 0], [1, 0]]), m)
+>>> p.rows, p.cols
+(((), ((0, 1), (1, 2))), 2)
+>>> dense(p)
 ((0, 0), (1, 2))
 """
 
 from fractions import Fraction
 
 
+class Matrix:
+    """``rows`` holds, per row, the (column, value) pairs of its nonzero
+    entries in ascending column order, and ``cols`` the column count; the
+    functions below keep that form, and so must a caller that builds one
+    from rows directly.  As a sequence it is its rows."""
+
+    __slots__ = ("rows", "cols")
+
+    def __init__(self, rows, cols):
+        self.rows = rows
+        self.cols = cols
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.cols == other.cols and self.rows == other.rows
+
+    def __repr__(self):
+        return f"mat({dense(self)!r})"
+
+
 def mat(rows):
-    """Freeze a list-of-lists of numbers into a matrix."""
-    return tuple(tuple(x if isinstance(x, (int, Fraction)) else Fraction(x)
-                       for x in row) for row in rows)
+    """The matrix of dense rows of numbers (others become exact Fractions)."""
+    rows = [list(row) for row in rows]
+    cols = len(rows[0]) if rows else 0
+    if any(len(row) != cols for row in rows):
+        raise ValueError("rows of unequal length")
+    return Matrix(tuple(tuple((j, x if isinstance(x, (int, Fraction)) else Fraction(x))
+                              for j, x in enumerate(row) if x) for row in rows), cols)
+
+
+def dense(m):
+    """The rows of ``m`` with every entry, int 0 where none is stored: the
+    text a failing payload prints as."""
+    return tuple(tuple(dict(row).get(j, 0) for j in range(m.cols)) for row in m.rows)
 
 
 def shape(m):
-    return (len(m), len(m[0]) if m else 0)
-
-
-_EYE_CACHE = {}
+    return (len(m.rows), m.cols)
 
 
 def identity(n):
-    hit = _EYE_CACHE.get(n)
-    if hit is None:
-        rows = []
-        for i in range(n):
-            row = [0] * n
-            row[i] = 1
-            rows.append(tuple(row))
-        hit = tuple(rows)
-        if n <= 128:
-            _EYE_CACHE[n] = hit
-    return hit
+    return Matrix(tuple(((i, 1),) for i in range(n)), n)
 
 
 def zeros(r, c):
-    row = (0,) * c
-    return tuple(row for _ in range(r))
+    return Matrix(((),) * r, c)
 
 
 def is_identity(m):
-    r, c = shape(m)
-    if r != c:
-        return False
-    return all(m[i][j] == (1 if i == j else 0) for i in range(r) for j in range(c))
+    return m.cols == len(m.rows) and all(row == ((i, 1),) for i, row in enumerate(m.rows))
 
 
 def is_zero(m):
-    return all(x == 0 for row in m for x in row)
+    return not any(m.rows)
+
+
+def _row(terms):
+    """The canonical row of the sum of (column, entry) terms."""
+    acc = {}
+    for j, x in terms:
+        acc[j] = acc.get(j, 0) + x
+    return tuple(sorted((j, x) for j, x in acc.items() if x))
 
 
 def matmul(a, b):
     """Matrix product a @ b (a maps the codomain side, as usual)."""
-    ca = shape(a)[1]
-    rb, cb = shape(b)
-    if ca != rb:
+    if a.cols != len(b.rows):
         raise ValueError(f"shape mismatch in matmul: {shape(a)} @ {shape(b)}")
-    b_nz = _nonzeros(b)
-    zero_row = (0,) * cb
-    out = []
-    for arow in a:
-        acc = None
-        for k, x in enumerate(arow):
-            if x and b_nz[k]:
-                if acc is None:
-                    acc = [0] * cb
-                for j, y in b_nz[k]:
-                    acc[j] += x * y
-        out.append(zero_row if acc is None else tuple(acc))
-    return tuple(out)
-
-
-def _nonzeros(m):
-    """Per row of m, the (column, entry) pairs of its nonzero entries."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+    brows, out = b.rows, []
+    for arow in a.rows:
+        if len(arow) != 1:
+            out.append(_row((j, x * y) for k, x in arow for j, y in brows[k]))
+            continue
+        # a monomial row scales one row of b, which it shares when the scale
+        # is the int 1 (a Fraction 1 would turn int entries into Fractions)
+        (k, x), = arow
+        out.append(brows[k] if x == 1 and type(x) is int
+                   else tuple((j, x * y) for j, y in brows[k]))
+    return Matrix(tuple(out), b.cols)
 
 
 def add(a, b):
     if shape(a) != shape(b):
         raise ValueError("shape mismatch in add")
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return Matrix(tuple(_row(ra + rb) for ra, rb in zip(a.rows, b.rows)), a.cols)
 
 
 def scale(c, a):
-    return tuple(tuple(c * x for x in row) for row in a)
+    if not c:
+        return zeros(len(a.rows), a.cols)
+    return Matrix(tuple(tuple((j, c * x) for j, x in row) for row in a.rows), a.cols)
 
 
 def transpose(a):
-    return tuple(zip(*a)) if a else ()
+    cols = [[] for _ in range(a.cols)]
+    for i, row in enumerate(a.rows):
+        for j, x in row:
+            cols[j].append((i, x))
+    return Matrix(tuple(map(tuple, cols)), len(a.rows))
 
 
 def kron(a, b):
@@ -115,97 +144,66 @@ def kron(a, b):
     Basis convention: index (i, j) of the product flattens to i * cols(b) + j.
     All structural maps of the linear backends derive from this one choice.
     """
-    cb = shape(b)[1]
-    width = shape(a)[1] * cb
-    b_nz = _nonzeros(b)
-    zero_row = (0,) * width
-    out = []
-    for arow in a:
-        a_nz = [(j * cb, x) for j, x in enumerate(arow) if x]
-        for bk in b_nz:
-            if not (a_nz and bk):
-                out.append(zero_row)
-                continue
-            row = [0] * width
-            for off, x in a_nz:
-                for l, y in bk:
-                    row[off + l] = x * y
-            out.append(tuple(row))
-    return tuple(out)
+    cb = b.cols
+    return Matrix(tuple(tuple((j * cb + l, x * y) for j, x in arow for l, y in brow)
+                        for arow in a.rows for brow in b.rows), a.cols * cb)
 
 
-def _eliminate(rows, col, r):
-    """One Gauss-Jordan step on the list-of-lists ``rows``: scale row ``r``
-    so that its entry in ``col`` is 1 and clear that column in every other
-    row, touching only the nonzero columns of row ``r``."""
-    prow = rows[r]
-    pv = prow[col]
-    if pv != 1:
-        pv = Fraction(pv)
-        for j, x in enumerate(prow):
-            if x:
+def _reduce(rows, cols):
+    """Bring the list of dict rows (column -> nonzero entry) to reduced row
+    echelon form in place, by Gauss-Jordan steps that touch only the nonzero
+    columns of the pivot row; return the pivot columns, pivot i in row i."""
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if c in rows[i]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        pv = prow[c]
+        if pv != 1:
+            pv = Fraction(pv)
+            for j, x in prow.items():
                 prow[j] = x / pv
-    p_nz = [(j, x) for j, x in enumerate(prow) if x]
-    for i, row in enumerate(rows):
-        f = row[col]
-        if f and i != r:
-            for j, x in p_nz:
-                row[j] -= f * x
-
-
-def _fraction(x):
-    return x if type(x) is Fraction else Fraction(x)
+        for i, row in enumerate(rows):
+            f = row.get(c)
+            if f and i != r:
+                for j, x in prow.items():
+                    y = row.get(j, 0) - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+        pivots.append(c)
+    return pivots
 
 
 def inverse(m):
     """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
-    n, c = shape(m)
-    if n != c:
+    n = len(m.rows)
+    if n != m.cols:
         raise ValueError("inverse of non-square matrix")
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        _eliminate(aug, col, col)
-    return tuple(tuple(_fraction(x) for x in row[n:]) for row in aug)
+    aug = [dict(row) | {n + i: 1} for i, row in enumerate(m.rows)]
+    if _reduce(aug, n) != list(range(n)):
+        raise ValueError("singular matrix")
+    return Matrix(tuple(tuple((j - n, Fraction(x)) for j, x in sorted(row.items()) if j >= n)
+                        for row in aug), n)
 
 
 def nullspace(m):
-    """Basis of the right nullspace {v : m v = 0}, as a list of column vectors."""
-    rows, cols = shape(m)
-    a = [list(row) for row in m]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        _eliminate(a, c, r)
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    """Basis of the right nullspace {v : m v = 0}, one vector per row."""
+    a = [dict(row) for row in m.rows]
+    pivots = _reduce(a, m.cols)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -_fraction(a[i][fc])
-        basis.append(tuple(v))
-    return basis
+    for fc in sorted(set(range(m.cols)) - set(pivots)):
+        v = {fc: Fraction(1)} | {pc: -Fraction(row[fc]) for row, pc in zip(a, pivots)
+                                 if fc in row}
+        basis.append(tuple(sorted(v.items())))
+    return Matrix(tuple(basis), m.cols)
 
 
 def swap_matrix(dim_a, dim_b):
     """Permutation matrix for a (x) b -> b (x) a under the kron flattening."""
-    n = dim_a * dim_b
-    rows = []
-    for j in range(dim_b):
-        for i in range(dim_a):
-            row = [0] * n
-            row[i * dim_b + j] = 1
-            rows.append(tuple(row))
-    return tuple(rows)
+    return Matrix(tuple(((i * dim_b + j, 1),) for j in range(dim_b) for i in range(dim_a)),
+                  dim_a * dim_b)

@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .core import matrices as mx
 from .core.morphisms import MorError
-from .core.objects import PAR, TENS
+from .core.memo import LazyTable
+from .core.objects import GEN, PAR, TENS
 from .linear import LinearModel, Space
 
 HALF = Fraction(1, 2)
@@ -114,7 +115,7 @@ class DoubleZ2Model(LinearModel):
         gens = {}
         signs = {"s_pp": (1, 1), "s_pm": (1, -1), "s_mp": (-1, 1), "s_mm": (-1, -1)}
         for name, (sg, sb) in signs.items():
-            act_g, act_b = ((sg,),), ((sb,),)
+            act_g, act_b = mx.mat([[sg]]), mx.mat([[sb]])
             _check_action(name, act_g, act_b)
             gens[name] = Space(1, {"g": act_g, "b": act_b})
         reg_g = mx.mat([[1 if BASIS[r] == _mul((0, 1), BASIS[c]) else 0
@@ -124,6 +125,7 @@ class DoubleZ2Model(LinearModel):
         _check_action("regular", reg_g, reg_b)
         gens["regular"] = Space(4, {"g": reg_g, "b": reg_b})
         super().__init__(gens, depth_limit)
+        self._actions = LazyTable(self._action_at)
         simples = [self.gen(n) for n in self.SIMPLE_NAMES]
         self.probes = [self.e, self.d] + simples + [self.gen("regular")]
 
@@ -133,22 +135,20 @@ class DoubleZ2Model(LinearModel):
     # ---------------------------------------------------------------- actions
 
     def action(self, ref, letter):
-        """Matrix of the group-like generator on the module of ``ref``."""
-        v = self.value(ref)
-        if v.data is None:
-            return mx.identity(v.dim)
-        return v.data[letter]
+        """Matrix of the group-like generator on the module of ``ref``, built
+        on first use: an object's value holds its dimension only."""
+        return self._actions[ref, letter]
 
-    def _object_value(self, kind, *vs):
+    def _action_at(self, key):
         # tensor and par act through the coproduct of the group-likes, duals
         # through the transpose; both units are the trivial module
-        if not vs:
-            return Space(1, {k: ((1,),) for k in ("g", "b")})
-        if kind in (TENS, PAR):
-            va, vb = vs
-            return Space(va.dim * vb.dim,
-                         {k: mx.kron(va.data[k], vb.data[k]) for k in ("g", "b")})
-        return Space(vs[0].dim, {k: mx.transpose(vs[0].data[k]) for k in ("g", "b")})
+        ref, letter = key
+        if ref.kind == GEN:
+            return self._generators[ref.args[0]].data[letter]
+        if not ref.args:
+            return mx.identity(1)
+        acts = [self._actions[a, letter] for a in ref.args]
+        return mx.kron(*acts) if ref.kind in (TENS, PAR) else mx.transpose(*acts)
 
     def mor(self, dom, cod, payload=None):
         """A module map: besides the checks of ``LinearModel.mor``, the
@@ -165,23 +165,15 @@ class DoubleZ2Model(LinearModel):
         """Basis of the module maps p -> q, by exact commutant solving."""
         def build():
             dp, dq = self.dim(p), self.dim(q)
-            rows = []
+            # X, flattened row-major, commutes with a letter when
+            # (a_q (x) 1 - 1 (x) a_p^T) vec(X) = 0
+            rows = ()
             for letter in ("g", "b"):
-                aq, ap = self.action(q, letter), self.action(p, letter)
-                for i in range(dq):
-                    for j in range(dp):
-                        row = [Fraction(0)] * (dq * dp)
-                        for k in range(dq):
-                            row[k * dp + j] += aq[i][k]
-                        for k in range(dp):
-                            row[i * dp + k] -= ap[k][j]
-                        rows.append(tuple(row))
-            basis = mx.nullspace(tuple(rows)) if rows else []
-            out = []
-            for v in basis:
-                m = tuple(tuple(v[i * dp + j] for j in range(dp)) for i in range(dq))
-                out.append(self.mor(p, q, m))
-            return out
+                left = mx.kron(self.action(q, letter), mx.identity(dp))
+                right = mx.kron(mx.identity(dq), mx.transpose(self.action(p, letter)))
+                rows += mx.add(left, mx.scale(-1, right)).rows
+            return [self.mor(p, q, mx.mat(v[i:i + dp] for i in range(0, dq * dp, dp)))
+                    for v in mx.dense(mx.nullspace(mx.Matrix(rows, dq * dp)))]
         return self._structural(("span", p, q), build)
 
     # ----------------------------------------------------------------- braid

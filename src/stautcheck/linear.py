@@ -33,8 +33,8 @@ class Space:
 
 
 def _validate_entries(payload):
-    for row in payload:
-        for x in row:
+    for row in payload.rows:
+        for _, x in row:
             if not isinstance(x, (int, Fraction)):
                 raise MorError(f"inexact matrix entry {x!r}; only int/Fraction allowed")
 
@@ -57,8 +57,8 @@ class LinearModel(StautModel):
     def mor(self, dom, cod, payload=None):
         """A morphism from a caller's matrix: its shape and its entries are
         checked (and, in subclasses, that it is a map of the structure)."""
-        if payload is None:
-            raise MorError("linear morphisms need a matrix payload")
+        if not isinstance(payload, mx.Matrix):
+            raise MorError("linear morphisms need a matrix payload (core.matrices.mat)")
         f = self._mor(dom, cod, payload)
         _validate_entries(payload)
         return f
@@ -108,9 +108,9 @@ class LinearModel(StautModel):
             units = []
             for i in range(dq):
                 for j in range(dp):
-                    m = [[0] * dp for _ in range(dq)]
-                    m[i][j] = 1
-                    units.append(self.mor(p, q, mx.mat(m)))
+                    rows = [()] * dq
+                    rows[i] = ((j, 1),)
+                    units.append(self.mor(p, q, mx.Matrix(tuple(rows), dp)))
             return units
         return self._structural(("span", p, q), build)
 
@@ -219,7 +219,7 @@ class GradedLineModel(LinearModel):
     def braid(self, p, q):
         expo = self.degree(p) * self.degree(q)
         val = self.c ** expo
-        return self.mor(self.tens(p, q), self.tens(q, p), ((val,),))
+        return self.mor(self.tens(p, q), self.tens(q, p), mx.mat([[val]]))
 
 
 def scalar_cycle(model, lam):

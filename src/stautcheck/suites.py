@@ -16,6 +16,7 @@ from .quantale import (build_rel_quantale, build_s3_pointed, build_bool2,
 from .thin import ThinModel, thin_identity_cycle
 from .linear import build_vec_model, GradedLineModel, scalar_cycle
 from .drinfeld import build_drinfeld_z2
+from .core import matrices as mx
 from .core.quantify import expect, scan
 from .core.validate import validate_staut
 from . import cyclicity as cy
@@ -182,7 +183,7 @@ def braided_suite(seed=0):
 
     def double_braiding(p, q):
         dbl = model.compose(braiding.tens(p, q), braiding.tens(q, p))
-        return dbl.payload != ((Fraction(-1),),) and str(dbl.payload)
+        return dbl.payload != mx.mat([[-1]]) and str(mx.dense(dbl.payload))
 
     rep.add(scan("mixed-simple-double-braiding-is-minus-one",
                  [(model.gen("s_mp"), model.gen("s_pm"))], double_braiding))

@@ -8,6 +8,7 @@ import pytest
 
 from stautcheck import braided as br
 from stautcheck import cyclicity as cy
+from stautcheck.core import matrices as mx
 from stautcheck.core.morphisms import MorError
 from stautcheck.linear import build_vec_model, scalar_cycle
 
@@ -42,7 +43,7 @@ def test_symmetry_detection(vec, graded, dz2):
 def test_dz2_double_braiding_on_mixed_simples(dz2):
     s_mp, s_pm = dz2.gen("s_mp"), dz2.gen("s_pm")
     dbl = dz2.compose(dz2.braid(s_mp, s_pm), dz2.braid(s_pm, s_mp))
-    assert dbl.payload == ((Fraction(-1),),)
+    assert dbl.payload == mx.mat([[Fraction(-1)]])
 
 
 def test_braid_on_units_is_identity(dz2):
@@ -61,9 +62,9 @@ def test_stitch_identity_on_dz2_despite_nonsymmetry(dz2):
 
 def test_stitch_detects_graded_braiding(graded):
     x = graded.gen("x")
-    assert br.stitch(graded, x).payload == ((Fraction(4),),)
+    assert br.stitch(graded, x).payload == mx.mat([[Fraction(4)]])
     xx = graded.tens(x, x)
-    assert br.stitch(graded, xx).payload == ((Fraction(2) ** 8,),)
+    assert br.stitch(graded, xx).payload == mx.mat([[Fraction(2) ** 8]])
 
 
 def test_stitch_natural(vec, dz2):
@@ -79,7 +80,7 @@ def test_semibalance_identity_symmetric(vec):
 
 def test_ribbon_twist_values(dz2):
     rb = br.ribbon_balance(dz2)
-    twists = [rb.component(dz2.gen(n)).payload[0][0] for n in dz2.SIMPLE_NAMES]
+    twists = [mx.dense(rb.component(dz2.gen(n)).payload)[0][0] for n in dz2.SIMPLE_NAMES]
     assert twists == [1, 1, 1, -1]
     assert all(r.ok for r in rb.validate())
 
@@ -118,8 +119,8 @@ def test_balance_double(vec, graded, dz2):
 def test_balance_from_cycle_scalar(vec):
     theta = br.balance_from_cycle(scalar_cycle(vec, Fraction(5)))
     p = vec.gen("p")
-    assert theta.component(p).payload == ((5, 0), (0, 5))
-    assert theta.component(vec.e).payload == ((5,),)
+    assert theta.component(p).payload == mx.mat([[5, 0], [0, 5]])
+    assert theta.component(vec.e).payload == mx.mat([[5]])
 
 
 def test_semicycle_split_preserved(dz2):
@@ -135,8 +136,8 @@ def test_cycle_from_balance_scalar_on_lines():
     theta = br.scaled_balance(m, Fraction(3))
     big = br.cycle_from_balance(theta)
     p = m.gen("p")
-    om = m.mor(m.tens(p, p), m.d, ((7,),))
-    assert big.apply(p, p, om).payload == ((21,),)
+    om = m.mor(m.tens(p, p), m.d, mx.mat([[7]]))
+    assert big.apply(p, p, om).payload == mx.mat([[21]])
     assert big.unapply(p, p, big.apply(p, p, om)) == om
 
 

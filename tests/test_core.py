@@ -13,6 +13,7 @@ from stautcheck.core.objects import UniverseError
 from stautcheck.core.validate import validate_staut
 from stautcheck.quantale import build_s3_pointed, build_zmod
 from stautcheck.thin import ThinModel
+from stautcheck.drinfeld import build_drinfeld_z2
 from stautcheck.linear import Space, VecModel, build_vec_model
 
 
@@ -114,10 +115,15 @@ def test_object_values_linear(vec, graded, dz2):
     assert graded.value(graded.tens(x, x)) == graded.value(graded.par(x, x)) == Space(1, 2)
     assert graded.value(graded.par(x, graded.rdual(x))) == Space(1, 0)
 
-    one = ((1,),)
-    assert dz2.value(dz2.e) == dz2.value(dz2.d) == Space(1, {"g": one, "b": one})
+    assert dz2.value(dz2.e) == dz2.value(dz2.d) == Space(1)
     s, r = dz2.gen("s_pm"), dz2.gen("regular")
     assert dz2.dim(dz2.tens(s, r)) == dz2.dim(dz2.par(r, s)) == 4
+    # a dimension does not build the action matrices: they wait for action()
+    fresh = build_drinfeld_z2()
+    assert fresh.dim(fresh.tens(fresh.gen("regular"), fresh.gen("regular"))) == 16
+    assert not fresh._actions
+    for k in ("g", "b"):
+        assert dz2.action(dz2.e, k) == dz2.action(dz2.d, k) == mx.identity(1)
     for k in ("g", "b"):
         assert dz2.action(dz2.tens(s, r), k) == mx.kron(dz2.action(s, k), dz2.action(r, k))
         assert dz2.action(dz2.par(r, s), k) == mx.kron(dz2.action(r, k), dz2.action(s, k))
@@ -174,6 +180,14 @@ def test_vec_matrix_composition_order(vec):
     assert vec.compose(a, b).payload == mx.matmul(b.payload, a.payload)
 
 
+def test_linear_mor_takes_exact_matrices_only(vec):
+    p = vec.gen("p")
+    with pytest.raises(MorError, match="matrix payload"):
+        vec.mor(p, p, ((1, 0), (0, 1)))
+    with pytest.raises(MorError, match="inexact"):
+        vec.mor_scale(0.5, vec.identity(p))
+
+
 def test_curry_bijections_on_full_span(vec):
     p = vec.gen("p")
     t = vec.rdual(p)
@@ -201,16 +215,16 @@ def test_lcurry_of_counit_is_identity(vec, thin_rel2):
 def test_scalar_curry_on_lines():
     m = build_vec_model(1)
     p = m.gen("p")
-    f = m.mor(m.tens(p, p), m.d, ((7,),))
-    assert m.lcurry(f).payload == ((7,),)
-    assert m.rcurry(f).payload == ((7,),)
+    f = m.mor(m.tens(p, p), m.d, mx.mat([[7]]))
+    assert m.lcurry(f).payload == mx.mat([[7]])
+    assert m.rcurry(f).payload == mx.mat([[7]])
 
 
 def test_name_of_scaled_identity_on_lines():
     m = build_vec_model(1)
     p = m.gen("p")
     f = m.mor_scale(5, m.identity(p))
-    assert m.name_mor(f).payload == ((5,),)
+    assert m.name_mor(f).payload == mx.mat([[5]])
 
 
 def test_residual_objects_thin(thin_rel2):
