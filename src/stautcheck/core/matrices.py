@@ -58,13 +58,16 @@ class Matrix:
 
 
 def mat(rows):
-    """The matrix of dense rows of numbers (others become exact Fractions)."""
+    """The matrix of dense rows of ints and Fractions; any other entry, a
+    float say, is refused (ValueError), so no inexact number enters."""
     rows = [list(row) for row in rows]
     cols = len(rows[0]) if rows else 0
     if any(len(row) != cols for row in rows):
         raise ValueError("rows of unequal length")
-    return Matrix(tuple(tuple((j, x if isinstance(x, (int, Fraction)) else Fraction(x))
-                              for j, x in enumerate(row) if x) for row in rows), cols)
+    inexact = [x for row in rows for x in row if not isinstance(x, (int, Fraction))]
+    if inexact:
+        raise ValueError(f"inexact matrix entry {inexact[0]!r}; only int/Fraction allowed")
+    return Matrix(tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows), cols)
 
 
 def dense(m):

@@ -26,11 +26,9 @@ applies ``f`` first.  Each composition is dom/cod-validated, so a wrongly
 transcribed diagram fails at construction instead of producing garbage.
 """
 
-from dataclasses import dataclass
-
 from .memo import LazyTable
-from .objects import Interner, ObjRef, GEN, TENS, PAR, RDUAL, LDUAL, UNIT_T, UNIT_P, UniverseError
-from .morphisms import Mor, MorError, CompositionError, ShapeError
+from .objects import Interner, GEN, TENS, PAR, RDUAL, LDUAL, UNIT_T, UNIT_P, UniverseError
+from .morphisms import MorError, CompositionError, ShapeError
 
 
 # The twelve structural maps: each name gives the (dom, cod) of its
@@ -54,14 +52,13 @@ STRUCTURE = {
 ISOMORPHISMS = ("assoc_t", "assoc_p", "lunit_t", "runit_t", "lunit_p", "runit_p")
 
 
-@dataclass(frozen=True)
 class Adjunction:
     """A linear adjunction: unit e -> right|left, counit left (x) right -> d."""
 
-    left: ObjRef
-    right: ObjRef
-    unit: Mor
-    counit: Mor
+    __slots__ = ("left", "right", "unit", "counit")
+
+    def __init__(self, left, right, unit, counit):
+        self.left, self.right, self.unit, self.counit = left, right, unit, counit
 
 
 class StautModel:

@@ -7,7 +7,8 @@ predicate once per distinct projection of the product, not once per tuple.
 A sampled draw without a dimension budget counts the live tuples from the
 predicates' verdicts and builds only the tuples it keeps.  ``scan`` runs a
 check body over its items and reports the first witness with its 1-based
-position; it is the only code that builds a ``CheckResult``.
+position, or, where the caller left out items that cannot fail, the
+position it gives; it is the only code that builds a ``CheckResult``.
 """
 
 from itertools import compress, product
@@ -131,17 +132,19 @@ def _unrank(rank, k, n, groups, counts):
     return out
 
 
-def scan(name, items, body, exhaustive=True):
+def scan(name, items, body, exhaustive=True, size=None):
     """Run ``body`` over ``items`` up to the first one that fails.
 
     A tuple item is spread over the arguments of ``body``.  ``body``
     returns a false value when the item passes; otherwise the witness text,
     or True to name the item itself.  A MorError raised by ``body`` fails
     the item too.  ``count`` is the number of items tried: all of them on a
-    pass, the witness's position on a failure.
+    pass, the witness's position on a failure.  Given ``size``, items come
+    as (position, item), in order, from a quantifier of ``size`` items
+    whose others all pass, and a pass counts ``size``.
     """
     n = 0
-    for n, item in enumerate(items, 1):
+    for n, item in enumerate(items, 1) if size is None else items:
         args = item if isinstance(item, tuple) else (item,)
         try:
             bad = body(*args)
@@ -150,7 +153,7 @@ def scan(name, items, body, exhaustive=True):
         if bad:
             witness = bad if isinstance(bad, str) else f"at {_show(item)}"
             return CheckResult(name, False, witness, n, exhaustive)
-    return CheckResult(name, True, "", n, exhaustive)
+    return CheckResult(name, True, "", n if size is None else size, exhaustive)
 
 
 def expect(name, holds=(), fails=()):

@@ -26,7 +26,6 @@ binders and de Morgan maps the diagrams use are the model's own
 (``core.model``).
 """
 
-from dataclasses import dataclass, field
 from itertools import product
 import random
 
@@ -182,7 +181,6 @@ def _live(m, shapes):
 
 # ------------------------------------------------------------ axiom table
 
-@dataclass(frozen=True)
 class Axiom:
     """One coherence condition.  It ranges over ``arity`` probe objects and,
     when ``spans`` is given, over one arrow x -> d from the spanning set of
@@ -193,10 +191,10 @@ class Axiom:
     object level, ``sides(model, big, *objects, *arrows)`` on the hom level.
     ``dim_cap`` is the drawing budget of its tuples' dimensions."""
 
-    arity: int
-    sides: object
-    spans: tuple = ()
-    dim_cap: int = _DIM_CAP
+    __slots__ = ("arity", "sides", "spans", "dim_cap")
+
+    def __init__(self, arity, sides, spans=(), dim_cap=_DIM_CAP):
+        self.arity, self.sides, self.spans, self.dim_cap = arity, sides, spans, dim_cap
 
 
 def _pnul(m, c):
@@ -328,13 +326,14 @@ def check_axiom(cycle, which, seed=0, big=None, draws=None):
     return scan(which, tuples, body, exhaustive)
 
 
-@dataclass
 class AxiomProfile:
     """Verdict per axiom, with counterexample locators for the failures."""
 
-    verdicts: dict
-    witnesses: dict = field(default_factory=dict)
-    label: str = ""
+    __slots__ = ("verdicts", "witnesses", "label")
+
+    def __init__(self, verdicts, witnesses=None, label=""):
+        self.verdicts, self.label = verdicts, label
+        self.witnesses = {} if witnesses is None else witnesses
 
     @property
     def quasicycle(self):

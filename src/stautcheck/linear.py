@@ -17,7 +17,7 @@ Three concrete families:
   action data.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import matrices as mx
@@ -26,10 +26,9 @@ from .core.morphisms import Mor, MorError
 from .core.objects import PAR, TENS
 
 
-@dataclass(frozen=True)
-class Space:
-    dim: int
-    data: object = None
+# an object's value, compared by value; ``data`` is what a subclass adds
+# (a degree, action matrices)
+Space = namedtuple("Space", "dim data", defaults=(None,))
 
 
 def _validate_entries(payload):

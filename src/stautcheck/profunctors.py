@@ -18,7 +18,6 @@ never assumed -- a failure on a dual is exactly a witness of non-cyclicity
 of the base.
 """
 
-from dataclasses import dataclass
 from itertools import product
 import random
 
@@ -34,18 +33,17 @@ class ProfError(Exception):
     pass
 
 
-@dataclass
 class VCat:
-    """A category enriched in a quantale: objects plus a hom matrix.
+    """A category enriched in a quantale: objects plus a hom matrix, whose
+    identity and composition inequalities are checked on construction.
     ``keys`` lists the pairs of objects in row-major order, the order of
     the entries of each of its profunctors."""
 
-    base: Quantale
-    objects: list
-    hom: dict
+    __slots__ = ("base", "objects", "hom", "keys")
 
-    def __post_init__(self):
-        v = self.base
+    def __init__(self, base, objects, hom):
+        v = self.base = base
+        self.objects, self.hom = objects, hom
         for a in self.objects:
             if not v.le(v.unit, self.hom[(a, a)]):
                 raise ProfError(f"identity inequality fails at {a}")

@@ -39,9 +39,10 @@ a Cayley table (at most 2 * n * |J| codes) and computed afresh past it
 (``rel:4``).
 
 ``validate`` checks the axioms on what the kernel computes, over every
-triple and pair of elements up to ``_EXHAUSTIVE_MAX`` = 53 elements (the
-triples only where the table's rows flag their first pair) and over a
-seeded sample past that.
+triple and pair of elements up to ``_EXHAUSTIVE_MAX`` = 53 elements and
+over a seeded sample past that.  Associativity and monotonicity visit only
+the triples whose first pair the table's rows flag, since no other can
+fail, and report the count and witness of the plain scan of all n^3.
 
 Built-in families:
 
@@ -282,26 +283,29 @@ class Quantale:
         """Brute-force the quantale axioms on the kernel, one CheckResult each.
 
         With at most _EXHAUSTIVE_MAX elements every triple and every pair of
-        the residual-existence scan is tried, each check iterating its own
-        product; past that _TRIPLE_SAMPLES triples and _PAIR_SAMPLES pairs are
-        drawn with replacement from ``random.Random(seed)``, and the check
-        reports ``exhaustive: false``.  Associativity and monotonicity try
-        their per-triple definitions only on triples that begin with a pair
-        ``_suspect_pairs`` flags (every pair when sampled), so they
-        report the plain scan's count and witness from n^2 products.
+        the residual-existence scan is covered; past that _TRIPLE_SAMPLES
+        triples and _PAIR_SAMPLES pairs are drawn with replacement from
+        ``random.Random(seed)``, and the check reports ``exhaustive: false``.
+        Exhaustive associativity and monotonicity visit only the triples
+        that begin with a pair ``_suspect_pairs`` flags, in product order,
+        since no other triple can fail; each reports the plain n^3 scan's
+        count (n^3 on a pass, the failing triple's position in
+        ``product(elements, repeat=3)``) and witness.
         """
         rng = random.Random(seed)
         els, n = self.elements, self._n
         exhaustive = n <= _EXHAUSTIVE_MAX
         le, tensor, unit = self.le, self.tensor, self.unit
-
-        def tuples(k, samples):
-            """What gives each check its k-tuples: a fresh product per check,
-            or one seeded sample shared by the checks."""
-            if exhaustive:
-                return lambda: product(els, repeat=k)
-            drawn = [tuple(rng.choice(els) for _ in range(k)) for _ in range(samples)]
-            return lambda: drawn
+        if exhaustive:
+            # (position, triple) of each triple that begins with a flagged pair
+            assoc, mono = (((p * n + c + 1, (*divmod(p, n), c)) for p in sorted(flagged)
+                            for c in els) for flagged in self._suspect_pairs())
+            pairs, size = product(els, repeat=2), n ** 3
+        else:
+            assoc = mono = list(enumerate((tuple(rng.choice(els) for _ in range(3))
+                                           for _ in range(_TRIPLE_SAMPLES)), 1))
+            pairs = [tuple(rng.choice(els) for _ in range(2)) for _ in range(_PAIR_SAMPLES)]
+            size = _TRIPLE_SAMPLES
 
         def names(*xs):
             return str(tuple(map(self.name, xs)))
@@ -309,14 +313,11 @@ class Quantale:
         def unit_law(a):
             return (tensor(unit, a) != a or tensor(a, unit) != a) and self.name(a)
 
-        unassociative, unmonotone = self._suspect_pairs() if exhaustive else (range(n * n),) * 2
-
         def associative(a, b, c):
-            return (a * n + b in unassociative
-                    and tensor(tensor(a, b), c) != tensor(a, tensor(b, c)) and names(a, b, c))
+            return tensor(tensor(a, b), c) != tensor(a, tensor(b, c)) and names(a, b, c)
 
         def monotone(a, b, c):
-            return (a * n + b in unmonotone and le(a, b)
+            return (le(a, b)
                     and (not le(tensor(c, a), tensor(c, b)) or not le(tensor(a, c), tensor(b, c)))
                     and names(a, b, c))
 
@@ -333,11 +334,10 @@ class Quantale:
             except QuantaleError as exc:
                 return str(exc)
 
-        triples, pairs = tuples(3, _TRIPLE_SAMPLES), tuples(2, _PAIR_SAMPLES)
         return [scan("unit-law", els, unit_law),
-                scan("associativity", triples(), associative, exhaustive),
-                scan("monotonicity", triples(), monotone, exhaustive),
-                scan("residuals-exist", pairs(), residuals, exhaustive),
+                scan("associativity", assoc, associative, exhaustive, size),
+                scan("monotonicity", mono, monotone, exhaustive, size),
+                scan("residuals-exist", pairs, residuals, exhaustive),
                 scan("dualizing-element", els, dualizing)]
 
 

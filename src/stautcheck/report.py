@@ -3,25 +3,25 @@
 Two renderings: human-readable text (includes wall-clock timing) and a
 versioned machine-readable JSON document.  The JSON form deliberately omits
 timing so that identical invocations with identical seeds serialize to
-byte-identical documents.  Every result comes from ``core.quantify.scan``:
-``count`` is the number of items the check tried, a passing check's witness
-is empty, and a failing check carries a replayable witness locator (axiom or
-check name, object tuple, arrow index, seed).  Check names are unique within
-a suite.
+byte-identical documents.  Every result comes from ``core.quantify.scan``
+(``renamed`` only copies one under a new name): ``count`` is the number of
+items the check's quantifier holds on a pass and the failing item's
+position among them on a failure, a passing check's witness is empty, and a
+failing check carries a replayable witness locator (axiom or check name,
+object tuple, arrow index, seed).  Check names are unique within a suite.
 """
-
-from dataclasses import dataclass, field, replace
 
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class CheckResult:
-    name: str
-    ok: bool
-    witness: str
-    count: int
-    exhaustive: bool
+    """One check's verdict, its witness and how many items it covered."""
+
+    __slots__ = ("name", "ok", "witness", "count", "exhaustive")
+
+    def __init__(self, name, ok, witness, count, exhaustive):
+        self.name, self.ok, self.witness = name, ok, witness
+        self.count, self.exhaustive = count, exhaustive
 
     def __bool__(self):
         return self.ok
@@ -34,21 +34,22 @@ class CheckResult:
 def renamed(results, prefix="", suffix=""):
     """Copies of ``results`` whose names are wrapped in ``prefix`` and
     ``suffix``: the one way a check's name changes after its scan."""
-    return [replace(r, name=prefix + r.name + suffix) for r in results]
+    return [CheckResult(prefix + r.name + suffix, r.ok, r.witness, r.count, r.exhaustive)
+            for r in results]
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    model: str
-    seed: int
-    checks: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
-    # the axiom profiles the suite classified, for the cross-checks of
-    # criterion 4; not rendered
-    profiles: list = field(default_factory=list)
-    duration: float = 0.0
+    """The results of one suite on one model.  ``profiles`` holds the axiom
+    profiles the suite classified, for the cross-checks of criterion 4; it
+    is not rendered."""
+
+    __slots__ = ("suite", "model", "seed", "checks", "notes", "stats", "profiles", "duration")
+
+    def __init__(self, suite, model, seed, checks=(), notes=(), stats=(), profiles=(),
+                 duration=0.0):
+        self.suite, self.model, self.seed, self.duration = suite, model, seed, duration
+        self.checks, self.notes, self.profiles = list(checks), list(notes), list(profiles)
+        self.stats = dict(stats)
 
     def add(self, result, prefix="", suffix=""):
         """Add one result or a list of them, names wrapped as ``renamed``

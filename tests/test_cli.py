@@ -1,7 +1,12 @@
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
+import stautcheck
 from stautcheck.cli import main
 from stautcheck.files import (FileFormatError, load_quantale_file,
                               load_vcat_file, resolve_quantale)
@@ -214,3 +219,18 @@ def test_cli_prof_builtin(capsys):
     assert main(["prof", "check", "builtin:disc2"]) == 0
     out = capsys.readouterr().out
     assert "prof-cyclic-duals-agree" in out
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # a cold start pays for every module the import pulls in: dataclasses
+    # alone brings inspect, ast, dis and tokenize.  Compared with the bare
+    # interpreter's own modules, so one that a site hook loads does not count
+    src = str(Path(stautcheck.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys; bare = set(sys.modules); import stautcheck.cli; "
+             "print(*sorted(set(sys.modules) - bare))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout.split()
+    assert "stautcheck.cli" in out
+    assert not {"dataclasses", "inspect"} & set(out), out

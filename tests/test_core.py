@@ -1,8 +1,10 @@
 """Interface-level behaviour shared by the backends: composition typing,
 curry bijections, canonical isomorphisms, the invariant suite."""
 
+from fractions import Fraction
 from itertools import product
 import random
+import re
 
 import pytest
 
@@ -186,6 +188,17 @@ def test_linear_mor_takes_exact_matrices_only(vec):
         vec.mor(p, p, ((1, 0), (0, 1)))
     with pytest.raises(MorError, match="inexact"):
         vec.mor_scale(0.5, vec.identity(p))
+
+
+@pytest.mark.parametrize("entry", [0.1, 0.5, 1.0, "1/2", None, 1j])
+def test_mat_refuses_entries_that_are_not_ints_or_fractions(entry):
+    # a float used to become its binary Fraction, 0.1 one just above 1/10,
+    # and so passed the model's exactness check
+    with pytest.raises(ValueError, match=re.escape(f"inexact matrix entry {entry!r}")):
+        mx.mat([[1, entry]])
+    m = build_vec_model(1)
+    p = m.gen("p")
+    assert m.mor(p, p, mx.mat([[Fraction(1, 10)]])).payload.rows == (((0, Fraction(1, 10)),),)
 
 
 def test_curry_bijections_on_full_span(vec):
