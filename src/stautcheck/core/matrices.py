@@ -1,46 +1,46 @@
 """Exact rational matrices in one sparse, canonical form.
 
-A ``Matrix`` records its column count and its rows; a row is the tuple of
-the (column, value) pairs of its nonzero entries, in ascending column order.
-No zero is ever stored, so the form is canonical and ``==`` is literal,
-exact matrix equality.  Entries are ints or ``fractions.Fraction``; no floats
-ever enter the arithmetic.
+A ``Matrix`` is int rows over one positive denominator ``den``.  A row is the
+tuple of the (column, int) pairs of its nonzero entries, in ascending column
+order; entry (i, j) is the int stored at column j of row i over ``den``.  No
+zero is stored and ``den`` shares no factor with all the stored ints (a zero
+matrix has ``den`` 1), so the form is canonical and ``==`` is literal, exact
+matrix equality.  Only ints and ``fractions.Fraction`` values enter: ``mat``
+and ``scale`` refuse anything else, a float say.
 
-Every kernel works on the stored entries alone, so its cost and the memory
-of its result follow the nonzeros, not the dense shape: ``identity(n)``
-holds n entries, ``matmul`` and ``kron`` multiply only nonzero pairs, and
-``inverse`` and ``nullspace`` run Gauss-Jordan steps over sparse rows that
-skip the division when the pivot is 1.  An entry of a product or a sum is
-the exact sum of its terms, so ints stay ints; ``inverse`` and ``nullspace``
-return ``Fraction`` entries throughout.  ``dense`` gives the tuple-of-tuples
-view, with the int 0 where nothing is stored, for printing.
+Every kernel does int arithmetic on the stored entries alone, so its cost
+and the memory of its result follow the nonzeros: ``identity(n)`` holds n
+entries, ``matmul`` and ``kron`` multiply only nonzero pairs over the product
+of the denominators, and one gcd brings a result back to its form.
+``inverse`` and ``nullspace`` run Gauss-Jordan steps over sparse rows of
+Fractions and return the canonical form.  ``dense`` gives the values, ints
+over the denominator 1 and Fractions otherwise, for printing.
 
 >>> m = mat([[1, 2], [3, 4]])
->>> matmul(m, identity(2)) == m
-True
 >>> matmul(m, inverse(m)) == identity(2)
 True
->>> p = matmul(mat([[0, 0], [1, 0]]), m)
->>> p.rows, p.cols
-(((), ((0, 1), (1, 2))), 2)
->>> dense(p)
-((0, 0), (1, 2))
+>>> inverse(m).rows, inverse(m).den
+((((0, -4), (1, 2)), ((0, 3), (1, -1))), 2)
+>>> p = scale(Fraction(1, 2), matmul(mat([[0, 0], [1, 0]]), m))
+>>> p.rows, p.cols, p.den, dense(p)
+(((), ((0, 1), (1, 2))), 2, 2, ((0, 0), (Fraction(1, 2), Fraction(1, 1))))
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class Matrix:
-    """``rows`` holds, per row, the (column, value) pairs of its nonzero
-    entries in ascending column order, and ``cols`` the column count; the
-    functions below keep that form, and so must a caller that builds one
-    from rows directly.  As a sequence it is its rows."""
+    """``rows`` holds, per row, the (column, int) pairs of its nonzero
+    entries in ascending column order, ``cols`` the column count and ``den``
+    the positive denominator of every entry; the functions below keep that
+    form, and so must a caller that builds one from rows directly.  As a
+    sequence it is its rows."""
 
-    __slots__ = ("rows", "cols")
+    __slots__ = ("rows", "cols", "den")
 
-    def __init__(self, rows, cols):
-        self.rows = rows
-        self.cols = cols
+    def __init__(self, rows, cols, den=1):
+        self.rows, self.cols, self.den = rows, cols, den
 
     def __len__(self):
         return len(self.rows)
@@ -51,10 +51,37 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.cols == other.cols and self.rows == other.rows
+        return self.cols == other.cols and self.den == other.den and self.rows == other.rows
 
     def __repr__(self):
         return f"mat({dense(self)!r})"
+
+
+def _refuse_inexact(values):
+    for x in values:
+        if not isinstance(x, (int, Fraction)):
+            raise ValueError(f"inexact matrix entry {x!r}; only int/Fraction allowed")
+
+
+def _times(rows, c):
+    """``rows`` with every entry multiplied by the int ``c``."""
+    return rows if c == 1 else tuple(tuple((j, c * x) for j, x in row) for row in rows)
+
+
+def _canon(rows, cols, den):
+    """The Matrix of int ``rows`` over ``den``, both divided by their gcd."""
+    g = 1 if den == 1 else gcd(den, *(x for row in rows for _, x in row))
+    if g > 1:
+        rows = tuple(tuple((j, x // g) for j, x in row) for row in rows)
+    return Matrix(rows, cols, den // g)
+
+
+def _over_one_den(rows, cols):
+    """The Matrix of rows of (column, nonzero int or Fraction) pairs, over
+    their least common denominator, which is already canonical."""
+    den = lcm(*(x.denominator for row in rows for _, x in row))
+    return Matrix(tuple(tuple((j, x.numerator * (den // x.denominator)) for j, x in row)
+                        for row in rows), cols, den)
 
 
 def mat(rows):
@@ -64,16 +91,16 @@ def mat(rows):
     cols = len(rows[0]) if rows else 0
     if any(len(row) != cols for row in rows):
         raise ValueError("rows of unequal length")
-    inexact = [x for row in rows for x in row if not isinstance(x, (int, Fraction))]
-    if inexact:
-        raise ValueError(f"inexact matrix entry {inexact[0]!r}; only int/Fraction allowed")
-    return Matrix(tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows), cols)
+    _refuse_inexact(x for row in rows for x in row)
+    return _over_one_den([[(j, x) for j, x in enumerate(row) if x] for row in rows], cols)
 
 
 def dense(m):
-    """The rows of ``m`` with every entry, int 0 where none is stored: the
-    text a failing payload prints as."""
-    return tuple(tuple(dict(row).get(j, 0) for j in range(m.cols)) for row in m.rows)
+    """The value of every entry of ``m``, row by row, the int 0 where none
+    is stored: the text a failing payload prints as."""
+    d = m.den
+    return tuple(tuple(Fraction(r[j], d) if j in r and d != 1 else r.get(j, 0)
+                       for j in range(m.cols)) for r in map(dict, m.rows))
 
 
 def shape(m):
@@ -89,7 +116,8 @@ def zeros(r, c):
 
 
 def is_identity(m):
-    return m.cols == len(m.rows) and all(row == ((i, 1),) for i, row in enumerate(m.rows))
+    return (m.den == 1 and m.cols == len(m.rows)
+            and all(row == ((i, 1),) for i, row in enumerate(m.rows)))
 
 
 def is_zero(m):
@@ -113,24 +141,27 @@ def matmul(a, b):
         if len(arow) != 1:
             out.append(_row((j, x * y) for k, x in arow for j, y in brows[k]))
             continue
-        # a monomial row scales one row of b, which it shares when the scale
-        # is the int 1 (a Fraction 1 would turn int entries into Fractions)
+        # a monomial row scales one row of b, which it shares when the scale is 1
         (k, x), = arow
-        out.append(brows[k] if x == 1 and type(x) is int
-                   else tuple((j, x * y) for j, y in brows[k]))
-    return Matrix(tuple(out), b.cols)
+        out.append(brows[k] if x == 1 else tuple((j, x * y) for j, y in brows[k]))
+    return _canon(tuple(out), b.cols, a.den * b.den)
 
 
 def add(a, b):
     if shape(a) != shape(b):
         raise ValueError("shape mismatch in add")
-    return Matrix(tuple(_row(ra + rb) for ra, rb in zip(a.rows, b.rows)), a.cols)
+    den = lcm(a.den, b.den)
+    rows = zip(_times(a.rows, den // a.den), _times(b.rows, den // b.den))
+    return _canon(tuple(_row(ra + rb) for ra, rb in rows), a.cols, den)
 
 
 def scale(c, a):
+    """``c`` times ``a``, for an int or Fraction ``c``; any other scalar is
+    refused (ValueError)."""
+    _refuse_inexact((c,))
     if not c:
         return zeros(len(a.rows), a.cols)
-    return Matrix(tuple(tuple((j, c * x) for j, x in row) for row in a.rows), a.cols)
+    return _canon(_times(a.rows, c.numerator), a.cols, a.den * c.denominator)
 
 
 def transpose(a):
@@ -138,7 +169,7 @@ def transpose(a):
     for i, row in enumerate(a.rows):
         for j, x in row:
             cols[j].append((i, x))
-    return Matrix(tuple(map(tuple, cols)), len(a.rows))
+    return Matrix(tuple(map(tuple, cols)), len(a.rows), a.den)
 
 
 def kron(a, b):
@@ -148,8 +179,8 @@ def kron(a, b):
     All structural maps of the linear backends derive from this one choice.
     """
     cb = b.cols
-    return Matrix(tuple(tuple((j * cb + l, x * y) for j, x in arow for l, y in brow)
-                        for arow in a.rows for brow in b.rows), a.cols * cb)
+    return _canon(tuple(tuple((j * cb + l, x * y) for j, x in arow for l, y in brow)
+                        for arow in a.rows for brow in b.rows), a.cols * cb, a.den * b.den)
 
 
 def _reduce(rows, cols):
@@ -190,20 +221,20 @@ def inverse(m):
     aug = [dict(row) | {n + i: 1} for i, row in enumerate(m.rows)]
     if _reduce(aug, n) != list(range(n)):
         raise ValueError("singular matrix")
-    return Matrix(tuple(tuple((j - n, Fraction(x)) for j, x in sorted(row.items()) if j >= n)
-                        for row in aug), n)
+    # m is its int rows over den, so its inverse is den times theirs
+    return _over_one_den([[(j - n, x * m.den) for j, x in sorted(row.items()) if j >= n]
+                          for row in aug], n)
 
 
 def nullspace(m):
     """Basis of the right nullspace {v : m v = 0}, one vector per row."""
-    a = [dict(row) for row in m.rows]
+    a = [dict(row) for row in m.rows]   # the denominator scales no solution
     pivots = _reduce(a, m.cols)
     basis = []
     for fc in sorted(set(range(m.cols)) - set(pivots)):
-        v = {fc: Fraction(1)} | {pc: -Fraction(row[fc]) for row, pc in zip(a, pivots)
-                                 if fc in row}
-        basis.append(tuple(sorted(v.items())))
-    return Matrix(tuple(basis), m.cols)
+        v = {fc: 1} | {pc: -row[fc] for row, pc in zip(a, pivots) if fc in row}
+        basis.append(sorted(v.items()))
+    return _over_one_den(basis, m.cols)
 
 
 def swap_matrix(dim_a, dim_b):

@@ -4,16 +4,16 @@ A backend is one interpretation of the seven object constructors and the
 twelve structural maps.  It passes a table of its generators' values to
 ``StautModel.__init__`` and states the other six constructors in one hook,
 ``_object_value``, which maps a kind and the values of its children to a
-value; ``value`` caches the result per handle.  Beside morphism payloads and
-exact equality, one more hook, ``_structural_mor``, builds each of the twelve
-structural maps from its name, dom and cod: the associators and unitors of
-both monoidal structures, the two linear distributions, and the unit/counit
-pairs of the chosen right and left duals.  The dom and cod of each are stated
-once, in ``STRUCTURE``.  Every cache keys objects on their handles, which
-hash by identity.  Everything else -- currying, the binders
-``lbind``/``rbind`` that pair two evaluations into one, de Morgan and
-cancellation isomorphisms, duals of morphisms, naming -- is derived here once,
-by the standard mate recipes, and shared by every backend.
+value; the interner stores it on each handle once, as ``ref.value``.  Beside
+morphism payloads and exact equality, one more hook, ``_structural_mor``,
+builds each of the twelve structural maps from its name, dom and cod: the
+associators and unitors of both monoidal structures, the two linear
+distributions, and the unit/counit pairs of the chosen right and left duals.
+The dom and cod of each are stated once, in ``STRUCTURE``.  Every cache keys
+objects on their handles, which hash by identity.  Everything else --
+currying, the binders ``lbind``/``rbind`` that pair two evaluations into one,
+de Morgan and cancellation isomorphisms, duals of morphisms, naming -- is
+derived here once, by the standard mate recipes, and shared by every backend.
 
 The diagrams the checkers test are built from these pieces, not restated:
 each triangle identity says that an ``Adjunction``'s counit curries to an
@@ -26,7 +26,6 @@ applies ``f`` first.  Each composition is dom/cod-validated, so a wrongly
 transcribed diagram fails at construction instead of producing garbage.
 """
 
-from .memo import LazyTable
 from .objects import Interner, GEN, TENS, PAR, RDUAL, LDUAL, UNIT_T, UNIT_P, UniverseError
 from .morphisms import MorError, CompositionError, ShapeError
 
@@ -66,10 +65,9 @@ class StautModel:
     is_braided = False
 
     def __init__(self, generators, depth_limit):
-        self._interner = Interner(depth_limit)
-        self._objects = self._interner.table
         self._generators = dict(generators)
-        self._values = LazyTable(self._value_at)
+        self._interner = Interner(depth_limit, self._generators, self._object_value)
+        self._objects = self._interner.table
         self._struct_cache = {}
         self.probes = []
 
@@ -102,20 +100,8 @@ class StautModel:
         return self._interner.intern(LDUAL, (a,))
 
     def value(self, ref):
-        return self._values[ref]
-
-    def _value_at(self, ref):
-        if ref.kind == GEN:
-            return self._generators[ref.args[0]]
-        values = self._values
-        todo = [a for a in reversed(ref.args) if a.kind != GEN and a not in values]
-        while todo:   # the missing sub-objects, innermost first: no build recurses
-            kids = [a for a in reversed(todo[-1].args) if a.kind != GEN and a not in values]
-            if kids:
-                todo.extend(kids)
-            else:
-                values[todo.pop()]
-        return self._object_value(ref.kind, *map(values.__getitem__, ref.args))
+        """The value of ``ref``; hot paths read ``ref.value`` directly."""
+        return ref.value
 
     # ------------------------------------------------------- backend contract
 
@@ -234,6 +220,20 @@ class StautModel:
     def ldual_adj(self, p):
         return Adjunction(self.ldual(p), p, self.dual_unit_l(p), self.dual_counit_l(p))
 
+    def _curry_head(self, side, unit, t):
+        """The steps of a curry that do not depend on the curried arrow:
+        t -> e (x) t -> (y par x) (x) t -> y par (x (x) t) for the unit
+        e -> y par x on the left, mirrored on the right.  Both curries cache
+        it under the unit's value, so equal units share it."""
+        y, x = unit.cod.args
+        if side == "left":
+            return self.chain(self.invert(self.lunit_t(t)),
+                              self.tens_mor(unit, self.identity(t)),
+                              self.dist_r(y, x, t))
+        return self.chain(self.invert(self.runit_t(t)),
+                          self.tens_mor(self.identity(t), unit),
+                          self.dist_l(t, y, x))
+
     def curry_left(self, adj, f):
         """f: left (x) t -> d   becomes   t -> right."""
         dom = f.dom
@@ -242,9 +242,8 @@ class StautModel:
         t = dom.args[1]
         y = adj.right
         return self.chain(
-            self.invert(self.lunit_t(t)),
-            self.tens_mor(adj.unit, self.identity(t)),
-            self.dist_r(y, adj.left, t),
+            self._structural(("curry", "left", adj.unit, t), self._curry_head,
+                             "left", adj.unit, t),
             self.par_mor(self.identity(y), f),
             self.runit_p(y))
 
@@ -264,9 +263,8 @@ class StautModel:
         t = dom.args[0]
         x = adj.left
         return self.chain(
-            self.invert(self.runit_t(t)),
-            self.tens_mor(self.identity(t), adj.unit),
-            self.dist_l(t, adj.right, x),
+            self._structural(("curry", "right", adj.unit, t), self._curry_head,
+                             "right", adj.unit, t),
             self.par_mor(f, self.identity(x)),
             self.lunit_p(x))
 

@@ -4,8 +4,8 @@ Objects are hash-consed descriptor terms over a model's declared generators,
 closed under tensor, par, the two units and the two duals.  Structurally
 equal descriptors are interned to the same handle, so ``is`` comparison is
 object equality, and a handle keys a dict as itself: it hashes by identity.
-A handle is a slotted object; its printed key is built on its first ``str``,
-since most handles are never printed.
+A handle is a slotted object that carries its value; its printed key is
+built on its first ``str``, since most handles are never printed.
 """
 
 from .memo import LazyTable
@@ -33,15 +33,15 @@ class ObjRef:
     """Interned handle for an object descriptor.
 
     ``args`` holds child ObjRefs for composite kinds and a generator name for
-    ``gen``.  Equality and hashing are by identity; the interner guarantees
-    structural equality implies identity within one model.
+    ``gen``, and ``value`` its value in the model.  Equality and hashing are
+    by identity; the interner guarantees structural equality implies
+    identity within one model.
     """
 
-    __slots__ = ("kind", "args", "depth", "_key")
+    __slots__ = ("kind", "args", "depth", "value", "_key")
 
     def __init__(self, kind, args):
-        self.kind = kind
-        self.args = args
+        self.kind, self.args = kind, args
         self.depth = 0 if kind == GEN else 1 + max((a.depth for a in args), default=-1)
         self._key = None
 
@@ -63,10 +63,12 @@ class ObjRef:
 
 class Interner:
     """Hash-consing table for one model's descriptors, keyed by
-    ``(kind, *args)``."""
+    ``(kind, *args)``.  It evaluates each new handle once, after its depth
+    check, from ``generators`` or with ``object_value`` on its children's
+    values; a refused descriptor stores nothing."""
 
-    def __init__(self, depth_limit):
-        self.depth_limit = depth_limit
+    def __init__(self, depth_limit, generators, object_value):
+        self.depth_limit, self.generators, self.evaluate = depth_limit, generators, object_value
         self.table = LazyTable(self._new)
 
     def intern(self, kind, args):
@@ -79,4 +81,6 @@ class Interner:
                 f"descriptor depth {ref.depth} exceeds the universe depth limit "
                 f"{self.depth_limit}; rebuild the model with a larger depth "
                 f"(CLI flag --depth)")
+        ref.value = (self.generators[ref.args[0]] if ref.kind == GEN
+                     else self.evaluate(ref.kind, *[a.value for a in ref.args]))
         return ref

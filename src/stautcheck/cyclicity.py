@@ -18,8 +18,8 @@ each declared once, as one row of the axiom table: how many probe objects it
 ranges over, a function returning the two sides of its diagram, and, for a
 hom-level condition, the objects x whose spanning sets of Hom(x, d) it ranges
 over as well.  One loop in ``check_axiom`` serves every row; the same span
-shapes drop vacuous tuples before drawing, and ``classify`` draws once for
-the rows that share arity, dimension budget and span shape.  Quantifying
+shapes drop vacuous tuples before drawing, and the rows that share arity,
+dimension budget and span shape share one draw per model and seed.  Quantifying
 over a spanning set suffices because every hom-level condition is linear in
 the quantified arrow on linear backends and trivial on thin ones.  The
 binders and de Morgan maps the diagrams use are the model's own
@@ -98,10 +98,7 @@ class BigCycle:
     """Hom-level form: a natural bijection Hom(p (x) t, d) -> Hom(t (x) p, d)."""
 
     def __init__(self, model, apply_fn, unapply_fn, label="Cycle"):
-        self.model = model
-        self.label = label
-        self._apply = apply_fn
-        self._unapply = unapply_fn
+        self.model, self.label, self._apply, self._unapply = model, label, apply_fn, unapply_fn
 
     def apply(self, p, t, omega):
         if omega.dom is not self.model.tens(p, t) or omega.cod is not self.model.d:
@@ -289,24 +286,23 @@ AXIOMS = tuple(_AXIOMS)
 
 def _draws(m, seed):
     """The tuples of each row shape (arity, dim_cap, spans), drawn from
-    ``seed`` on first use."""
-    return LazyTable(lambda key: draw(m, m.probe_objects(), key[0], TUPLE_CAP, key[1],
-                                      seed * 1000003 + key[0], _live(m, key[2])))
+    ``seed`` on first use and kept by the model, so that every row and every
+    cycle checked on it with that seed share them."""
+    return m._structural(("draws", seed), LazyTable, lambda key: draw(
+        m, m.probe_objects(), key[0], TUPLE_CAP, key[1], seed * 1000003 + key[0],
+        _live(m, key[2])))
 
 
-def check_axiom(cycle, which, seed=0, big=None, draws=None):
+def check_axiom(cycle, which, seed=0, big=None):
     """Exact check of one named coherence condition; returns verdict plus a
-    counterexample locator on failure, replayable from ``seed``.
-
-    Rows with the same arity, dimension budget and span shapes draw the
-    same tuples from the same seed; ``draws``, made by ``_draws``, keeps
-    those draws, so that rows checked with one seed share them."""
+    counterexample locator on failure, replayable from ``seed``.  Rows with
+    the same arity, dimension budget and span shapes draw the same tuples
+    from the same seed, once per model (``_draws``)."""
     if which not in _AXIOMS:
         raise ValueError(f"unknown axiom {which!r}; known: {AXIOMS}")
     ax = _AXIOMS[which]
     m = cycle.model
-    draws = _draws(m, seed) if draws is None else draws
-    tuples, exhaustive = draws[ax.arity, ax.dim_cap, ax.spans]
+    tuples, exhaustive = _draws(m, seed)[ax.arity, ax.dim_cap, ax.spans]
     if not ax.spans:
         def body(*t):
             lhs, rhs = ax.sides(m, cycle, *t)
@@ -363,9 +359,9 @@ def classify(cycle, seed=0, big=None):
     original family avoids re-deriving it through the duals.
     """
     big = big or to_upper(cycle)
-    verdicts, witnesses, draws = {}, {}, _draws(cycle.model, seed)
+    verdicts, witnesses = {}, {}
     for name in AXIOMS:
-        res = check_axiom(cycle, name, seed, big, draws)
+        res = check_axiom(cycle, name, seed, big)
         verdicts[name] = res.ok
         if not res.ok:
             witnesses[name] = res.witness

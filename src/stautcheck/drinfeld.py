@@ -63,16 +63,11 @@ def _embed(coeffs, legs, arity):
 def verify_hopf_data():
     """Brute-force the quasitriangularity of R; returns the violated identity
     name or None."""
-    unit3 = {((0, 0),) * 3: Fraction(1)}
-    delta_id = {}
-    for (x, y), v in R_COEFFS.items():
-        delta_id[(x, x, y)] = delta_id.get((x, x, y), Fraction(0)) + v
+    delta_id = {(x, x, y): v for (x, y), v in R_COEFFS.items()}
     r13r23 = _tensor_mul(_embed(R_COEFFS, (0, 2), 3), _embed(R_COEFFS, (1, 2), 3))
     if delta_id != r13r23:
         return "(coproduct x id)(R) = R13 R23"
-    id_delta = {}
-    for (x, y), v in R_COEFFS.items():
-        id_delta[(x, y, y)] = id_delta.get((x, y, y), Fraction(0)) + v
+    id_delta = {(x, y, y): v for (x, y), v in R_COEFFS.items()}
     r13r12 = _tensor_mul(_embed(R_COEFFS, (0, 2), 3), _embed(R_COEFFS, (0, 1), 3))
     if id_delta != r13r12:
         return "(id x coproduct)(R) = R13 R12"
@@ -183,12 +178,8 @@ class DoubleZ2Model(LinearModel):
             ip, iq = mx.identity(self.dim(p)), mx.identity(self.dim(q))
             r_act = mx.zeros(self.dim(p) * self.dim(q), self.dim(p) * self.dim(q))
             for (x, y), coeff in R_COEFFS.items():
-                ax = ip
-                if x == (1, 0):
-                    ax = self.action(p, "b")
-                ay = iq
-                if y == (0, 1):
-                    ay = self.action(q, "g")
+                ax = self.action(p, "b") if x == (1, 0) else ip
+                ay = self.action(q, "g") if y == (0, 1) else iq
                 r_act = mx.add(r_act, mx.scale(coeff, mx.kron(ax, ay)))
             swap = mx.swap_matrix(self.dim(p), self.dim(q))
             return self.mor(self.tens(p, q), self.tens(q, p), mx.matmul(swap, r_act))
@@ -197,14 +188,10 @@ class DoubleZ2Model(LinearModel):
     def twist_matrix(self, ref):
         """Action of the canonical twist element on the module of ``ref``."""
         n = self.dim(ref)
-        out = mx.zeros(n, n)
-        for (i, j), coeff in U_COEFFS.items():
-            m = mx.identity(n)
-            if i:
-                m = mx.matmul(self.action(ref, "b"), m)
-            if j:
-                m = mx.matmul(m, self.action(ref, "g"))
-            out = mx.add(out, mx.scale(coeff, m))
+        eye, out = mx.identity(n), mx.zeros(n, n)
+        b, g = self.action(ref, "b"), self.action(ref, "g")
+        for (i, j), coeff in U_COEFFS.items():   # coeff * b^i g^j
+            out = mx.add(out, mx.scale(coeff, mx.matmul(b if i else eye, g if j else eye)))
         return out
 
 

@@ -32,17 +32,20 @@ Space = namedtuple("Space", "dim data", defaults=(None,))
 
 
 def _validate_entries(payload):
+    den = payload.den
+    if type(den) is not int or den < 1:
+        raise MorError(f"matrix denominator {den!r} is not a positive int")
     for row in payload.rows:
         for _, x in row:
-            if not isinstance(x, (int, Fraction)):
-                raise MorError(f"inexact matrix entry {x!r}; only int/Fraction allowed")
+            if type(x) is not int:
+                raise MorError(f"inexact matrix entry {x!r}; a Matrix holds ints")
 
 
 class LinearModel(StautModel):
     is_linear = True
 
     def dim(self, ref):
-        return self.value(ref).dim
+        return ref.value.dim
 
     def _object_value(self, kind, *vs):
         # par is tensor value-wise, both units are the line and both duals
@@ -74,8 +77,12 @@ class LinearModel(StautModel):
         return Mor(dom, cod, payload, mx.is_identity(payload))
 
     def identity(self, p):
-        return self._structural(("id", p),
-                                lambda: Mor(p, p, mx.identity(self.dim(p)), True))
+        return self._structural(("id", p), lambda: Mor(p, p, self._eye(self.dim(p)), True))
+
+    def _eye(self, n):
+        """The identity matrix of size n, one per model and size, which every
+        identity and structural identity of that size shares."""
+        return self._structural(("eye", n), mx.identity, n)
 
     def _compose_payload(self, f, g):
         if f.payload_is_id:
@@ -114,7 +121,11 @@ class LinearModel(StautModel):
         return self._structural(("span", p, q), build)
 
     def mor_scale(self, c, f):
-        return self.mor(f.dom, f.cod, mx.scale(c, f.payload))
+        try:
+            payload = mx.scale(c, f.payload)
+        except ValueError as exc:   # a scalar that is not an int or a Fraction
+            raise MorError(str(exc)) from None
+        return self.mor(f.dom, f.cod, payload)
 
     def random_mor(self, rng, p, q):
         """A seeded integer combination of the spanning arrows of Hom(p, q),
@@ -138,7 +149,7 @@ class LinearModel(StautModel):
             return self.mor(dom, cod, mx.mat(payload))
         if self.dim(dom) != self.dim(cod):
             raise MorError(f"structural identity between {dom} and {cod} of unequal dims")
-        return Mor(dom, cod, mx.identity(self.dim(dom)), True)
+        return Mor(dom, cod, self._eye(self.dim(dom)), True)
 
 
 class VecModel(LinearModel):
@@ -195,7 +206,7 @@ class GradedLineModel(LinearModel):
         return f"gradedline(c={self.c})"
 
     def degree(self, ref):
-        return self.value(ref).data
+        return ref.value.data
 
     def _object_value(self, kind, *vs):
         # degrees add under tensor and par, duals negate them, units have 0

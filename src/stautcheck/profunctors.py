@@ -85,6 +85,13 @@ def _verified(c, f):
     return f
 
 
+def _require_valid(v, seed):
+    """Refuse a base that fails a quantale axiom: everything here presumes them."""
+    bad = next((res for res in v.validate(seed) if not res.ok), None)
+    if bad is not None:
+        raise ProfError(f"base quantale {v.label} fails {bad.name} (witness {bad.witness})")
+
+
 def _require_cyclic(v):
     cyclic = v.is_cyclic()
     if not cyclic.ok:
@@ -158,12 +165,13 @@ def enumerate_profs(c, cap=65536, seed=0):
 PROF_MAX_ELEMENTS = 1024
 
 
-def build_prof_quantale(c, enumeration):
+def build_prof_quantale(c, enumeration, seed=0):
     """Prof(c, c) as a quantale on ``enumeration``, the result of
     ``enumerate_profs(c)``: pointwise order, composition as tensor, the hom
     profunctor as unit, its right dual as dualizer.  A sampled enumeration
     is refused, since its element set is not join-closed, and so is one of
-    more than PROF_MAX_ELEMENTS profunctors."""
+    more than PROF_MAX_ELEMENTS profunctors, a base that fails
+    ``validate(seed)`` and one that is not cyclic."""
     profs, exhaustive = enumeration
     if not exhaustive:
         raise ProfError("profunctor quantale needs exhaustive enumeration; "
@@ -172,6 +180,7 @@ def build_prof_quantale(c, enumeration):
         raise ProfError(f"Prof(c, c) has {len(profs):,} elements, more than the "
                         f"{PROF_MAX_ELEMENTS:,} this checker builds; shrink the category")
     v = c.base
+    _require_valid(v, seed)
     _require_cyclic(v)
     unit, dzr = identity_prof(c), dualizer_prof(c)
     if not {unit, dzr} <= set(profs):
@@ -197,8 +206,9 @@ def check_prof_staut(c, seed=0):
     Returns (SuiteReport-ready CheckResult list, AxiomProfile, prof quantale).
     """
     v = c.base
+    _require_valid(v, seed)
     enumeration = profs, exhaustive = enumerate_profs(c, seed=seed)
-    pq = build_prof_quantale(c, enumeration) if exhaustive else None
+    pq = build_prof_quantale(c, enumeration, seed) if exhaustive else None
     seen = set()
 
     def listed_once(i, f):

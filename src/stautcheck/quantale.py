@@ -89,13 +89,8 @@ class Quantale:
 
     def __init__(self, label, values, le_fn, tensor_fn, unit, dualizer,
                  name_fn=None, family="custom", meta=None, masks=False):
-        self.label = label
-        self.values = values
-        self.le_fn = le_fn
-        self.tensor_fn = tensor_fn
-        self.name_fn = name_fn
-        self.family = family
-        self.meta = meta or {}
+        self.label, self.values, self.le_fn, self.tensor_fn = label, values, le_fn, tensor_fn
+        self.name_fn, self.family, self.meta = name_fn, family, meta or {}
         n = self._n = len(values)
         self.elements = range(n)
         # value -> index; a range of masks is its own index
@@ -392,12 +387,7 @@ def rel_compose(a, b, n):
 
 
 def rel_reverse(mask, n):
-    out = 0
-    for i in range(n):
-        for j in range(n):
-            if mask & (1 << (i * n + j)):
-                out |= 1 << (j * n + i)
-    return out
+    return sum(1 << (j * n + i) for i in range(n) for j in range(n) if mask >> (i * n + j) & 1)
 
 
 def check_duality(name, quantales):
@@ -413,10 +403,7 @@ def check_duality(name, quantales):
 
 
 def rel_diag(n):
-    out = 0
-    for i in range(n):
-        out |= 1 << (i * n + i)
-    return out
+    return sum(1 << (i * n + i) for i in range(n))
 
 
 def rel_name(mask, n):
@@ -452,16 +439,8 @@ def all_posets(n):
     if n > 3:
         raise QuantaleError("poset enumeration is brute force; n must be <= 3")
     diag = rel_diag(n)
-    out = []
-    for m in range(1 << (n * n)):
-        if m & diag != diag:
-            continue
-        if m & rel_reverse(m, n) != diag:
-            continue
-        if rel_compose(m, m, n) & ~m:
-            continue
-        out.append(m)
-    return out
+    return [m for m in range(1 << (n * n)) if m & diag == diag
+            and m & rel_reverse(m, n) == diag and not rel_compose(m, m, n) & ~m]
 
 
 def build_two_profunctor_quantale(poset_mask, n, label=None):
@@ -498,13 +477,9 @@ def build_pointed_group(elements, op, dualizer, le=None, label="group", names=No
     arbitrary dualizing element.  Residuals exist because the monoid is a
     group; the order must be compatible with multiplication."""
     le = le or (lambda a, b: a == b)
-    for a in elements:
-        for b in elements:
-            if le(a, b):
-                for c in elements:
-                    if not le(op(c, a), op(c, b)) or not le(op(a, c), op(b, c)):
-                        raise QuantaleError(
-                            "order is not compatible with the group operation")
+    if any(le(a, b) and not (le(op(c, a), op(c, b)) and le(op(a, c), op(b, c)))
+           for a, b, c in product(elements, repeat=3)):
+        raise QuantaleError("order is not compatible with the group operation")
     unit = next(x for x in elements if all(op(x, y) == y == op(y, x) for y in elements))
     return Quantale(
         label=label,
@@ -608,10 +583,7 @@ def builtin_quantale(spec):
         kind = spec[6:]
         if kind.startswith("chain"):
             n = int(kind[5:])
-            mask = rel_diag(n)
-            for i in range(n):
-                for j in range(i, n):
-                    mask |= 1 << (i * n + j)
+            mask = sum(1 << (i * n + j) for i in range(n) for j in range(i, n))
             return build_two_profunctor_quantale(mask, n, label=spec)
         if kind.startswith("disc"):
             n = int(kind[4:])

@@ -132,8 +132,7 @@ class ShiftZString(ZString):
 
     def __init__(self, inner, k):
         super().__init__(inner.model)
-        self.inner = inner
-        self.k = k
+        self.inner, self.k = inner, k
 
     def _z_at(self, n):
         return self.inner.z(n + self.k)
@@ -148,50 +147,41 @@ class ShiftZString(ZString):
         return f"shift({self.k:+d},{self.inner.describe()})"
 
 
-class TensZString(ZString):
+class _BinaryZString(ZString):
+    """The tensor or par of two strings: at even indices the operation and
+    binder named in ``even`` on the components, at odd ones those named in
+    ``odd`` on the swapped components."""
+
     def __init__(self, left, right):
         if left.model is not right.model:
-            raise MorError("string tensor across different models")
+            raise MorError(f"string {self.kind} across different models")
         super().__init__(left.model)
         self.left, self.right = left, right
 
-    def _z_at(self, n):
-        m = self.model
+    def _at(self, n):
+        """The two names and the two strings that build index n."""
         if n % 2 == 0:
-            return m.tens(self.left.z(n), self.right.z(n))
-        return m.par(self.right.z(n), self.left.z(n))
-
-    def _gamma_at(self, n):
-        m = self.model
-        if n % 2 == 0:
-            return m.rbind(self.left.gamma(n), self.right.gamma(n))
-        return m.lbind(self.right.gamma(n), self.left.gamma(n))
-
-    def describe(self):
-        return f"tens({self.left.describe()},{self.right.describe()})"
-
-
-class ParZString(ZString):
-    def __init__(self, left, right):
-        if left.model is not right.model:
-            raise MorError("string par across different models")
-        super().__init__(left.model)
-        self.left, self.right = left, right
+            return self.even, self.left, self.right
+        return self.odd, self.right, self.left
 
     def _z_at(self, n):
-        m = self.model
-        if n % 2 == 0:
-            return m.par(self.left.z(n), self.right.z(n))
-        return m.tens(self.right.z(n), self.left.z(n))
+        (op, _), a, b = self._at(n)
+        return getattr(self.model, op)(a.z(n), b.z(n))
 
     def _gamma_at(self, n):
-        m = self.model
-        if n % 2 == 0:
-            return m.lbind(self.left.gamma(n), self.right.gamma(n))
-        return m.rbind(self.right.gamma(n), self.left.gamma(n))
+        (_, bind), a, b = self._at(n)
+        return getattr(self.model, bind)(a.gamma(n), b.gamma(n))
 
     def describe(self):
-        return f"par({self.left.describe()},{self.right.describe()})"
+        return f"{self.kind}({self.left.describe()},{self.right.describe()})"
+
+
+class TensZString(_BinaryZString):
+    kind, even, odd = "tens", ("tens", "rbind"), ("par", "lbind")
+
+
+class ParZString(_BinaryZString):
+    kind, even, odd = "par", ("par", "lbind"), ("tens", "rbind")
 
 
 class UnitZString(ZString):

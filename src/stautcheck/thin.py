@@ -45,10 +45,10 @@ class ThinModel(StautModel):
     def mor(self, dom, cod, payload=None):
         if payload is not None:
             raise MorError("thin morphisms carry no payload")
-        if not self.q.le(self.value(dom), self.value(cod)):
+        if not self.q.le(dom.value, cod.value):
             raise MorError(
-                f"no witness {dom} -> {cod}: {self.q.name(self.value(dom))} is not "
-                f"below {self.q.name(self.value(cod))} in {self.q.label}")
+                f"no witness {dom} -> {cod}: {self.q.name(dom.value)} is not "
+                f"below {self.q.name(cod.value)} in {self.q.label}")
         return Mor(dom, cod, None, True)
 
     def identity(self, p):
@@ -67,7 +67,7 @@ class ThinModel(StautModel):
         return self.mor(f.cod, f.dom)
 
     def hom_span(self, p, q):
-        if self.q.le(self.value(p), self.value(q)):
+        if self.q.le(p.value, q.value):
             return [self.mor(p, q)]
         return []
 

@@ -1,12 +1,14 @@
 import json
 import os
 from pathlib import Path
+import re
 import subprocess
 import sys
 
 import pytest
 
 import stautcheck
+from stautcheck import profunctors as pf
 from stautcheck.cli import main
 from stautcheck.files import (FileFormatError, load_quantale_file,
                               load_vcat_file, resolve_quantale)
@@ -165,6 +167,57 @@ def test_cli_input_errors(tmp_path, capsys):
     assert main(["--report", str(tmp_path / "nodir" / "r.txt"), "quantale", "check", "bool2"]) == 2
     assert main(["--report", str(tmp_path), "quantale", "check", "bool2"]) == 2
     assert capsys.readouterr().out == ""
+
+
+# a three-element chain 0 < h < 1 with unit 1 whose tensor table differs
+# from a quantale's in the marked cells
+BAD_BASE = """\
+elements 0 h 1
+le 0 h
+le h 1
+tensor 0 0 0
+tensor 0 h {zero_h}
+tensor 0 1 0
+tensor h 0 h
+tensor h h 0
+tensor h 1 h
+tensor 1 0 0
+tensor 1 h h
+tensor 1 1 1
+unit 1
+dualizer 0
+"""
+
+
+@pytest.mark.parametrize("zero_h, refusal", [
+    # (h * 0) * h = h * h = 0, but h * (0 * h) = h * 0 = h
+    ("0", "fails associativity (witness ('h', '0', 'h'))"),
+    # 0 <= h, yet 0 * h = h is not below h * h = 0
+    ("h", "fails monotonicity (witness ('0', 'h', 'h'))"),
+], ids=["not-associative", "not-monotone"])
+def test_cli_prof_refuses_a_base_that_is_not_a_quantale(tmp_path, capsys, zero_h, refusal):
+    # a one-object category over either base used to reach the checks and
+    # exit 1 on the Prof quantale's own associativity or monotonicity
+    base = tmp_path / "bad.quantale"
+    base.write_text(BAD_BASE.format(zero_h=zero_h))
+    vcat = tmp_path / "bad.vcat"
+    vcat.write_text(f"quantale {base}\nobjects x\nhom x x 1\n")
+    assert main(["--seed", "5", "prof", "check", str(vcat)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"input error: base quantale bad.quantale {refusal}" in captured.err
+    c = load_vcat_file(str(vcat))
+    with pytest.raises(pf.ProfError, match=re.escape(refusal)):
+        pf.build_prof_quantale(c, pf.enumerate_profs(c))
+
+
+def test_paper_all_passes_at_other_seeds(capsys):
+    # seed 3 is criterion 9, which also pins its report
+    codes = {}
+    for seed in (0, 1, 2, 4):
+        codes[seed] = main(["--format", "structured", "--seed", str(seed), "paper", "all"])
+        capsys.readouterr()
+    assert codes == {0: 0, 1: 0, 2: 0, 4: 0}
 
 
 @pytest.mark.parametrize("argv", [

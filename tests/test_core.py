@@ -10,8 +10,9 @@ import pytest
 
 from stautcheck import strictify as st
 from stautcheck.core import matrices as mx
+from stautcheck.core.model import Adjunction
 from stautcheck.core.morphisms import CompositionError, Mor, MorError, ShapeError
-from stautcheck.core.objects import UniverseError
+from stautcheck.core.objects import GEN, UniverseError
 from stautcheck.core.validate import validate_staut
 from stautcheck.quantale import build_s3_pointed, build_zmod
 from stautcheck.thin import ThinModel
@@ -147,6 +148,39 @@ def test_depth_limit_error_mentions_flag():
         shallow.rdual(shallow.rdual(p))
 
 
+def test_a_descriptor_past_the_depth_limit_interns_nothing():
+    shallow = build_vec_model(2, depth_limit=1)
+    p = shallow.gen("p")
+    dual = shallow.rdual(p)
+    before = dict(shallow._objects)
+    for build in (lambda: shallow.rdual(dual), lambda: shallow.tens(dual, p)):
+        with pytest.raises(UniverseError):
+            build()
+    assert shallow._objects == before
+
+
+def test_object_value_runs_once_per_handle(monkeypatch):
+    kinds = []
+    evaluate = VecModel._object_value
+
+    def counting(self, kind, *vs):
+        kinds.append(kind)
+        return evaluate(self, kind, *vs)
+
+    monkeypatch.setattr(VecModel, "_object_value", counting, raising=False)
+    m = build_vec_model(2, depth_limit=3)
+    p = m.gen("p")
+    for _ in range(3):
+        x = m.tens(m.rdual(p), m.par(p, m.e))
+        assert m.dim(x) == 4 and m.value(m.ldual(x)) == Space(4)
+        assert [m.dim(q) for q in m.probe_objects()] == [1, 1, 2, 2, 2, 4]
+    composite = [ref for ref in m._objects.values() if ref.kind != GEN]
+    assert sorted(kinds) == sorted(ref.kind for ref in composite)
+    with pytest.raises(UniverseError):   # refused before it is evaluated
+        m.rdual(m.rdual(m.rdual(m.ldual(p))))
+    assert len(kinds) == sum(ref.kind != GEN for ref in m._objects.values())
+
+
 def test_composition_mismatch_names_both_objects(vec):
     p = vec.gen("p")
     f = vec.identity(p)
@@ -198,7 +232,19 @@ def test_mat_refuses_entries_that_are_not_ints_or_fractions(entry):
         mx.mat([[1, entry]])
     m = build_vec_model(1)
     p = m.gen("p")
-    assert m.mor(p, p, mx.mat([[Fraction(1, 10)]])).payload.rows == (((0, Fraction(1, 10)),),)
+    assert mx.dense(m.mor(p, p, mx.mat([[Fraction(1, 10)]])).payload) == ((Fraction(1, 10),),)
+
+
+@pytest.mark.parametrize("rows, den", [
+    ((((0, 0.5),),), 1), ((((0, Fraction(1, 2)),),), 1),
+    ((((0, 1),),), 0), ((((0, 1),),), -2), ((((0, 1),),), 2.0), ((((0, 1),),), Fraction(2)),
+], ids=["float-entry", "fraction-entry", "zero-den", "negative-den", "float-den",
+        "fraction-den"])
+def test_linear_mor_refuses_a_hand_built_matrix_off_the_int_form(rows, den):
+    m = build_vec_model(1)
+    p = m.gen("p")
+    with pytest.raises(MorError, match="inexact matrix entry|matrix denominator"):
+        m.mor(p, p, mx.Matrix(rows, 1, den))
 
 
 def test_curry_bijections_on_full_span(vec):
@@ -223,6 +269,36 @@ def test_lcurry_of_counit_is_identity(vec, thin_rel2):
     for m in (vec, thin_rel2):
         for p in m.probe_objects()[:4]:
             assert m.lcurry(m.dual_counit_r(p)) == m.identity(m.rdual(p))
+
+
+def test_adjunctions_with_different_units_on_the_same_objects_curry_apart(monkeypatch):
+    # on vec, unit x2 with counit x1/2 is another adjunction between p and
+    # its duals; a curry reads its first steps from a cache keyed on the
+    # unit's value, so each adjunction must curry through its own unit
+    m = build_vec_model(2)
+    p = m.gen("p")
+    for plain, curry in ((m.rdual_adj(p), m.curry_left), (m.ldual_adj(p), m.curry_right)):
+        scaled = Adjunction(plain.left, plain.right, m.mor_scale(2, plain.unit),
+                            m.mor_scale(Fraction(1, 2), plain.counit))
+        target = plain.right if curry == m.curry_left else plain.left
+        cases = ((plain, plain.counit, 1), (scaled, plain.counit, 2),
+                 (scaled, scaled.counit, 1), (plain, scaled.counit, Fraction(1, 2)))
+        for adj, counit, factor in cases:
+            got = curry(adj, counit).payload
+            assert got == mx.scale(factor, m.identity(target).payload), (adj, factor)
+    # an equal unit built anew shares the cached steps: keys compare by value
+    heads = []
+    build = type(m)._curry_head
+    monkeypatch.setattr(type(m), "_curry_head",
+                        lambda self, *args: heads.append(args) or build(self, *args),
+                        raising=False)
+    q = m.tens(p, p)
+    first = m.rdual_adj(q)
+    again = Adjunction(first.left, first.right,
+                       m.mor(first.unit.dom, first.unit.cod, first.unit.payload), first.counit)
+    assert again.unit is not first.unit and again.unit == first.unit
+    assert m.curry_left(first, first.counit) == m.curry_left(again, first.counit)
+    assert len(heads) == 1
 
 
 def test_scalar_curry_on_lines():

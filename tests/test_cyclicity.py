@@ -224,8 +224,11 @@ def test_unknown_axiom_rejected(vec2):
 
 
 def test_classify_draws_once_per_row_shape(monkeypatch):
-    cycle = scalar_cycle(build_vec_model(1), 2)   # fails some axioms
-    alone = {a: cy.check_axiom(cycle, a, seed=2) for a in cy.AXIOMS}
+    # fails some axioms; each row alone is checked on a model of its own,
+    # which keeps its own draws
+    alone = {a: cy.check_axiom(scalar_cycle(build_vec_model(1), 2), a, seed=2)
+             for a in cy.AXIOMS}
+    cycle = scalar_cycle(build_vec_model(1), 2)
     calls = []
 
     def spy(*args):
@@ -240,3 +243,22 @@ def test_classify_draws_once_per_row_shape(monkeypatch):
     assert not profile.cycle
     assert profile.verdicts == {a: r.ok for a, r in alone.items()}
     assert profile.witnesses == {a: r.witness for a, r in alone.items() if not r.ok}
+
+
+def test_classify_draws_once_per_model_and_seed(monkeypatch):
+    # a scalar table classifies several cycles on one model with one seed
+    model = build_vec_model(1)
+    seeds = []
+
+    def spy(*args):
+        seeds.append(args[5] // 1000003)
+        return draw(*args)
+
+    monkeypatch.setattr(cy, "draw", spy)
+    first = cy.classify(scalar_cycle(model, 2), seed=4)
+    assert seeds == [4] * 9
+    second = cy.classify(scalar_cycle(model, 2), seed=4)
+    assert seeds == [4] * 9
+    assert (second.verdicts, second.witnesses) == (first.verdicts, first.witnesses)
+    cy.classify(scalar_cycle(model, -1), seed=5)
+    assert seeds == [4] * 9 + [5] * 9

@@ -1,5 +1,7 @@
 import doctest
 from fractions import Fraction
+from math import gcd
+import re
 import tracemalloc
 
 import pytest
@@ -213,12 +215,16 @@ def test_nullspace_matches_dense(m):
 
 
 def _canonical(m):
-    """No stored zeros, exact entries, and ascending columns within range."""
+    """Nonzero int entries in ascending columns within range, over a
+    positive int denominator that shares no factor with all of them."""
+    entries = [x for row in m.rows for _, x in row]
+    if type(m.den) is not int or m.den < 1 or gcd(m.den, *entries) != 1:
+        return False
+    if any(x == 0 or type(x) is not int for x in entries):
+        return False
     for row in m.rows:
         cols = [j for j, _ in row]
         if cols != sorted(set(cols)) or any(not 0 <= j < m.cols for j in cols):
-            return False
-        if any(x == 0 or type(x) not in (int, Fraction) for _, x in row):
             return False
     return True
 
@@ -238,9 +244,22 @@ def test_every_kernel_result_is_canonical(ab, c, d, m):
     results = [a, b, c, mx.matmul(a, b), mx.kron(c, d), mx.add(c, c), mx.transpose(c),
                mx.add(c, mx.scale(-1, c)), mx.scale(Fraction(1, 2), c), mx.scale(0, c),
                mx.nullspace(c), mx.inverse(m), mx.identity(len(c)),
-               mx.swap_matrix(len(c), c.cols)]
+               mx.swap_matrix(len(c), c.cols), mx.add(c, mx.scale(Fraction(2, 3), c)),
+               mx.matmul(mx.inverse(m), m), mx.scale(Fraction(-3, 4), mx.inverse(m)),
+               mx.kron(mx.scale(Fraction(1, 6), c), mx.scale(Fraction(3, 2), d)),
+               mx.nullspace(mx.scale(Fraction(5, 2), c)), mx.transpose(mx.inverse(m))]
     assert all(_canonical(r) for r in results)
+    # the form is unique: rebuilt from its values, every result with rows
+    # is itself
+    assert all(mx.mat(mx.dense(r)) == r for r in results if len(r))
     assert mx.is_zero(mx.add(c, mx.scale(-1, c)))
+    assert mx.scale(Fraction(2, 3), mx.scale(Fraction(3, 2), c)) == c
+
+
+@pytest.mark.parametrize("c", [0.5, 0.0, 1.0, "2", None, 1j])
+def test_scale_refuses_scalars_that_are_not_ints_or_fractions(c):
+    with pytest.raises(ValueError, match=re.escape(f"inexact matrix entry {c!r}")):
+        mx.scale(c, mx.identity(2))
 
 
 def test_doctests():
