@@ -16,15 +16,9 @@ every braided backend.
 """
 
 from .core.morphisms import MorError
-from .core.quantify import draw, scan
+from .core.quantify import COVERAGE, draw, scan
 from . import cyclicity
 from .cyclicity import BigCycle
-
-
-# Quantifier budget: probe pairs and triples up to this total dimension, and
-# at most this many seeded triples.
-_DIM_CAP = 8
-_TRIPLE_CAP = 40
 
 
 class Braiding:
@@ -76,7 +70,8 @@ class Braiding:
             if lhs != rhs:
                 return f"hexagon-two at ({p},{q},{r})"
 
-        triples, exh = draw(m, m.probe_objects(), 3, _TRIPLE_CAP, _DIM_CAP, seed)
+        triples, exh = draw(m, m.probe_objects(), 3, COVERAGE["braid-triples"],
+                           COVERAGE["braid-dims"], seed)
         return scan("hexagons", triples, body, exh)
 
     def check_mixed_distributions(self, seed=0):
@@ -126,14 +121,15 @@ class Braiding:
             if d4_l != d4_r:
                 return f"mixed-dist-4 at ({p},{q},{r})"
 
-        triples, exh = draw(m, m.probe_objects(), 3, _TRIPLE_CAP, _DIM_CAP, seed)
+        triples, exh = draw(m, m.probe_objects(), 3, COVERAGE["braid-triples"],
+                           COVERAGE["braid-dims"], seed)
         return scan("mixed-distributions", triples, body, exh)
 
     def check_degenerate_agreement(self):
         """In a degenerate model the derived par braiding must coincide with
         the tensor braiding entrywise."""
         m = self.model
-        pairs, exh = draw(m, m.probe_objects(), 2, dim_cap=_DIM_CAP)
+        pairs, exh = draw(m, m.probe_objects(), 2, dim_cap=COVERAGE["braid-dims"])
         return scan("degenerate-braid-agreement", pairs,
                     lambda p, q: self.par(p, q).payload != self.tens(p, q).payload, exh)
 
@@ -141,7 +137,7 @@ class Braiding:
         """The check that the braiding is a symmetry; its witness is the
         first pair (p, q) whose double braiding is not the identity."""
         m = self.model
-        pairs, exh = draw(m, m.probe_objects(), 2, dim_cap=_DIM_CAP)
+        pairs, exh = draw(m, m.probe_objects(), 2, dim_cap=COVERAGE["braid-dims"])
         return scan("symmetry", pairs, lambda p, q: (
             m.compose(self.tens(p, q), self.tens(q, p)) != m.identity(m.tens(p, q))
             and repr((p, q))), exh)
@@ -245,7 +241,7 @@ def check_semibalance(balance, which):
                               both(balance.component(q), balance.component(p)),
                               cross(q, p))
 
-    pairs, exh = draw(m, m.probe_objects(), 2, dim_cap=_DIM_CAP)
+    pairs, exh = draw(m, m.probe_objects(), 2, dim_cap=COVERAGE["braid-dims"])
     return scan(f"semibalance-{which}", pairs + [unit], body, exh)
 
 

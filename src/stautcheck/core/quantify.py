@@ -1,8 +1,9 @@
 """The two quantifiers every check is built from.
 
-``draw`` picks the object tuples a check ranges over: the full product of
-the probe objects when it is small enough, else a seeded sample, so every
-verdict can be replayed from its seed; its vacuity filter calls each
+``draw`` picks the tuples a check ranges over (of probe objects, quantale
+elements or profunctors): the full product when it is within its budget in
+``COVERAGE``, else a seeded sample, so every verdict can be replayed from
+its seed, and says which it was; its vacuity filter calls each
 predicate once per distinct projection of the product, not once per tuple.
 A sampled draw without a dimension budget counts the live tuples from the
 predicates' verdicts and builds only the tuples it keeps.  ``scan`` runs a
@@ -15,14 +16,30 @@ from itertools import compress, product
 from math import prod
 from operator import itemgetter
 import random
+import sys
 
 from ..report import CheckResult
 from .morphisms import MorError
 
-# The most object tuples a model-level check ranges over: the validity
-# checks, the thirteen axioms and the base identity each draw at most this
-# many, and report ``exhaustive: false`` when they drew fewer than all.
-TUPLE_CAP = 24
+# Every coverage budget of the checker.  A quantifier with more items than
+# its budget draws a seeded sample of that many, and its check reports
+# ``exhaustive: false``, as does one that a "-dims" budget cut short: the
+# largest product of dimensions of a drawn tuple on a linear model.
+COVERAGE = {
+    "tuples": 24,  # of the model validity checks, the thirteen axioms, the base identity
+    "validity-dims": 8,
+    "axiom-dims": 16,  # also the base identity's; an axiom row may tighten it
+    "base-identity-arrows": 100,  # random arrow pairs per run on a linear model
+    "braid-triples": 40, "braid-dims": 8,
+    # ``Quantale.validate`` tries every triple and pair up to this many
+    # elements (53 is the luk3 profunctor quantale: 148,877 triples)
+    "quantale-elements": 53,
+    "quantale-triples": 4096, "quantale-pairs": 256,  # the draws past that
+    "prof-candidates": 65536,  # the value tuples ``enumerate_profs`` tries
+    # profunctor pairs, profunctors and triples of the pointwise prof- checks
+    "prof-pairs": 144, "prof-singles": 12, "prof-triples": 216,
+    "contraposition-arrows": 50,  # action arrows per run
+}
 
 
 def draw(model, probes, k, cap=None, dim_cap=None, seed=0, live=()):
@@ -30,7 +47,8 @@ def draw(model, probes, k, cap=None, dim_cap=None, seed=0, live=()):
     all of them.
 
     On a linear model, tuples whose dimensions multiply to more than
-    ``dim_cap`` are dropped, and the draw is then not all of them.  ``live``
+    ``dim_cap`` are dropped, and the draw is then not all of them; nothing
+    else reads ``model``, which a draw of other items leaves None.  ``live``
     holds (positions, predicate) pairs, each with ascending positions: t is
     live when each ``predicate(*(t[i] for i in positions))`` holds, and
     only live tuples are kept, unless none is (one that is not live,
@@ -69,7 +87,13 @@ def draw(model, probes, k, cap=None, dim_cap=None, seed=0, live=()):
         size, groups, counts = n ** k, [], []
     if cap is None or size <= cap:
         return _listed(list(product(probes, repeat=k)), live, verdicts, cap, seed, True)
-    ranks = random.Random(seed).sample(range(size), cap)
+    rng = random.Random(seed)
+    ranks = {} if size > sys.maxsize else dict.fromkeys(rng.sample(range(size), cap))
+    while len(ranks) < cap:   # past what len() can measure, as sample's set-based draw
+        ranks[rng.randrange(size)] = None
+    if not groups:   # a rank is its base-n digits
+        digits = [[probes[r // w % n] for r in ranks] for w in [n ** j for j in range(k)][::-1]]
+        return list(zip(*digits)), False
     return [tuple(map(probes.__getitem__, _unrank(r, k, n, groups, counts))) for r in ranks], False
 
 

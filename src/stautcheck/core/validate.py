@@ -7,10 +7,7 @@ distribution coherence equations, invertibility of the de Morgan and
 cancellation maps, and the currying round trips on hom spanning sets.
 """
 
-from .quantify import TUPLE_CAP, draw, scan
-
-# on linear models, the largest product of dimensions of a drawn tuple
-_DIM_CAP = 8
+from .quantify import COVERAGE, draw, scan
 
 
 def validate_staut(model, seed=0):
@@ -18,7 +15,8 @@ def validate_staut(model, seed=0):
     probes = m.probe_objects()
 
     def tuples(k):
-        return draw(m, probes, k, TUPLE_CAP, _DIM_CAP, seed * 1000003 + k)
+        return draw(m, probes, k, COVERAGE["tuples"], COVERAGE["validity-dims"],
+                    seed * 1000003 + k)
 
     def triangle(adjunction, curry):
         """The counit of ``adjunction(p)`` curried by ``curry`` is an

@@ -31,7 +31,7 @@ import random
 
 from .core.memo import LazyTable
 from .core.morphisms import ShapeError
-from .core.quantify import TUPLE_CAP, arrows, draw, scan
+from .core.quantify import COVERAGE, arrows, draw, scan
 
 
 class Family:
@@ -137,11 +137,6 @@ def to_lower(big):
 
 # ------------------------------------------------------------ probe drawing
 
-# Axiom tuples are drawn from the probe objects within TUPLE_CAP (shared with
-# the model validity checks) and, on linear models, up to this product of
-# dimensions; an axiom row may tighten it.
-_DIM_CAP = 16
-
 # The benchmark's tracer (perfbench/tracer.py) times tuple drawing under this
 # name; it is ``draw`` itself.
 draw_tuples = draw
@@ -186,11 +181,12 @@ class Axiom:
     names p (x) t and q (x) s over (p, q, s, t).  ``sides`` returns the diagram's
     two sides, which must be equal: ``sides(model, cycle, *objects)`` on the
     object level, ``sides(model, big, *objects, *arrows)`` on the hom level.
-    ``dim_cap`` is the drawing budget of its tuples' dimensions."""
+    ``dim_cap`` is the drawing budget of its tuples' dimensions when it
+    tightens the coverage table's "axiom-dims"."""
 
     __slots__ = ("arity", "sides", "spans", "dim_cap")
 
-    def __init__(self, arity, sides, spans=(), dim_cap=_DIM_CAP):
+    def __init__(self, arity, sides, spans=(), dim_cap=None):
         self.arity, self.sides, self.spans, self.dim_cap = arity, sides, spans, dim_cap
 
 
@@ -289,8 +285,8 @@ def _draws(m, seed):
     ``seed`` on first use and kept by the model, so that every row and every
     cycle checked on it with that seed share them."""
     return m._structural(("draws", seed), LazyTable, lambda key: draw(
-        m, m.probe_objects(), key[0], TUPLE_CAP, key[1], seed * 1000003 + key[0],
-        _live(m, key[2])))
+        m, m.probe_objects(), key[0], COVERAGE["tuples"], key[1] or COVERAGE["axiom-dims"],
+        seed * 1000003 + key[0], _live(m, key[2])))
 
 
 def check_axiom(cycle, which, seed=0, big=None):
@@ -421,29 +417,25 @@ def check_upper_lower_equivalences(profiles):
 
 # --------------------------------------------------------- base identity
 
-# random arrow pairs per run of the base identity on a linear model
-_BASE_IDENTITY_SAMPLES = 100
-
-
 def check_base_identity(model, seed=0, probes=None):
     """The two mixed-distribution composites that agree in every linearly
     distributive category, over object quadruples of ``probes`` (default:
     the model's probe objects) and arrow pairs (psi, omega): on a linear
-    model about _BASE_IDENTITY_SAMPLES random pairs, on a thin one every
+    model about "base-identity-arrows" random pairs, on a thin one every
     spanning pair.  Quadruples and arrows are both drawn from ``seed``, and
     only quadruples with arrows q*s -> d and t*p -> d are drawn, unless
     there are none."""
     m = model
     probes = m.probe_objects() if probes is None else probes
 
-    tuples, exhaustive = draw(m, probes, 4, TUPLE_CAP, _DIM_CAP, seed * 1000003 + 4,
-                              _live(m, ((0, 1), (2, 3))))
+    tuples, exhaustive = draw(m, probes, 4, COVERAGE["tuples"], COVERAGE["axiom-dims"],
+                              seed * 1000003 + 4, _live(m, ((0, 1), (2, 3))))
     rng = random.Random(seed)
 
     def arrow_items():
         for (q, s, t, p) in tuples:
             if m.is_linear:
-                per = -(-_BASE_IDENTITY_SAMPLES // max(1, len(tuples)))
+                per = -(-COVERAGE["base-identity-arrows"] // max(1, len(tuples)))
                 pairs = [(m.random_mor(rng, m.tens(q, s), m.d),
                           m.random_mor(rng, m.tens(t, p), m.d)) for _ in range(per)]
             else:

@@ -19,6 +19,7 @@ Three concrete families:
 
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd
 
 from .core import matrices as mx
 from .core.model import StautModel
@@ -32,13 +33,21 @@ Space = namedtuple("Space", "dim data", defaults=(None,))
 
 
 def _validate_entries(payload):
-    den = payload.den
+    """Refuse a matrix off the canonical form, where ``==`` is not equality."""
+    den, cols = payload.den, payload.cols
     if type(den) is not int or den < 1:
         raise MorError(f"matrix denominator {den!r} is not a positive int")
     for row in payload.rows:
-        for _, x in row:
+        # each entry against the one before it
+        for (last, _), (j, x) in zip([(-1, 1), *row], row):
             if type(x) is not int:
                 raise MorError(f"inexact matrix entry {x!r}; a Matrix holds ints")
+            if not x or type(j) is not int or not last < j < cols:
+                raise MorError(f"matrix row {row!r} is not its nonzero entries at "
+                               f"strictly ascending columns below {cols}")
+    common = gcd(den, *(x for row in payload.rows for _, x in row)) if den > 1 else 1
+    if common > 1:
+        raise MorError(f"matrix denominator {den} shares the factor {common} with every entry")
 
 
 class LinearModel(StautModel):

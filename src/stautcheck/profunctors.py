@@ -21,7 +21,7 @@ of the base.
 from itertools import product
 import random
 
-from .core.quantify import scan
+from .core.quantify import COVERAGE, draw, scan
 from .quantale import Quantale
 from .report import renamed
 from .thin import ThinModel, thin_identity_cycle
@@ -135,27 +135,18 @@ def dual_prof(c, f, side):
 
 # ----------------------------------------------------------- enumeration
 
-def enumerate_profs(c, cap=65536, seed=0):
+def enumerate_profs(c, cap=None, seed=0):
     """All profunctors of c, exhaustively when the raw matrix count
-    |V| ** n^2 stays within cap, else those among a seeded sample of
-    candidates, with the unit and the dualizer.  Returns (list of value
+    |V| ** n^2 stays within ``cap`` (default: the coverage table's
+    "prof-candidates"), else those among ``cap`` distinct candidates drawn
+    from ``seed``, with the unit and the dualizer.  Returns (list of value
     tuples, exhaustive flag)."""
-    elements = c.base.elements
-    if len(elements) ** len(c.keys) <= cap:
-        return [f for f in product(elements, repeat=len(c.keys))
-                if action_violation(c, f) is None], True
-    rng = random.Random(seed)
-    seen, found = set(), []
-    for _ in range(cap):
-        f = tuple(rng.choice(elements) for _ in c.keys)
-        if f not in seen:
-            seen.add(f)
-            if action_violation(c, f) is None:
-                found.append(f)
-    for f in (identity_prof(c), dualizer_prof(c)):
-        if f not in found:
-            found.append(f)
-    return found, False
+    cap = COVERAGE["prof-candidates"] if cap is None else cap
+    candidates, exhaustive = draw(None, c.base.elements, len(c.keys), cap, seed=seed)
+    found = [f for f in candidates if action_violation(c, f) is None]
+    if not exhaustive:
+        found += [f for f in dict.fromkeys((identity_prof(c), dualizer_prof(c))) if f not in found]
+    return found, exhaustive
 
 
 # The largest Prof(c, c) that is built: building takes n^2 order comparisons
@@ -207,7 +198,7 @@ def check_prof_staut(c, seed=0):
     """
     v = c.base
     _require_valid(v, seed)
-    enumeration = profs, exhaustive = enumerate_profs(c, seed=seed)
+    enumeration = profs, exhaustive = enumerate_profs(c, COVERAGE["prof-candidates"], seed)
     pq = build_prof_quantale(c, enumeration, seed) if exhaustive else None
     seen = set()
 
@@ -234,17 +225,14 @@ def check_prof_staut(c, seed=0):
     out.append(scan("prof-cyclic-duals-agree", enumerate(profs),
                     cyclic_duals_agree, exhaustive))
 
-    rng = random.Random(seed)
-    picks = profs if len(profs) <= 12 else rng.sample(profs, 12)
-
     def demorgan(i, j):
-        f, g = picks[i], picks[j]
+        f, g = profs[i], profs[j]
         lhs = dual_prof(c, compose_prof(c, f, g), "right")
         rhs = par_prof(c, dual_prof(c, g, "right"), dual_prof(c, f, "right"))
-        return lhs != rhs and f"de Morgan of a composite at picks #{i}, #{j}"
+        return lhs != rhs and f"de Morgan of a composite at profunctors #{i}, #{j}"
 
-    def unit_counit(f):
-        i = identity_prof(c)
+    def unit_counit(n):
+        f, i = profs[n], identity_prof(c)
         if compose_prof(c, i, f) != f or compose_prof(c, f, i) != f:
             return "identity profunctor is not neutral"
         rf = dual_prof(c, f, "right")
@@ -253,7 +241,8 @@ def check_prof_staut(c, seed=0):
             if not (v.le(h, t) and v.le(g, d)):
                 return f"duality unit/counit inequality at {k}"
 
-    def distribution(f, g, h):
+    def distribution(x, y, z):
+        f, g, h = profs[x], profs[y], profs[z]
         gh_par, fg = par_prof(c, g, h), compose_prof(c, f, g)
         n = len(c.objects)
         for p, q, r, s in product(range(n), repeat=4):
@@ -262,12 +251,12 @@ def check_prof_staut(c, seed=0):
             if not v.le(lhs, rhs):
                 return f"linear distribution at {tuple(c.objects[x] for x in (p, q, r, s))}"
 
-    out.append(scan("prof-demorgan-pointwise", product(range(len(picks)), repeat=2),
-                    demorgan, len(picks) == len(profs)))
-    # a profunctor is a tuple, which scan would spread over the arguments
-    out.append(scan("prof-duality-unit-counit", ((f,) for f in picks), unit_counit))
-    out.append(scan("prof-linear-distribution", product(picks[:6], repeat=3),
-                    distribution))
+    # each draws tuples of profunctor numbers, a sample of a sample if profs is one
+    for name, body, k, budget in (("prof-demorgan-pointwise", demorgan, 2, "prof-pairs"),
+                                  ("prof-duality-unit-counit", unit_counit, 1, "prof-singles"),
+                                  ("prof-linear-distribution", distribution, 3, "prof-triples")):
+        items, whole = draw(None, range(len(profs)), k, COVERAGE[budget], seed=seed)
+        out.append(scan(name, items, body, whole and exhaustive))
 
     profile = None
     if exhaustive:
@@ -281,34 +270,30 @@ def check_prof_staut(c, seed=0):
 
 # ----------------------------------------------- contraposition agreement
 
-# action arrows per run of the contraposition check
-_CONTRAPOSITION_SAMPLES = 50
-
-
 def check_contraposition_agreement(model, cycle, seed=0):
     """The two derived actions on the right dual of the target of a module
     action a (x) x -> y: transporting through both cycle components versus
     dualizing and cycling the acting object.  They agree whenever the cycle
-    is at least tensor-semicyclic; exercised on about
-    _CONTRAPOSITION_SAMPLES action arrows, random ones on linear backends
+    is at least tensor-semicyclic; exercised on about the coverage table's
+    "contraposition-arrows" action arrows, random ones on linear backends
     and the unique witnesses on thin ones.  Only a thin run that reaches
     every action arrow of the probes within that budget is exhaustive."""
     m = model
-    rng = random.Random(seed)
+    rng, budget = random.Random(seed), COVERAGE["contraposition-arrows"]
     probes = [p for p in m.probe_objects()
               if not m.is_linear or m.dim(p) <= 2]
     actions, sampled = [], m.is_linear
     for a, x, y in product(probes, repeat=3):
-        if len(actions) >= _CONTRAPOSITION_SAMPLES:
+        if len(actions) >= budget:
             sampled = True
             break
         if m.is_linear:
             # whole batches of random action arrows up to the sample size
             alphas = [m.random_mor(rng, m.tens(a, x), y)
-                      for _ in range(max(1, _CONTRAPOSITION_SAMPLES // 8))]
+                      for _ in range(max(1, budget // 8))]
         else:
             span = m.hom_span(m.tens(a, x), y)
-            alphas = span[:_CONTRAPOSITION_SAMPLES - len(actions)]
+            alphas = span[:budget - len(actions)]
             sampled = sampled or len(alphas) < len(span)
         actions += [(a, x, y, alpha) for alpha in alphas]
 

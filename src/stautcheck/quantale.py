@@ -39,10 +39,11 @@ a Cayley table (at most 2 * n * |J| codes) and computed afresh past it
 (``rel:4``).
 
 ``validate`` checks the axioms on what the kernel computes, over every
-triple and pair of elements up to ``_EXHAUSTIVE_MAX`` = 53 elements and
-over a seeded sample past that.  Associativity and monotonicity visit only
-the triples whose first pair the table's rows flag, since no other can
-fail, and report the count and witness of the plain scan of all n^3.
+triple and pair of elements up to the coverage table's "quantale-elements"
+(53) and over a seeded ``draw`` past that.  Associativity and monotonicity
+visit only the triples whose first pair the table's rows flag, since no
+other can fail, and report the count and witness of the plain scan of all
+n^3.
 
 Built-in families:
 
@@ -61,18 +62,9 @@ listed in increasing mask order so reports and counterexamples are stable.
 from array import array
 from fractions import Fraction
 from itertools import product
-import random
 
 from .core.memo import LazyTable
-from .core.quantify import scan
-
-# ``Quantale.validate`` tries every triple of elements and every pair of the
-# residual scan when there are at most _EXHAUSTIVE_MAX elements (53 is the
-# luk3 profunctor quantale: 148,877 triples); past that it draws
-# _TRIPLE_SAMPLES triples and _PAIR_SAMPLES pairs with replacement.
-_EXHAUSTIVE_MAX = 53
-_TRIPLE_SAMPLES = 4096
-_PAIR_SAMPLES = 256
+from .core.quantify import COVERAGE, draw, scan
 
 
 class QuantaleError(Exception):
@@ -277,30 +269,29 @@ class Quantale:
     def validate(self, seed=0):
         """Brute-force the quantale axioms on the kernel, one CheckResult each.
 
-        With at most _EXHAUSTIVE_MAX elements every triple and every pair of
-        the residual-existence scan is covered; past that _TRIPLE_SAMPLES
-        triples and _PAIR_SAMPLES pairs are drawn with replacement from
-        ``random.Random(seed)``, and the check reports ``exhaustive: false``.
+        Up to "quantale-elements" elements every triple and every pair of
+        the residual-existence scan is covered; past that ``draw`` picks
+        "quantale-triples" distinct triples and "quantale-pairs" distinct
+        pairs from ``seed``, and the checks report ``exhaustive: false``.
         Exhaustive associativity and monotonicity visit only the triples
         that begin with a pair ``_suspect_pairs`` flags, in product order,
         since no other triple can fail; each reports the plain n^3 scan's
         count (n^3 on a pass, the failing triple's position in
         ``product(elements, repeat=3)``) and witness.
         """
-        rng = random.Random(seed)
         els, n = self.elements, self._n
-        exhaustive = n <= _EXHAUSTIVE_MAX
         le, tensor, unit = self.le, self.tensor, self.unit
-        if exhaustive:
+        if n <= COVERAGE["quantale-elements"]:
             # (position, triple) of each triple that begins with a flagged pair
             assoc, mono = (((p * n + c + 1, (*divmod(p, n), c)) for p in sorted(flagged)
                             for c in els) for flagged in self._suspect_pairs())
             pairs, size = product(els, repeat=2), n ** 3
+            exhaustive = all_pairs = True
         else:
-            assoc = mono = list(enumerate((tuple(rng.choice(els) for _ in range(3))
-                                           for _ in range(_TRIPLE_SAMPLES)), 1))
-            pairs = [tuple(rng.choice(els) for _ in range(2)) for _ in range(_PAIR_SAMPLES)]
-            size = _TRIPLE_SAMPLES
+            triples, exhaustive = draw(None, els, 3, COVERAGE["quantale-triples"], seed=seed)
+            pairs, all_pairs = draw(None, els, 2, COVERAGE["quantale-pairs"], seed=seed)
+            assoc = mono = list(enumerate(triples, 1))
+            size = len(triples)
 
         def names(*xs):
             return str(tuple(map(self.name, xs)))
@@ -332,7 +323,7 @@ class Quantale:
         return [scan("unit-law", els, unit_law),
                 scan("associativity", assoc, associative, exhaustive, size),
                 scan("monotonicity", mono, monotone, exhaustive, size),
-                scan("residuals-exist", pairs, residuals, exhaustive),
+                scan("residuals-exist", pairs, residuals, all_pairs),
                 scan("dualizing-element", els, dualizing)]
 
 

@@ -10,7 +10,7 @@ every coherence diagram they can state.
 from .core.model import ISOMORPHISMS, StautModel
 from .core.objects import LDUAL, PAR, RDUAL, TENS, UNIT_P, UNIT_T
 from .core.morphisms import Mor, MorError
-from .quantale import Quantale
+from .quantale import Quantale, QuantaleError
 
 
 class ThinModel(StautModel):
@@ -37,8 +37,12 @@ class ThinModel(StautModel):
         return f"thin({self.q.label})"
 
     def _object_value(self, kind, *vs):
+        # a dual without a residual fails the check that built it, as witness
         op = self._ops[kind]
-        return op(*vs) if vs else op
+        try:
+            return op(*vs) if vs else op
+        except QuantaleError as exc:
+            raise MorError(str(exc)) from exc
 
     # -------------------------------------------------------------- morphisms
 

@@ -247,6 +247,26 @@ def test_linear_mor_refuses_a_hand_built_matrix_off_the_int_form(rows, den):
         m.mor(p, p, mx.Matrix(rows, 1, den))
 
 
+def test_linear_mor_refuses_a_hand_built_matrix_off_the_canonical_form():
+    # each stands for a map it would compare unequal to
+    m = build_vec_model(1)
+    p = m.gen("p")
+    one, stored_zero = mx.Matrix((((0, 2),),), 1, 2), mx.Matrix((((0, 0),),), 1)
+    assert one != m.identity(p).payload and stored_zero != mx.mat([[0]])
+    with pytest.raises(MorError, match="shares the factor 2"):
+        m.mor(p, p, one)
+    with pytest.raises(MorError, match="strictly ascending"):
+        m.mor(p, p, stored_zero)
+    with pytest.raises(MorError, match="strictly ascending"):
+        m.mor(p, p, mx.Matrix((((1, 1),),), 1))   # a column out of range
+    v2 = build_vec_model(2)
+    q = v2.gen("p")
+    with pytest.raises(MorError, match="strictly ascending"):
+        v2.mor(q, q, mx.Matrix((((1, 1), (0, 1)), ((0, 1),)), 2))   # unsorted columns
+    assert v2.mor(q, q, mx.Matrix((((0, 1), (1, 1)), ((0, 1),)), 2)).payload == mx.mat(
+        [[1, 1], [1, 0]])
+
+
 def test_curry_bijections_on_full_span(vec):
     p = vec.gen("p")
     t = vec.rdual(p)

@@ -10,7 +10,7 @@ from stautcheck import profunctors as pf
 from stautcheck import suites
 from stautcheck.core import matrices as mx
 from stautcheck.core.morphisms import ShapeError
-from stautcheck.core.quantify import TUPLE_CAP, draw
+from stautcheck.core.quantify import COVERAGE, draw
 from stautcheck.linear import build_vec_model, scalar_cycle
 from stautcheck.quantale import build_rel_quantale
 from stautcheck.scalar_oracle import SCALAR_EXPONENTS, predicted_profile
@@ -138,9 +138,9 @@ def test_base_identity_vec_and_thin(vec2):
     assert cy.check_base_identity(vec2, seed=1).ok
     thin = ThinModel(build_rel_quantale(2))
     # no drawn quadruple is vacuous: each has exactly one arrow pair, and
-    # rel:2 has more than TUPLE_CAP quadruples with arrows into d
+    # rel:2 has more than COVERAGE["tuples"] quadruples with arrows into d
     res = cy.check_base_identity(thin, seed=1)
-    assert res.ok and res.count == TUPLE_CAP
+    assert res.ok and res.count == COVERAGE["tuples"]
 
 
 def test_base_identity_draws_its_tuples_from_the_seed(monkeypatch):
@@ -160,7 +160,7 @@ def test_base_identity_draws_its_tuples_from_the_seed(monkeypatch):
         return bool(thin.hom_span(thin.tens(x, y), thin.d))
 
     live = [((0, 1), has_arrow), ((2, 3), has_arrow)]
-    want = [draw(thin, thin.probe_objects(), 4, TUPLE_CAP, cy._DIM_CAP,
+    want = [draw(thin, thin.probe_objects(), 4, COVERAGE["tuples"], COVERAGE["axiom-dims"],
                  seed * 1000003 + 4, live)[0] for seed in (0, 3)]
     assert seen == want and want[0] != want[1]
 

@@ -1,16 +1,18 @@
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
 from stautcheck import profunctors as pf
 from stautcheck.cli import main
 from stautcheck import cyclicity as cy
+from stautcheck.core.quantify import COVERAGE
 from stautcheck.linear import build_vec_model, scalar_cycle
 from stautcheck.quantale import (build_bool2, build_luk3, build_rel_quantale,
                                  build_s3_pointed)
 from stautcheck.suites import luk3_two_object_vcat, _prof_rel2_bijection
 from stautcheck.thin import ThinModel, thin_identity_cycle
+
+from test_quantale_kernel import pair_below_a_point
 
 V2 = build_bool2()
 DISC2 = pf.discrete_vcat(V2, ["a", "b"])
@@ -175,13 +177,24 @@ def test_check_prof_staut_luk3():
     assert len(pq.elements) >= 3
 
 
+@pytest.mark.parametrize("vcat, whole, counts", [
+    (lambda: DISC2, False, (144, 12, 216)),
+    (pair_below_a_point, True, (36, 6, 216)),
+], ids=["disc2-16-profunctors", "pair-below-a-point-6-profunctors"])
+def test_pointwise_prof_checks_report_their_coverage(vcat, whole, counts):
+    checks = {c.name: c for c in pf.check_prof_staut(vcat())[0]}
+    names = ("prof-demorgan-pointwise", "prof-duality-unit-counit", "prof-linear-distribution")
+    assert [(checks[n].ok, checks[n].exhaustive, checks[n].count) for n in names] == [
+        (True, whole, count) for count in counts]
+
+
 def test_check_prof_staut_sampled_path(monkeypatch):
-    monkeypatch.setattr(pf, "enumerate_profs", partial(pf.enumerate_profs, cap=10))
+    monkeypatch.setitem(COVERAGE, "prof-candidates", 10)
     checks, profile, pq = pf.check_prof_staut(luk3_two_object_vcat())
     assert profile is None and pq is None
-    enum = next(c for c in checks if c.name == "prof-enumeration")
-    assert not enum.exhaustive
-    assert all(c.ok for c in checks)
+    # a check over a sample of the profunctors covers a sample, however
+    # few the found ones are
+    assert all(c.ok and not c.exhaustive for c in checks)
     c = luk3_two_object_vcat()
     with pytest.raises(pf.ProfError, match="exhaustive"):
         pf.build_prof_quantale(c, pf.enumerate_profs(c))
@@ -190,13 +203,13 @@ def test_check_prof_staut_sampled_path(monkeypatch):
 def test_contraposition_agreement_vec_and_thin(monkeypatch):
     vec = build_vec_model(2)
     assert pf.check_contraposition_agreement(vec, scalar_cycle(vec, 1), seed=4).ok
-    monkeypatch.setattr(pf, "_CONTRAPOSITION_SAMPLES", 20)
+    monkeypatch.setitem(COVERAGE, "contraposition-arrows", 20)
     thin = ThinModel(build_rel_quantale(2))
     assert pf.check_contraposition_agreement(thin, thin_identity_cycle(thin), seed=4).ok
 
 
 def test_contraposition_needs_tensor_semicycle(monkeypatch):
-    monkeypatch.setattr(pf, "_CONTRAPOSITION_SAMPLES", 10)
+    monkeypatch.setitem(COVERAGE, "contraposition-arrows", 10)
     vec = build_vec_model(2)
     res = pf.check_contraposition_agreement(vec, scalar_cycle(vec, 3), seed=4)
     assert not res.ok

@@ -12,12 +12,14 @@ import tracemalloc
 
 import pytest
 
-from stautcheck import profunctors as pf
-from stautcheck.core.quantify import scan
+from stautcheck import profunctors as pf, quantale
+from stautcheck.core.quantify import draw, scan
+from stautcheck.core.validate import validate_staut
 from stautcheck.files import load_quantale_file
 from stautcheck.quantale import (Quantale, QuantaleError, build_bool2, build_rel_quantale,
                                  builtin_quantale, rel_compose, rel_reverse)
 from stautcheck.suites import luk3_two_object_vcat, quantale_suite
+from stautcheck.thin import ThinModel
 
 from test_cli import CHAIN3
 
@@ -210,13 +212,17 @@ def test_rel4_residuals_store_no_rows():
     assert peak <= 1.1 * _REL4_DUALS_PEAK, peak
 
 
-def _pair_below_a_point_prof():
-    """The 6-element Prof(c, c) of the bool2 preorder on three objects where
-    the isomorphic pair a, b lies below t."""
+def pair_below_a_point():
+    """The bool2 preorder on three objects where the isomorphic pair a, b
+    lies below t; its Prof(c, c) has 6 elements."""
     v, objects = build_bool2(), "abt"
     below = {("a", "b"), ("b", "a"), ("a", "t"), ("b", "t")}
-    c = pf.VCat(v, list(objects),
-                {(x, y): int(x == y or (x, y) in below) for x in objects for y in objects})
+    return pf.VCat(v, list(objects),
+                   {(x, y): int(x == y or (x, y) in below) for x in objects for y in objects})
+
+
+def _pair_below_a_point_prof():
+    c = pair_below_a_point()
     q = pf.build_prof_quantale(c, pf.enumerate_profs(c))
     assert len(q) == 6
     return q
@@ -294,6 +300,36 @@ def test_suite_skips_model_checks_on_swapped_rel2_tensor_cells():
         rep = quantale_suite(broken, seed=1)
         assert not rep.ok and "cyclic" not in rep.stats, (i, j)
         assert all(c.name.startswith("quantale-") for c in rep.checks), (i, j)
+
+
+def test_a_missing_residual_fails_the_checks_that_need_it():
+    # the swap leaves {00,11} without a residual into the dualizer, so its
+    # dual has no value: the model checks report that, not raise it
+    q = _filled("rel:2")
+    q._table[18], q._table[152] = q._table[152], q._table[18]
+    res = next(r for r in validate_staut(ThinModel(q), 1) if r.name == "triangle-right-object")
+    assert not res.ok and "residual {00,11} \\ {01,10} does not exist" in res.witness
+
+
+def test_a_large_quantale_validates_on_distinct_seeded_draws(monkeypatch):
+    drawn = []
+
+    def spy(*args, **kwargs):
+        drawn.append(draw(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(quantale, "draw", spy)
+    q = build_rel_quantale(3)
+    first = [(r.name, r.ok, r.count, r.exhaustive) for r in q.validate(5)]
+    assert first == [("unit-law", True, 512, True), ("associativity", True, 4096, False),
+                     ("monotonicity", True, 4096, False),
+                     ("residuals-exist", True, 256, False), ("dualizing-element", True, 512, True)]
+    (triples, _), (pairs, _) = drawn
+    assert len(set(triples)) == len(triples) and len(set(pairs)) == len(pairs)
+    again = [(r.name, r.ok, r.count, r.exhaustive) for r in build_rel_quantale(3).validate(5)]
+    assert again == first and drawn[2:] == drawn[:2]
+    build_rel_quantale(3).validate(6)
+    assert drawn[4][0] != triples
 
 
 def test_rel3_suite_fills_few_table_cells():

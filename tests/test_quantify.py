@@ -12,7 +12,7 @@ import pytest
 from stautcheck import braided as br
 from stautcheck import cyclicity as cy
 from stautcheck.core.morphisms import MorError
-from stautcheck.core.quantify import draw, scan
+from stautcheck.core.quantify import COVERAGE, draw, scan
 from stautcheck.thin import thin_identity_cycle
 
 
@@ -71,7 +71,7 @@ def test_draw_drops_vacuous_tuples_unless_all_are(thin_rel2, monkeypatch):
     assert 0 < len(kept) < len(pool)
     assert draw(m, probes, 2, live=[((0, 1), live)]) == (kept, True)
     assert draw(m, probes, 2, live=[((0, 1), lambda p, q: False)]) == (pool, True)
-    monkeypatch.setattr(cy, "TUPLE_CAP", 100)
+    monkeypatch.setitem(COVERAGE, "tuples", 100)
     res = cy.check_axiom(thin_identity_cycle(m), "kprime")
     assert res.ok and res.count == len(kept)
 
@@ -217,7 +217,17 @@ def test_a_dimension_filter_leaves_a_draw_sampled(dz2, thin_rel2):
     assert res.ok and res.count == len(pairs) and not res.exhaustive
     res = cy.check_base_identity(thin_rel2)
     assert res.ok and not res.exhaustive
-    assert draw(thin_rel2, thin_rel2.probe_objects(), 4, cy.TUPLE_CAP)[1] is False
+    assert draw(thin_rel2, thin_rel2.probe_objects(), 4, COVERAGE["tuples"])[1] is False
+
+
+def test_a_draw_from_a_pool_too_large_for_len():
+    # 2**64 tuples: more than range() can measure, so sample cannot draw
+    # the ranks; the draw still gives distinct tuples, replayed by its seed
+    tuples, whole = draw(None, (0, 1), 64, 50, seed=2)
+    assert len(set(tuples)) == 50 and not whole and {len(t) for t in tuples} == {64}
+    assert draw(None, (0, 1), 64, 50, seed=2) == (tuples, whole)
+    assert draw(None, (0, 1), 62, 50, seed=2)[0] == [
+        tuple(map(int, f"{r:062b}")) for r in random.Random(2).sample(range(2 ** 62), 50)]
 
 
 def test_scan_stops_at_the_first_failure():
