@@ -19,15 +19,13 @@ ranges over, a function returning the two sides of its diagram, and, for a
 hom-level condition, the objects x whose spanning sets of Hom(x, d) it ranges
 over as well.  One loop in ``check_axiom`` serves every row; the same span
 shapes drop vacuous tuples before drawing, and the rows that share arity,
-dimension budget and span shape share one draw per model and seed.  Quantifying
-over a spanning set suffices because every hom-level condition is linear in
-the quantified arrow on linear backends and trivial on thin ones.  The
+dimension budget and span shape share one draw per model and seed.  Why a
+spanning set of each hom suffices is stated at ``core.quantify.arrows``.  The
 binders and de Morgan maps the diagrams use are the model's own
 (``core.model``).
 """
 
 from itertools import product
-import random
 
 from .core.memo import LazyTable
 from .core.morphisms import ShapeError
@@ -417,33 +415,15 @@ def check_upper_lower_equivalences(profiles):
 
 # --------------------------------------------------------- base identity
 
-def check_base_identity(model, seed=0, probes=None):
+def check_base_identity(model, seed=0):
     """The two mixed-distribution composites that agree in every linearly
-    distributive category, over object quadruples of ``probes`` (default:
-    the model's probe objects) and arrow pairs (psi, omega): on a linear
-    model about "base-identity-arrows" random pairs, on a thin one every
-    spanning pair.  Quadruples and arrows are both drawn from ``seed``, and
-    only quadruples with arrows q*s -> d and t*p -> d are drawn, unless
-    there are none."""
+    distributive category, over the object quadruples (q, s, t, p) of the
+    axiom draw with arrows q*s -> d and t*p -> d (``_draws``) and every
+    pair (psi, omega) of spanning arrows of Hom(q*s, d) x Hom(t*p, d)."""
     m = model
-    probes = m.probe_objects() if probes is None else probes
-
-    tuples, exhaustive = draw(m, probes, 4, COVERAGE["tuples"], COVERAGE["axiom-dims"],
-                              seed * 1000003 + 4, _live(m, ((0, 1), (2, 3))))
-    rng = random.Random(seed)
-
-    def arrow_items():
-        for (q, s, t, p) in tuples:
-            if m.is_linear:
-                per = -(-COVERAGE["base-identity-arrows"] // max(1, len(tuples)))
-                pairs = [(m.random_mor(rng, m.tens(q, s), m.d),
-                          m.random_mor(rng, m.tens(t, p), m.d)) for _ in range(per)]
-            else:
-                span1 = _hom_to_d(m, m.tens(q, s))
-                span2 = _hom_to_d(m, m.tens(t, p))
-                pairs = [(a, b) for a in span1 for b in span2]
-            for psi, om in pairs:
-                yield q, s, t, p, psi, om
+    tuples, exhaustive = _draws(m, seed)[4, None, ((0, 1), (2, 3))]
+    items = ((q, s, t, p, psi, om) for q, s, t, p in tuples
+             for psi, om in product(_hom_to_d(m, m.tens(q, s)), _hom_to_d(m, m.tens(t, p))))
 
     def body(q, s, t, p, psi, om):
         x = m.chain(m.dist_l(q, s, t),
@@ -458,4 +438,4 @@ def check_base_identity(model, seed=0, probes=None):
         rhs = m.chain(m.tens_mor(m.identity(q), y), psi)
         return lhs != rhs and f"at ({q},{s},{t},{p})"
 
-    return scan("base-identity", arrow_items(), body, exhaustive)
+    return scan("base-identity", items, body, exhaustive)

@@ -136,15 +136,6 @@ class LinearModel(StautModel):
             raise MorError(str(exc)) from None
         return self.mor(f.dom, f.cod, payload)
 
-    def random_mor(self, rng, p, q):
-        """A seeded integer combination of the spanning arrows of Hom(p, q),
-        one ``rng.randint(-3, 3)`` each in span order, so it respects
-        whatever structure the span does."""
-        payload = mx.zeros(self.dim(q), self.dim(p))
-        for f in self.hom_span(p, q):
-            payload = mx.add(payload, mx.scale(rng.randint(-3, 3), f.payload))
-        return self.mor(p, q, payload)
-
     # ------------------------------------------------------- structural maps
     # With the fixed kron flattening, reassociations, unit absorptions and
     # distributions are literally identity matrices; only the duality

@@ -364,8 +364,7 @@ def criterion_5(seed=0):
 def criterion_6(seed=0):
     rep = SuiteReport("criterion-6", "appendix identities", seed)
     vec = build_vec_model(2)
-    small = [p for p in vec.probe_objects() if vec.dim(p) <= 2]
-    res = cy.check_base_identity(vec, seed=seed, probes=small)
+    res = cy.check_base_identity(vec, seed=seed)
     rep.add(res, suffix="-vec")
     rep.add(_at_least("base-identity-sample-size", res.count, 100))
     thin = ThinModel(build_rel_quantale(2))

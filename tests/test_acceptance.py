@@ -16,7 +16,7 @@ from stautcheck.cli import main
 from stautcheck.quantale import build_rel_quantale
 
 # SHA-256 of the structured report of ``paper all --seed 3``
-PAPER_ALL_SEED_3_SHA256 = "7593b739951b6662fb61823242da4fe79ac1413388be6ca6d4896de2b979cd68"
+PAPER_ALL_SEED_3_SHA256 = "1d97ef7ac0fdf20d629954a39a592ef6328afd54c08ad029972f34368eb13dff"
 
 
 def _report_line(name, rep, budget):

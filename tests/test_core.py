@@ -2,8 +2,6 @@
 curry bijections, canonical isomorphisms, the invariant suite."""
 
 from fractions import Fraction
-from itertools import product
-import random
 import re
 
 import pytest
@@ -428,21 +426,3 @@ def test_triangle_checks_fail_on_a_scaled_counit(side, failing, witness):
     m = ScaledDualityVec(f"dual_counit_{side}")
     res = st.check_triangles(st.zangify(m, m.gen("p")), (-1, 1))
     assert not res.ok and res.witness == witness
-
-
-def test_random_mor_is_a_module_map_on_every_probe_pair(graded, dz2):
-    for model in (graded, dz2):
-        rng = random.Random(0)
-        for p, q in product(model.probe_objects(), repeat=2):
-            f = model.random_mor(rng, p, q)
-            assert (f.dom, f.cod) == (p, q)
-
-
-def test_random_mor_on_vec_is_the_entrywise_draw(vec):
-    p = vec.gen("p")
-    q = vec.tens(p, p)
-    rng, ref = random.Random(5), random.Random(5)
-    want = mx.mat([[ref.randint(-3, 3) for _ in range(vec.dim(p))]
-                   for _ in range(vec.dim(q))])
-    assert vec.random_mor(rng, p, q).payload == want
-    assert rng.getstate() == ref.getstate()

@@ -16,6 +16,8 @@ from stautcheck.quantale import build_rel_quantale
 from stautcheck.scalar_oracle import SCALAR_EXPONENTS, predicted_profile
 from stautcheck.thin import ThinModel, thin_identity_cycle
 
+from test_core import ScaledDualityVec
+
 
 @pytest.fixture(scope="module")
 def vec2():
@@ -141,6 +143,22 @@ def test_base_identity_vec_and_thin(vec2):
     # rel:2 has more than COVERAGE["tuples"] quadruples with arrows into d
     res = cy.check_base_identity(thin, seed=1)
     assert res.ok and res.count == COVERAGE["tuples"]
+
+
+def test_base_identity_covers_every_spanning_pair():
+    # each drawn quadruple (q, s, t, p) brings every pair of spanning arrows
+    # of Hom(q (x) s, d) x Hom(t (x) p, d)
+    vec = build_vec_model(2)
+    res = cy.check_base_identity(vec, seed=3)
+    tuples, _ = cy._draws(vec, 3)[4, None, ((0, 1), (2, 3))]
+    want = sum(len(vec.hom_span(vec.tens(q, s), vec.d)) * len(vec.hom_span(vec.tens(t, p), vec.d))
+               for q, s, t, p in tuples)
+    assert res.ok and res.count == want == 213
+
+
+def test_base_identity_fails_on_a_scaled_distribution():
+    res = cy.check_base_identity(ScaledDualityVec("dist_l"), seed=3)
+    assert (res.ok, res.count, res.witness) == (False, 1, "at (p,e,(p⊗p),p)")
 
 
 def test_base_identity_draws_its_tuples_from_the_seed(monkeypatch):

@@ -200,16 +200,36 @@ def test_check_prof_staut_sampled_path(monkeypatch):
         pf.build_prof_quantale(c, pf.enumerate_profs(c))
 
 
+def test_sampled_enumeration_bounds_the_per_profunctor_scans(monkeypatch):
+    # every value matrix of a discrete bool2 category is a profunctor, so
+    # the sample is the 1,500 candidates with the unit and the dualizer, and
+    # each scan over it draws PROF_MAX_ELEMENTS of them
+    monkeypatch.setitem(COVERAGE, "prof-candidates", 1500)
+    checks = {c.name: c for c in pf.check_prof_staut(pf.discrete_vcat(V2, "abcd"))[0]}
+    names = ("prof-enumeration", "prof-duals-are-profunctors", "prof-cyclic-duals-agree")
+    assert [(checks[n].ok, checks[n].count, checks[n].exhaustive) for n in names] == [
+        (True, pf.PROF_MAX_ELEMENTS, False)] * 3
+
+
 def test_contraposition_agreement_vec_and_thin(monkeypatch):
     vec = build_vec_model(2)
     assert pf.check_contraposition_agreement(vec, scalar_cycle(vec, 1), seed=4).ok
-    monkeypatch.setitem(COVERAGE, "contraposition-arrows", 20)
+    monkeypatch.setitem(COVERAGE, "contraposition-triples", 20)
     thin = ThinModel(build_rel_quantale(2))
     assert pf.check_contraposition_agreement(thin, thin_identity_cycle(thin), seed=4).ok
 
 
+def test_contraposition_covers_every_action_arrow(monkeypatch):
+    # every probe of vec at max-dim 1 is a line, so each of the 6^3 probe
+    # triples has one action arrow, its hom's whole spanning set
+    monkeypatch.setitem(COVERAGE, "contraposition-triples", 6 ** 3)
+    vec = build_vec_model(1)
+    res = pf.check_contraposition_agreement(vec, scalar_cycle(vec, 1))
+    assert (res.ok, res.count, res.exhaustive) == (True, 216, True)
+
+
 def test_contraposition_needs_tensor_semicycle(monkeypatch):
-    monkeypatch.setitem(COVERAGE, "contraposition-arrows", 10)
+    monkeypatch.setitem(COVERAGE, "contraposition-triples", 10)
     vec = build_vec_model(2)
     res = pf.check_contraposition_agreement(vec, scalar_cycle(vec, 3), seed=4)
     assert not res.ok
