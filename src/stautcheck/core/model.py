@@ -4,11 +4,12 @@ A backend is one interpretation of the seven object constructors and the
 twelve structural maps.  It passes a table of its generators' values to
 ``StautModel.__init__`` and states the other six constructors in one hook,
 ``_object_value``, which maps a kind and the values of its children to a
-value; the interner stores it on each handle once, as ``ref.value``.  Beside
-morphism payloads and exact equality, one more hook, ``_structural_mor``,
-builds each of the twelve structural maps from its name, dom and cod: the
-associators and unitors of both monoidal structures, the two linear
-distributions, and the unit/counit pairs of the chosen right and left duals.
+value; the interner stores it on each handle once, as ``ref.value``.  The
+values of x and y decide whether Hom(x, y) is empty.  Beside morphism
+payloads and exact equality, one more hook, ``_structural_mor``, builds each
+of the twelve structural maps from its name, dom and cod: the associators and
+unitors of both monoidal structures, the two linear distributions, and the
+unit/counit pairs of the chosen right and left duals.
 The dom and cod of each are stated once, in ``STRUCTURE``.  Every cache keys
 objects on their handles, which hash by identity.  Everything else --
 currying, the binders ``lbind``/``rbind`` that pair two evaluations into one,
@@ -102,6 +103,11 @@ class StautModel:
     def value(self, ref):
         """The value of ``ref``; hot paths read ``ref.value`` directly."""
         return ref.value
+
+    def has_arrow(self, value, y, build):
+        """Whether Hom(x, y) has an arrow, for x of ``value`` made by ``build()``."""
+        return self._structural(("has_arrow", value, y.value),
+                                lambda: bool(self.hom_span(build(), y)))
 
     # ------------------------------------------------------- backend contract
 

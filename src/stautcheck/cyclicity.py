@@ -18,17 +18,17 @@ each declared once, as one row of the axiom table: how many probe objects it
 ranges over, a function returning the two sides of its diagram, and, for a
 hom-level condition, the objects x whose spanning sets of Hom(x, d) it ranges
 over as well.  One loop in ``check_axiom`` serves every row; the same span
-shapes drop vacuous tuples before drawing, and the rows that share arity,
-dimension budget and span shape share one draw per model and seed.  Why a
-spanning set of each hom suffices is stated at ``core.quantify.arrows``.  The
-binders and de Morgan maps the diagrams use are the model's own
-(``core.model``).
+shapes drop vacuous tuples by value before drawing, and the rows that share
+arity, dimension budget and span shape share one draw per model and seed.
+Why a spanning set of each hom suffices is stated at ``core.quantify.arrows``.
+The binders and de Morgan maps the diagrams use are the model's own.
 """
 
 from itertools import product
 
 from .core.memo import LazyTable
 from .core.morphisms import ShapeError
+from .core.objects import TENS
 from .core.quantify import COVERAGE, arrows, draw, scan
 
 
@@ -140,16 +140,19 @@ def to_lower(big):
 draw_tuples = draw
 
 
-def _hom_to_d(model, x):
-    return model.hom_span(x, model.d)
-
-
 def _span_object(m, shape, t):
     """The object a span shape names over the objects ``t``: ``t[i]`` for a
     position i, the unit for ``"e"``, the tensor for a pair of shapes."""
     if isinstance(shape, tuple):
         return m.tens(_span_object(m, shape[0], t), _span_object(m, shape[1], t))
     return m.e if shape == "e" else t[shape]
+
+
+def _span_value(m, shape, t):
+    """The value of ``_span_object(m, shape, t)``, by ``_object_value``."""
+    if isinstance(shape, tuple):
+        return m._object_value(TENS, *(_span_value(m, s, t) for s in shape))
+    return (m.e if shape == "e" else t[shape]).value
 
 
 def _positions(shape):
@@ -160,13 +163,15 @@ def _positions(shape):
 
 def _live(m, shapes):
     """The vacuity filter of ``draw`` for span shapes: a tuple is live when
-    the object of each shape has an arrow into d.  Each shape tests only
-    the positions it names, in ascending order."""
-    def test(shape):
-        pos = tuple(sorted(_positions(shape)))
-        return pos, lambda *xs: bool(_hom_to_d(m, _span_object(m, shape, dict(zip(pos, xs)))))
+    the object of each shape has an arrow into d, as its value says.  Each
+    shape tests only the positions it names, in ascending order."""
+    def test(shape, pos):
+        def live(*xs):
+            t = dict(zip(pos, xs))
+            return m.has_arrow(_span_value(m, shape, t), m.d, lambda: _span_object(m, shape, t))
+        return pos, live
 
-    return [test(shape) for shape in shapes]
+    return [test(shape, tuple(sorted(_positions(shape)))) for shape in shapes]
 
 
 # ------------------------------------------------------------ axiom table
@@ -306,7 +311,7 @@ def check_axiom(cycle, which, seed=0, big=None):
         big = big or to_upper(cycle)
 
         def body(*t):
-            spans = [list(enumerate(_hom_to_d(m, _span_object(m, s, t)))) for s in ax.spans]
+            spans = [list(enumerate(m.hom_span(_span_object(m, s, t), m.d))) for s in ax.spans]
             for picks in product(*spans):
                 index, mors = zip(*picks)
                 lhs, rhs = ax.sides(m, big, *t, *mors)
@@ -423,7 +428,7 @@ def check_base_identity(model, seed=0):
     m = model
     tuples, exhaustive = _draws(m, seed)[4, None, ((0, 1), (2, 3))]
     items = ((q, s, t, p, psi, om) for q, s, t, p in tuples
-             for psi, om in product(_hom_to_d(m, m.tens(q, s)), _hom_to_d(m, m.tens(t, p))))
+             for psi, om in product(m.hom_span(m.tens(q, s), m.d), m.hom_span(m.tens(t, p), m.d)))
 
     def body(q, s, t, p, psi, om):
         x = m.chain(m.dist_l(q, s, t),

@@ -10,9 +10,10 @@ Braiding on modules is swap after the R-action; the canonical twist is the
 action of u = 1/2 (1 + g + b - bg).  The structure constants are not taken on
 faith: ``verify_hopf_data`` brute-forces the quasitriangularity identities in
 the 64-dimensional triple tensor algebra, and the model constructor aborts if
-any of them fails.  Objects carry their action matrices; duals act through
-the transpose (the antipode is the identity on this basis, all four basis
-elements being involutive group-likes).
+any of them fails.  An object's value is its dimension and character
+(tr g, tr b, tr gb), which decides which homs are empty; its action matrices
+are built on first use, duals acting through the transpose (the antipode is
+the identity on this basis: all four basis elements are involutive).
 """
 
 from fractions import Fraction
@@ -86,6 +87,7 @@ def verify_hopf_data():
 
 
 def _check_action(name, act_g, act_b):
+    """The dimension and character of the module of these int actions."""
     n = len(act_g)
     eye = mx.identity(n)
     if mx.matmul(act_g, act_g) != eye:
@@ -94,6 +96,8 @@ def _check_action(name, act_g, act_b):
         raise MorError(f"module {name}: b action is not involutive")
     if mx.matmul(act_g, act_b) != mx.matmul(act_b, act_g):
         raise MorError(f"module {name}: g and b actions do not commute")
+    return Space(n, tuple(sum(dict(row).get(i, 0) for i, row in enumerate(a))
+                          for a in (act_g, act_b, mx.matmul(act_g, act_b))))
 
 
 class DoubleZ2Model(LinearModel):
@@ -107,19 +111,15 @@ class DoubleZ2Model(LinearModel):
         bad = verify_hopf_data()
         if bad is not None:
             raise MorError(f"double-of-Z2 construction failed the axiom: {bad}")
-        gens = {}
         signs = {"s_pp": (1, 1), "s_pm": (1, -1), "s_mp": (-1, 1), "s_mm": (-1, -1)}
-        for name, (sg, sb) in signs.items():
-            act_g, act_b = mx.mat([[sg]]), mx.mat([[sb]])
-            _check_action(name, act_g, act_b)
-            gens[name] = Space(1, {"g": act_g, "b": act_b})
-        reg_g = mx.mat([[1 if BASIS[r] == _mul((0, 1), BASIS[c]) else 0
-                         for c in range(4)] for r in range(4)])
-        reg_b = mx.mat([[1 if BASIS[r] == _mul((1, 0), BASIS[c]) else 0
-                         for c in range(4)] for r in range(4)])
-        _check_action("regular", reg_g, reg_b)
-        gens["regular"] = Space(4, {"g": reg_g, "b": reg_b})
-        super().__init__(gens, depth_limit)
+        self._gen_actions = {name: {"g": mx.mat([[sg]]), "b": mx.mat([[sb]])}
+                             for name, (sg, sb) in signs.items()}
+        self._gen_actions["regular"] = {
+            letter: mx.mat([[1 if BASIS[r] == _mul(x, BASIS[c]) else 0
+                             for c in range(4)] for r in range(4)])
+            for letter, x in (("g", (0, 1)), ("b", (1, 0)))}
+        super().__init__({name: _check_action(name, a["g"], a["b"])
+                          for name, a in self._gen_actions.items()}, depth_limit)
         self._actions = LazyTable(self._action_at)
         simples = [self.gen(n) for n in self.SIMPLE_NAMES]
         self.probes = [self.e, self.d] + simples + [self.gen("regular")]
@@ -131,7 +131,7 @@ class DoubleZ2Model(LinearModel):
 
     def action(self, ref, letter):
         """Matrix of the group-like generator on the module of ``ref``, built
-        on first use: an object's value holds its dimension only."""
+        on first use: an object's value holds its character only."""
         return self._actions[ref, letter]
 
     def _action_at(self, key):
@@ -139,11 +139,17 @@ class DoubleZ2Model(LinearModel):
         # through the transpose; both units are the trivial module
         ref, letter = key
         if ref.kind == GEN:
-            return self._generators[ref.args[0]].data[letter]
+            return self._gen_actions[ref.args[0]][letter]
         if not ref.args:
             return mx.identity(1)
         acts = [self._actions[a, letter] for a in ref.args]
         return mx.kron(*acts) if ref.kind in (TENS, PAR) else mx.transpose(*acts)
+
+    def _object_value(self, kind, *vs):
+        if kind in (TENS, PAR):   # characters multiply; duals keep them
+            (n, a), (k, b) = vs
+            return Space(n * k, tuple(x * y for x, y in zip(a, b)))
+        return vs[0] if vs else Space(1, (1, 1, 1))
 
     def mor(self, dom, cod, payload=None):
         """A module map: besides the checks of ``LinearModel.mor``, the

@@ -101,12 +101,16 @@ class LinearModel(StautModel):
         return self._mor(f.dom, g.cod, mx.matmul(g.payload, f.payload))
 
     def tens_mor(self, f, g):
-        return self._mor(self.tens(f.dom, g.dom), self.tens(f.cod, g.cod),
-                         mx.kron(f.payload, g.payload))
+        return self._kron_mor(self.tens(f.dom, g.dom), self.tens(f.cod, g.cod), f, g)
 
     def par_mor(self, f, g):
-        return self._mor(self.par(f.dom, g.dom), self.par(f.cod, g.cod),
-                         mx.kron(f.payload, g.payload))
+        return self._kron_mor(self.par(f.dom, g.dom), self.par(f.cod, g.cod), f, g)
+
+    def _kron_mor(self, dom, cod, f, g):
+        # the Kronecker product of two identities is the shared identity
+        if f.payload_is_id and g.payload_is_id:
+            return Mor(dom, cod, self._eye(self.dim(dom)), True)
+        return self._mor(dom, cod, mx.kron(f.payload, g.payload))
 
     def invert(self, f):
         if f.payload_is_id:

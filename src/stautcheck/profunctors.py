@@ -281,7 +281,9 @@ def check_contraposition_agreement(model, cycle, seed=0):
     m = model
     triples, exhaustive = draw(m, m.probe_objects(), 3, COVERAGE["contraposition-triples"],
                                COVERAGE["axiom-dims"], seed * 1000003 + 3,
-                               [((0, 1, 2), lambda a, x, y: bool(m.hom_span(m.tens(a, x), y)))])
+                               [((0, 1, 2), lambda a, x, y: m.has_arrow(
+                                   cyclicity._span_value(m, (0, 1), (a, x)), y,
+                                   lambda: m.tens(a, x)))])
     actions = ((a, x, y, alpha) for a, x, y in triples for alpha in m.hom_span(m.tens(a, x), y))
 
     def body(a, x, y, alpha):

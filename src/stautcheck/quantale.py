@@ -439,8 +439,8 @@ def build_two_profunctor_quantale(poset_mask, n, label=None):
     (<=);w;(<=) contained in w.  Tensor is profunctor (relation) composition,
     the unit is the order itself, the dualizer the complement of the reverse
     order."""
-    if n > 3:
-        raise QuantaleError("two-valued profunctor quantale needs |poset| <= 3")
+    if not 0 <= n <= 3:
+        raise QuantaleError(f"two-valued profunctor quantale needs |poset| 0..3, got {n}")
     full = (1 << (n * n)) - 1
     leq = poset_mask
     values = [w for w in range(full + 1)
@@ -511,6 +511,8 @@ def build_s3_pointed(dualizer_name="e"):
 
 
 def build_zmod(n, dualizer=0):
+    if n < 1:
+        raise QuantaleError(f"zmod needs N >= 1, got {n}")
     els = list(range(n))
     return build_pointed_group(els, lambda a, b: (a + b) % n, dualizer % n,
                                label=f"zmod:{n}", names={i: str(i) for i in els})
@@ -564,20 +566,25 @@ BUILTIN_HELP = (
 
 def builtin_quantale(spec):
     """Resolve a CLI shorthand like ``rel:3`` or ``s3:(01)`` to a quantale."""
+    def int_(text):
+        try:
+            return int(text)
+        except ValueError:
+            raise QuantaleError(f"builtin quantale {spec!r}: {text!r} is not an integer") from None
     if spec == "bool2":
         return build_bool2()
     if spec == "luk3":
         return build_luk3()
     if spec.startswith("rel:"):
-        return build_rel_quantale(int(spec[4:]))
+        return build_rel_quantale(int_(spec[4:]))
     if spec.startswith("2prof:"):
         kind = spec[6:]
         if kind.startswith("chain"):
-            n = int(kind[5:])
+            n = int_(kind[5:])
             mask = sum(1 << (i * n + j) for i in range(n) for j in range(i, n))
             return build_two_profunctor_quantale(mask, n, label=spec)
         if kind.startswith("disc"):
-            n = int(kind[4:])
+            n = int_(kind[4:])
             return build_two_profunctor_quantale(rel_diag(n), n, label=spec)
         if kind == "vee":
             n = 3
@@ -590,6 +597,6 @@ def builtin_quantale(spec):
         body = spec[5:]
         if "@" in body:
             n, d = body.split("@", 1)
-            return build_zmod(int(n), int(d))
-        return build_zmod(int(body))
+            return build_zmod(int_(n), int_(d))
+        return build_zmod(int_(body))
     raise QuantaleError(f"unknown builtin quantale {spec!r}; available: {BUILTIN_HELP}")

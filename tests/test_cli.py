@@ -169,6 +169,26 @@ def test_cli_input_errors(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+MALFORMED_SPECS = ["rel:x", "2prof:chainx", "2prof:disc-2", "zmod:", "zmod:3@x", "zmod:0",
+                   "zmod:0@0", "zmod:-1"]
+
+
+@pytest.mark.parametrize("argv", [["quantale", "check", spec] for spec in MALFORMED_SPECS]
+                         + [["zang", "suite", "thin:zmod:0"], ["prof", "check", "zmod0.vcat"]],
+                         ids=MALFORMED_SPECS + ["zang", "vcat"])
+def test_cli_malformed_builtin_spec_is_an_input_error(argv, tmp_path, monkeypatch, capsys):
+    # each used to end in a traceback and exit 1, the code of a failed verdict
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zmod0.vcat").write_text("quantale zmod:0\nobjects x\nhom x x 0\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+    # a file of that name is still read as one
+    if argv[0] == "quantale":
+        (tmp_path / argv[2]).write_text(CHAIN3)
+        assert len(resolve_quantale(argv[2])) == 3
+
+
 # a three-element chain 0 < h < 1 with unit 1 whose tensor table differs
 # from a quantale's in the marked cells
 BAD_BASE = """\

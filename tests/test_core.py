@@ -2,20 +2,24 @@
 curry bijections, canonical isomorphisms, the invariant suite."""
 
 from fractions import Fraction
+from itertools import product
 import re
 
 import pytest
 
+from stautcheck import cyclicity as cyc
+from stautcheck import profunctors as pf
 from stautcheck import strictify as st
 from stautcheck.core import matrices as mx
 from stautcheck.core.model import Adjunction
 from stautcheck.core.morphisms import CompositionError, Mor, MorError, ShapeError
 from stautcheck.core.objects import GEN, UniverseError
+from stautcheck.core.quantify import draw
 from stautcheck.core.validate import validate_staut
-from stautcheck.quantale import build_s3_pointed, build_zmod
+from stautcheck.quantale import build_luk3, build_rel_quantale, build_s3_pointed, build_zmod
 from stautcheck.thin import ThinModel
 from stautcheck.drinfeld import build_drinfeld_z2
-from stautcheck.linear import Space, VecModel, build_vec_model
+from stautcheck.linear import GradedLineModel, Space, VecModel, build_vec_model
 
 
 def test_hash_consing(vec):
@@ -116,9 +120,11 @@ def test_object_values_linear(vec, graded, dz2):
     assert graded.value(graded.tens(x, x)) == graded.value(graded.par(x, x)) == Space(1, 2)
     assert graded.value(graded.par(x, graded.rdual(x))) == Space(1, 0)
 
-    assert dz2.value(dz2.e) == dz2.value(dz2.d) == Space(1)
+    # a double-of-Z2 value is the dimension and the character (tr g, tr b, tr gb)
+    assert dz2.value(dz2.e) == dz2.value(dz2.d) == Space(1, (1, 1, 1))
     s, r = dz2.gen("s_pm"), dz2.gen("regular")
     assert dz2.dim(dz2.tens(s, r)) == dz2.dim(dz2.par(r, s)) == 4
+    assert dz2.value(dz2.tens(s, r)) == Space(4, (0, 0, 0))
     # a dimension does not build the action matrices: they wait for action()
     fresh = build_drinfeld_z2()
     assert fresh.dim(fresh.tens(fresh.gen("regular"), fresh.gen("regular"))) == 16
@@ -426,3 +432,87 @@ def test_triangle_checks_fail_on_a_scaled_counit(side, failing, witness):
     m = ScaledDualityVec(f"dual_counit_{side}")
     res = st.check_triangles(st.zangify(m, m.gen("p")), (-1, 1))
     assert not res.ok and res.witness == witness
+
+
+# ------------------------------------------------ an object's value decides its homs
+
+CONTRACT_MODELS = {
+    "thin-rel:2": lambda: ThinModel(build_rel_quantale(2)),
+    "thin-luk3": lambda: ThinModel(build_luk3()),
+    "thin-s3:e": lambda: ThinModel(build_s3_pointed("e")),
+    "vec-1": lambda: build_vec_model(1),
+    "vec-2": lambda: build_vec_model(2),
+    "gradedline": GradedLineModel,
+    "double-z2": build_drinfeld_z2,
+}
+contract_models = pytest.mark.parametrize("make", CONTRACT_MODELS.values(), ids=CONTRACT_MODELS)
+
+
+def _objects_to_depth_two(m):
+    """The probes and every object one constructor makes of them, up to depth 2."""
+    probes = m.probe_objects()
+    out = dict.fromkeys(probes)
+    for a in probes:
+        out.update(dict.fromkeys([m.rdual(a), m.ldual(a)]))
+        for b in probes:
+            out.update(dict.fromkeys([m.tens(a, b), m.par(a, b)]))
+    return [x for x in out if x.depth <= 2]
+
+
+@contract_models
+def test_a_value_decides_whether_a_hom_is_empty(make):
+    m = make()
+    verdicts = {}
+    for x, y in product(_objects_to_depth_two(m), repeat=2):
+        has = bool(m.hom_span(x, y))
+        assert verdicts.setdefault((x.value, y.value), has) == has, (str(x), str(y))
+        assert m.has_arrow(x.value, y, lambda: x) == has
+
+
+def test_double_z2_values_are_the_characters_of_the_actions():
+    m = build_drinfeld_z2()
+    for x in _objects_to_depth_two(m):
+        g, b = m.action(x, "g"), m.action(x, "b")
+        traces = tuple(sum(mx.dense(a)[i][i] for i in range(len(a)))
+                       for a in (g, b, mx.matmul(g, b)))
+        assert x.value == Space(len(g), traces), str(x)
+
+
+# every span shape the hom-level axioms and the base identity draw under
+SPAN_ROWS = sorted({(ax.arity, ax.dim_cap, ax.spans) for ax in cyc._AXIOMS.values() if ax.spans}
+                   | {(4, None, ((0, 1), (2, 3)))}, key=repr)
+
+
+class Drawn(Exception):
+    """Carries the arguments of a draw out of the check that makes it."""
+
+
+def _by_handle(m, shapes):
+    """A vacuity filter for span shapes that asks ``hom_span`` on the
+    objects of every projection, whatever their values."""
+    def test(shape):
+        pos = tuple(sorted(cyc._positions(shape)))
+        return pos, lambda *xs: bool(m.hom_span(cyc._span_object(m, shape, dict(zip(pos, xs))),
+                                                m.d))
+
+    return [test(shape) for shape in shapes]
+
+
+@contract_models
+@pytest.mark.parametrize("seed", [0, 3])
+def test_value_keyed_draws_pick_the_tuples_of_a_hom_span_filter(make, seed, monkeypatch):
+    m = make()
+    calls = []
+    monkeypatch.setattr(cyc, "draw", lambda *args: calls.append(args) or draw(*args))
+    for row in SPAN_ROWS:
+        assert cyc._draws(m, seed)[row] == draw(*calls[-1][:-1], _by_handle(m, row[2])), row
+
+    def drawn(*args):
+        raise Drawn(args)
+
+    monkeypatch.setattr(pf, "draw", drawn)
+    with pytest.raises(Drawn) as got:
+        pf.check_contraposition_agreement(m, None, seed)
+    args = got.value.args[0]
+    by_handle = [((0, 1, 2), lambda a, x, y: bool(m.hom_span(m.tens(a, x), y)))]
+    assert draw(*args) == draw(*args[:-1], by_handle)
