@@ -5,7 +5,8 @@ tuple of the (column, int) pairs of its nonzero entries, in ascending column
 order; entry (i, j) is the int stored at column j of row i over ``den``.  No
 zero is stored and ``den`` shares no factor with all the stored ints (a zero
 matrix has ``den`` 1), so the form is canonical and ``==`` is literal, exact
-matrix equality.  Only ints and ``fractions.Fraction`` values enter: ``mat``
+matrix equality; the hash reads the same three fields, so equal matrices
+key a dict as one.  Only ints and ``fractions.Fraction`` values enter: ``mat``
 and ``scale`` refuse anything else, a float say.
 
 Every kernel does int arithmetic on the stored entries alone, so its cost
@@ -52,6 +53,9 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return self.cols == other.cols and self.den == other.den and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.den))
 
     def __repr__(self):
         return f"mat({dense(self)!r})"

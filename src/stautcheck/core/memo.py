@@ -1,4 +1,5 @@
-"""The one cache-fill rule: build on first lookup, store, never evict."""
+"""The one cache-fill rule: build on first lookup, store, never evict.
+``objects.Interner`` states it inline: every handle passes through there."""
 
 
 class LazyTable(dict):

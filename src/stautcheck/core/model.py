@@ -11,7 +11,10 @@ of the twelve structural maps from its name, dom and cod: the associators and
 unitors of both monoidal structures, the two linear distributions, and the
 unit/counit pairs of the chosen right and left duals.
 The dom and cod of each are stated once, in ``STRUCTURE``.  Every cache keys
-objects on their handles, which hash by identity.  Everything else --
+objects on their handles, which hash by identity, and the mates of an arrow
+(its two curries and two duals) on its value (dom, cod, payload): each mate
+is a function of that value, and ``Mor`` equality is exactly that value, so
+two equal arrows share one mate.  Everything else --
 currying, the binders ``lbind``/``rbind`` that pair two evaluations into one,
 de Morgan and cancellation isomorphisms, duals of morphisms, naming -- is
 derived here once, by the standard mate recipes, and shared by every backend.
@@ -26,6 +29,8 @@ Composites are written in diagrammatic order throughout: ``chain(f, g)``
 applies ``f`` first.  Each composition is dom/cod-validated, so a wrongly
 transcribed diagram fails at construction instead of producing garbage.
 """
+
+from functools import wraps
 
 from .objects import Interner, GEN, TENS, PAR, RDUAL, LDUAL, UNIT_T, UNIT_P, UniverseError
 from .morphisms import MorError, CompositionError, ShapeError
@@ -50,6 +55,17 @@ STRUCTURE = {
 
 # The six of them that are isomorphisms: associators and unitors.
 ISOMORPHISMS = ("assoc_t", "assoc_p", "lunit_t", "runit_t", "lunit_p", "runit_p")
+
+
+def _by_value(build):
+    """The method ``build(self, f)`` cached by ``_structural`` under its name
+    and the value of ``f``; a raise stores nothing, so a failure recurs."""
+    name = build.__name__
+
+    @wraps(build)
+    def mate(self, f):
+        return self._structural((name, f.dom, f.cod, f.payload), build, self, f)
+    return mate
 
 
 class Adjunction:
@@ -282,6 +298,7 @@ class StautModel:
             self.tens_mor(h, self.identity(adj.right)),
             adj.counit)
 
+    @_by_value
     def lcurry(self, f):
         """p (x) t -> d   becomes   t -> rdual(p); bijective, inverse lcurry_inv."""
         if f.dom.kind != TENS or f.cod is not self.d:
@@ -293,6 +310,7 @@ class StautModel:
             raise ShapeError(f"lcurry_inv expects t -> rdual(p), got {g}")
         return self.uncurry_left(self.rdual_adj(g.cod.args[0]), g)
 
+    @_by_value
     def rcurry(self, f):
         """t (x) p -> d   becomes   t -> ldual(p); bijective, inverse rcurry_inv."""
         if f.dom.kind != TENS or f.cod is not self.d:
@@ -334,6 +352,7 @@ class StautModel:
 
     # ----------------------------------------------------- duals of morphisms
 
+    @_by_value
     def rdual_mor(self, f):
         """f: p -> q   becomes   rdual(q) -> rdual(p)."""
         p, q = f.dom, f.cod
@@ -341,6 +360,7 @@ class StautModel:
                         self.dual_counit_r(q))
         return self.curry_left(self.rdual_adj(p), ev)
 
+    @_by_value
     def ldual_mor(self, f):
         """f: p -> q   becomes   ldual(q) -> ldual(p)."""
         p, q = f.dom, f.cod
@@ -352,11 +372,11 @@ class StautModel:
 
     def canon_r(self, p):
         """p -> rdual(ldual(p)), one of the two cancellation isomorphisms."""
-        return self._structural(("canr", p), lambda: self.lcurry(self.dual_counit_l(p)))
+        return self.lcurry(self.dual_counit_l(p))
 
     def canon_l(self, p):
         """p -> ldual(rdual(p)), the other cancellation isomorphism."""
-        return self._structural(("canl", p), lambda: self.rcurry(self.dual_counit_r(p)))
+        return self.rcurry(self.dual_counit_r(p))
 
     def demorgan(self, variant, p=None, q=None):
         """The canonical de Morgan isomorphism named by ``variant``.

@@ -4,11 +4,10 @@ Objects are hash-consed descriptor terms over a model's declared generators,
 closed under tensor, par, the two units and the two duals.  Structurally
 equal descriptors are interned to the same handle, so ``is`` comparison is
 object equality, and a handle keys a dict as itself: it hashes by identity.
-A handle is a slotted object that carries its value; its printed key is
-built on its first ``str``, since most handles are never printed.
+A handle is a slotted object built complete in one step, with its depth and
+its value; its printed key is built on its first ``str``, since most handles
+are never printed.
 """
-
-from .memo import LazyTable
 
 
 class UniverseError(Exception):
@@ -33,16 +32,16 @@ class ObjRef:
     """Interned handle for an object descriptor.
 
     ``args`` holds child ObjRefs for composite kinds and a generator name for
-    ``gen``, and ``value`` its value in the model.  Equality and hashing are
-    by identity; the interner guarantees structural equality implies
-    identity within one model.
+    ``gen``, ``depth`` its nesting depth (0 for a generator or a unit) and
+    ``value`` its value in the model.  Equality and hashing are by identity;
+    the interner guarantees structural equality implies identity within one
+    model.
     """
 
     __slots__ = ("kind", "args", "depth", "value", "_key")
 
-    def __init__(self, kind, args):
-        self.kind, self.args = kind, args
-        self.depth = 0 if kind == GEN else 1 + max((a.depth for a in args), default=-1)
+    def __init__(self, kind, args, depth, value):
+        self.kind, self.args, self.depth, self.value = kind, args, depth, value
         self._key = None
 
     def __str__(self):
@@ -65,22 +64,29 @@ class Interner:
     """Hash-consing table for one model's descriptors, keyed by
     ``(kind, *args)``.  It evaluates each new handle once, after its depth
     check, from ``generators`` or with ``object_value`` on its children's
-    values; a refused descriptor stores nothing."""
+    values; a refused descriptor stores nothing.  Every handle of a run
+    passes through ``intern``, so it fills its own dict: one key, one ``get``."""
 
     def __init__(self, depth_limit, generators, object_value):
         self.depth_limit, self.generators, self.evaluate = depth_limit, generators, object_value
-        self.table = LazyTable(self._new)
+        self.table = {}
 
     def intern(self, kind, args):
-        return self.table[(kind, *args)]
-
-    def _new(self, ident):
-        ref = ObjRef(ident[0], ident[1:])
-        if ref.depth > self.depth_limit:
-            raise UniverseError(
-                f"descriptor depth {ref.depth} exceeds the universe depth limit "
-                f"{self.depth_limit}; rebuild the model with a larger depth "
-                f"(CLI flag --depth)")
-        ref.value = (self.generators[ref.args[0]] if ref.kind == GEN
-                     else self.evaluate(ref.kind, *[a.value for a in ref.args]))
+        key = (kind, *args)
+        ref = self.table.get(key)
+        if ref is None:
+            if kind == GEN:
+                ref = ObjRef(kind, args, 0, self.generators[args[0]])
+            else:
+                depth = 0
+                for a in args:
+                    if a.depth >= depth:
+                        depth = a.depth + 1
+                if depth > self.depth_limit:
+                    raise UniverseError(
+                        f"descriptor depth {depth} exceeds the universe depth limit "
+                        f"{self.depth_limit}; rebuild the model with a larger depth "
+                        f"(CLI flag --depth)")
+                ref = ObjRef(kind, args, depth, self.evaluate(kind, *[a.value for a in args]))
+            self.table[key] = ref
         return ref

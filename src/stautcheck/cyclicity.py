@@ -93,15 +93,22 @@ class CycleData(Family):
 
 
 class BigCycle:
-    """Hom-level form: a natural bijection Hom(p (x) t, d) -> Hom(t (x) p, d)."""
+    """Hom-level form: a natural bijection Hom(p (x) t, d) -> Hom(t (x) p, d).
+    ``apply`` keeps each image for the family's lifetime under (p, t, payload),
+    which after its shape check is omega's value; a raise stores nothing."""
 
     def __init__(self, model, apply_fn, unapply_fn, label="Cycle"):
         self.model, self.label, self._apply, self._unapply = model, label, apply_fn, unapply_fn
+        self._applied = {}
 
     def apply(self, p, t, omega):
         if omega.dom is not self.model.tens(p, t) or omega.cod is not self.model.d:
             raise ShapeError(f"expected {p} (x) {t} -> d, got {omega}")
-        return self._apply(p, t, omega)
+        key = (p, t, omega.payload)
+        hit = self._applied.get(key)
+        if hit is None:
+            hit = self._applied[key] = self._apply(p, t, omega)
+        return hit
 
     def unapply(self, p, t, psi):
         if psi.dom is not self.model.tens(t, p) or psi.cod is not self.model.d:

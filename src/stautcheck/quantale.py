@@ -467,10 +467,11 @@ def build_pointed_group(elements, op, dualizer, le=None, label="group", names=No
     """A finite group with a compatible order (default discrete), pointed at an
     arbitrary dualizing element.  Residuals exist because the monoid is a
     group; the order must be compatible with multiplication."""
-    le = le or (lambda a, b: a == b)
-    if any(le(a, b) and not (le(op(c, a), op(c, b)) and le(op(a, c), op(b, c)))
-           for a, b, c in product(elements, repeat=3)):
+    # the discrete order is compatible with any operation: a = b gives ca = cb
+    if le is not None and any(le(a, b) and not (le(op(c, a), op(c, b)) and le(op(a, c), op(b, c)))
+                              for a, b, c in product(elements, repeat=3)):
         raise QuantaleError("order is not compatible with the group operation")
+    le = le or (lambda a, b: a == b)
     unit = next(x for x in elements if all(op(x, y) == y == op(y, x) for y in elements))
     return Quantale(
         label=label,

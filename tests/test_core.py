@@ -81,6 +81,50 @@ def test_mor_equality_hash_and_text(vec, thin_rel2):
     assert g == thin_rel2.mor(thin_rel2.e, thin_rel2.e)
 
 
+def test_equal_matrices_built_by_different_routes_hash_equal():
+    a = mx.mat([[Fraction(1, 2), 0], [0, 3]])
+    b = mx.scale(Fraction(1, 4), mx.scale(2, mx.mat([[1, 0], [0, 6]])))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: "a"}[b] == "a"
+    assert hash(mx.identity(3)) == hash(mx.mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def _rebuilt(m, f):
+    """An arrow equal to ``f`` that is not ``f``, its matrix built anew."""
+    payload = None if f.payload is None else mx.mat(mx.dense(f.payload))
+    g = m.mor(f.dom, f.cod, payload)
+    assert g is not f and g == f
+    return g
+
+
+@pytest.mark.parametrize("make", [lambda: ThinModel(build_rel_quantale(2)),
+                                  lambda: build_vec_model(2), build_drinfeld_z2],
+                         ids=["thin-rel:2", "vec-2", "double-z2"])
+def test_mates_of_equal_arrows_are_one_object_and_the_recipe(make):
+    # curries and duals of arrows are cached by value; each is checked on
+    # every spanning arrow, so a key that lost the payload would hand one
+    # arrow's mate to the next
+    m = make()
+    tested = 0
+    for p, t in product(m.probe_objects()[:4], repeat=2):
+        for f in m.hom_span(m.tens(p, t), m.d):
+            assert m.lcurry(f) is m.lcurry(_rebuilt(m, f))
+            assert m.lcurry(f) == m.curry_left(m.rdual_adj(p), f)
+            assert m.rcurry(f) is m.rcurry(_rebuilt(m, f))
+            assert m.rcurry(f) == m.curry_right(m.ldual_adj(t), f)
+            tested += 1
+        for f in m.hom_span(p, t):
+            q = f.cod
+            assert m.rdual_mor(f) is m.rdual_mor(_rebuilt(m, f))
+            ev = m.chain(m.tens_mor(f, m.identity(m.rdual(q))), m.dual_counit_r(q))
+            assert m.rdual_mor(f) == m.curry_left(m.rdual_adj(p), ev)
+            assert m.ldual_mor(f) is m.ldual_mor(_rebuilt(m, f))
+            ev = m.chain(m.tens_mor(m.identity(m.ldual(q)), f), m.dual_counit_l(q))
+            assert m.ldual_mor(f) == m.curry_right(m.ldual_adj(p), ev)
+            tested += 1
+    assert tested > 8
+
+
 def test_a_thin_arrow_that_does_not_exist_raises_on_every_call(thin_rel2):
     m = thin_rel2
     top = m.gen(m.q.name(m.q.meta["full"]))

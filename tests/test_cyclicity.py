@@ -9,7 +9,8 @@ from stautcheck import cyclicity as cy
 from stautcheck import profunctors as pf
 from stautcheck import suites
 from stautcheck.core import matrices as mx
-from stautcheck.core.morphisms import ShapeError
+from stautcheck.core.model import StautModel
+from stautcheck.core.morphisms import MorError, ShapeError
 from stautcheck.core.quantify import COVERAGE, draw
 from stautcheck.linear import build_vec_model, scalar_cycle
 from stautcheck.quantale import build_rel_quantale
@@ -66,6 +67,33 @@ def test_upper_bijection_on_spans(vec2):
     for om in vec2.hom_span(vec2.tens(p, t), vec2.d):
         psi = big.apply(p, t, om)
         assert big.unapply(p, t, psi) == om
+
+
+def test_apply_reads_each_value_once_and_matches_the_uncached_map(vec2):
+    big = cy.to_upper(scalar_cycle(vec2, Fraction(-7, 3)))
+    p = vec2.gen("p")
+    t = vec2.ldual(p)
+    for om in vec2.hom_span(vec2.tens(p, t), vec2.d):
+        again = vec2.mor(om.dom, om.cod, mx.mat(mx.dense(om.payload)))
+        assert big.apply(p, t, om) is big.apply(p, t, again)
+        assert big.apply(p, t, om) == big._apply(p, t, om)
+
+
+def test_an_apply_that_raises_raises_again(thin_rel2):
+    # d is not below e in rel:2, so this map has no arrow to return; no
+    # failure is cached, so a check that reaches it again keeps its witness
+    m, calls = thin_rel2, []
+
+    def ap(p, t, omega):
+        calls.append(p)
+        return m.mor(m.d, m.e)
+
+    big = cy.BigCycle(m, ap, None)
+    om = m.hom_span(m.tens(m.e, m.d), m.d)[0]
+    for _ in range(2):
+        with pytest.raises(MorError, match="no witness"):
+            big.apply(m.e, m.d, om)
+    assert len(calls) == 2
 
 
 def test_upper_shape_errors(vec2):
@@ -280,3 +308,35 @@ def test_classify_draws_once_per_model_and_seed(monkeypatch):
     assert (second.verdicts, second.witnesses) == (first.verdicts, first.witnesses)
     cy.classify(scalar_cycle(model, -1), seed=5)
     assert seeds == [4] * 9 + [5] * 9
+
+
+@pytest.mark.parametrize("lam", [1, 2])
+def test_a_cycle_classified_after_another_reads_none_of_its_mates(lam):
+    # the model keeps the mates of arrows by value across cycles; -lam's
+    # components differ from lam's, so no mate of one may answer for the other
+    model = build_vec_model(2)
+    cy.classify(scalar_cycle(model, lam), seed=1)
+    after = cy.classify(scalar_cycle(model, -lam), seed=1)
+    fresh = cy.classify(scalar_cycle(build_vec_model(2), -lam), seed=1)
+    assert (after.verdicts, after.witnesses) == (fresh.verdicts, fresh.witnesses)
+
+
+def _curry_left_calls(monkeypatch, run):
+    calls = []
+    build = StautModel.curry_left
+    monkeypatch.setattr(StautModel, "curry_left",
+                        lambda self, *args: calls.append(1) or build(self, *args))
+    run()
+    return len(calls)
+
+
+def test_a_scalar_table_curries_each_value_once(monkeypatch):
+    # 3,886 curry_left calls before mates were cached by value
+    assert _curry_left_calls(monkeypatch, lambda: suites.scalar_table_suite(0)) <= 1600
+
+
+def test_a_thin_classification_curries_each_value_once(monkeypatch):
+    # 492 curry_left calls before mates were cached by value
+    model = ThinModel(build_rel_quantale(2))
+    assert _curry_left_calls(monkeypatch,
+                             lambda: cy.classify(thin_identity_cycle(model))) <= 300

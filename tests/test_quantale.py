@@ -158,6 +158,19 @@ def test_pointed_group_rejects_incompatible_order():
                             le=lambda a, b: a <= b)
 
 
+def test_discrete_pointed_group_builds_in_quadratic_op_calls():
+    # the discrete order is compatible with any operation, so no triple is
+    # scanned: at n = 40 the n^3 scan alone would make 4n^2 calls
+    n, calls = 40, []
+
+    def op(a, b):
+        calls.append(1)
+        return (a + b) % n
+
+    q = build_pointed_group(list(range(n)), op, 0)
+    assert len(q) == n and len(calls) <= 3 * n * n
+
+
 def test_luk3_structure():
     q = build_luk3()
     h, zero = q.index(Fraction(1, 2)), q.index(0)
