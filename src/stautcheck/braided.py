@@ -5,9 +5,9 @@ Morgan isomorphisms; the two cohere through four mixed-distribution diagrams
 checked here, and agree outright in degenerate models (par = tensor, equal
 units).  A twist and the stitch are p => p families (``cyclicity.Family``),
 checked as cycles are.  The bridge to the axiom engine: a twist theta yields
-the hom-level family omega |-> braid; (theta (x) id); omega, and a cycle
-family yields a twist through the evaluation loop below; the two are exact
-mutual inverses, which ``roundtrip_check`` verifies.
+the cycle given at the hom level by omega |-> braid; (theta (x) id); omega,
+and a cycle yields a twist through the evaluation loop below; the two are
+exact mutual inverses, which ``roundtrip_check`` verifies.
 
 Sign conventions (which crossing is an inverse braiding) were fixed once by
 requiring consistency of all composites on the graded-line model, where every
@@ -18,7 +18,6 @@ every braided backend.
 from .core.morphisms import MorError
 from .core.quantify import COVERAGE, draw, scan
 from . import cyclicity
-from .cyclicity import BigCycle
 
 
 class Braiding:
@@ -201,7 +200,7 @@ def balance_from_cycle(cycle):
 
 
 def cycle_from_balance(balance):
-    """Hom-level family omega |-> braid ; (twist (x) id) ; omega.
+    """The cycle given at the hom level by omega |-> braid ; (twist (x) id) ; omega.
 
     The composition order of the display is fixed by dom/cod typing: the
     braiding component is the one from t (x) p, and the twist acts on the
@@ -219,7 +218,7 @@ def cycle_from_balance(balance):
                        m.invert(m.braid(t, p)),
                        psi)
 
-    return BigCycle(m, ap, unap, f"from({balance.label})")
+    return cyclicity.CycleData(m, label=f"from({balance.label})", apply_fn=ap, unapply_fn=unap)
 
 
 def check_semibalance(balance, which):
@@ -295,13 +294,12 @@ def check_balance_double(balance):
 
 
 def roundtrip_check(balance):
-    """balance -> hom family -> object family -> balance must be the
-    identity round trip, and the same starting from the cycle."""
+    """balance -> cycle -> balance must be the identity round trip on the
+    components, and the same starting from the cycle."""
     m = balance.model
-    low = cyclicity.to_lower(cycle_from_balance(balance))
-    back = balance_from_cycle(low)
-    low2 = cyclicity.to_lower(cycle_from_balance(back))
-    trips = {"balance": (back, balance), "cycle": (low2, low)}
+    cycle = cycle_from_balance(balance)
+    back = balance_from_cycle(cycle)
+    trips = {"balance": (back, balance), "cycle": (cycle_from_balance(back), cycle)}
 
     def body(kind, p):
         there, start = trips[kind]
@@ -313,9 +311,7 @@ def roundtrip_check(balance):
 def check_identity_cycle_symmetry(model, seed=0):
     """The hom family induced by the identity twist is a full cycle exactly
     when the braiding is a symmetry."""
-    big = cycle_from_balance(identity_balance(model))
-    low = cyclicity.to_lower(big)
-    profile = cyclicity.classify(low, seed, big=big)
+    profile = cyclicity.classify(cycle_from_balance(identity_balance(model)), seed)
 
     def body(sym):
         return (profile.cycle != sym.ok and f"cycle={profile.cycle}, symmetry={sym.ok}"

@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import suites
 from .core.objects import UniverseError
 from .files import FileFormatError, load_vcat_file, resolve_quantale
-from .quantale import QuantaleError, BUILTIN_HELP, build_bool2
+from .quantale import QuantaleError, BUILTIN_HELP
 from .report import SCHEMA_VERSION
 from . import profunctors as pf
 
@@ -42,7 +42,8 @@ def _add_common(p, leaf):
 
     flag("--seed", 0, "seed for sampled checks", type=int)
     flag("--window", 3, "half-width W of the string verification window [-W, W]", type=int)
-    flag("--depth", None, "universe depth limit override (default: derived)", type=int)
+    flag("--depth", None, "universe depth limit (quantale and vec: default 8; zang: "
+         "raises the depth its window needs)", type=int)
     flag("--report", None, "write the report to this path")
     flag("--format", "text", "report format", choices=("text", "structured"))
 
@@ -134,12 +135,8 @@ def _run(args):
         return [suites.scalar_table_suite(args.seed, tuple(scalars), args.max_dim,
                                           depth=depth)]
     if args.command == "prof":
-        if args.vcat == "builtin:disc2":
-            vcat = pf.discrete_vcat(build_bool2(), ["a", "b"])
-        elif args.vcat == "builtin:luk3":
-            vcat = suites.luk3_two_object_vcat()
-        else:
-            vcat = load_vcat_file(args.vcat)
+        builtin = suites.BUILTIN_VCATS.get(args.vcat)
+        vcat = builtin() if builtin else load_vcat_file(args.vcat)
         try:
             return [suites.prof_suite(vcat, args.seed)]
         except pf.ProfError as exc:   # a base that is not cyclic, or a category too large

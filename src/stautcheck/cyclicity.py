@@ -2,9 +2,10 @@
 
 A ``CycleData`` is a ``Family`` of isomorphisms rdual(p) -> ldual(p), and
 a twist (``braided.Balance``) one of automorphisms p -> p: one memo, shape
-check, invertibility scan and naturality scan serve both.  A ``BigCycle`` is
-the equivalent family of hom-set bijections Hom(p (x) t, d) -> Hom(t (x) p, d);
-``to_upper``/``to_lower`` convert between them and are exact mutual inverses.
+check, invertibility scan and naturality scan serve both.  The paper's two
+forms of cyclicity data determine each other exactly, so one ``CycleData``
+holds both: given by its components or by its hom-set bijections
+Hom(p (x) t, d) -> Hom(t (x) p, d), it derives the other form on demand.
 
 Thirteen named coherence conditions are checked, five on the object level
 
@@ -79,9 +80,23 @@ class Family:
 
 
 class CycleData(Family):
-    """Candidate cyclicity family: one iso rdual(p) -> ldual(p) per object."""
+    """Candidate cyclicity family in both of its forms: one iso
+    rdual(p) -> ldual(p) per object (``component``), and the natural bijection
+    Hom(p (x) t, d) -> Hom(t (x) p, d) (``apply``, inverse ``unapply``).  It is
+    given by ``component_fn`` or by ``apply_fn`` and ``unapply_fn``, and derives
+    the other form by the case-change correspondence, whose two directions are
+    exact mutual inverses.  ``apply`` keeps each image for the cycle's lifetime
+    under (p, t, payload), which after its shape check is omega's value; a
+    raise stores nothing."""
 
     kind = "cycle"
+
+    def __init__(self, model, component_fn=None, label="Cycle", apply_fn=None, unapply_fn=None):
+        if (component_fn is None) == (apply_fn is None):
+            raise TypeError("give a cycle by component_fn or by apply_fn, exactly one")
+        super().__init__(model, component_fn or self._lower, label)
+        self._apply, self._unapply = apply_fn or self._upper, unapply_fn or self._upper_inverse
+        self._applied = {}
 
     def _ends(self, p):
         return self.model.rdual(p), self.model.ldual(p)
@@ -90,16 +105,6 @@ class CycleData(Family):
         m = self.model
         return (m.compose(self.component(b), m.ldual_mor(f)),
                 m.compose(m.rdual_mor(f), self.component(a)))
-
-
-class BigCycle:
-    """Hom-level form: a natural bijection Hom(p (x) t, d) -> Hom(t (x) p, d).
-    ``apply`` keeps each image for the family's lifetime under (p, t, payload),
-    which after its shape check is omega's value; a raise stores nothing."""
-
-    def __init__(self, model, apply_fn, unapply_fn, label="Cycle"):
-        self.model, self.label, self._apply, self._unapply = model, label, apply_fn, unapply_fn
-        self._applied = {}
 
     def apply(self, p, t, omega):
         if omega.dom is not self.model.tens(p, t) or omega.cod is not self.model.d:
@@ -115,29 +120,17 @@ class BigCycle:
             raise ShapeError(f"expected {t} (x) {p} -> d, got {psi}")
         return self._unapply(p, t, psi)
 
+    def _lower(self, p):
+        m = self.model
+        return m.rcurry(self.apply(p, m.rdual(p), m.dual_counit_r(p)))
 
-def to_upper(cycle):
-    """Lower-to-upper direction of the case-change correspondence."""
-    m = cycle.model
+    def _upper(self, p, t, omega):
+        m = self.model
+        return m.rcurry_inv(m.compose(m.lcurry(omega), self.component(p)))
 
-    def ap(p, t, omega):
-        return m.rcurry_inv(m.compose(m.lcurry(omega), cycle.component(p)))
-
-    def unap(p, t, psi):
-        return m.lcurry_inv(m.compose(m.rcurry(psi), cycle.inverse_component(p)))
-
-    return BigCycle(m, ap, unap, f"upper({cycle.label})")
-
-
-def to_lower(big):
-    """Upper-to-lower direction; exact inverse of ``to_upper``."""
-    m = big.model
-
-    def comp(p):
-        gamma = m.dual_counit_r(p)
-        return m.rcurry(big.apply(p, m.rdual(p), gamma))
-
-    return CycleData(m, comp, f"lower({big.label})")
+    def _upper_inverse(self, p, t, psi):
+        m = self.model
+        return m.lcurry_inv(m.compose(m.rcurry(psi), self.inverse_component(p)))
 
 
 # ------------------------------------------------------------ probe drawing
@@ -188,9 +181,9 @@ class Axiom:
     when ``spans`` is given, over one arrow x -> d from the spanning set of
     each x that a shape in ``spans`` names over the objects: a position,
     ``"e"``, or a pair of shapes read as their tensor, so ``((0, 3), (1, 2))``
-    names p (x) t and q (x) s over (p, q, s, t).  ``sides`` returns the diagram's
-    two sides, which must be equal: ``sides(model, cycle, *objects)`` on the
-    object level, ``sides(model, big, *objects, *arrows)`` on the hom level.
+    names p (x) t and q (x) s over (p, q, s, t).  ``sides(model, cycle,
+    *objects, *arrows)`` returns the diagram's two sides, which must be equal;
+    an object-level row has no arrows.
     ``dim_cap`` is the drawing budget of its tuples' dimensions when it
     tightens the coverage table's "axiom-dims"."""
 
@@ -225,47 +218,47 @@ def _pbin(m, c, p, q):
                       m.tens_mor(c.component(q), c.component(p))))
 
 
-def _blr0(m, big, t, om):
-    return big.apply(m.e, t, om), m.chain(m.runit_t(t), m.invert(m.lunit_t(t)), om)
+def _blr0(m, c, t, om):
+    return c.apply(m.e, t, om), m.chain(m.runit_t(t), m.invert(m.lunit_t(t)), om)
 
 
-def _kprime(m, big, p, q, om):
-    return big.apply(q, p, big.apply(p, q, om)), om
+def _kprime(m, c, p, q, om):
+    return c.apply(q, p, c.apply(p, q, om)), om
 
 
-def _e2(m, big, p, q, t, om):
-    lhs = big.apply(m.tens(p, q), t, om)
-    step = big.apply(p, m.tens(q, t), m.compose(m.invert(m.assoc_t(p, q, t)), om))
-    step = big.apply(q, m.tens(t, p), m.compose(m.invert(m.assoc_t(q, t, p)), step))
+def _e2(m, c, p, q, t, om):
+    lhs = c.apply(m.tens(p, q), t, om)
+    step = c.apply(p, m.tens(q, t), m.compose(m.invert(m.assoc_t(p, q, t)), om))
+    step = c.apply(q, m.tens(t, p), m.compose(m.invert(m.assoc_t(q, t, p)), step))
     return lhs, m.compose(m.invert(m.assoc_t(t, p, q)), step)
 
 
-def _e2prime(m, big, p, s, t, om):
-    lhs = big.apply(p, m.tens(s, t), om)
-    step = big.apply(m.tens(p, s), t, m.compose(m.assoc_t(p, s, t), om))
-    step = big.apply(m.tens(t, p), s, m.compose(m.assoc_t(t, p, s), step))
+def _e2prime(m, c, p, s, t, om):
+    lhs = c.apply(p, m.tens(s, t), om)
+    step = c.apply(m.tens(p, s), t, m.compose(m.assoc_t(p, s, t), om))
+    step = c.apply(m.tens(t, p), s, m.compose(m.assoc_t(t, p, s), step))
     return lhs, m.compose(m.assoc_t(s, t, p), step)
 
 
-def _m0(m, big, t, om):
-    return big.apply(t, m.e, om), m.chain(m.lunit_t(t), m.invert(m.runit_t(t)), om)
+def _m0(m, c, t, om):
+    return c.apply(t, m.e, om), m.chain(m.lunit_t(t), m.invert(m.runit_t(t)), om)
 
 
-def _m2(m, big, p, q, s, t, om, ps):
-    n_om, n_ps = big.apply(p, t, om), big.apply(q, s, ps)
-    return big.apply(m.par(p, q), m.tens(s, t), m.lbind(om, ps)), m.rbind(n_ps, n_om)
+def _m2(m, c, p, q, s, t, om, ps):
+    n_om, n_ps = c.apply(p, t, om), c.apply(q, s, ps)
+    return c.apply(m.par(p, q), m.tens(s, t), m.lbind(om, ps)), m.rbind(n_ps, n_om)
 
 
-def _m2prime(m, big, p, q, s, t, om, ps):
-    n_om, n_ps = big.apply(p, t, om), big.apply(q, s, ps)
-    return big.apply(m.tens(p, q), m.par(s, t), m.rbind(om, ps)), m.lbind(n_ps, n_om)
+def _m2prime(m, c, p, q, s, t, om, ps):
+    n_om, n_ps = c.apply(p, t, om), c.apply(q, s, ps)
+    return c.apply(m.tens(p, q), m.par(s, t), m.rbind(om, ps)), m.lbind(n_ps, n_om)
 
 
-def _blr2(m, big, p, q, t, om):
-    right = big.apply(m.tens(t, p), q,
-                      m.compose(m.assoc_t(t, p, q), big.apply(m.tens(p, q), t, om)))
+def _blr2(m, c, p, q, t, om):
+    right = c.apply(m.tens(t, p), q,
+                    m.compose(m.assoc_t(t, p, q), c.apply(m.tens(p, q), t, om)))
     left = m.compose(m.invert(m.assoc_t(q, t, p)),
-                     big.apply(p, m.tens(q, t), m.compose(m.invert(m.assoc_t(p, q, t)), om)))
+                     c.apply(p, m.tens(q, t), m.compose(m.invert(m.assoc_t(p, q, t)), om)))
     return left, right
 
 
@@ -299,7 +292,7 @@ def _draws(m, seed):
         seed * 1000003 + key[0], _live(m, key[2])))
 
 
-def check_axiom(cycle, which, seed=0, big=None):
+def check_axiom(cycle, which, seed=0):
     """Exact check of one named coherence condition; returns verdict plus a
     counterexample locator on failure, replayable from ``seed``.  Rows with
     the same arity, dimension budget and span shapes draw the same tuples
@@ -315,13 +308,11 @@ def check_axiom(cycle, which, seed=0, big=None):
             if lhs != rhs:
                 return True if t else "at the unit diagram"
     else:
-        big = big or to_upper(cycle)
-
         def body(*t):
             spans = [list(enumerate(m.hom_span(_span_object(m, s, t), m.d))) for s in ax.spans]
             for picks in product(*spans):
                 index, mors = zip(*picks)
-                lhs, rhs = ax.sides(m, big, *t, *mors)
+                lhs, rhs = ax.sides(m, cycle, *t, *mors)
                 if lhs != rhs:
                     arrow = index[0] if len(index) == 1 else index
                     return f"at {tuple(map(str, t))}, arrow #{arrow}"
@@ -357,17 +348,11 @@ QUASICYCLE = ("k",)
 CYCLE = ("tbin", "pbin")
 
 
-def classify(cycle, seed=0, big=None):
-    """Full thirteen-axiom profile plus the derived classification flags.
-
-    Pass ``big`` when the cycle came from a hom-level family: the two forms
-    correspond exactly, and evaluating the hom-level conditions on the
-    original family avoids re-deriving it through the duals.
-    """
-    big = big or to_upper(cycle)
+def classify(cycle, seed=0):
+    """Full thirteen-axiom profile plus the derived classification flags."""
     verdicts, witnesses = {}, {}
     for name in AXIOMS:
-        res = check_axiom(cycle, name, seed, big)
+        res = check_axiom(cycle, name, seed)
         verdicts[name] = res.ok
         if not res.ok:
             witnesses[name] = res.witness

@@ -4,7 +4,7 @@ A string assigns to every integer an object together with adjunction data
 tying index n to index n+1 (unit into the par, counit out of the tensor);
 mates of base morphisms propagate along the indices in alternating
 directions.  All strings here carry finite descriptors -- canonical dual
-towers, period-two strings driven by a hom-level cycle, and the closures of
+towers, period-two strings driven by a cycle, and the closures of
 these under tensor, par, shifts and units -- so windowed checks certify the
 whole family.
 
@@ -22,7 +22,6 @@ from .core.model import Adjunction
 from .core.morphisms import MorError, ShapeError
 from .core.objects import UniverseError
 from .core.quantify import scan
-from .cyclicity import to_upper
 
 
 def _outward(table, n):
@@ -102,16 +101,15 @@ class CanonicalZString(ZString):
 
 class Period2ZString(ZString):
     """Two alternating objects; the counit at every level is generated from
-    level zero by the hom-level cycle, exactly as the compatibility condition
-    demands."""
+    level zero by ``cycle.apply`` and ``cycle.unapply``, exactly as the
+    compatibility condition demands."""
 
-    def __init__(self, model, z0, z1, gamma0, big):
-        super().__init__(model)
-        if gamma0.dom is not model.tens(z0, z1) or gamma0.cod is not model.d:
+    def __init__(self, cycle, z0, z1, gamma0):
+        super().__init__(cycle.model)
+        if gamma0.dom is not self.model.tens(z0, z1) or gamma0.cod is not self.model.d:
             raise ShapeError(f"period-2 seed counit has shape {gamma0}")
-        self.z0, self.z1 = z0, z1
+        self.cycle, self.z0, self.z1 = cycle, z0, z1
         self._gamma[0] = gamma0
-        self.big = big
 
     def _z_at(self, n):
         return self.z0 if n % 2 == 0 else self.z1
@@ -119,9 +117,9 @@ class Period2ZString(ZString):
     def _gamma_at(self, n):
         if n > 0:
             prev = self.gamma(n - 1)
-            return self.big.apply(self.z(n - 1), self.z(n), prev)
+            return self.cycle.apply(self.z(n - 1), self.z(n), prev)
         nxt = self.gamma(n + 1)
-        return self.big.unapply(self.z(n), self.z(n + 1), nxt)
+        return self.cycle.unapply(self.z(n), self.z(n + 1), nxt)
 
     def describe(self):
         return f"period2({self.z0},{self.z1})"
@@ -381,25 +379,23 @@ class FangPreconditionError(Exception):
     """The supplied family is not a full cycle; names a failing axiom."""
 
 
-def _upper_cycle(cycle, profile):
-    """The hom-level form of ``cycle``; raises unless ``profile``, the axiom
-    profile of ``cycle``, is a cycle."""
+def _require_cycle(cycle, profile):
+    """Raises unless ``profile``, the axiom profile of ``cycle``, is a cycle."""
     if not profile.cycle:
         failing = [name for name in ("tbin", "pbin") if not profile.verdicts[name]]
         raise FangPreconditionError(
             f"{cycle.label} is not a cycle: fails {', '.join(failing)}")
-    return to_upper(cycle)
 
 
-def fang_membership(string, big, window):
-    """Period-two object condition plus counit compatibility with the cycle."""
+def fang_membership(string, cycle, window):
+    """Period-two object condition plus counit compatibility with ``cycle.apply``."""
     m = string.model
     lo, hi = window
     for n in range(lo, hi + 1):
         if string.z(n + 1) is not string.z(n - 1):
             return f"objects not period-two at {n}"
     for n in range(lo + 1, hi + 1):
-        want = big.apply(string.z(n - 1), string.z(n), string.gamma(n - 1))
+        want = cycle.apply(string.z(n - 1), string.z(n), string.gamma(n - 1))
         if string.gamma(n) != want:
             return f"counit compatibility fails at {n}"
     return None
@@ -408,26 +404,25 @@ def fang_membership(string, big, window):
 def fang_check(string, cycle, window, profile):
     """Membership of one string; the cycle, of axiom profile ``profile``,
     must be a full cycle."""
-    big = _upper_cycle(cycle, profile)
-    return scan("fang-membership", [string], lambda s: fang_membership(s, big, window))
+    _require_cycle(cycle, profile)
+    return scan("fang-membership", [string], lambda s: fang_membership(s, cycle, window))
 
 
 def fang_closure(P, Q, cycle, window, profile):
     """Tensor and par of members are members; as for ``fang_check``."""
-    big = _upper_cycle(cycle, profile)
+    _require_cycle(cycle, profile)
 
     def body(name, s):
-        bad = fang_membership(s, big, window)
+        bad = fang_membership(s, cycle, window)
         return bad and f"{name}: {bad}"
 
     return scan("fang-closure", [("tens", TensZString(P, Q)), ("par", ParZString(P, Q))], body)
 
 
-def period2_from_cycle(model, p, cycle):
+def period2_from_cycle(p, cycle):
     """The canonical period-two string on (p, rdual p) seeded by the chosen
     counit; its higher counits come from the cycle."""
-    big = to_upper(cycle)
-    return Period2ZString(model, p, model.rdual(p), model.dual_counit_r(p), big)
+    return Period2ZString(cycle, p, cycle.model.rdual(p), cycle.model.dual_counit_r(p))
 
 
 # ------------------------------------------------------------ extended cycle
@@ -441,13 +436,14 @@ def zangcycle_component(string, cycle, n):
     return m.chain(into_rdual, cycle.component(string.z(n)), from_ldual)
 
 
-def check_zangcycle(model, cycle, window, strings, profile):
+def check_zangcycle(cycle, window, strings, profile):
     """The extended cycle (a full cycle, of axiom profile ``profile``) is
     componentwise invertible on the given strings, restricts to the identity
     on compatible period-two strings, and satisfies the binary coherence
     conditions componentwise (the string-level de Morgan maps being
     identities)."""
-    big = _upper_cycle(cycle, profile)
+    _require_cycle(cycle, profile)
+    model = cycle.model
     lo, hi = window
     inner = range(lo + 1, hi)
 
@@ -475,14 +471,14 @@ def check_zangcycle(model, cycle, window, strings, profile):
 
     def on_fang(p, member, n):
         if n == inner[0]:
-            miss = fang_membership(member, big, (lo + 1, hi - 1))
+            miss = fang_membership(member, cycle, (lo + 1, hi - 1))
             if miss:
                 return f"period2({p}): {miss}"
         if zangcycle_component(member, cycle, n) != model.identity(member.z(n + 1)):
             return f"period2({p}) at {n}"
 
     pairs = ((P, Q, TensZString(P, Q), ParZString(P, Q)) for P in strings for Q in strings)
-    members = ((p, period2_from_cycle(model, p, cycle)) for p in model.probe_objects()[:3])
+    members = ((p, period2_from_cycle(p, cycle)) for p in model.probe_objects()[:3])
     return [scan("zangcycle-invertible", product(strings, inner), invertible),
             scan("zangcycle-binary-coherence",
                  ((*pq, n) for pq in pairs for n in inner), binary),

@@ -125,8 +125,7 @@ def test_balance_from_cycle_scalar(vec):
 
 def test_semicycle_split_preserved(dz2):
     rb = br.ribbon_balance(dz2)
-    low = cy.to_lower(br.cycle_from_balance(rb))
-    rebuilt = br.balance_from_cycle(low)
+    rebuilt = br.balance_from_cycle(br.cycle_from_balance(rb))
     assert br.check_semibalance(rebuilt, "tens").ok
     assert br.check_semibalance(rebuilt, "par").ok
 
@@ -134,11 +133,11 @@ def test_semicycle_split_preserved(dz2):
 def test_cycle_from_balance_scalar_on_lines():
     m = build_vec_model(1)
     theta = br.scaled_balance(m, Fraction(3))
-    big = br.cycle_from_balance(theta)
+    c = br.cycle_from_balance(theta)
     p = m.gen("p")
     om = m.mor(m.tens(p, p), m.d, mx.mat([[7]]))
-    assert big.apply(p, p, om).payload == mx.mat([[21]])
-    assert big.unapply(p, p, big.apply(p, p, om)) == om
+    assert c.apply(p, p, om).payload == mx.mat([[21]])
+    assert c.unapply(p, p, c.apply(p, p, om)) == om
 
 
 def test_roundtrips(vec, graded, dz2):
@@ -149,7 +148,7 @@ def test_roundtrips(vec, graded, dz2):
 
 def test_cycle_to_balance_to_cycle(vec):
     c = scalar_cycle(vec, Fraction(-2))
-    low = cy.to_lower(br.cycle_from_balance(br.balance_from_cycle(c)))
+    low = br.cycle_from_balance(br.balance_from_cycle(c))
     for p in vec.probe_objects():
         assert low.component(p) == c.component(p)
 
@@ -165,8 +164,7 @@ def test_identity_cycle_vs_symmetry(vec, graded, dz2):
 
 def test_identity_derived_profiles_consistent(graded, dz2):
     for model in (graded, dz2):
-        big = br.cycle_from_balance(br.identity_balance(model))
-        prof = cy.classify(cy.to_lower(big), big=big)
+        prof = cy.classify(br.cycle_from_balance(br.identity_balance(model)))
         assert not cy.dependency_violations(prof)
         assert cy.check_upper_lower_equivalences([prof]).ok
 
@@ -176,8 +174,7 @@ def test_quasibalance_matches_quasicycle_verdict(graded, dz2):
     # satisfies the quasicycle axiom
     for model in (graded, dz2):
         idb = br.identity_balance(model)
-        big = br.cycle_from_balance(idb)
-        prof = cy.classify(cy.to_lower(big), big=big)
+        prof = cy.classify(br.cycle_from_balance(idb))
         assert br.check_quasibalance(idb).ok == prof.quasicycle
 
 

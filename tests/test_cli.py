@@ -9,6 +9,7 @@ import pytest
 
 import stautcheck
 from stautcheck import profunctors as pf
+from stautcheck import suites
 from stautcheck.cli import main
 from stautcheck.files import (FileFormatError, load_quantale_file,
                               load_vcat_file, resolve_quantale)
@@ -286,6 +287,18 @@ def test_cli_zang_suite(capsys):
     assert main(["zang", "suite", "thin:rel:2"]) == 0
     out = capsys.readouterr().out
     assert "strict-negations" in out and "result: pass" in out
+
+
+@pytest.mark.parametrize("backend", ["vec", "thin:rel:2"])
+def test_cli_zang_suite_at_window_one(backend):
+    # the suite's deepest object lies W + 5 levels down, below 2W + 3 at W = 1
+    assert main(["--window", "1", "zang", "suite", backend]) == 0
+
+
+def test_zang_depth_is_the_larger_of_the_flag_and_the_window_need():
+    for half, depth, want in ((1, None, 6), (3, None, 8), (1, 20, 20), (3, 2, 8)):
+        model, _ = suites._zang_model("vec", (-half, half), depth)
+        assert model._interner.depth_limit == want
 
 
 def test_cli_prof_builtin(capsys):

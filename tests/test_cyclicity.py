@@ -1,5 +1,5 @@
 """Axiom engine: the scalar family against the independent exponent oracle,
-case-change round trips, binders, and the consistency meta-checks."""
+the two forms of one cycle, binders, and the consistency meta-checks."""
 
 from fractions import Fraction
 
@@ -54,29 +54,57 @@ def test_thin_identity_cycle_all_axioms():
 
 
 def test_to_upper_to_lower_roundtrip(vec2):
+    # a cycle given by another's hom-set bijections has its components
     c = scalar_cycle(vec2, Fraction(-7, 3))
-    back = cy.to_lower(cy.to_upper(c))
+    back = cy.CycleData(vec2, apply_fn=c.apply, unapply_fn=c.unapply)
     for p in vec2.probe_objects():
         assert back.component(p) == c.component(p)
 
 
+@pytest.mark.parametrize("lam", [1, -1, 2, None],
+                         ids=["vec-1", "vec-minus-1", "vec-2", "thin-rel2"])
+def test_both_constructors_agree(lam):
+    # the hom-level constructor derives the components the object-level one
+    # was given, and the two classify alike
+    if lam is None:
+        model = ThinModel(build_rel_quantale(2), probe_cap=6, depth_limit=12)
+        c = thin_identity_cycle(model)
+    else:
+        model = build_vec_model(2)
+        c = scalar_cycle(model, lam)
+    h = cy.CycleData(model, apply_fn=c.apply, unapply_fn=c.unapply)
+    for p in model.probe_objects():
+        assert h.component(p) == c.component(p)
+    want, got = cy.classify(c, seed=3), cy.classify(h, seed=3)
+    assert (got.verdicts, got.witnesses) == (want.verdicts, want.witnesses)
+    assert want.cycle == (lam in (1, None))
+
+
+def test_a_cycle_is_given_in_exactly_one_form(vec2):
+    comp = scalar_cycle(vec2, 1).component
+    with pytest.raises(TypeError):
+        cy.CycleData(vec2)
+    with pytest.raises(TypeError):
+        cy.CycleData(vec2, comp, apply_fn=lambda p, t, om: om)
+
+
 def test_upper_bijection_on_spans(vec2):
-    big = cy.to_upper(scalar_cycle(vec2, 2))
+    c = scalar_cycle(vec2, 2)
     p = vec2.gen("p")
     t = vec2.rdual(p)
     for om in vec2.hom_span(vec2.tens(p, t), vec2.d):
-        psi = big.apply(p, t, om)
-        assert big.unapply(p, t, psi) == om
+        psi = c.apply(p, t, om)
+        assert c.unapply(p, t, psi) == om
 
 
 def test_apply_reads_each_value_once_and_matches_the_uncached_map(vec2):
-    big = cy.to_upper(scalar_cycle(vec2, Fraction(-7, 3)))
+    c = scalar_cycle(vec2, Fraction(-7, 3))
     p = vec2.gen("p")
     t = vec2.ldual(p)
     for om in vec2.hom_span(vec2.tens(p, t), vec2.d):
         again = vec2.mor(om.dom, om.cod, mx.mat(mx.dense(om.payload)))
-        assert big.apply(p, t, om) is big.apply(p, t, again)
-        assert big.apply(p, t, om) == big._apply(p, t, om)
+        assert c.apply(p, t, om) is c.apply(p, t, again)
+        assert c.apply(p, t, om) == c._apply(p, t, om)
 
 
 def test_an_apply_that_raises_raises_again(thin_rel2):
@@ -88,23 +116,23 @@ def test_an_apply_that_raises_raises_again(thin_rel2):
         calls.append(p)
         return m.mor(m.d, m.e)
 
-    big = cy.BigCycle(m, ap, None)
+    c = cy.CycleData(m, apply_fn=ap)
     om = m.hom_span(m.tens(m.e, m.d), m.d)[0]
     for _ in range(2):
         with pytest.raises(MorError, match="no witness"):
-            big.apply(m.e, m.d, om)
+            c.apply(m.e, m.d, om)
     assert len(calls) == 2
 
 
 def test_upper_shape_errors(vec2):
-    big = cy.to_upper(scalar_cycle(vec2, 1))
+    c = scalar_cycle(vec2, 1)
     p = vec2.gen("p")
     with pytest.raises(ShapeError):
-        big.apply(p, p, vec2.identity(p))
+        c.apply(p, p, vec2.identity(p))
 
 
 def test_big_cycle_linear_in_omega(vec2):
-    big = cy.to_upper(scalar_cycle(vec2, Fraction(5, 2)))
+    c = scalar_cycle(vec2, Fraction(5, 2))
     p = vec2.gen("p")
     t = vec2.ldual(p)
     span = vec2.hom_span(vec2.tens(p, t), vec2.d)
@@ -114,8 +142,7 @@ def test_big_cycle_linear_in_omega(vec2):
         return vec2.mor(f.dom, f.cod, mx.add(mx.scale(3, f.payload),
                                              mx.scale(-2, g.payload)))
 
-    assert big.apply(p, t, combo(om, om2)) == combo(big.apply(p, t, om),
-                                                    big.apply(p, t, om2))
+    assert c.apply(p, t, combo(om, om2)) == combo(c.apply(p, t, om), c.apply(p, t, om2))
 
 
 def test_scalar_cycle_rejects_zero(vec2):
@@ -131,9 +158,9 @@ def test_cycle_validation(vec2):
 def test_upper_transform_of_counit(vec2):
     # the hom-level family sends the right counit to the left one scaled
     lam = Fraction(3)
-    big = cy.to_upper(scalar_cycle(vec2, lam))
+    c = scalar_cycle(vec2, lam)
     p = vec2.gen("p")
-    got = big.apply(p, vec2.rdual(p), vec2.dual_counit_r(p))
+    got = c.apply(p, vec2.rdual(p), vec2.dual_counit_r(p))
     want = vec2.mor_scale(lam, vec2.dual_counit_l(p))
     # same matrix up to the dual identification chosen by the backend
     assert got.payload == want.payload

@@ -4,6 +4,7 @@ import pytest
 
 from stautcheck import cyclicity as cy
 from stautcheck import strictify as st
+from stautcheck import suites
 from stautcheck.core import matrices as mx
 from stautcheck.core.objects import UniverseError
 from stautcheck.linear import build_vec_model, scalar_cycle
@@ -80,7 +81,7 @@ def test_wide_window_needs_no_deep_stack():
     model = build_vec_model(2, depth_limit=2 * w + 3)
     p = model.probe_objects()[2]
     strings = [st.zangify(model, p),
-               st.period2_from_cycle(model, p, scalar_cycle(model, 1))]
+               st.period2_from_cycle(p, scalar_cycle(model, 1))]
     for s in strings:
         assert st.check_triangles(s, (-w, w)).ok, s.describe()
     assert st.zangify_mor(model, model.identity(p)).check_mateship((-w, w)).ok
@@ -111,7 +112,7 @@ def test_equivalence(vm, tm):
 def test_equivalence_isos_are_double_dual_comparisons(vm):
     p = vm.gen("p")
     cyc = scalar_cycle(vm, 1)
-    per = st.period2_from_cycle(vm, p, cyc)
+    per = st.period2_from_cycle(p, cyc)
     mate = st.ZMate(per, st.zangify(vm, p), vm.identity(p))
     assert mate.check_mateship(WINDOW).ok
     # in the chosen basis the double-dual comparisons are identity matrices
@@ -140,37 +141,35 @@ def test_fang_membership_and_closure(vm, tm):
     for model, cycle in ((vm, scalar_cycle(vm, 1)), (tm, thin_identity_cycle(tm))):
         p = model.probe_objects()[2]
         q = model.probe_objects()[3]
-        per_p = st.period2_from_cycle(model, p, cycle)
-        per_q = st.period2_from_cycle(model, q, cycle)
+        per_p = st.period2_from_cycle(p, cycle)
+        per_q = st.period2_from_cycle(q, cycle)
         profile = cy.classify(cycle)
         assert st.fang_check(per_p, cycle, WINDOW, profile).ok
         assert st.fang_closure(per_p, per_q, cycle, WINDOW, profile).ok
 
 
 def test_fang_precondition_cites_axiom(vm):
-    per = st.period2_from_cycle(vm, vm.gen("p"), scalar_cycle(vm, 1))
+    per = st.period2_from_cycle(vm.gen("p"), scalar_cycle(vm, 1))
     minus = scalar_cycle(vm, -1)
     with pytest.raises(st.FangPreconditionError, match="tbin"):
         st.fang_check(per, minus, WINDOW, cy.classify(minus))
 
 
 def test_canonical_tower_is_not_period_two(vm):
-    from stautcheck.cyclicity import to_upper
     cyc = scalar_cycle(vm, 1)
     tower = st.zangify(vm, vm.gen("p"))
-    assert st.fang_membership(tower, to_upper(cyc), (-1, 1)) is not None
+    assert st.fang_membership(tower, cyc, (-1, 1)) is not None
 
 
 def test_zangcycle_checks(vm, tm):
     for model, cycle in ((vm, scalar_cycle(vm, 1)), (tm, thin_identity_cycle(tm))):
-        results = st.check_zangcycle(model, cycle, WINDOW, _towers(model, 3),
-                                     cy.classify(cycle))
+        results = st.check_zangcycle(cycle, WINDOW, _towers(model, 3), cy.classify(cycle))
         assert all(r.ok for r in results), [(r.name, r.witness) for r in results]
 
 
 def test_zangcycle_identity_on_fang_components(vm):
     cyc = scalar_cycle(vm, 1)
-    per = st.period2_from_cycle(vm, vm.gen("p"), cyc)
+    per = st.period2_from_cycle(vm.gen("p"), cyc)
     for n in range(-2, 3):
         comp = st.zangcycle_component(per, cyc, n)
         assert comp == vm.identity(per.z(n + 1))
@@ -180,7 +179,7 @@ def test_period2_gamma_alternation(vm):
     lam = Fraction(1)
     cyc = scalar_cycle(vm, lam)
     p = vm.gen("p")
-    per = st.period2_from_cycle(vm, p, cyc)
+    per = st.period2_from_cycle(p, cyc)
     assert per.gamma(0) == vm.dual_counit_r(p)
     # level one pairs the dual against the object through the left counit
     assert per.gamma(1).payload == vm.dual_counit_l(p).payload
@@ -208,6 +207,27 @@ def test_zangcycle_invertible_reports_its_first_failure(vm, monkeypatch):
     # singular at index 0 on every string: items (P, n) for n in -1, 0, 1
     monkeypatch.setattr(st, "zangcycle_component", lambda s, c, n: (
         vm.mor_scale(0, real(s, c, n)) if n == 0 else real(s, c, n)))
-    res = st.check_zangcycle(vm, cyc, (-2, 2), towers, cy.classify(cyc))[0]
+    res = st.check_zangcycle(cyc, (-2, 2), towers, cy.classify(cyc))[0]
     assert res.name == "zangcycle-invertible" and not res.ok
     assert (res.count, res.witness) == (2, f"{towers[0].describe()} at 0")
+
+
+def test_a_period2_string_reads_its_model_from_its_cycle(vm):
+    c = scalar_cycle(vm, 1)
+    per = st.period2_from_cycle(vm.gen("p"), c)
+    assert per.cycle is c and per.model is vm
+
+
+def test_a_zang_suite_builds_one_cycle(monkeypatch):
+    # its period-two strings, fang checks and extended cycle all use the one
+    # cycle it classifies, and so share one apply memo
+    built = []
+    init = cy.CycleData.__init__
+    monkeypatch.setattr(cy.CycleData, "__init__",
+                        lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+    assert suites.zang_suite("vec", (-3, 3), 3).ok
+    assert len(built) == 1
+
+
+def test_criterion_8_at_window_one():
+    assert suites.criterion_8(seed=3, window=(-1, 1)).ok
