@@ -16,7 +16,7 @@ every braided backend.
 """
 
 from .core.morphisms import MorError
-from .core.quantify import COVERAGE, draw, scan
+from .core.quantify import COVERAGE, Axiom, check, draws, scan
 from . import cyclicity
 
 
@@ -49,97 +49,90 @@ class Braiding:
     # ------------------------------------------------------------ validation
 
     def check_hexagons(self, seed=0):
-        m = self.model
-
-        def body(p, q, r):
-            lhs = self.tens(p, m.tens(q, r))
-            rhs = m.chain(m.invert(m.assoc_t(p, q, r)),
-                          m.tens_mor(self.tens(p, q), m.identity(r)),
-                          m.assoc_t(q, p, r),
-                          m.tens_mor(m.identity(q), self.tens(p, r)),
-                          m.invert(m.assoc_t(q, r, p)))
-            if lhs != rhs:
-                return f"hexagon-one at ({p},{q},{r})"
-            lhs = self.tens(m.tens(p, q), r)
-            rhs = m.chain(m.assoc_t(p, q, r),
-                          m.tens_mor(m.identity(p), self.tens(q, r)),
-                          m.invert(m.assoc_t(p, r, q)),
-                          m.tens_mor(self.tens(p, r), m.identity(q)),
-                          m.assoc_t(r, p, q))
-            if lhs != rhs:
-                return f"hexagon-two at ({p},{q},{r})"
-
-        triples, exh = draw(m, m.probe_objects(), 3, COVERAGE["braid-triples"],
-                           COVERAGE["braid-dims"], seed)
-        return scan("hexagons", triples, body, exh)
+        return check("hexagons", HEXAGONS, self.model, seed, self, **_TRIPLES)
 
     def check_mixed_distributions(self, seed=0):
         """The four coherence diagrams tying the two braidings to the linear
         distributions."""
-        m = self.model
-
-        def body(p, q, r):
-            d1_l = m.chain(
-                m.tens_mor(m.invert(self.par(q, p)), m.identity(r)),
-                m.dist_r(q, p, r),
-                self.par(q, m.tens(p, r)))
-            d1_r = m.chain(
-                self.tens(m.par(p, q), r),
-                m.dist_l(r, p, q),
-                m.par_mor(m.invert(self.tens(p, r)), m.identity(q)))
-            if d1_l != d1_r:
-                return f"mixed-dist-1 at ({p},{q},{r})"
-            d2_l = m.chain(
-                self.tens(r, m.par(q, p)),
-                m.dist_r(q, p, r),
-                m.par_mor(m.identity(q), m.invert(self.tens(r, p))))
-            d2_r = m.chain(
-                m.tens_mor(m.identity(r), m.invert(self.par(p, q))),
-                m.dist_l(r, p, q),
-                self.par(m.tens(r, p), q))
-            if d2_l != d2_r:
-                return f"mixed-dist-2 at ({p},{q},{r})"
-            d3_l = m.chain(
-                m.tens_mor(self.par(p, q), m.identity(r)),
-                m.dist_r(q, p, r),
-                m.invert(self.par(m.tens(p, r), q)))
-            d3_r = m.chain(
-                m.invert(self.tens(r, m.par(p, q))),
-                m.dist_l(r, p, q),
-                m.par_mor(self.tens(r, p), m.identity(q)))
-            if d3_l != d3_r:
-                return f"mixed-dist-3 at ({p},{q},{r})"
-            d4_l = m.chain(
-                m.invert(self.tens(m.par(q, p), r)),
-                m.dist_r(q, p, r),
-                m.par_mor(m.identity(q), self.tens(p, r)))
-            d4_r = m.chain(
-                m.tens_mor(m.identity(r), self.par(q, p)),
-                m.dist_l(r, p, q),
-                m.invert(self.par(q, m.tens(r, p))))
-            if d4_l != d4_r:
-                return f"mixed-dist-4 at ({p},{q},{r})"
-
-        triples, exh = draw(m, m.probe_objects(), 3, COVERAGE["braid-triples"],
-                           COVERAGE["braid-dims"], seed)
-        return scan("mixed-distributions", triples, body, exh)
+        return check("mixed-distributions", MIXED_DISTRIBUTIONS, self.model, seed, self,
+                     **_TRIPLES)
 
     def check_degenerate_agreement(self):
         """In a degenerate model the derived par braiding must coincide with
         the tensor braiding entrywise."""
-        m = self.model
-        pairs, exh = draw(m, m.probe_objects(), 2, dim_cap=COVERAGE["braid-dims"])
-        return scan("degenerate-braid-agreement", pairs,
-                    lambda p, q: self.par(p, q).payload != self.tens(p, q).payload, exh)
+        return check("degenerate-braid-agreement", DEGENERATE, self.model, 0, self, **_PAIRS)
 
     def is_symmetry(self):
         """The check that the braiding is a symmetry; its witness is the
         first pair (p, q) whose double braiding is not the identity."""
-        m = self.model
-        pairs, exh = draw(m, m.probe_objects(), 2, dim_cap=COVERAGE["braid-dims"])
-        return scan("symmetry", pairs, lambda p, q: (
-            m.compose(self.tens(p, q), self.tens(q, p)) != m.identity(m.tens(p, q))
-            and repr((p, q))), exh)
+        return check("symmetry", SYMMETRY, self.model, 0, self, **_PAIRS)
+
+
+# The braided rows: sides(model, braiding or twist, *objects).  Pair rows range
+# over every pair within "braid-dims"; the hexagons and mixed distributions over
+# triples drawn from the check's seed within "braid-triples" and "braid-dims".
+_PAIRS = {"dim_cap": COVERAGE["braid-dims"]}
+_TRIPLES = {"cap": COVERAGE["braid-triples"], "dim_cap": COVERAGE["braid-dims"]}
+
+
+def _hexagon_one(m, b, p, q, r):
+    return b.tens(p, m.tens(q, r)), m.chain(m.invert(m.assoc_t(p, q, r)),
+                                           m.tens_mor(b.tens(p, q), m.identity(r)),
+                                           m.assoc_t(q, p, r),
+                                           m.tens_mor(m.identity(q), b.tens(p, r)),
+                                           m.invert(m.assoc_t(q, r, p)))
+
+
+def _hexagon_two(m, b, p, q, r):
+    return b.tens(m.tens(p, q), r), m.chain(m.assoc_t(p, q, r),
+                                           m.tens_mor(m.identity(p), b.tens(q, r)),
+                                           m.invert(m.assoc_t(p, r, q)),
+                                           m.tens_mor(b.tens(p, r), m.identity(q)),
+                                           m.assoc_t(r, p, q))
+
+
+def _mixed_1(m, b, p, q, r):
+    return (m.chain(m.tens_mor(m.invert(b.par(q, p)), m.identity(r)),
+                    m.dist_r(q, p, r),
+                    b.par(q, m.tens(p, r))),
+            m.chain(b.tens(m.par(p, q), r),
+                    m.dist_l(r, p, q),
+                    m.par_mor(m.invert(b.tens(p, r)), m.identity(q))))
+
+
+def _mixed_2(m, b, p, q, r):
+    return (m.chain(b.tens(r, m.par(q, p)),
+                    m.dist_r(q, p, r),
+                    m.par_mor(m.identity(q), m.invert(b.tens(r, p)))),
+            m.chain(m.tens_mor(m.identity(r), m.invert(b.par(p, q))),
+                    m.dist_l(r, p, q),
+                    b.par(m.tens(r, p), q)))
+
+
+def _mixed_3(m, b, p, q, r):
+    return (m.chain(m.tens_mor(b.par(p, q), m.identity(r)),
+                    m.dist_r(q, p, r),
+                    m.invert(b.par(m.tens(p, r), q))),
+            m.chain(m.invert(b.tens(r, m.par(p, q))),
+                    m.dist_l(r, p, q),
+                    m.par_mor(b.tens(r, p), m.identity(q))))
+
+
+def _mixed_4(m, b, p, q, r):
+    return (m.chain(m.invert(b.tens(m.par(q, p), r)),
+                    m.dist_r(q, p, r),
+                    m.par_mor(m.identity(q), b.tens(p, r))),
+            m.chain(m.tens_mor(m.identity(r), b.par(q, p)),
+                    m.dist_l(r, p, q),
+                    m.invert(b.par(q, m.tens(r, p)))))
+
+
+DEGENERATE = Axiom(2, lambda m, b, p, q: (b.par(p, q).payload, b.tens(p, q).payload))
+SYMMETRY = Axiom(2, lambda m, b, p, q: (m.compose(b.tens(p, q), b.tens(q, p)),
+                                        m.identity(m.tens(p, q))))
+HEXAGONS = {"hexagon-one": Axiom(3, _hexagon_one), "hexagon-two": Axiom(3, _hexagon_two)}
+MIXED_DISTRIBUTIONS = {f"mixed-dist-{i}": Axiom(3, sides)
+                       for i, sides in enumerate((_mixed_1, _mixed_2, _mixed_3, _mixed_4), 1)}
 
 
 class Balance(cyclicity.Family):
@@ -240,7 +233,7 @@ def check_semibalance(balance, which):
                               both(balance.component(q), balance.component(p)),
                               cross(q, p))
 
-    pairs, exh = draw(m, m.probe_objects(), 2, dim_cap=COVERAGE["braid-dims"])
+    pairs, exh = draws(m, 2, 0, **_PAIRS)
     return scan(f"semibalance-{which}", pairs + [unit], body, exh)
 
 
@@ -268,29 +261,22 @@ def check_stitch_natural(model):
 def check_quasibalance(balance):
     """twist ; cancel ; ldual(twist at the dual) ; cancel-back must equal the
     stitch on every probe object."""
-    m = balance.model
-
-    def body(p):
-        lhs = m.chain(balance.component(p),
-                      m.canon_l(p),
-                      m.ldual_mor(balance.component(m.rdual(p))),
-                      m.invert(m.canon_l(p)))
-        return lhs != stitch(m, p)
-
-    return scan("quasibalance", m.probe_objects(), body)
+    return check("quasibalance", QUASIBALANCE, balance.model, 0, balance)
 
 
 def check_balance_double(balance):
     """Per probe object: the twist commutes with the right dual exactly when
     the stitch is the twist squared."""
-    m = balance.model
+    return check("balance-double", BALANCE_DOUBLE, balance.model, 0, balance)
 
-    def body(p):
-        left = balance.component(m.rdual(p)) == m.rdual_mor(balance.component(p))
-        right = stitch(m, p) == m.compose(balance.component(p), balance.component(p))
-        return left != right
 
-    return scan("balance-double", m.probe_objects(), body)
+QUASIBALANCE = Axiom(1, lambda m, t, p: (m.chain(t.component(p), m.canon_l(p),
+                                                 m.ldual_mor(t.component(m.rdual(p))),
+                                                 m.invert(m.canon_l(p))),
+                                         stitch(m, p)))
+BALANCE_DOUBLE = Axiom(1, lambda m, t, p: (
+    t.component(m.rdual(p)) == m.rdual_mor(t.component(p)),
+    stitch(m, p) == m.compose(t.component(p), t.component(p))))
 
 
 def roundtrip_check(balance):

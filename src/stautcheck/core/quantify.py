@@ -1,4 +1,4 @@
-"""The two quantifiers every check is built from.
+"""The quantifiers and the one row runner every check is built from.
 
 ``draw`` picks the tuples a check ranges over (of probe objects, quantale
 elements or profunctors): the full product when it is within its budget in
@@ -6,10 +6,22 @@ elements or profunctors): the full product when it is within its budget in
 its seed, and says which it was; its vacuity filter calls each
 predicate once per distinct projection of the product, not once per tuple.
 A sampled draw without a dimension budget counts the live tuples from the
-predicates' verdicts and builds only the tuples it keeps.  ``scan`` runs a
-check body over its items and reports the first witness with its 1-based
-position, or, where the caller left out items that cannot fail, the
-position it gives; it is the only code that builds a ``CheckResult``.
+predicates' verdicts and builds only the tuples it keeps.  ``draws`` is
+the one draw of a model's probe tuples: ``draw`` kept by the model under
+its arguments, so every check that asks for the same tuples shares them.
+``scan`` runs a check body over its items and reports the first witness
+with its 1-based position, or, where the caller left out items that cannot
+fail, the position it gives; it is the only code that builds a
+``CheckResult``.
+
+Every coherence diagram is a row, an ``Axiom``: the validity rows, the
+thirteen cyclicity axioms and the braided diagrams, run by ``check``.  A
+row counts tuples: each drawn tuple, at every pick of its spanning arrows,
+is one item, so its count is the size of its draw and its witness names
+the tuple and the arrow index.  The base identity, contraposition and the
+naturality of a family count arrows instead: what they quantify over is
+the arrows of whole hom spanning sets, so each item is one arrow (or arrow
+pair) and a failure's position locates it.
 """
 
 from itertools import compress, product
@@ -20,6 +32,7 @@ import sys
 
 from ..report import CheckResult
 from .morphisms import MorError
+from .objects import TENS
 
 # Every coverage budget of the checker.  A quantifier with more items than
 # its budget draws a seeded sample of that many, and its check reports
@@ -153,6 +166,97 @@ def _unrank(rank, k, n, groups, counts):
             prefix[g] = prefix[g] * n + v
         out.append(v)
     return out
+
+
+class Axiom:
+    """One coherence diagram, a row that ``check`` runs.  It ranges over
+    ``arity`` probe objects and, for each shape in ``spans``, over the
+    spanning arrows x -> d of the object x it names (``_span_object``): so
+    ``((0, 3), (1, 2))`` names p (x) t and q (x) s over (p, q, s, t).
+    ``sides(model, *context, *objects, *arrows)`` gives the two sides, which
+    must be equal; the context is what the row constrains, a cycle or a
+    braiding say.  ``dim_cap`` tightens the runner's dimension budget."""
+
+    __slots__ = ("arity", "sides", "spans", "dim_cap")
+
+    def __init__(self, arity, sides, spans=(), dim_cap=None):
+        self.arity, self.sides, self.spans, self.dim_cap = arity, sides, spans, dim_cap
+
+
+def _span_object(m, shape, t):
+    """The object a span shape names over the objects ``t``: ``t[i]`` for a
+    position i, the unit for "e", the dualizer for "d", the tensor for a pair."""
+    if isinstance(shape, tuple):
+        return m.tens(_span_object(m, shape[0], t), _span_object(m, shape[1], t))
+    return m.e if shape == "e" else m.d if shape == "d" else t[shape]
+
+
+def _span_value(m, shape, t):
+    """The value of ``_span_object(m, shape, t)``, built by ``_object_value``."""
+    if isinstance(shape, tuple):
+        return m._object_value(TENS, _span_value(m, shape[0], t), _span_value(m, shape[1], t))
+    return _span_object(m, shape, t).value
+
+
+def _positions(shape):
+    if isinstance(shape, tuple):
+        return _positions(shape[0]) | _positions(shape[1])
+    return set() if shape in ("e", "d") else {shape}
+
+
+def _live(m, spans):
+    """The vacuity filter of ``draw`` for ``spans``: a tuple is live when
+    the source of each span has an arrow into its target, as the source's
+    value says.  A span is a shape into d, or ``(shape, "->", target)``;
+    each tests only the positions it names, in ascending order."""
+    def test(source, target):
+        pos = tuple(sorted(_positions(source) | _positions(target)))
+        def live(*xs):
+            t = dict(zip(pos, xs))
+            return m.has_arrow(_span_value(m, source, t), _span_object(m, target, t),
+                               lambda: _span_object(m, source, t))
+        return pos, live
+
+    return [test(*(s[::2] if isinstance(s, tuple) and len(s) == 3 else (s, "d"))) for s in spans]
+
+
+def draws(model, k, seed, cap=None, dim_cap=None, spans=()):
+    """``draw`` of the k-tuples of ``model``'s probes live for ``spans``,
+    from ``seed`` as given, kept by the model under these arguments: every
+    check that asks for the same tuples shares one draw."""
+    return model._structural(("draws", k, seed, cap, dim_cap, spans), lambda: draw(
+        model, model.probe_objects(), k, cap, dim_cap, seed, _live(model, spans)))
+
+
+def check(name, rows, model, seed, *context, cap=None, dim_cap=None, position=None):
+    """The check ``name`` of ``rows`` on ``model``: one ``Axiom``, or a dict
+    of labelled rows of one shape, tried in turn on each tuple, the first
+    that fails naming itself in the witness.  The tuples are ``draws(model,
+    arity, seed, cap, the row's dim_cap or dim_cap, spans)``; the witness
+    names the tuple and, for a row with spans, the picked arrows' indices.
+    Given a 1-based ``position``, only the tuple there is checked: the
+    replay of a failure whose count was that position."""
+    labelled = list(rows.items()) if isinstance(rows, dict) else [(None, rows)]
+    row = labelled[0][1]
+    m = model
+    tuples, exhaustive = draws(m, row.arity, seed, cap, row.dim_cap or dim_cap, row.spans)
+    if position is not None:
+        tuples = tuples[position - 1:position]
+
+    def body(*t):
+        spans = [list(enumerate(m.hom_span(_span_object(m, s, t), m.d))) for s in row.spans]
+        for picks in product(*spans):
+            mors = [f for _, f in picks]
+            for label, each in labelled:
+                lhs, rhs = each.sides(m, *context, *t, *mors)
+                if lhs != rhs:
+                    where = f"at {_show(t)}" if t else "at the unit diagram"
+                    if picks:
+                        index = [i for i, _ in picks]
+                        where += f", arrow #{index[0] if len(index) == 1 else tuple(index)}"
+                    return f"{label} {where}" if label else where
+
+    return scan(name, tuples, body, exhaustive)
 
 
 def scan(name, items, body, exhaustive=True, size=None):

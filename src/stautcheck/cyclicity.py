@@ -15,12 +15,13 @@ and eight on the hom level
 
     blr0  kprime  e2  e2prime  m0  m2  m2prime  blr2
 
-each declared once, as one row of the axiom table: how many probe objects it
-ranges over, a function returning the two sides of its diagram, and, for a
-hom-level condition, the objects x whose spanning sets of Hom(x, d) it ranges
-over as well.  One loop in ``check_axiom`` serves every row; the same span
-shapes drop vacuous tuples by value before drawing, and the rows that share
-arity, dimension budget and span shape share one draw per model and seed.
+each declared once, as one row (``core.quantify.Axiom``) of the axiom table:
+its arity, the two sides of its diagram given the cycle, and, for a
+hom-level condition, the objects x over whose spanning sets of Hom(x, d) it
+ranges as well.  ``core.quantify.check`` runs every row, counting tuples;
+the rows that share arity, dimension budget and span shape share one draw
+per model and seed (``draws``), from which vacuous tuples are dropped by
+value.  The base identity draws the same way but counts arrow pairs.
 Why a spanning set of each hom suffices is stated at ``core.quantify.arrows``.
 The binders and de Morgan maps the diagrams use are the model's own.
 """
@@ -29,8 +30,7 @@ from itertools import product
 
 from .core.memo import LazyTable
 from .core.morphisms import ShapeError
-from .core.objects import TENS
-from .core.quantify import COVERAGE, arrows, draw, scan
+from .core.quantify import COVERAGE, Axiom, arrows, check, draw, draws, scan
 
 
 class Family:
@@ -133,64 +133,9 @@ class CycleData(Family):
         return m.lcurry_inv(m.compose(m.rcurry(psi), self.inverse_component(p)))
 
 
-# ------------------------------------------------------------ probe drawing
-
-# The benchmark's tracer (perfbench/tracer.py) times tuple drawing under this
-# name; it is ``draw`` itself.
-draw_tuples = draw
-
-
-def _span_object(m, shape, t):
-    """The object a span shape names over the objects ``t``: ``t[i]`` for a
-    position i, the unit for ``"e"``, the tensor for a pair of shapes."""
-    if isinstance(shape, tuple):
-        return m.tens(_span_object(m, shape[0], t), _span_object(m, shape[1], t))
-    return m.e if shape == "e" else t[shape]
-
-
-def _span_value(m, shape, t):
-    """The value of ``_span_object(m, shape, t)``, by ``_object_value``."""
-    if isinstance(shape, tuple):
-        return m._object_value(TENS, *(_span_value(m, s, t) for s in shape))
-    return (m.e if shape == "e" else t[shape]).value
-
-
-def _positions(shape):
-    if isinstance(shape, tuple):
-        return _positions(shape[0]) | _positions(shape[1])
-    return set() if shape == "e" else {shape}
-
-
-def _live(m, shapes):
-    """The vacuity filter of ``draw`` for span shapes: a tuple is live when
-    the object of each shape has an arrow into d, as its value says.  Each
-    shape tests only the positions it names, in ascending order."""
-    def test(shape, pos):
-        def live(*xs):
-            t = dict(zip(pos, xs))
-            return m.has_arrow(_span_value(m, shape, t), m.d, lambda: _span_object(m, shape, t))
-        return pos, live
-
-    return [test(shape, tuple(sorted(_positions(shape)))) for shape in shapes]
-
-
 # ------------------------------------------------------------ axiom table
 
-class Axiom:
-    """One coherence condition.  It ranges over ``arity`` probe objects and,
-    when ``spans`` is given, over one arrow x -> d from the spanning set of
-    each x that a shape in ``spans`` names over the objects: a position,
-    ``"e"``, or a pair of shapes read as their tensor, so ``((0, 3), (1, 2))``
-    names p (x) t and q (x) s over (p, q, s, t).  ``sides(model, cycle,
-    *objects, *arrows)`` returns the diagram's two sides, which must be equal;
-    an object-level row has no arrows.
-    ``dim_cap`` is the drawing budget of its tuples' dimensions when it
-    tightens the coverage table's "axiom-dims"."""
-
-    __slots__ = ("arity", "sides", "spans", "dim_cap")
-
-    def __init__(self, arity, sides, spans=(), dim_cap=None):
-        self.arity, self.sides, self.spans, self.dim_cap = arity, sides, spans, dim_cap
+draw_tuples = draw   # the name perfbench/tracer.py times tuple drawing under
 
 
 def _pnul(m, c):
@@ -283,40 +228,14 @@ _AXIOMS = {
 AXIOMS = tuple(_AXIOMS)
 
 
-def _draws(m, seed):
-    """The tuples of each row shape (arity, dim_cap, spans), drawn from
-    ``seed`` on first use and kept by the model, so that every row and every
-    cycle checked on it with that seed share them."""
-    return m._structural(("draws", seed), LazyTable, lambda key: draw(
-        m, m.probe_objects(), key[0], COVERAGE["tuples"], key[1] or COVERAGE["axiom-dims"],
-        seed * 1000003 + key[0], _live(m, key[2])))
-
-
 def check_axiom(cycle, which, seed=0):
     """Exact check of one named coherence condition; returns verdict plus a
-    counterexample locator on failure, replayable from ``seed``.  Rows with
-    the same arity, dimension budget and span shapes draw the same tuples
-    from the same seed, once per model (``_draws``)."""
+    counterexample locator on failure, replayable from ``seed``."""
     if which not in _AXIOMS:
         raise ValueError(f"unknown axiom {which!r}; known: {AXIOMS}")
     ax = _AXIOMS[which]
-    m = cycle.model
-    tuples, exhaustive = _draws(m, seed)[ax.arity, ax.dim_cap, ax.spans]
-    if not ax.spans:
-        def body(*t):
-            lhs, rhs = ax.sides(m, cycle, *t)
-            if lhs != rhs:
-                return True if t else "at the unit diagram"
-    else:
-        def body(*t):
-            spans = [list(enumerate(m.hom_span(_span_object(m, s, t), m.d))) for s in ax.spans]
-            for picks in product(*spans):
-                index, mors = zip(*picks)
-                lhs, rhs = ax.sides(m, cycle, *t, *mors)
-                if lhs != rhs:
-                    arrow = index[0] if len(index) == 1 else index
-                    return f"at {tuple(map(str, t))}, arrow #{arrow}"
-    return scan(which, tuples, body, exhaustive)
+    return check(which, ax, cycle.model, seed * 1000003 + ax.arity, cycle,
+                 cap=COVERAGE["tuples"], dim_cap=COVERAGE["axiom-dims"])
 
 
 class AxiomProfile:
@@ -350,13 +269,9 @@ CYCLE = ("tbin", "pbin")
 
 def classify(cycle, seed=0):
     """Full thirteen-axiom profile plus the derived classification flags."""
-    verdicts, witnesses = {}, {}
-    for name in AXIOMS:
-        res = check_axiom(cycle, name, seed)
-        verdicts[name] = res.ok
-        if not res.ok:
-            witnesses[name] = res.witness
-    return AxiomProfile(verdicts, witnesses, cycle.label)
+    results = [check_axiom(cycle, name, seed) for name in AXIOMS]
+    return AxiomProfile({r.name: r.ok for r in results},
+                        {r.name: r.witness for r in results if not r.ok}, cycle.label)
 
 
 # ------------------------------------------------- inter-axiom consistency
@@ -415,10 +330,12 @@ def check_upper_lower_equivalences(profiles):
 def check_base_identity(model, seed=0):
     """The two mixed-distribution composites that agree in every linearly
     distributive category, over the object quadruples (q, s, t, p) of the
-    axiom draw with arrows q*s -> d and t*p -> d (``_draws``) and every
-    pair (psi, omega) of spanning arrows of Hom(q*s, d) x Hom(t*p, d)."""
+    seeded draw with arrows q*s -> d and t*p -> d (``draws``) and every
+    pair (psi, omega) of spanning arrows of Hom(q*s, d) x Hom(t*p, d), each
+    pair one item."""
     m = model
-    tuples, exhaustive = _draws(m, seed)[4, None, ((0, 1), (2, 3))]
+    tuples, exhaustive = draws(m, 4, seed * 1000003 + 4, COVERAGE["tuples"],
+                               COVERAGE["axiom-dims"], ((0, 1), (2, 3)))
     items = ((q, s, t, p, psi, om) for q, s, t, p in tuples
              for psi, om in product(m.hom_span(m.tens(q, s), m.d), m.hom_span(m.tens(t, p), m.d)))
 

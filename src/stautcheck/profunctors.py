@@ -20,7 +20,7 @@ of the base.
 
 from itertools import product
 
-from .core.quantify import COVERAGE, draw, scan
+from .core.quantify import COVERAGE, draw, draws, scan
 from .quantale import Quantale
 from .report import renamed
 from .thin import ThinModel, thin_identity_cycle
@@ -275,15 +275,12 @@ def check_contraposition_agreement(model, cycle, seed=0):
     action alpha: a (x) x -> y: transporting through both cycle components
     versus dualizing and cycling the acting object.  They agree whenever
     the cycle is at least tensor-semicyclic.  Checked at every spanning
-    arrow alpha of the triples (a, x, y) drawn from ``seed`` among those
-    with an action arrow, within the coverage table's
-    "contraposition-triples" and "axiom-dims"."""
+    arrow alpha, each one item, of the triples (a, x, y) drawn from
+    ``seed`` (``draws``) among those with an action arrow, within the
+    coverage table's "contraposition-triples" and "axiom-dims"."""
     m = model
-    triples, exhaustive = draw(m, m.probe_objects(), 3, COVERAGE["contraposition-triples"],
-                               COVERAGE["axiom-dims"], seed * 1000003 + 3,
-                               [((0, 1, 2), lambda a, x, y: m.has_arrow(
-                                   cyclicity._span_value(m, (0, 1), (a, x)), y,
-                                   lambda: m.tens(a, x)))])
+    triples, exhaustive = draws(m, 3, seed * 1000003 + 3, COVERAGE["contraposition-triples"],
+                                COVERAGE["axiom-dims"], (((0, 1), "->", 2),))
     actions = ((a, x, y, alpha) for a, x, y in triples for alpha in m.hom_span(m.tens(a, x), y))
 
     def body(a, x, y, alpha):

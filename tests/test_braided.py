@@ -10,7 +10,7 @@ from stautcheck import braided as br
 from stautcheck import cyclicity as cy
 from stautcheck.core import matrices as mx
 from stautcheck.core.morphisms import MorError
-from stautcheck.linear import build_vec_model, scalar_cycle
+from stautcheck.linear import GradedLineModel, build_vec_model, scalar_cycle
 
 
 def test_unbraided_model_refuses(thin_rel2):
@@ -26,6 +26,30 @@ def test_hexagons(vec, graded, dz2):
 def test_mixed_distributions(vec, graded, dz2):
     for model in (vec, graded, dz2):
         assert br.Braiding(model).check_mixed_distributions(seed=3).ok
+
+
+class OffBraidLine(GradedLineModel):
+    """The graded line with its braiding off by one more factor c at
+    degrees (1, -1)."""
+
+    def braid(self, p, q):
+        f = super().braid(p, q)
+        return self.mor_scale(self.c, f) if (self.degree(p), self.degree(q)) == (1, -1) else f
+
+
+@pytest.mark.parametrize("seed, hexagon, mixed", [
+    (0, ("hexagon-two", 4, "('(x⊗x)', 'x', '⊥x')"),
+     ("mixed-dist-2", 3, "('⊥x', '(x⊗x)', 'x')")),
+    (3, ("hexagon-one", 3, "('x', '⊥x', '(x⊗x)')"),
+     ("mixed-dist-1", 3, "('x', '⊥x', '(x⊗x)')")),
+])
+def test_braided_rows_fail_on_an_off_braiding(seed, hexagon, mixed):
+    # each check names the first of its rows that fails, at the first
+    # triple where one does
+    braiding = br.Braiding(OffBraidLine())
+    results = (braiding.check_hexagons(seed), braiding.check_mixed_distributions(seed))
+    for res, (label, count, where) in zip(results, (hexagon, mixed)):
+        assert (res.ok, res.count, res.witness) == (False, count, f"{label} at {where}")
 
 
 def test_derived_par_braiding_degenerate(vec, graded, dz2):

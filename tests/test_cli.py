@@ -132,6 +132,13 @@ def test_cli_noncyclic_quantale_still_passes(capsys):
     assert "not cyclic" in out
 
 
+def test_cli_braided_suite_with_its_counter_model(capsys):
+    assert main(["--format", "structured", "braided", "d2-suite", "--counter-model"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["suite"] for r in doc["reports"]] == ["braided-d2-suite", "braided-counter-model"]
+    assert doc["ok"] is True
+
+
 def test_cli_scalar_table(capsys):
     assert main(["vec", "scalar-table", "--values", "1,-1"]) == 0
     out = capsys.readouterr().out

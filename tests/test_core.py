@@ -14,7 +14,8 @@ from stautcheck.core import matrices as mx
 from stautcheck.core.model import Adjunction
 from stautcheck.core.morphisms import CompositionError, Mor, MorError, ShapeError
 from stautcheck.core.objects import GEN, UniverseError
-from stautcheck.core.quantify import draw
+from stautcheck.core import quantify as qf
+from stautcheck.core.quantify import COVERAGE, draw
 from stautcheck.core.validate import validate_staut
 from stautcheck.quantale import build_luk3, build_rel_quantale, build_s3_pointed, build_zmod
 from stautcheck.thin import ThinModel
@@ -535,8 +536,8 @@ def _by_handle(m, shapes):
     """A vacuity filter for span shapes that asks ``hom_span`` on the
     objects of every projection, whatever their values."""
     def test(shape):
-        pos = tuple(sorted(cyc._positions(shape)))
-        return pos, lambda *xs: bool(m.hom_span(cyc._span_object(m, shape, dict(zip(pos, xs))),
+        pos = tuple(sorted(qf._positions(shape)))
+        return pos, lambda *xs: bool(m.hom_span(qf._span_object(m, shape, dict(zip(pos, xs))),
                                                 m.d))
 
     return [test(shape) for shape in shapes]
@@ -547,14 +548,16 @@ def _by_handle(m, shapes):
 def test_value_keyed_draws_pick_the_tuples_of_a_hom_span_filter(make, seed, monkeypatch):
     m = make()
     calls = []
-    monkeypatch.setattr(cyc, "draw", lambda *args: calls.append(args) or draw(*args))
-    for row in SPAN_ROWS:
-        assert cyc._draws(m, seed)[row] == draw(*calls[-1][:-1], _by_handle(m, row[2])), row
+    monkeypatch.setattr(qf, "draw", lambda *args: calls.append(args) or draw(*args))
+    for k, dim_cap, spans in SPAN_ROWS:
+        cached = qf.draws(m, k, seed * 1000003 + k, COVERAGE["tuples"],
+                          dim_cap or COVERAGE["axiom-dims"], spans)
+        assert cached == draw(*calls[-1][:-1], _by_handle(m, spans)), (k, dim_cap, spans)
 
     def drawn(*args):
         raise Drawn(args)
 
-    monkeypatch.setattr(pf, "draw", drawn)
+    monkeypatch.setattr(qf, "draw", drawn)
     with pytest.raises(Drawn) as got:
         pf.check_contraposition_agreement(m, None, seed)
     args = got.value.args[0]

@@ -11,6 +11,7 @@ from stautcheck import suites
 from stautcheck.core import matrices as mx
 from stautcheck.core.model import StautModel
 from stautcheck.core.morphisms import MorError, ShapeError
+from stautcheck.core import quantify as qf
 from stautcheck.core.quantify import COVERAGE, draw
 from stautcheck.linear import build_vec_model, scalar_cycle
 from stautcheck.quantale import build_rel_quantale
@@ -205,7 +206,8 @@ def test_base_identity_covers_every_spanning_pair():
     # of Hom(q (x) s, d) x Hom(t (x) p, d)
     vec = build_vec_model(2)
     res = cy.check_base_identity(vec, seed=3)
-    tuples, _ = cy._draws(vec, 3)[4, None, ((0, 1), (2, 3))]
+    tuples, _ = qf.draws(vec, 4, 3 * 1000003 + 4, COVERAGE["tuples"], COVERAGE["axiom-dims"],
+                         ((0, 1), (2, 3)))
     want = sum(len(vec.hom_span(vec.tens(q, s), vec.d)) * len(vec.hom_span(vec.tens(t, p), vec.d))
                for q, s, t, p in tuples)
     assert res.ok and res.count == want == 213
@@ -225,7 +227,7 @@ def test_base_identity_draws_its_tuples_from_the_seed(monkeypatch):
         seen.append(tuples)
         return tuples, exhaustive
 
-    monkeypatch.setattr(cy, "draw", spy)
+    monkeypatch.setattr(qf, "draw", spy)
     for seed in (0, 3):
         cy.check_base_identity(thin, seed=seed)
 
@@ -249,7 +251,7 @@ def test_axiom_classification_draws_from_the_seed(monkeypatch, run):
         seeds.append(args[5])
         return draw(*args)
 
-    monkeypatch.setattr(cy, "draw", spy)
+    monkeypatch.setattr(qf, "draw", spy)
     run(5)
     # one draw per shape of axiom row: rows of one shape share their draw
     shapes = {(ax.arity, ax.dim_cap, ax.spans) for ax in cy._AXIOMS.values()}
@@ -308,7 +310,7 @@ def test_classify_draws_once_per_row_shape(monkeypatch):
         calls.append(args[2:6])
         return draw(*args)
 
-    monkeypatch.setattr(cy, "draw", spy)
+    monkeypatch.setattr(qf, "draw", spy)
     profile = cy.classify(cycle, seed=2)
     shapes = {(ax.arity, ax.dim_cap, ax.spans) for ax in cy._AXIOMS.values()}
     assert len(calls) == len(shapes) == 9
@@ -327,7 +329,7 @@ def test_classify_draws_once_per_model_and_seed(monkeypatch):
         seeds.append(args[5] // 1000003)
         return draw(*args)
 
-    monkeypatch.setattr(cy, "draw", spy)
+    monkeypatch.setattr(qf, "draw", spy)
     first = cy.classify(scalar_cycle(model, 2), seed=4)
     assert seeds == [4] * 9
     second = cy.classify(scalar_cycle(model, 2), seed=4)

@@ -12,8 +12,14 @@ import pytest
 from stautcheck import braided as br
 from stautcheck import cyclicity as cy
 from stautcheck.core.morphisms import MorError
-from stautcheck.core.quantify import COVERAGE, draw, scan
+from stautcheck.core import quantify as qf
+from stautcheck.core.quantify import COVERAGE, draw, expect, scan
+from stautcheck.core.validate import VALIDITY, validate_staut
+from stautcheck.linear import build_vec_model, scalar_cycle
+from stautcheck.report import CheckResult
 from stautcheck.thin import thin_identity_cycle
+
+from test_core import ScaledDualityVec
 
 
 def _dim_product(model, t):
@@ -256,3 +262,35 @@ def test_scan_spreads_tuples_and_reports_witnesses():
     assert (res.ok, res.witness, res.count) == (False, "at ('5', '6'): no arrow", 2)
     res = scan("pairs", [(1, 2), (5, 6)], lambda a, b: a > b)
     assert (res.ok, res.witness, res.count, res.exhaustive) == (True, "", 2, True)
+
+
+def test_expect_names_the_first_result_against_its_verdict():
+    # the count is the position of that result among holds, then fails
+    ok = CheckResult("a", True, "", 1, True)
+    bad = CheckResult("b", False, "at x", 2, True)
+    res = expect("e", holds=[ok, bad], fails=[bad])
+    assert (res.ok, res.witness, res.count) == (False, "b fails: at x", 2)
+    res = expect("e", holds=[ok], fails=[bad, ok])
+    assert (res.ok, res.witness, res.count) == (False, "a holds", 3)
+    assert expect("e", holds=[ok], fails=[bad]).ok
+
+
+def test_a_row_failure_replays_from_its_position():
+    # the runner on the one tuple at the failure's count, in the row's
+    # cached draw, gives back the failure's witness
+    vec = build_vec_model(2, depth_limit=12)
+    cycle = scalar_cycle(vec, 2)
+    seed = 3 * 1000003 + 2
+    budget = {"cap": COVERAGE["tuples"], "dim_cap": COVERAGE["axiom-dims"]}
+    res = cy.check_axiom(cycle, "tbin", seed=3)
+    tuples, _ = qf.draws(vec, 2, seed, COVERAGE["tuples"], cy._AXIOMS["tbin"].dim_cap)
+    assert not res.ok and res.witness == f"at {tuple(map(str, tuples[res.count - 1]))}"
+    again = qf.check("tbin", cy._AXIOMS["tbin"], vec, seed, cycle, **budget, position=res.count)
+    assert (again.ok, again.witness, again.count) == (False, res.witness, 1)
+
+    m = ScaledDualityVec("dual_counit_r")
+    res = {r.name: r for r in validate_staut(m, seed=3)}["triangle-right-object"]
+    assert not res.ok
+    again = qf.check("triangle-right-object", VALIDITY["triangle-right-object"], m,
+                     3 * 1000003 + 1, position=res.count)
+    assert (again.ok, again.witness, again.count) == (False, res.witness, 1)
