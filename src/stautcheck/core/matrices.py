@@ -17,6 +17,19 @@ of the denominators, and one gcd brings a result back to its form.
 Fractions and return the canonical form.  ``dense`` gives the values, ints
 over the denominator 1 and Fractions otherwise, for printing.
 
+Each kernel that takes matrices (``matmul``, ``kron``, ``add``, ``scale``,
+``transpose``, ``inverse``, ``nullspace``) is memoized on its operands: it
+computes a result once, keeps it for the life of the process and hands the
+same object to every later call with equal operands.  That is exact because
+the form is canonical: equal operands are one exact matrix, and a kernel
+reads nothing but their value.  Each memo is a ``core.memo.LazyTable``, so
+a call that raises (a singular ``inverse``) keeps nothing and raises again.
+``scale`` refuses an inexact scalar before its lookup, since ``0.5 ==
+Fraction(1, 2)`` and the two hash alike; a matrix built by hand off the form
+meets ``LinearModel.mor``'s check before any kernel.  No caller changes a
+``Matrix``.  The constructors (``mat``, ``identity``, ``zeros``,
+``swap_matrix``) and ``dense`` keep nothing.
+
 >>> m = mat([[1, 2], [3, 4]])
 >>> matmul(m, inverse(m)) == identity(2)
 True
@@ -28,7 +41,10 @@ True
 """
 
 from fractions import Fraction
+from functools import wraps
 from math import gcd, lcm
+
+from .memo import LazyTable
 
 
 class Matrix:
@@ -36,12 +52,13 @@ class Matrix:
     entries in ascending column order, ``cols`` the column count and ``den``
     the positive denominator of every entry; the functions below keep that
     form, and so must a caller that builds one from rows directly.  As a
-    sequence it is its rows."""
+    sequence it is its rows.  Its hash is computed on first use and kept."""
 
-    __slots__ = ("rows", "cols", "den")
+    __slots__ = ("rows", "cols", "den", "_hash")
 
     def __init__(self, rows, cols, den=1):
         self.rows, self.cols, self.den = rows, cols, den
+        self._hash = None
 
     def __len__(self):
         return len(self.rows)
@@ -50,12 +67,16 @@ class Matrix:
         return self.rows[i]
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Matrix):
             return NotImplemented
         return self.cols == other.cols and self.den == other.den and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.den))
+        if self._hash is None:
+            self._hash = hash((self.rows, self.cols, self.den))
+        return self._hash
 
     def __repr__(self):
         return f"mat({dense(self)!r})"
@@ -86,6 +107,17 @@ def _over_one_den(rows, cols):
     den = lcm(*(x.denominator for row in rows for _, x in row))
     return Matrix(tuple(tuple((j, x.numerator * (den // x.denominator)) for j, x in row)
                         for row in rows), cols, den)
+
+
+def _memoized(kernel):
+    """``kernel`` computed once per operands (see the module docstring);
+    ``__wrapped__`` is the kernel itself."""
+    table = LazyTable(lambda operands: kernel(*operands))
+
+    @wraps(kernel)
+    def lookup(*operands):
+        return table[operands]
+    return lookup
 
 
 def mat(rows):
@@ -136,6 +168,7 @@ def _row(terms):
     return tuple(sorted((j, x) for j, x in acc.items() if x))
 
 
+@_memoized
 def matmul(a, b):
     """Matrix product a @ b (a maps the codomain side, as usual)."""
     if a.cols != len(b.rows):
@@ -151,6 +184,7 @@ def matmul(a, b):
     return _canon(tuple(out), b.cols, a.den * b.den)
 
 
+@_memoized
 def add(a, b):
     if shape(a) != shape(b):
         raise ValueError("shape mismatch in add")
@@ -161,13 +195,19 @@ def add(a, b):
 
 def scale(c, a):
     """``c`` times ``a``, for an int or Fraction ``c``; any other scalar is
-    refused (ValueError)."""
+    refused (ValueError), before the memo could answer for an equal one."""
     _refuse_inexact((c,))
+    return _scale(c, a)
+
+
+@_memoized
+def _scale(c, a):
     if not c:
         return zeros(len(a.rows), a.cols)
     return _canon(_times(a.rows, c.numerator), a.cols, a.den * c.denominator)
 
 
+@_memoized
 def transpose(a):
     cols = [[] for _ in range(a.cols)]
     for i, row in enumerate(a.rows):
@@ -176,6 +216,7 @@ def transpose(a):
     return Matrix(tuple(map(tuple, cols)), len(a.rows), a.den)
 
 
+@_memoized
 def kron(a, b):
     """Kronecker product, row-major over the left factor.
 
@@ -217,6 +258,7 @@ def _reduce(rows, cols):
     return pivots
 
 
+@_memoized
 def inverse(m):
     """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
     n = len(m.rows)
@@ -230,6 +272,7 @@ def inverse(m):
                           for row in aug], n)
 
 
+@_memoized
 def nullspace(m):
     """Basis of the right nullspace {v : m v = 0}, one vector per row."""
     a = [dict(row) for row in m.rows]   # the denominator scales no solution

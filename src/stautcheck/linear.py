@@ -231,9 +231,9 @@ class GradedLineModel(LinearModel):
         return super().hom_span(p, q)
 
     def braid(self, p, q):
-        expo = self.degree(p) * self.degree(q)
-        val = self.c ** expo
-        return self.mor(self.tens(p, q), self.tens(q, p), mx.mat([[val]]))
+        return self._structural(("br", p, q), lambda: self.mor(
+            self.tens(p, q), self.tens(q, p),
+            mx.mat([[self.c ** (self.degree(p) * self.degree(q))]])))
 
 
 def scalar_cycle(model, lam):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stautcheck.core import matrices as mx
+from stautcheck.core.morphisms import MorError
+from stautcheck.linear import build_vec_model
 
 entries = st.integers(min_value=-4, max_value=4)
 
@@ -260,6 +262,72 @@ def test_every_kernel_result_is_canonical(ab, c, d, m):
 def test_scale_refuses_scalars_that_are_not_ints_or_fractions(c):
     with pytest.raises(ValueError, match=re.escape(f"inexact matrix entry {c!r}")):
         mx.scale(c, mx.identity(2))
+
+
+# ------------------------------------------------------------ the kernel memo
+# The memos live for the whole process, so each test below first stores the
+# entry that could fool it and then checks that it does not.
+
+def test_an_inexact_scalar_is_refused_though_an_equal_exact_one_is_memoized(vec):
+    half = mx.scale(Fraction(1, 2), mx.identity(2))
+    assert mx.scale(Fraction(1, 2), mx.identity(2)) is half
+    with pytest.raises(ValueError, match="inexact"):
+        mx.scale(0.5, mx.identity(2))
+    p = vec.gen("p")
+    assert vec.mor_scale(Fraction(1, 2), vec.identity(p)).payload == half
+    with pytest.raises(MorError, match="inexact"):
+        vec.mor_scale(0.5, vec.identity(p))
+
+
+def test_a_hand_built_inexact_matrix_is_refused_though_its_exact_twin_is_memoized():
+    two = mx.mat([[2]])
+    for kernel in (mx.matmul, mx.kron, mx.add):
+        kernel(two, two)
+    mx.scale(3, two), mx.transpose(two), mx.inverse(two), mx.nullspace(two)
+    float_two = mx.Matrix((((0, 2.0),),), 1)
+    assert float_two == two
+    m = build_vec_model(1)
+    p = m.gen("p")
+    assert m.mor(p, p, two).payload is two
+    with pytest.raises(MorError, match="inexact"):
+        m.mor(p, p, float_two)
+
+
+def test_a_singular_inverse_raises_on_every_call():
+    singular = mx.mat([[1, 2], [2, 4]])
+    for m in (singular, singular, mx.mat([[1, 2], [2, 4]])):
+        with pytest.raises(ValueError, match="singular"):
+            mx.inverse(m)
+    assert mx.inverse(mx.mat([[1, 2], [2, 5]])) == mx.mat([[5, -2], [-2, 1]])
+
+
+def _anew(x):
+    """An operand equal to ``x`` that is not ``x``."""
+    if isinstance(x, mx.Matrix):
+        return mx.Matrix(tuple(tuple(row) for row in x.rows), x.cols, x.den)
+    return Fraction(x) if type(x) is int else Fraction(x.numerator, x.denominator)
+
+
+@settings(deadline=None)
+@given(chained(), sparse(), sparse(), st.one_of(invertible(), sparse(dims, st.just(3))),
+       st.one_of(st.just(0), nonzero))
+def test_each_memoized_kernel_is_its_body_and_repeats_its_result(ab, c, d, m, k):
+    a, b = ab
+    calls = [(mx.matmul, (a, b)), (mx.kron, (c, d)), (mx.add, (c, mx.scale(-1, c))),
+             (mx.add, (c, d)), (mx.transpose, (c,)), (mx.inverse, (m,)),
+             (mx.nullspace, (m,)), (mx.scale, (k, c))]
+    for kernel, operands in calls:
+        body = (mx._scale if kernel is mx.scale else kernel).__wrapped__
+        try:
+            want = body(*operands)
+        except ValueError:
+            for args in (operands, operands, tuple(map(_anew, operands))):
+                with pytest.raises(ValueError):
+                    kernel(*args)
+            continue
+        got = kernel(*operands)
+        assert got == want and _canonical(got)
+        assert kernel(*operands) is got and kernel(*map(_anew, operands)) is got
 
 
 def test_doctests():
