@@ -15,16 +15,15 @@ fail, the position it gives; it is the only code that builds a
 ``CheckResult``.
 
 Every coherence diagram is a row, an ``Axiom``: the validity rows, the
-thirteen cyclicity axioms and the braided diagrams, run by ``check``.  A
-row counts tuples: each drawn tuple, at every pick of its spanning arrows,
-is one item, so its count is the size of its draw and its witness names
-the tuple and the arrow index.  The base identity, contraposition and the
-naturality of a family count arrows instead: what they quantify over is
-the arrows of whole hom spanning sets, so each item is one arrow (or arrow
-pair) and a failure's position locates it.
+thirteen cyclicity axioms, the braided diagrams, the naturality of a
+family, the base identity and contraposition, run by ``check``.  There is
+one counting rule: an item is one drawn tuple at one pick of its spanning
+arrows, so a row without spans counts its tuples, a row with spans counts
+arrows (or arrow tuples), and a witness names the tuple and the arrow
+index.
 """
 
-from itertools import compress, product
+from itertools import compress, islice, product
 from math import prod
 from operator import itemgetter
 import random
@@ -170,17 +169,25 @@ def _unrank(rank, k, n, groups, counts):
 
 class Axiom:
     """One coherence diagram, a row that ``check`` runs.  It ranges over
-    ``arity`` probe objects and, for each shape in ``spans``, over the
-    spanning arrows x -> d of the object x it names (``_span_object``): so
-    ``((0, 3), (1, 2))`` names p (x) t and q (x) s over (p, q, s, t).
+    ``arity`` probe objects and, for each span in ``spans``, over the
+    spanning arrows of Hom(x, d) for a shape x (``_span_object``), or of
+    Hom(x, y) for ``(x, "->", y)``: ``((0, 3), (1, 2))`` names p (x) t and
+    q (x) s over (p, q, s, t), ``((0, "->", 1),)`` the arrows a -> b.
     ``sides(model, *context, *objects, *arrows)`` gives the two sides, which
-    must be equal; the context is what the row constrains, a cycle or a
-    braiding say.  ``dim_cap`` tightens the runner's dimension budget."""
+    must be equal; the context is what the row constrains, a cycle, a
+    braiding or a family say.  ``dim_cap`` tightens the runner's dimension
+    budget.  A spanning set suffices: on a linear backend both sides are
+    linear in each quantified arrow, and a thin hom has at most one."""
 
     __slots__ = ("arity", "sides", "spans", "dim_cap")
 
     def __init__(self, arity, sides, spans=(), dim_cap=None):
         self.arity, self.sides, self.spans, self.dim_cap = arity, sides, spans, dim_cap
+
+
+def _ends(span):
+    """The source and target shapes of a span, whose target is d unless given."""
+    return span[::2] if isinstance(span, tuple) and len(span) == 3 else (span, "d")
 
 
 def _span_object(m, shape, t):
@@ -207,8 +214,8 @@ def _positions(shape):
 def _live(m, spans):
     """The vacuity filter of ``draw`` for ``spans``: a tuple is live when
     the source of each span has an arrow into its target, as the source's
-    value says.  A span is a shape into d, or ``(shape, "->", target)``;
-    each tests only the positions it names, in ascending order."""
+    value says.  Each tests only the positions it names, in ascending
+    order."""
     def test(source, target):
         pos = tuple(sorted(_positions(source) | _positions(target)))
         def live(*xs):
@@ -217,7 +224,7 @@ def _live(m, spans):
                                lambda: _span_object(m, source, t))
         return pos, live
 
-    return [test(*(s[::2] if isinstance(s, tuple) and len(s) == 3 else (s, "d"))) for s in spans]
+    return [test(*_ends(s)) for s in spans]
 
 
 def draws(model, k, seed, cap=None, dim_cap=None, spans=()):
@@ -230,33 +237,49 @@ def draws(model, k, seed, cap=None, dim_cap=None, spans=()):
 
 def check(name, rows, model, seed, *context, cap=None, dim_cap=None, position=None):
     """The check ``name`` of ``rows`` on ``model``: one ``Axiom``, or a dict
-    of labelled rows of one shape, tried in turn on each tuple, the first
+    of labelled rows of one shape, tried in turn on each item, the first
     that fails naming itself in the witness.  The tuples are ``draws(model,
-    arity, seed, cap, the row's dim_cap or dim_cap, spans)``; the witness
-    names the tuple and, for a row with spans, the picked arrows' indices.
-    Given a 1-based ``position``, only the tuple there is checked: the
-    replay of a failure whose count was that position."""
+    arity, seed, cap, the row's dim_cap or dim_cap, spans)``; an item is one
+    tuple at one pick (``product``) of its spans' arrows, and its witness
+    names the tuple and the picked arrows' indices.  A MorError raised while
+    building a tuple's spans or sides fails the item, naming the tuple.
+    Given a 1-based ``position``, only the item there is checked: the replay
+    of a failure whose count was that position."""
     labelled = list(rows.items()) if isinstance(rows, dict) else [(None, rows)]
     row = labelled[0][1]
     m = model
     tuples, exhaustive = draws(m, row.arity, seed, cap, row.dim_cap or dim_cap, row.spans)
-    if position is not None:
-        tuples = tuples[position - 1:position]
+    ends = [_ends(s) for s in row.spans]
 
-    def body(*t):
-        spans = [list(enumerate(m.hom_span(_span_object(m, s, t), m.d))) for s in row.spans]
-        for picks in product(*spans):
-            mors = [f for _, f in picks]
+    def items():
+        for t in tuples:
+            try:
+                spans = [list(enumerate(m.hom_span(_span_object(m, a, t), _span_object(m, b, t))))
+                         for a, b in ends]
+            except MorError as exc:   # the tuple's one item, failed
+                yield t, f"at {_show(t)}: {exc}"
+                continue
+            for pick in product(*spans):
+                yield t, pick
+
+    def body(t, pick):
+        if isinstance(pick, str):
+            return pick
+        mors = [f for _, f in pick]
+        try:
             for label, each in labelled:
                 lhs, rhs = each.sides(m, *context, *t, *mors)
                 if lhs != rhs:
                     where = f"at {_show(t)}" if t else "at the unit diagram"
-                    if picks:
-                        index = [i for i, _ in picks]
+                    if pick:
+                        index = [i for i, _ in pick]
                         where += f", arrow #{index[0] if len(index) == 1 else tuple(index)}"
                     return f"{label} {where}" if label else where
+        except MorError as exc:
+            return f"at {_show(t)}: {exc}"
 
-    return scan(name, tuples, body, exhaustive)
+    found = items() if position is None else islice(items(), position - 1, position)
+    return scan(name, found, body, exhaustive)
 
 
 def scan(name, items, body, exhaustive=True, size=None):
@@ -292,18 +315,6 @@ def expect(name, holds=(), fails=()):
             return f"{res.name} fails: {res.witness}" if want else f"{res.name} holds"
 
     return scan(name, [(r, True) for r in holds] + [(r, False) for r in fails], body)
-
-
-def arrows(model, pairs):
-    """(p, q, i, f) for each arrow f, number i, of the hom spanning set of
-    each pair (p, q): the items of a naturality check.
-
-    Every quantifier over arrows ranges over hom spanning sets: the
-    naturality squares, the hom-level axioms, the base identity and
-    contraposition.  That suffices because both sides of each are linear in
-    each quantified arrow on a linear backend, so agreeing on a spanning
-    set is agreeing on every arrow, and a thin hom has at most one arrow."""
-    return ((p, q, i, f) for p, q in pairs for i, f in enumerate(model.hom_span(p, q)))
 
 
 def _show(item):

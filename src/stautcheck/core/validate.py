@@ -58,8 +58,7 @@ def _dist_unit_r(m, p, q):
             m.chain(m.dist_r(p, q, m.e), m.par_mor(m.identity(p), m.runit_t(q))))
 
 
-def _dist_assoc_t(m, q, q2, s):
-    t = s
+def _dist_assoc_t(m, q, q2, s, t):
     return (m.chain(m.assoc_t(q, q2, m.par(s, t)),
                     m.tens_mor(m.identity(q), m.dist_l(q2, s, t)),
                     m.dist_l(q, m.tens(q2, s), t)),
@@ -67,8 +66,7 @@ def _dist_assoc_t(m, q, q2, s):
                     m.par_mor(m.assoc_t(q, q2, s), m.identity(t))))
 
 
-def _dist_assoc_p(m, q, s, t):
-    u = s
+def _dist_assoc_p(m, q, s, t, u):
     return (m.chain(m.dist_l(q, m.par(s, t), u),
                     m.par_mor(m.dist_l(q, s, t), m.identity(u)),
                     m.assoc_p(m.tens(q, s), t, u)),
@@ -76,8 +74,7 @@ def _dist_assoc_p(m, q, s, t):
                     m.dist_l(q, s, m.par(t, u))))
 
 
-def _dist_mixed(m, p, q, s):
-    t = p
+def _dist_mixed(m, p, q, s, t):
     return (m.chain(m.dist_r(p, q, m.par(s, t)),
                     m.par_mor(m.identity(p), m.dist_l(q, s, t))),
             m.chain(m.dist_l(m.par(p, q), s, t),
@@ -107,9 +104,9 @@ VALIDITY = {
     "unit-triangle-par": Axiom(2, partial(_unit_triangle, "p")),
     "dist-unit-left": Axiom(2, _dist_unit_l),
     "dist-unit-right": Axiom(2, _dist_unit_r),
-    "dist-assoc-tensor": Axiom(3, _dist_assoc_t),
-    "dist-assoc-par": Axiom(3, _dist_assoc_p),
-    "dist-mixed": Axiom(3, _dist_mixed),
+    "dist-assoc-tensor": Axiom(4, _dist_assoc_t),
+    "dist-assoc-par": Axiom(4, _dist_assoc_p),
+    "dist-mixed": Axiom(4, _dist_mixed),
     "demorgan-invertible": Axiom(2, lambda m, p, q: _round_trips(
         m, [m.demorgan(v, p, q) for v in ("tens_r", "tens_l", "par_r", "par_l")])),
     "demorgan-units-invertible": Axiom(0, lambda m: _round_trips(

@@ -2,7 +2,7 @@
 
 A ``CycleData`` is a ``Family`` of isomorphisms rdual(p) -> ldual(p), and
 a twist (``braided.Balance``) one of automorphisms p -> p: one memo, shape
-check, invertibility scan and naturality scan serve both.  The paper's two
+check, invertibility scan and naturality row serve both.  The paper's two
 forms of cyclicity data determine each other exactly, so one ``CycleData``
 holds both: given by its components or by its hom-set bijections
 Hom(p (x) t, d) -> Hom(t (x) p, d), it derives the other form on demand.
@@ -18,19 +18,16 @@ and eight on the hom level
 each declared once, as one row (``core.quantify.Axiom``) of the axiom table:
 its arity, the two sides of its diagram given the cycle, and, for a
 hom-level condition, the objects x over whose spanning sets of Hom(x, d) it
-ranges as well.  ``core.quantify.check`` runs every row, counting tuples;
-the rows that share arity, dimension budget and span shape share one draw
-per model and seed (``draws``), from which vacuous tuples are dropped by
-value.  The base identity draws the same way but counts arrow pairs.
-Why a spanning set of each hom suffices is stated at ``core.quantify.arrows``.
-The binders and de Morgan maps the diagrams use are the model's own.
+ranges as well.  ``core.quantify.check`` runs every row, as it runs the
+naturality of a family and the base identity; the rows that share arity,
+dimension budget and span shape share one draw per model and seed
+(``draws``), from which vacuous tuples are dropped by value.  Why a spanning
+set of each hom suffices is stated at ``core.quantify.Axiom``.  The binders
+and de Morgan maps the diagrams use are the model's own.
 """
 
-from itertools import product
-
-from .core.memo import LazyTable
 from .core.morphisms import ShapeError
-from .core.quantify import COVERAGE, Axiom, arrows, check, draw, draws, scan
+from .core.quantify import COVERAGE, Axiom, check, draw, scan
 
 
 class Family:
@@ -39,27 +36,34 @@ class Family:
     states the ends of each component (``_ends``) and the two sides of the
     naturality square at an arrow f: a -> b (``_square``).  ``validate``
     checks invertibility on the probes and naturality on the hom spanning
-    sets of every probe pair, in checks named after ``kind``."""
+    sets of every probe pair, in checks named after ``kind``.  Its memos
+    hold no function of its own, so a dropped family is freed at once."""
 
     kind = "family"
 
     def __init__(self, model, component_fn, label):
         self.model, self.label, self._fn = model, label, component_fn
-        self._components = LazyTable(self._component_at)
-        self._inverses = LazyTable(lambda p: model.invert(self.component(p)))
+        self._components, self._inverses = {}, {}
 
     def component(self, p):
+        if p not in self._components:
+            self._components[p] = self._component_at(p)
         return self._components[p]
 
     def inverse_component(self, p):
+        if p not in self._inverses:
+            self._inverses[p] = self.model.invert(self.component(p))
         return self._inverses[p]
 
     def _component_at(self, p):
-        hit = self._fn(p)
+        hit = self._build(p)
         dom, cod = self._ends(p)
         if hit.dom is not dom or hit.cod is not cod:
             raise ShapeError(f"{self.kind} component at {p} has shape {hit}")
         return hit
+
+    def _build(self, p):
+        return self._fn(p)
 
     def invertible(self):
         def not_invertible(p):
@@ -67,16 +71,15 @@ class Family:
 
         return scan(f"{self.kind}-invertible", self.model.probe_objects(), not_invertible)
 
-    def natural(self):
-        def body(a, b, i, f):
-            lhs, rhs = self._square(a, b, f)
-            return lhs != rhs and f"naturality fails at {f}, arrow #{i}"
+    def natural(self, seed=0):
+        return check(f"{self.kind}-natural", NATURAL, self.model, seed * 1000003 + 2, self)
 
-        probes = self.model.probe_objects()
-        return scan(f"{self.kind}-natural", arrows(self.model, product(probes, repeat=2)), body)
+    def validate(self, seed=0):
+        return [self.invertible(), self.natural(seed)]
 
-    def validate(self):
-        return [self.invertible(), self.natural()]
+
+# the naturality square of a family at an arrow f: a -> b
+NATURAL = Axiom(2, lambda m, fam, a, b, f: fam._square(a, b, f), ((0, "->", 1),))
 
 
 class CycleData(Family):
@@ -87,15 +90,15 @@ class CycleData(Family):
     the other form by the case-change correspondence, whose two directions are
     exact mutual inverses.  ``apply`` keeps each image for the cycle's lifetime
     under (p, t, payload), which after its shape check is omega's value; a
-    raise stores nothing."""
+    raise stores nothing.  ``_build``, ``_apply`` and ``_unapply`` are uncached."""
 
     kind = "cycle"
 
     def __init__(self, model, component_fn=None, label="Cycle", apply_fn=None, unapply_fn=None):
         if (component_fn is None) == (apply_fn is None):
             raise TypeError("give a cycle by component_fn or by apply_fn, exactly one")
-        super().__init__(model, component_fn or self._lower, label)
-        self._apply, self._unapply = apply_fn or self._upper, unapply_fn or self._upper_inverse
+        super().__init__(model, component_fn, label)
+        self._apply_fn, self._unapply_fn = apply_fn, unapply_fn
         self._applied = {}
 
     def _ends(self, p):
@@ -120,17 +123,19 @@ class CycleData(Family):
             raise ShapeError(f"expected {t} (x) {p} -> d, got {psi}")
         return self._unapply(p, t, psi)
 
-    def _lower(self, p):
+    def _build(self, p):
         m = self.model
-        return m.rcurry(self.apply(p, m.rdual(p), m.dual_counit_r(p)))
+        return self._fn(p) if self._fn else m.rcurry(self.apply(p, m.rdual(p), m.dual_counit_r(p)))
 
-    def _upper(self, p, t, omega):
+    def _apply(self, p, t, omega):
         m = self.model
-        return m.rcurry_inv(m.compose(m.lcurry(omega), self.component(p)))
+        return (self._apply_fn(p, t, omega) if self._apply_fn
+                else m.rcurry_inv(m.compose(m.lcurry(omega), self.component(p))))
 
-    def _upper_inverse(self, p, t, psi):
+    def _unapply(self, p, t, psi):
         m = self.model
-        return m.lcurry_inv(m.compose(m.rcurry(psi), self.inverse_component(p)))
+        return (self._unapply_fn(p, t, psi) if self._unapply_fn
+                else m.lcurry_inv(m.compose(m.rcurry(psi), self.inverse_component(p))))
 
 
 # ------------------------------------------------------------ axiom table
@@ -327,29 +332,20 @@ def check_upper_lower_equivalences(profiles):
 
 # --------------------------------------------------------- base identity
 
+def _base_identity(m, q, s, t, p, psi, om):
+    x = m.chain(m.dist_l(q, s, t), m.par_mor(psi, m.identity(t)), m.lunit_p(t))
+    y = m.chain(m.dist_r(s, t, p), m.par_mor(m.identity(s), om), m.runit_p(s))
+    return (m.chain(m.invert(m.assoc_t(q, m.par(s, t), p)), m.tens_mor(x, m.identity(p)), om),
+            m.chain(m.tens_mor(m.identity(q), y), psi))
+
+
+BASE_IDENTITY = Axiom(4, _base_identity, ((0, 1), (2, 3)))
+
+
 def check_base_identity(model, seed=0):
     """The two mixed-distribution composites that agree in every linearly
     distributive category, over the object quadruples (q, s, t, p) of the
-    seeded draw with arrows q*s -> d and t*p -> d (``draws``) and every
-    pair (psi, omega) of spanning arrows of Hom(q*s, d) x Hom(t*p, d), each
-    pair one item."""
-    m = model
-    tuples, exhaustive = draws(m, 4, seed * 1000003 + 4, COVERAGE["tuples"],
-                               COVERAGE["axiom-dims"], ((0, 1), (2, 3)))
-    items = ((q, s, t, p, psi, om) for q, s, t, p in tuples
-             for psi, om in product(m.hom_span(m.tens(q, s), m.d), m.hom_span(m.tens(t, p), m.d)))
-
-    def body(q, s, t, p, psi, om):
-        x = m.chain(m.dist_l(q, s, t),
-                    m.par_mor(psi, m.identity(t)),
-                    m.lunit_p(t))
-        lhs = m.chain(m.invert(m.assoc_t(q, m.par(s, t), p)),
-                      m.tens_mor(x, m.identity(p)),
-                      om)
-        y = m.chain(m.dist_r(s, t, p),
-                    m.par_mor(m.identity(s), om),
-                    m.runit_p(s))
-        rhs = m.chain(m.tens_mor(m.identity(q), y), psi)
-        return lhs != rhs and f"at ({q},{s},{t},{p})"
-
-    return scan("base-identity", items, body, exhaustive)
+    seeded draw with arrows q*s -> d and t*p -> d and every pair (psi,
+    omega) of spanning arrows of Hom(q*s, d) x Hom(t*p, d)."""
+    return check("base-identity", BASE_IDENTITY, model, seed * 1000003 + 4,
+                 cap=COVERAGE["tuples"], dim_cap=COVERAGE["axiom-dims"])

@@ -20,7 +20,7 @@ of the base.
 
 from itertools import product
 
-from .core.quantify import COVERAGE, draw, draws, scan
+from .core.quantify import COVERAGE, Axiom, check, draw, scan
 from .quantale import Quantale
 from .report import renamed
 from .thin import ThinModel, thin_identity_cycle
@@ -270,37 +270,28 @@ def check_prof_staut(c, seed=0):
 
 # ----------------------------------------------- contraposition agreement
 
+def _contraposition(m, cycle, a, x, y, alpha):
+    ev = m.chain(m.assoc_t(m.ldual(y), a, x), m.tens_mor(m.identity(m.ldual(y)), alpha),
+                 m.dual_counit_l(y))
+    act = m.curry_right(m.ldual_adj(x), ev)
+    one = m.chain(m.tens_mor(cycle.component(y), m.identity(a)), act, cycle.inverse_component(x))
+    g = m.chain(m.rdual_mor(alpha), m.demorgan("tens_r", a, x),
+                m.par_mor(m.identity(m.rdual(x)), cycle.component(a)))
+    two = m.chain(m.tens_mor(g, m.identity(a)), m.dist_r(m.rdual(x), m.ldual(a), a),
+                  m.par_mor(m.identity(m.rdual(x)), m.dual_counit_l(a)), m.runit_p(m.rdual(x)))
+    return one, two
+
+
+CONTRAPOSITION = Axiom(3, _contraposition, (((0, 1), "->", 2),))
+
+
 def check_contraposition_agreement(model, cycle, seed=0):
     """The two derived actions on the right dual of the target of a module
     action alpha: a (x) x -> y: transporting through both cycle components
     versus dualizing and cycling the acting object.  They agree whenever
     the cycle is at least tensor-semicyclic.  Checked at every spanning
-    arrow alpha, each one item, of the triples (a, x, y) drawn from
-    ``seed`` (``draws``) among those with an action arrow, within the
-    coverage table's "contraposition-triples" and "axiom-dims"."""
-    m = model
-    triples, exhaustive = draws(m, 3, seed * 1000003 + 3, COVERAGE["contraposition-triples"],
-                                COVERAGE["axiom-dims"], (((0, 1), "->", 2),))
-    actions = ((a, x, y, alpha) for a, x, y in triples for alpha in m.hom_span(m.tens(a, x), y))
-
-    def body(a, x, y, alpha):
-        ev = m.chain(m.assoc_t(m.ldual(y), a, x),
-                     m.tens_mor(m.identity(m.ldual(y)), alpha),
-                     m.dual_counit_l(y))
-        act = m.curry_right(m.ldual_adj(x), ev)
-        one = m.chain(
-            m.tens_mor(cycle.component(y), m.identity(a)),
-            act,
-            cycle.inverse_component(x))
-        g = m.chain(m.rdual_mor(alpha),
-                    m.demorgan("tens_r", a, x),
-                    m.par_mor(m.identity(m.rdual(x)),
-                              cycle.component(a)))
-        two = m.chain(
-            m.tens_mor(g, m.identity(a)),
-            m.dist_r(m.rdual(x), m.ldual(a), a),
-            m.par_mor(m.identity(m.rdual(x)), m.dual_counit_l(a)),
-            m.runit_p(m.rdual(x)))
-        return one != two and f"at a={a}, x={x}, y={y}"
-
-    return scan("contraposition", actions, body, exhaustive)
+    arrow alpha of the triples (a, x, y) drawn from ``seed`` among those
+    with an action arrow, within the coverage table's
+    "contraposition-triples" and "axiom-dims"."""
+    return check("contraposition", CONTRAPOSITION, model, seed * 1000003 + 3, cycle,
+                 cap=COVERAGE["contraposition-triples"], dim_cap=COVERAGE["axiom-dims"])

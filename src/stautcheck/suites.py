@@ -59,7 +59,7 @@ def quantale_suite(q, seed=0, depth=8):
     rep.add(cy.check_base_identity(model, seed=seed))
     if cyclic.ok:
         cycle = thin_identity_cycle(model)
-        rep.add(cycle.validate())
+        rep.add(cycle.validate(seed))
         profile = cy.classify(cycle, seed)
         rep.add(profile.check("thin-cycle-all-axioms", cy.CYCLE + cy.QUASICYCLE))
         rep.add(cy.check_dependency_table([profile]))
@@ -77,7 +77,7 @@ def scalar_table_suite(seed=0, scalars=SCALARS, max_dim=2, depth=8):
     table = {}
     for lam in scalars:
         cycle = scalar_cycle(model, lam)
-        rep.add(cycle.validate(), prefix=f"scalar({lam})-")
+        rep.add(cycle.validate(seed), prefix=f"scalar({lam})-")
         profile = cy.classify(cycle, seed)
         rep.profiles.append(profile)
         table[str(lam)] = {k: profile.verdicts[k] for k in cy.AXIOMS}
@@ -200,7 +200,7 @@ def braided_suite(seed=0):
     rep.add(br.check_stitch_natural(model))
 
     ribbon = br.ribbon_balance(model)
-    rep.add(ribbon.validate())
+    rep.add(ribbon.validate(seed))
     rep.add(_twist_checks(ribbon))
 
     rep.add(br.check_quasibalance(br.identity_balance(model)), prefix="identity-twist-")

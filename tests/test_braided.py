@@ -224,10 +224,10 @@ def test_twist_natural_reports_its_first_failure(vec, monkeypatch):
     bad = _failing_arrows(vec, lambda p, q, f: vec.compose(f, bal.component(q))
                           != vec.compose(bal.component(p), f))
     assert len({pq for _, pq, _, _ in bad}) >= 2
-    pos, _, i, f = bad[0]
+    pos, (p, q), i, _ = bad[0]
     res = bal.validate()[1]
     assert res.name == "twist-natural" and not res.ok
-    assert (res.count, res.witness) == (pos, f"naturality fails at {f}, arrow #{i}")
+    assert (res.count, res.witness) == (pos, f"at {(str(p), str(q))}, arrow #{i}")
 
 
 def test_stitch_natural_reports_its_first_failure(vec, monkeypatch):
@@ -238,10 +238,10 @@ def test_stitch_natural_reports_its_first_failure(vec, monkeypatch):
     bad = _failing_arrows(vec, lambda p, q, f: vec.compose(f, br.stitch(vec, q))
                           != vec.compose(br.stitch(vec, p), f))
     assert len({pq for _, pq, _, _ in bad}) >= 2
-    pos, _, i, f = bad[0]
+    pos, (p, q), i, _ = bad[0]
     res = br.check_stitch_natural(vec)
     assert res.name == "stitch-natural" and not res.ok
-    assert (res.count, res.witness) == (pos, f"naturality fails at {f}, arrow #{i}")
+    assert (res.count, res.witness) == (pos, f"at {(str(p), str(q))}, arrow #{i}")
 
 
 @pytest.mark.parametrize("check", ["cycle-invertible", "cycle-natural", "twist-invertible"])
@@ -269,8 +269,8 @@ def test_family_reports_its_first_failure(vec, check):
         bad = _failing_arrows(vec, lambda p, q, f: vec.compose(comp(q), vec.ldual_mor(f))
                               != vec.compose(vec.rdual_mor(f), comp(p)))
         assert len({pq for _, pq, _, _ in bad}) >= 2
-        pos, _, i, f = bad[0]
-        expected = (pos, f"naturality fails at {f}, arrow #{i}")
+        pos, (p, q), i, _ = bad[0]
+        expected = (pos, f"at {(str(p), str(q))}, arrow #{i}")
     family = (cy.CycleData if kind == "cycle" else br.Balance)(vec, comp, "broken")
     res = {r.name: r for r in family.validate()}[check]
     assert not res.ok and (res.count, res.witness) == expected

@@ -13,7 +13,7 @@ from stautcheck import strictify as st
 from stautcheck.core import matrices as mx
 from stautcheck.core.model import Adjunction
 from stautcheck.core.morphisms import CompositionError, Mor, MorError, ShapeError
-from stautcheck.core.objects import GEN, UniverseError
+from stautcheck.core.objects import GEN, PAR, TENS, UniverseError
 from stautcheck.core import quantify as qf
 from stautcheck.core.quantify import COVERAGE, draw
 from stautcheck.core.validate import validate_staut
@@ -477,6 +477,36 @@ def test_triangle_checks_fail_on_a_scaled_counit(side, failing, witness):
     m = ScaledDualityVec(f"dual_counit_{side}")
     res = st.check_triangles(st.zangify(m, m.gen("p")), (-1, 1))
     assert not res.ok and res.witness == witness
+
+
+class OffDiagonalDistVec(VecModel):
+    """vec with one linear distribution, named by ``kind``, doubled at the
+    objects (a, b, c) where ``off(a, b, c)`` holds."""
+
+    def __init__(self, kind, off):
+        self.kind, self.off = kind, off
+        super().__init__({"p": 2}, depth_limit=12)
+
+    def _structural_mor(self, kind, dom, cod, objects):
+        f = super()._structural_mor(kind, dom, cod, objects)
+        return self.mor_scale(2, f) if kind == self.kind and self.off(*objects) else f
+
+
+@pytest.mark.parametrize("row, kind, off, witnesses", [
+    ("dist-assoc-tensor", "dist_l", lambda a, b, c: b.kind == TENS and b.args[1] is not c,
+     [(1, "at ('d', 'd', '(p⊗p)', '⊥p')"), (1, "at ('ᵖp', 'd', '⊥p', 'd')")]),
+    ("dist-assoc-par", "dist_l", lambda a, b, c: b.kind == PAR and b.args[0] is not c,
+     [(1, "at ('d', 'd', '(p⊗p)', '⊥p')"), (2, "at ('d', 'd', 'p', 'p')")]),
+    ("dist-mixed", "dist_r", lambda a, b, c: c.kind == PAR and c.args[1] is not a,
+     [(1, "at ('d', 'd', '(p⊗p)', '⊥p')"), (1, "at ('ᵖp', 'd', '⊥p', 'd')")]),
+], ids=["tensor", "par", "mixed"])
+def test_distribution_rows_range_over_four_objects(row, kind, off, witnesses):
+    # the distribution is doubled only off the diagonal (t = s, u = s or
+    # t = p) on which a three-object draw would check the diagram
+    m = OffDiagonalDistVec(kind, off)
+    for seed, (count, witness) in zip((0, 3), witnesses):
+        res = {r.name: r for r in validate_staut(m, seed)}[row]
+        assert (res.ok, res.count, res.witness) == (False, count, witness), seed
 
 
 # ------------------------------------------------ an object's value decides its homs

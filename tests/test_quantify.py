@@ -11,6 +11,7 @@ import pytest
 
 from stautcheck import braided as br
 from stautcheck import cyclicity as cy
+from stautcheck import profunctors as pf
 from stautcheck.core.morphisms import MorError
 from stautcheck.core import quantify as qf
 from stautcheck.core.quantify import COVERAGE, draw, expect, scan
@@ -294,3 +295,62 @@ def test_a_row_failure_replays_from_its_position():
     again = qf.check("triangle-right-object", VALIDITY["triangle-right-object"], m,
                      3 * 1000003 + 1, position=res.count)
     assert (again.ok, again.witness, again.count) == (False, res.witness, 1)
+
+
+def test_naturality_base_identity_and_contraposition_replay_from_their_position(
+        vec, monkeypatch):
+    # each is a row of the one runner, so the item at a failure's count
+    # gives back the failure's witness
+    axiom_budget = {"cap": COVERAGE["tuples"], "dim_cap": COVERAGE["axiom-dims"]}
+    bal = br.identity_balance(vec)
+    target, real = vec.probe_objects()[2], bal.component
+    monkeypatch.setattr(bal, "component", lambda p: (
+        vec.mor_scale(2, real(p)) if p is target else real(p)))
+    res = bal.validate()[1]
+    assert not res.ok and res.count > 1
+    replays = [(res, qf.check("twist-natural", cy.NATURAL, vec, 2, bal, position=res.count))]
+
+    m = ScaledDualityVec("dist_l")
+    res = cy.check_base_identity(m, seed=3)
+    replays.append((res, qf.check("base-identity", cy.BASE_IDENTITY, m, 3 * 1000003 + 4,
+                                  **axiom_budget, position=res.count)))
+
+    vec2 = build_vec_model(2)
+    cycle = scalar_cycle(vec2, 2)
+    res = pf.check_contraposition_agreement(vec2, cycle, seed=3)
+    assert res.count == 1
+    replays.append((res, qf.check("contraposition", pf.CONTRAPOSITION, vec2, 3 * 1000003 + 3,
+                                  cycle, cap=COVERAGE["contraposition-triples"],
+                                  dim_cap=COVERAGE["axiom-dims"], position=res.count)))
+    for res, again in replays:
+        assert not res.ok
+        assert (again.ok, again.witness, again.count) == (False, res.witness, 1), res.name
+
+
+def test_a_spanned_row_counts_each_tuple_at_each_pick():
+    # one item per drawn tuple and pick of its spanning arrows
+    vec = build_vec_model(2)
+    res = cy.check_axiom(scalar_cycle(vec, 1), "e2", seed=3)
+    tuples, _ = qf.draws(vec, 3, 3 * 1000003 + 3, COVERAGE["tuples"], COVERAGE["axiom-dims"],
+                         cy._AXIOMS["e2"].spans)
+    want = sum(len(vec.hom_span(vec.tens(vec.tens(p, q), t), vec.d)) for p, q, t in tuples)
+    assert res.ok and res.count == want > len(tuples)
+
+
+def test_a_span_that_raises_fails_its_tuple(thin_rel2, monkeypatch):
+    m = thin_rel2
+    bal = br.identity_balance(m)
+    assert bal.natural().ok
+    tuples, _ = qf.draws(m, 2, 2, spans=cy.NATURAL.spans)
+    a, b = tuples[1]
+    real = m.hom_span
+
+    def hom_span(x, y):
+        if (x, y) == (a, b):
+            raise MorError("no span here")
+        return real(x, y)
+
+    monkeypatch.setattr(m, "hom_span", hom_span)
+    res = bal.natural()
+    assert (res.ok, res.count, res.witness) == (
+        False, len(real(*tuples[0])) + 1, f"at {(str(a), str(b))}: no span here")
