@@ -1,5 +1,13 @@
-"""The one cache-fill rule: build on first lookup, store, never evict.
-``objects.Interner`` states it inline: every handle passes through there."""
+"""The cache-fill rule of module-level tables: build on first lookup, store,
+never evict.
+
+A ``LazyTable`` holds its ``make``, so it serves the tables that live as
+long as the process: the matrix kernels' memos and the relation composers.
+The memo of one object is a plain dict that the object fills on first use.
+A table holding a bound method or a closure of its owner would make a
+reference cycle, and the CLI runs without the cyclic collector, so the
+owner would outlive its last use (README, "Memory").  ``objects.Interner``
+fills its own dict inline: every handle passes through there."""
 
 
 class LazyTable(dict):

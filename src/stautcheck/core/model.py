@@ -82,8 +82,8 @@ class StautModel:
     is_braided = False
 
     def __init__(self, generators, depth_limit):
-        self._generators = dict(generators)
-        self._interner = Interner(depth_limit, self._generators, self._object_value)
+        self._interner = Interner(depth_limit, dict(generators))
+        self._generators = self._interner.generators
         self._objects = self._interner.table
         self._struct_cache = {}
         self.probes = []
@@ -93,28 +93,30 @@ class StautModel:
     def gen(self, name):
         if name not in self._generators:
             raise UniverseError(f"unknown generator {name!r}; declared: {list(self._generators)}")
-        return self._interner.intern(GEN, (name,))
+        return self._interner.intern(GEN, (name,), self._object_value)
 
     @property
     def e(self):
-        return self._interner.intern(UNIT_T, ())
+        return self._interner.intern(UNIT_T, (), self._object_value)
 
     @property
     def d(self):
-        return self._interner.intern(UNIT_P, ())
+        return self._interner.intern(UNIT_P, (), self._object_value)
 
     # tens and par, the most built kinds, look up an existing handle first
     def tens(self, a, b):
-        return self._objects.get((TENS, a, b)) or self._interner.intern(TENS, (a, b))
+        return (self._objects.get((TENS, a, b))
+                or self._interner.intern(TENS, (a, b), self._object_value))
 
     def par(self, a, b):
-        return self._objects.get((PAR, a, b)) or self._interner.intern(PAR, (a, b))
+        return (self._objects.get((PAR, a, b))
+                or self._interner.intern(PAR, (a, b), self._object_value))
 
     def rdual(self, a):
-        return self._interner.intern(RDUAL, (a,))
+        return self._interner.intern(RDUAL, (a,), self._object_value)
 
     def ldual(self, a):
-        return self._interner.intern(LDUAL, (a,))
+        return self._interner.intern(LDUAL, (a,), self._object_value)
 
     def value(self, ref):
         """The value of ``ref``; hot paths read ``ref.value`` directly."""

@@ -6,7 +6,9 @@ equal descriptors are interned to the same handle, so ``is`` comparison is
 object equality, and a handle keys a dict as itself: it hashes by identity.
 A handle is a slotted object built complete in one step, with its depth and
 its value; its printed key is built on its first ``str``, since most handles
-are never printed.
+are never printed.  The interner holds nothing of its model: the model hands
+its value hook to each ``intern`` call, so a dropped model and its handles
+are freed by reference counting alone.
 """
 
 
@@ -63,15 +65,16 @@ class ObjRef:
 class Interner:
     """Hash-consing table for one model's descriptors, keyed by
     ``(kind, *args)``.  It evaluates each new handle once, after its depth
-    check, from ``generators`` or with ``object_value`` on its children's
-    values; a refused descriptor stores nothing.  Every handle of a run
-    passes through ``intern``, so it fills its own dict: one key, one ``get``."""
+    check, from ``generators`` or with the ``evaluate`` its caller passes on
+    its children's values; a refused descriptor stores nothing.  Every handle
+    of a run passes through ``intern``, so it fills its own dict: one key,
+    one ``get``.  ``evaluate`` comes with each call and is never stored."""
 
-    def __init__(self, depth_limit, generators, object_value):
-        self.depth_limit, self.generators, self.evaluate = depth_limit, generators, object_value
+    def __init__(self, depth_limit, generators):
+        self.depth_limit, self.generators = depth_limit, generators
         self.table = {}
 
-    def intern(self, kind, args):
+    def intern(self, kind, args, evaluate):
         key = (kind, *args)
         ref = self.table.get(key)
         if ref is None:
@@ -87,6 +90,6 @@ class Interner:
                         f"descriptor depth {depth} exceeds the universe depth limit "
                         f"{self.depth_limit}; rebuild the model with a larger depth "
                         f"(CLI flag --depth)")
-                ref = ObjRef(kind, args, depth, self.evaluate(kind, *[a.value for a in args]))
+                ref = ObjRef(kind, args, depth, evaluate(kind, *[a.value for a in args]))
             self.table[key] = ref
         return ref

@@ -230,8 +230,10 @@ def _live(m, spans):
 def draws(model, k, seed, cap=None, dim_cap=None, spans=()):
     """``draw`` of the k-tuples of ``model``'s probes live for ``spans``,
     from ``seed`` as given, kept by the model under these arguments: every
-    check that asks for the same tuples shares one draw."""
-    return model._structural(("draws", k, seed, cap, dim_cap, spans), lambda: draw(
+    check that asks for the same tuples shares one draw.  A draw without a
+    ``cap`` never samples, so its key leaves the seed out."""
+    key = ("draws", k, None if cap is None else seed, cap, dim_cap, spans)
+    return model._structural(key, lambda: draw(
         model, model.probe_objects(), k, cap, dim_cap, seed, _live(model, spans)))
 
 

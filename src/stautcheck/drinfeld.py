@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .core import matrices as mx
 from .core.morphisms import MorError
-from .core.memo import LazyTable
 from .core.objects import GEN, PAR, TENS
 from .linear import LinearModel, Space
 
@@ -120,7 +119,7 @@ class DoubleZ2Model(LinearModel):
             for letter, x in (("g", (0, 1)), ("b", (1, 0)))}
         super().__init__({name: _check_action(name, a["g"], a["b"])
                           for name, a in self._gen_actions.items()}, depth_limit)
-        self._actions = LazyTable(self._action_at)
+        self._actions = {}
         simples = [self.gen(n) for n in self.SIMPLE_NAMES]
         self.probes = [self.e, self.d] + simples + [self.gen("regular")]
 
@@ -132,17 +131,19 @@ class DoubleZ2Model(LinearModel):
     def action(self, ref, letter):
         """Matrix of the group-like generator on the module of ``ref``, built
         on first use: an object's value holds its character only."""
-        return self._actions[ref, letter]
+        hit = self._actions.get((ref, letter))
+        if hit is None:
+            hit = self._actions[ref, letter] = self._action_at(ref, letter)
+        return hit
 
-    def _action_at(self, key):
+    def _action_at(self, ref, letter):
         # tensor and par act through the coproduct of the group-likes, duals
         # through the transpose; both units are the trivial module
-        ref, letter = key
         if ref.kind == GEN:
             return self._gen_actions[ref.args[0]][letter]
         if not ref.args:
             return mx.identity(1)
-        acts = [self._actions[a, letter] for a in ref.args]
+        acts = [self.action(a, letter) for a in ref.args]
         return mx.kron(*acts) if ref.kind in (TENS, PAR) else mx.transpose(*acts)
 
     def _object_value(self, kind, *vs):

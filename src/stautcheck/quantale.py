@@ -77,7 +77,12 @@ class Quantale:
     indices.  ``masks`` says that the values are relation masks, ordered by
     inclusion, so that each is its own order code, under a tensor that is
     monotone by definition, as relation composition is; the residuals then
-    sweep only the join-irreducibles."""
+    sweep only the join-irreducibles.
+
+    Its memos (the residuals and the sweep's rows) are plain dicts that
+    ``under``, ``over`` and ``_row`` fill on first use, so a quantale holds
+    no function of itself and is freed by reference counting.  A residual
+    that does not exist stores nothing and raises on every call."""
 
     def __init__(self, label, values, le_fn, tensor_fn, unit, dualizer,
                  name_fn=None, family="custom", meta=None, masks=False):
@@ -93,8 +98,7 @@ class Quantale:
             raise QuantaleError("unit and dualizer must be elements")
         self.unit = self._index[unit]
         self.dualizer = self._index[dualizer]
-        self._under = LazyTable(self._under_at)
-        self._over = LazyTable(self._over_at)
+        self._under, self._over = {}, {}
         if masks:
             self._codes, self._by_code = values, self._index
         else:
@@ -110,7 +114,7 @@ class Quantale:
                        if n < 1 << 15 else None)
         # the sweep's rows, stored only beside a table: 2 * n * len(sweep)
         # codes at most, where rel:4's would outweigh its residual memos
-        self._rows = LazyTable(self._row_at) if self._table is not None else None
+        self._rows = {} if self._table is not None else None
 
     # ------------------------------------------------------------- basic ops
 
@@ -184,9 +188,8 @@ class Quantale:
             least.add(by_code[meet])
         return sorted(least)
 
-    def _row_at(self, key):
+    def _row_at(self, a, left):
         """The order codes of a * x (``left``) or of x * a over the sweep."""
-        a, left = key
         codes, tensor = self._codes, self.tensor
         if left:
             return [codes[tensor(a, x)] for x in self._sweep]
@@ -194,7 +197,12 @@ class Quantale:
 
     def _row(self, a, left):
         rows = self._rows
-        return rows[a, left] if rows is not None else self._row_at((a, left))
+        if rows is None:
+            return self._row_at(a, left)
+        row = rows.get((a, left))
+        if row is None:
+            row = rows[a, left] = self._row_at(a, left)
+        return row
 
     def _greatest_below(self, images, bound, image):
         """The greatest x whose image(x) has its code inside ``bound``, or
@@ -212,24 +220,24 @@ class Quantale:
 
     def under(self, a, b):
         """Largest x with a * x <= b."""
-        return self._under[a, b]
+        hit = self._under.get((a, b))
+        if hit is None:
+            hit = self._greatest_below(self._row(a, True), self._codes[b],
+                                       lambda x: self.tensor(a, x))
+            if hit is None:
+                raise QuantaleError(f"residual {self.name(a)} \\ {self.name(b)} does not exist")
+            self._under[a, b] = hit
+        return hit
 
     def over(self, b, a):
         """Largest x with x * a <= b."""
-        return self._over[b, a]
-
-    def _under_at(self, key):
-        a, b = key
-        hit = self._greatest_below(self._row(a, True), self._codes[b], lambda x: self.tensor(a, x))
+        hit = self._over.get((b, a))
         if hit is None:
-            raise QuantaleError(f"residual {self.name(a)} \\ {self.name(b)} does not exist")
-        return hit
-
-    def _over_at(self, key):
-        b, a = key
-        hit = self._greatest_below(self._row(a, False), self._codes[b], lambda x: self.tensor(x, a))
-        if hit is None:
-            raise QuantaleError(f"residual {self.name(b)} / {self.name(a)} does not exist")
+            hit = self._greatest_below(self._row(a, False), self._codes[b],
+                                       lambda x: self.tensor(x, a))
+            if hit is None:
+                raise QuantaleError(f"residual {self.name(b)} / {self.name(a)} does not exist")
+            self._over[b, a] = hit
         return hit
 
     def perp(self, a):

@@ -17,19 +17,21 @@ closed subcategory on which the extended cycle is the identity.
 
 from itertools import product
 
-from .core.memo import LazyTable
 from .core.model import Adjunction
 from .core.morphisms import MorError, ShapeError
 from .core.objects import UniverseError
 from .core.quantify import scan
 
 
-def _outward(table, n):
-    """``table[n]``, filled from index 0 toward n, so that a build recursing
-    on the index goes one level deep and no window meets the recursion limit."""
+def _outward(table, build, n):
+    """``table[n]``, each missing index filled with ``build(index)`` from 0
+    toward n, so that a build recursing on the index goes one level deep and
+    no window meets the recursion limit.  A build that raises stores nothing."""
     if n not in table:
-        for k in range(0, n, 1 if n > 0 else -1):
-            table[k]
+        step = 1 if n > 0 else -1
+        for k in range(0, n + step, step):
+            if k not in table:
+                table[k] = build(k)
     return table[n]
 
 
@@ -38,13 +40,11 @@ class ZString:
 
     def __init__(self, model):
         self.model = model
-        self._z = LazyTable(self._z_at)
-        self._gamma = LazyTable(self._gamma_at)
-        self._tau = LazyTable(self._tau_at)
+        self._z, self._gamma, self._tau = {}, {}, {}
 
     def z(self, n):
         try:
-            return _outward(self._z, n)
+            return _outward(self._z, self._z_at, n)
         except UniverseError as exc:
             raise UniverseError(
                 f"string component {n} of {self.describe()} needs a deeper "
@@ -52,11 +52,14 @@ class ZString:
 
     def gamma(self, n):
         """Counit z(n) (x) z(n+1) -> d."""
-        return _outward(self._gamma, n)
+        return _outward(self._gamma, self._gamma_at, n)
 
     def tau(self, n):
         """Unit e -> z(n+1) par z(n); derived from gamma unless overridden."""
-        return self._tau[n]
+        hit = self._tau.get(n)
+        if hit is None:
+            hit = self._tau[n] = self._tau_at(n)
+        return hit
 
     def _tau_at(self, n):
         m = self.model
@@ -232,11 +235,10 @@ class ZMate:
                              f"{src.z(0)} -> {dst.z(0)}")
         self.model = src.model
         self.src, self.dst = src, dst
-        self._m = LazyTable(self._lift)
-        self._m[0] = base
+        self._m = {0: base}
 
     def m(self, n):
-        return _outward(self._m, n)
+        return _outward(self._m, self._lift, n)
 
     def _lift(self, n):
         m = self.model

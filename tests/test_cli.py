@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 from pathlib import Path
@@ -8,9 +9,10 @@ import sys
 import pytest
 
 import stautcheck
+from stautcheck import cli
 from stautcheck import profunctors as pf
 from stautcheck import suites
-from stautcheck.cli import main
+from stautcheck.cli import main, run
 from stautcheck.files import (FileFormatError, load_quantale_file,
                               load_vcat_file, resolve_quantale)
 
@@ -278,16 +280,58 @@ def test_cli_structured_report_deterministic(tmp_path, capsys):
     assert all("witness" in c for r in doc["reports"] for c in r["checks"])
 
 
-def test_cli_failure_exit_code(tmp_path, capsys):
+@pytest.fixture
+def broken_quantale_path(tmp_path):
     # an intentionally broken quantale: non-associative tensor
     path = tmp_path / "broken.quantale"
     rows = {("a", "a"): "a", ("a", "b"): "b", ("b", "a"): "a", ("b", "b"): "a"}
     path.write_text("elements a b\nle a b\n" +
                     "".join(f"tensor {x} {y} {z}\n" for (x, y), z in rows.items()) +
                     "unit a\ndualizer b\n")
-    code = main(["quantale", "check", str(path)])
+    return path
+
+
+def test_cli_failure_exit_code(broken_quantale_path, capsys):
+    code = main(["quantale", "check", str(broken_quantale_path)])
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_cli_leaves_the_cyclic_collector_as_it_found_it(
+        enabled, broken_quantale_path, monkeypatch, capsys):
+    # the run itself goes without the collector, and on a pass, a failed
+    # verdict and an input error alike main returns with it as it was
+    during = []
+    run_checks = cli._run
+
+    def recording(args):
+        during.append(gc.isenabled())
+        return run_checks(args)
+
+    monkeypatch.setattr(cli, "_run", recording)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        after = [(main(["quantale", "check", spec]), gc.isenabled())
+                 for spec in ("bool2", str(broken_quantale_path), "rel:0")]
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert after == [(0, enabled), (1, enabled), (2, enabled)]
+    assert during == [False] * 3
+
+
+def test_the_process_entry_freezes_the_heap_after_main(monkeypatch, capsys):
+    # the interpreter's collection at exit then skips what the run left
+    monkeypatch.setattr(sys, "argv", ["stautcheck", "quantale", "check", "bool2"])
+    try:
+        assert run() == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    capsys.readouterr()
+    assert 'stautcheck = "stautcheck.cli:run"' in (
+        Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
 
 
 def test_cli_zang_suite(capsys):

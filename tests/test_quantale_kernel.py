@@ -309,6 +309,11 @@ def test_a_missing_residual_fails_the_checks_that_need_it():
     q._table[18], q._table[152] = q._table[152], q._table[18]
     res = next(r for r in validate_staut(ThinModel(q), 1) if r.name == "triangle-right-object")
     assert not res.ok and "residual {00,11} \\ {01,10} does not exist" in res.witness
+    # a residual that does not exist stores nothing and raises on every call
+    for _ in range(2):
+        with pytest.raises(QuantaleError, match="does not exist"):
+            q.under(9, q.dualizer)   # {00,11} is mask 9
+    assert (9, q.dualizer) not in q._under
 
 
 def test_a_large_quantale_validates_on_distinct_seeded_draws(monkeypatch):

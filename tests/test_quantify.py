@@ -12,6 +12,7 @@ import pytest
 from stautcheck import braided as br
 from stautcheck import cyclicity as cy
 from stautcheck import profunctors as pf
+from stautcheck import suites
 from stautcheck.core.morphisms import MorError
 from stautcheck.core import quantify as qf
 from stautcheck.core.quantify import COVERAGE, draw, expect, scan
@@ -39,6 +40,19 @@ def test_draw_double_z2_triples(dz2, seed):
     expected = random.Random(seed).sample(pool, 40)
     assert draw(dz2, probes, 3, 40, 8, seed) == (expected, False)
     assert br.Braiding(dz2).check_hexagons(seed).count == 40
+
+
+def test_a_draw_without_a_cap_is_kept_without_its_seed(dz2, monkeypatch):
+    # it never samples, so every seed asks for the same tuples: the stitch
+    # (seed 2) and the ribbon twist (seed 3,000,011) of braided_suite(3)
+    # share the double of Z2's naturality pairs
+    assert qf.draws(dz2, 2, 0) is qf.draws(dz2, 2, 5)
+    assert qf.draws(dz2, 2, 0, cap=24) is not qf.draws(dz2, 2, 5, cap=24)
+    calls = []
+    real = qf.draw
+    monkeypatch.setattr(qf, "draw", lambda *args: calls.append(args[2]) or real(*args))
+    suites.braided_suite(3)
+    assert len(calls) == 13
 
 
 def test_draw_graded_line_triples_are_sampled(graded):
