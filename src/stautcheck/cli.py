@@ -49,50 +49,65 @@ def _add_common(p, leaf):
     flag("--format", "text", "report format", choices=("text", "structured"))
 
 
-def _parser():
+def _quantale(p):
+    p.add_argument("spec", help=f"builtin ({BUILTIN_HELP}) or a file path")
+
+
+def _vec(p):
+    p.add_argument("--values", default="1,-1,2,1/2",
+                   help="comma-separated nonzero rationals")
+    p.add_argument("--max-dim", type=int, default=2)
+
+
+def _prof(p):
+    p.add_argument("vcat", help="vcat file path, builtin:disc2 or builtin:luk3")
+
+
+def _braided(p):
+    p.add_argument("--counter-model", action="store_true",
+                   help="also run the graded-line negative-branch suite")
+
+
+def _zang(p):
+    p.add_argument("backend", help="vec or thin:SPEC (e.g. thin:rel:2)")
+
+
+# each command: its help, and its one action with that action's help and
+# the builder of its own arguments
+COMMANDS = {
+    "quantale": ("quantale model checks",
+                 "check", "validate a quantale and its thin model", _quantale),
+    "vec": ("linear model checks", "scalar-table", "axiom profile per scalar cycle", _vec),
+    "prof": ("enriched profunctor checks", "check", "verify Prof(c,c) for an enriched c", _prof),
+    "braided": ("braided model checks", "d2-suite", "the double-of-Z2 module suite", _braided),
+    "zang": ("strictification checks",
+             "suite", "string-category suite over a backend", _zang),
+    "paper": ("acceptance runs", "all", "run every acceptance criterion", None),
+}
+
+
+def _parse(argv):
+    """The arguments of ``argv``.  Every command is named, with its help,
+    but only the one that runs gets its parser tree: a first pass, with each
+    command's parser bare (no -h of its own), finds which one it is."""
     p = argparse.ArgumentParser(
         prog="stautcheck",
         description="exact coherence checking for finite star-autonomous models")
     _add_common(p, leaf=False)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def leaf(group, name, help_text):
-        lp = group.add_parser(name, help=help_text)
-        _add_common(lp, leaf=True)
-        return lp
-
-    q = sub.add_parser("quantale", help="quantale model checks")
-    qsub = q.add_subparsers(dest="action", required=True)
-    qc = leaf(qsub, "check", "validate a quantale and its thin model")
-    qc.add_argument("spec", help=f"builtin ({BUILTIN_HELP}) or a file path")
-
-    v = sub.add_parser("vec", help="linear model checks")
-    vsub = v.add_subparsers(dest="action", required=True)
-    vt = leaf(vsub, "scalar-table", "axiom profile per scalar cycle")
-    vt.add_argument("--values", default="1,-1,2,1/2",
-                    help="comma-separated nonzero rationals")
-    vt.add_argument("--max-dim", type=int, default=2)
-
-    pr = sub.add_parser("prof", help="enriched profunctor checks")
-    prsub = pr.add_subparsers(dest="action", required=True)
-    prc = leaf(prsub, "check", "verify Prof(c,c) for an enriched c")
-    prc.add_argument("vcat", help="vcat file path, builtin:disc2 or builtin:luk3")
-
-    b = sub.add_parser("braided", help="braided model checks")
-    bsub = b.add_subparsers(dest="action", required=True)
-    bd = leaf(bsub, "d2-suite", "the double-of-Z2 module suite")
-    bd.add_argument("--counter-model", action="store_true",
-                    help="also run the graded-line negative-branch suite")
-
-    z = sub.add_parser("zang", help="strictification checks")
-    zsub = z.add_subparsers(dest="action", required=True)
-    zs = leaf(zsub, "suite", "string-category suite over a backend")
-    zs.add_argument("backend", help="vec or thin:SPEC (e.g. thin:rel:2)")
-
-    pa = sub.add_parser("paper", help="acceptance runs")
-    pasub = pa.add_subparsers(dest="action", required=True)
-    leaf(pasub, "all", "run every acceptance criterion")
-    return p
+    bare = {name: sub.add_parser(name, help=cmd[0], add_help=False)
+            for name, cmd in COMMANDS.items()}
+    command = p.parse_known_args(argv)[0].command
+    _, action, help_text, build = COMMANDS[command]
+    cp = bare[command]
+    # what add_help=True would have added first
+    cp.add_argument("-h", "--help", action="help", default=argparse.SUPPRESS,
+                    help="show this help message and exit")
+    leaf = cp.add_subparsers(dest="action", required=True).add_parser(action, help=help_text)
+    _add_common(leaf, leaf=True)
+    if build:
+        build(leaf)
+    return p.parse_args(argv)
 
 
 def _parse_scalars(text):
@@ -185,7 +200,7 @@ def main(argv=None):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
         try:
             reports = _run(args)
         except (InputError, FileFormatError, OSError, UnicodeDecodeError, UniverseError) as exc:

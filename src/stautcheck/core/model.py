@@ -4,12 +4,13 @@ A backend is one interpretation of the seven object constructors and the
 twelve structural maps.  It passes a table of its generators' values to
 ``StautModel.__init__`` and states the other six constructors in one hook,
 ``_object_value``, which maps a kind and the values of its children to a
-value; the interner stores it on each handle once, as ``ref.value``.  The
-values of x and y decide whether Hom(x, y) is empty.  Beside morphism
-payloads and exact equality, one more hook, ``_structural_mor``, builds each
-of the twelve structural maps from its name, dom and cod: the associators and
-unitors of both monoidal structures, the two linear distributions, and the
-unit/counit pairs of the chosen right and left duals.
+value; the interner stores it on each handle once, as ``ref.value``, one
+object per distinct value.  The values of x and y decide whether Hom(x, y)
+is empty.  Beside morphism payloads and exact equality, one more hook,
+``_structural_mor``, builds each of the twelve structural maps from its
+name, dom and cod: the associators and unitors of both monoidal structures,
+the two linear distributions, and the unit/counit pairs of the chosen right
+and left duals.
 The dom and cod of each are stated once, in ``STRUCTURE``.  Every cache keys
 objects on their handles, which hash by identity, and the mates of an arrow
 (its two curries and two duals) on its value (dom, cod, payload): each mate
@@ -84,7 +85,8 @@ class StautModel:
     def __init__(self, generators, depth_limit):
         self._interner = Interner(depth_limit, dict(generators))
         self._generators = self._interner.generators
-        self._objects = self._interner.table
+        self._tens = self._interner.tables[TENS]
+        self._par = self._interner.tables[PAR]
         self._struct_cache = {}
         self.probes = []
 
@@ -105,11 +107,11 @@ class StautModel:
 
     # tens and par, the most built kinds, look up an existing handle first
     def tens(self, a, b):
-        return (self._objects.get((TENS, a, b))
+        return (self._tens.get((a, b))
                 or self._interner.intern(TENS, (a, b), self._object_value))
 
     def par(self, a, b):
-        return (self._objects.get((PAR, a, b))
+        return (self._par.get((a, b))
                 or self._interner.intern(PAR, (a, b), self._object_value))
 
     def rdual(self, a):

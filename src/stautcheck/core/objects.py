@@ -6,9 +6,11 @@ equal descriptors are interned to the same handle, so ``is`` comparison is
 object equality, and a handle keys a dict as itself: it hashes by identity.
 A handle is a slotted object built complete in one step, with its depth and
 its value; its printed key is built on its first ``str``, since most handles
-are never printed.  The interner holds nothing of its model: the model hands
-its value hook to each ``intern`` call, so a dropped model and its handles
-are freed by reference counting alone.
+are never printed.  What the interner stores per handle it stores once: each
+kind has its own table, keyed by the handle's own ``args`` tuple, and equal
+values share one value object.  The interner holds nothing of its model: the
+model hands its value hook to each ``intern`` call, so a dropped model and its
+handles are freed by reference counting alone.
 """
 
 
@@ -63,23 +65,27 @@ class ObjRef:
 
 
 class Interner:
-    """Hash-consing table for one model's descriptors, keyed by
-    ``(kind, *args)``.  It evaluates each new handle once, after its depth
-    check, from ``generators`` or with the ``evaluate`` its caller passes on
-    its children's values; a refused descriptor stores nothing.  Every handle
-    of a run passes through ``intern``, so it fills its own dict: one key,
-    one ``get``.  ``evaluate`` comes with each call and is never stored."""
+    """Hash-consing tables for one model's descriptors, one per kind, each
+    keyed by the ``args`` tuple of the handle it holds, so a key costs no
+    second tuple.  It evaluates each new handle once, after its depth check,
+    from ``generators`` or with the ``evaluate`` its caller passes on its
+    children's values, and stores the first value object equal to the result
+    (``values``), so equal values share one object; a refused descriptor
+    stores nothing.  Every handle of a run passes through ``intern``, so it
+    fills its tables inline: one key, one ``get``.  ``evaluate`` comes with
+    each call and is never stored."""
 
     def __init__(self, depth_limit, generators):
         self.depth_limit, self.generators = depth_limit, generators
-        self.table = {}
+        self.tables = {kind: {} for kind in _KEYS}
+        self.values = {}
 
     def intern(self, kind, args, evaluate):
-        key = (kind, *args)
-        ref = self.table.get(key)
+        table = self.tables[kind]
+        ref = table.get(args)
         if ref is None:
             if kind == GEN:
-                ref = ObjRef(kind, args, 0, self.generators[args[0]])
+                depth, value = 0, self.generators[args[0]]
             else:
                 depth = 0
                 for a in args:
@@ -90,6 +96,6 @@ class Interner:
                         f"descriptor depth {depth} exceeds the universe depth limit "
                         f"{self.depth_limit}; rebuild the model with a larger depth "
                         f"(CLI flag --depth)")
-                ref = ObjRef(kind, args, depth, evaluate(kind, *[a.value for a in args]))
-            self.table[key] = ref
+                value = evaluate(kind, *[a.value for a in args])
+            ref = table[args] = ObjRef(kind, args, depth, self.values.setdefault(value, value))
         return ref

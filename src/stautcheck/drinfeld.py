@@ -11,9 +11,10 @@ action of u = 1/2 (1 + g + b - bg).  The structure constants are not taken on
 faith: ``verify_hopf_data`` brute-forces the quasitriangularity identities in
 the 64-dimensional triple tensor algebra, and the model constructor aborts if
 any of them fails.  An object's value is its dimension and character
-(tr g, tr b, tr gb), which decides which homs are empty; its action matrices
-are built on first use, duals acting through the transpose (the antipode is
-the identity on this basis: all four basis elements are involutive).
+(tr g, tr b, tr gb), which decides which homs are empty; its pair of action
+matrices is built on first use, duals acting through the transpose (the
+antipode is the identity on this basis: all four basis elements are
+involutive).
 """
 
 from fractions import Fraction
@@ -111,13 +112,14 @@ class DoubleZ2Model(LinearModel):
         if bad is not None:
             raise MorError(f"double-of-Z2 construction failed the axiom: {bad}")
         signs = {"s_pp": (1, 1), "s_pm": (1, -1), "s_mp": (-1, 1), "s_mm": (-1, -1)}
-        self._gen_actions = {name: {"g": mx.mat([[sg]]), "b": mx.mat([[sb]])}
+        # each module's (g, b) action pair
+        self._gen_actions = {name: (mx.mat([[sg]]), mx.mat([[sb]]))
                              for name, (sg, sb) in signs.items()}
-        self._gen_actions["regular"] = {
-            letter: mx.mat([[1 if BASIS[r] == _mul(x, BASIS[c]) else 0
-                             for c in range(4)] for r in range(4)])
-            for letter, x in (("g", (0, 1)), ("b", (1, 0)))}
-        super().__init__({name: _check_action(name, a["g"], a["b"])
+        self._gen_actions["regular"] = tuple(
+            mx.mat([[1 if BASIS[r] == _mul(x, BASIS[c]) else 0
+                     for c in range(4)] for r in range(4)])
+            for x in ((0, 1), (1, 0)))
+        super().__init__({name: _check_action(name, *a)
                           for name, a in self._gen_actions.items()}, depth_limit)
         self._actions = {}
         simples = [self.gen(n) for n in self.SIMPLE_NAMES]
@@ -129,22 +131,27 @@ class DoubleZ2Model(LinearModel):
     # ---------------------------------------------------------------- actions
 
     def action(self, ref, letter):
-        """Matrix of the group-like generator on the module of ``ref``, built
-        on first use: an object's value holds its character only."""
-        hit = self._actions.get((ref, letter))
-        if hit is None:
-            hit = self._actions[ref, letter] = self._action_at(ref, letter)
-        return hit
+        """Matrix of the group-like generator ``letter`` ("g" or "b") on the
+        module of ``ref``.  Both letters' matrices are built together, on the
+        first ``action`` of the handle, and kept as one pair keyed by it: an
+        object's value holds its character only."""
+        pair = self._actions.get(ref)
+        if pair is None:
+            pair = self._actions[ref] = self._actions_at(ref)
+        return pair[0] if letter == "g" else pair[1]
 
-    def _action_at(self, ref, letter):
+    def _actions_at(self, ref):
         # tensor and par act through the coproduct of the group-likes, duals
         # through the transpose; both units are the trivial module
         if ref.kind == GEN:
-            return self._gen_actions[ref.args[0]][letter]
+            return self._gen_actions[ref.args[0]]
         if not ref.args:
-            return mx.identity(1)
-        acts = [self.action(a, letter) for a in ref.args]
-        return mx.kron(*acts) if ref.kind in (TENS, PAR) else mx.transpose(*acts)
+            one = mx.identity(1)
+            return one, one
+        kids = [(self.action(a, "g"), self.action(a, "b")) for a in ref.args]
+        if ref.kind in (TENS, PAR):
+            return tuple(map(mx.kron, *kids))
+        return tuple(map(mx.transpose, *kids))
 
     def _object_value(self, kind, *vs):
         if kind in (TENS, PAR):   # characters multiply; duals keep them

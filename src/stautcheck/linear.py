@@ -144,16 +144,27 @@ class LinearModel(StautModel):
     # With the fixed kron flattening, reassociations, unit absorptions and
     # distributions are literally identity matrices; only the duality
     # units/counits have content: sum_i e_i (x) e_i as a column or a row.
+    # That pairing matrix depends on the dimension only, so it is built once
+    # per dimension for all units and once for all counits, and each arrow
+    # still goes through ``mor``, which checks it against the objects (a
+    # module category checks that it is a module map).
 
     def _structural_mor(self, kind, dom, cod, objects):
         if kind.startswith("dual_"):
+            column = kind.startswith("dual_unit")
             n = self.dim(objects[0])
-            diagonal = [int(j // n == j % n) for j in range(n * n)]
-            payload = [[x] for x in diagonal] if kind.startswith("dual_unit") else [diagonal]
-            return self.mor(dom, cod, mx.mat(payload))
+            return self.mor(dom, cod, self._structural(("pairing", column, n),
+                                                       _pairing, column, n))
         if self.dim(dom) != self.dim(cod):
             raise MorError(f"structural identity between {dom} and {cod} of unequal dims")
         return Mor(dom, cod, self._eye(self.dim(dom)), True)
+
+
+def _pairing(column, n):
+    """sum_i e_i (x) e_i on n-dimensional spaces, as a column (the unit of a
+    dual) or as a row (its counit)."""
+    diagonal = [int(j // n == j % n) for j in range(n * n)]
+    return mx.mat([[x] for x in diagonal] if column else [diagonal])
 
 
 class VecModel(LinearModel):

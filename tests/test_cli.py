@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -371,3 +372,65 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
                          text=True, check=True, timeout=60).stdout.split()
     assert "stautcheck.cli" in out
     assert not {"dataclasses", "inspect"} & set(out), out
+
+
+# each command, its one action, and what each one's help names
+HELP = {
+    "quantale": ("quantale model checks", "check",
+                 "validate a quantale and its thin model", ["spec", "rel:N"]),
+    "vec": ("linear model checks", "scalar-table", "axiom profile per scalar cycle",
+            ["--values", "--max-dim", "comma-separated nonzero rationals"]),
+    "prof": ("enriched profunctor checks", "check", "verify Prof(c,c) for an enriched c",
+             ["vcat", "builtin:disc2 or builtin:luk3"]),
+    "braided": ("braided model checks", "d2-suite", "the double-of-Z2 module suite",
+                ["--counter-model", "negative-branch suite"]),
+    "zang": ("strictification checks", "suite", "string-category suite over a backend",
+             ["backend", "thin:SPEC"]),
+    "paper": ("acceptance runs", "all", "run every acceptance criterion", []),
+}
+
+
+def _help(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_the_help_names_every_command(capsys):
+    out = _help(["-h"], capsys)
+    assert "{quantale,vec,prof,braided,zang,paper}" in out
+    for flag in ("--seed", "--window", "--depth", "--report", "--format"):
+        assert flag in out
+    for command, (help_text, *_) in HELP.items():
+        assert f"{command} {help_text}" in out
+
+
+@pytest.mark.parametrize("command", HELP)
+def test_each_command_and_action_has_its_help(command, capsys):
+    _, action, help_text, names = HELP[command]
+    out = _help([command, "-h"], capsys)
+    assert out.startswith(f"usage: stautcheck {command} [-h] {{{action}}} ...")
+    assert f"{action} {help_text}" in out
+    out = _help(["--seed", "3", command, action, "-h"], capsys)
+    assert out.startswith(f"usage: stautcheck {command} {action} [-h]")
+    assert all(name in out for name in names)
+
+
+@pytest.mark.parametrize("command", HELP)
+def test_only_the_command_that_runs_gets_its_parser_tree(command, monkeypatch, capsys):
+    # every command is named at the top, but the parsers of the others'
+    # actions are never built
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+    action = HELP[command][1]
+    _help([command, action, "-h"], capsys)
+    assert sorted(set(progs)) == sorted(
+        ["stautcheck", f"stautcheck {command} {action}"]
+        + [f"stautcheck {c}" for c in HELP])

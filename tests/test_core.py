@@ -201,11 +201,11 @@ def test_a_descriptor_past_the_depth_limit_interns_nothing():
     shallow = build_vec_model(2, depth_limit=1)
     p = shallow.gen("p")
     dual = shallow.rdual(p)
-    before = dict(shallow._objects)
+    before = {kind: dict(table) for kind, table in shallow._interner.tables.items()}
     for build in (lambda: shallow.rdual(dual), lambda: shallow.tens(dual, p)):
         with pytest.raises(UniverseError):
             build()
-    assert shallow._objects == before
+    assert shallow._interner.tables == before
 
 
 def test_object_value_runs_once_per_handle(monkeypatch):
@@ -223,11 +223,13 @@ def test_object_value_runs_once_per_handle(monkeypatch):
         x = m.tens(m.rdual(p), m.par(p, m.e))
         assert m.dim(x) == 4 and m.value(m.ldual(x)) == Space(4)
         assert [m.dim(q) for q in m.probe_objects()] == [1, 1, 2, 2, 2, 4]
-    composite = [ref for ref in m._objects.values() if ref.kind != GEN]
+    composite = [ref for kind, table in m._interner.tables.items() if kind != GEN
+                 for ref in table.values()]
     assert sorted(kinds) == sorted(ref.kind for ref in composite)
     with pytest.raises(UniverseError):   # refused before it is evaluated
         m.rdual(m.rdual(m.rdual(m.ldual(p))))
-    assert len(kinds) == sum(ref.kind != GEN for ref in m._objects.values())
+    assert len(kinds) == sum(len(table) for kind, table in m._interner.tables.items()
+                             if kind != GEN)
 
 
 def test_composition_mismatch_names_both_objects(vec):

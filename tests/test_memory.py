@@ -1,6 +1,7 @@
 """Every object graph a check builds is freed by reference counting alone, so
 the CLI can run without the cyclic collector (README, "Memory"): no cache
-holds a bound method or a closure of its owner."""
+holds a bound method or a closure of its owner.  And what the object layer
+stores once per handle or once per value it stores in one copy."""
 
 import gc
 import importlib
@@ -16,7 +17,7 @@ from stautcheck import strictify as st
 from stautcheck import suites
 from stautcheck.cli import main
 from stautcheck.core.validate import validate_staut
-from stautcheck.drinfeld import build_drinfeld_z2
+from stautcheck.drinfeld import DoubleZ2Model, build_drinfeld_z2
 from stautcheck.linear import GradedLineModel, build_vec_model, scalar_cycle
 from stautcheck.quantale import build_rel_quantale
 from stautcheck.thin import ThinModel, thin_identity_cycle
@@ -98,3 +99,71 @@ def test_a_benchmark_command_leaves_no_garbage_cycle_of_the_program(
         gc.garbage.clear()
     capsys.readouterr()
     assert not cyclic
+
+
+def validated_vec():
+    model = build_vec_model(2)
+    assert all(r.ok for r in validate_staut(model))
+    return model
+
+
+def braided_double_z2():
+    model = build_drinfeld_z2()
+    suites._braiding_checks(br.Braiding(model), 0)
+    return model
+
+
+ONE_COPY = [validated_vec, braided_double_z2]
+
+
+def _handles(model):
+    return [ref for table in model._interner.tables.values() for ref in table.values()]
+
+
+@pytest.mark.parametrize("build", ONE_COPY, ids=lambda f: f.__name__)
+def test_each_handle_is_keyed_by_its_own_args(build):
+    model = build()
+    tables = model._interner.tables
+    assert sum(map(len, tables.values())) > 100
+    for kind, table in tables.items():
+        for key, ref in table.items():
+            assert ref.kind == kind and key is ref.args, str(ref)
+
+
+@pytest.mark.parametrize("build", ONE_COPY, ids=lambda f: f.__name__)
+def test_handles_with_equal_values_share_one_value_object(build):
+    model = build()
+    handles = _handles(model)
+    first = {}
+    for ref in handles:
+        assert first.setdefault(ref.value, ref.value) is ref.value, str(ref)
+    assert len(first) < len(handles) / 4
+
+
+def test_each_module_handle_builds_its_actions_once(monkeypatch):
+    built = []
+    build = DoubleZ2Model._actions_at
+
+    def recording(self, ref):
+        built.append(ref)
+        return build(self, ref)
+
+    monkeypatch.setattr(DoubleZ2Model, "_actions_at", recording)
+    model = braided_double_z2()
+    assert len(built) > 100
+    assert len(set(built)) == len(built) == len(model._actions)
+    for ref in built:   # one pair per handle, both letters in it
+        assert model._actions[ref] == (model.action(ref, "g"), model.action(ref, "b"))
+
+
+@pytest.mark.parametrize("build", ONE_COPY, ids=lambda f: f.__name__)
+def test_each_dual_unit_of_one_dimension_shares_one_payload(build):
+    model = build()
+    payloads, arrows = {}, 0
+    for key, f in model._struct_cache.items():
+        if key[0] in ("dual_unit_r", "dual_unit_l", "dual_counit_r", "dual_counit_l"):
+            arrows += 1
+            shared = payloads.setdefault((key[0].startswith("dual_unit"), model.dim(key[1])),
+                                         f.payload)
+            assert f.payload is shared, key
+    assert arrows > 2 * len(payloads) >= 4
