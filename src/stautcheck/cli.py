@@ -9,10 +9,10 @@ Subcommands::
     stautcheck zang suite <vec | thin:SPEC>
     stautcheck paper all
 
-Global flags: --seed N, --window N, --depth N (quantale, vec and zang
-only), --report PATH, --format text|structured.  Exit codes: 0 all verdicts
-pass, 1 some verdict failed, 2 input error.  Structured reports are
-byte-identical across runs with the same seed.
+Global flags: --seed N, --window N, --report PATH, --format
+text|structured.  Exit codes: 0 all verdicts pass, 1 some verdict failed,
+2 input error.  Structured reports are byte-identical across runs with the
+same seed.
 """
 
 import argparse
@@ -43,8 +43,6 @@ def _add_common(p, leaf):
 
     flag("--seed", 0, "seed for sampled checks", type=int)
     flag("--window", 3, "half-width W of the string verification window [-W, W]", type=int)
-    flag("--depth", None, "universe depth limit (quantale and vec: default 8; zang: "
-         "raises the depth its window needs)", type=int)
     flag("--report", None, "write the report to this path")
     flag("--format", "text", "report format", choices=("text", "structured"))
 
@@ -129,27 +127,21 @@ def _parse_scalars(text):
 def _run(args):
     if args.window < 1:
         raise InputError("--window must be at least 1")
-    if args.depth is not None and args.command not in ("quantale", "vec", "zang"):
-        raise InputError(f"--depth is read only by quantale, vec and zang, not by {args.command}")
-    if args.depth is not None and args.depth < 1:
-        raise InputError("--depth must be at least 1")
     if args.report and (os.path.isdir(args.report)
                         or not os.path.isdir(os.path.dirname(args.report) or ".")):
         raise InputError(f"--report {args.report}: not a file in an existing directory")
     window = (-args.window, args.window)
-    depth = 8 if args.depth is None else args.depth
     if args.command == "quantale":
         try:
             q = resolve_quantale(args.spec)
         except QuantaleError as exc:
             raise InputError(str(exc))
-        return [suites.quantale_suite(q, args.seed, depth=depth)]
+        return [suites.quantale_suite(q, args.seed)]
     if args.command == "vec":
         scalars = _parse_scalars(args.values)
         if not 1 <= args.max_dim <= 3:
             raise InputError("--max-dim must be 1..3")
-        return [suites.scalar_table_suite(args.seed, tuple(scalars), args.max_dim,
-                                          depth=depth)]
+        return [suites.scalar_table_suite(args.seed, tuple(scalars), args.max_dim)]
     if args.command == "prof":
         builtin = suites.BUILTIN_VCATS.get(args.vcat)
         vcat = builtin() if builtin else load_vcat_file(args.vcat)
@@ -165,8 +157,7 @@ def _run(args):
     if args.command == "zang":
         from .strictify import FangPreconditionError
         try:
-            return [suites.zang_suite(args.backend, window, args.seed,
-                                      depth=args.depth)]
+            return [suites.zang_suite(args.backend, window, args.seed)]
         except (FangPreconditionError, QuantaleError, ValueError) as exc:
             raise InputError(str(exc))
     if args.command == "paper":

@@ -82,8 +82,8 @@ class StautModel:
     is_linear = False
     is_braided = False
 
-    def __init__(self, generators, depth_limit):
-        self._interner = Interner(depth_limit, dict(generators))
+    def __init__(self, generators):
+        self._interner = Interner(dict(generators))
         self._generators = self._interner.generators
         self._tens = self._interner.tables[TENS]
         self._par = self._interner.tables[PAR]
@@ -354,23 +354,29 @@ class StautModel:
             self.tens_mor(self.identity(p), self.lunit_p(t)),
             omega)
 
-    # ----------------------------------------------------- duals of morphisms
+    # ------------------------------------------- mates and duals of morphisms
+
+    def mate_left(self, a, b, f):
+        """f: a.left -> b.left   becomes   b.right -> a.right, the curry
+        along ``a`` of (f (x) b.right) ; b.counit."""
+        return self.curry_left(a, self.chain(self.tens_mor(f, self.identity(b.right)),
+                                             b.counit))
+
+    def mate_right(self, a, b, f):
+        """f: a.right -> b.right   becomes   b.left -> a.left, the curry
+        along ``a`` of (b.left (x) f) ; b.counit."""
+        return self.curry_right(a, self.chain(self.tens_mor(self.identity(b.left), f),
+                                              b.counit))
 
     @_by_value
     def rdual_mor(self, f):
         """f: p -> q   becomes   rdual(q) -> rdual(p)."""
-        p, q = f.dom, f.cod
-        ev = self.chain(self.tens_mor(f, self.identity(self.rdual(q))),
-                        self.dual_counit_r(q))
-        return self.curry_left(self.rdual_adj(p), ev)
+        return self.mate_left(self.rdual_adj(f.dom), self.rdual_adj(f.cod), f)
 
     @_by_value
     def ldual_mor(self, f):
         """f: p -> q   becomes   ldual(q) -> ldual(p)."""
-        p, q = f.dom, f.cod
-        ev = self.chain(self.tens_mor(self.identity(self.ldual(q)), f),
-                        self.dual_counit_l(q))
-        return self.curry_right(self.ldual_adj(p), ev)
+        return self.mate_right(self.ldual_adj(f.dom), self.ldual_adj(f.cod), f)
 
     # ------------------------------------------- de Morgan and cancellation
 

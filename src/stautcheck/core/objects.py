@@ -4,18 +4,19 @@ Objects are hash-consed descriptor terms over a model's declared generators,
 closed under tensor, par, the two units and the two duals.  Structurally
 equal descriptors are interned to the same handle, so ``is`` comparison is
 object equality, and a handle keys a dict as itself: it hashes by identity.
-A handle is a slotted object built complete in one step, with its depth and
-its value; its printed key is built on its first ``str``, since most handles
-are never printed.  What the interner stores per handle it stores once: each
-kind has its own table, keyed by the handle's own ``args`` tuple, and equal
-values share one value object.  The interner holds nothing of its model: the
-model hands its value hook to each ``intern`` call, so a dropped model and its
-handles are freed by reference counting alone.
+Nothing bounds how deeply the constructors nest.  A handle is a slotted
+object built complete in one step, with its value; its printed key is built
+on its first ``str``, since most handles are never printed.  What the
+interner stores per handle it stores once: each kind has its own table,
+keyed by the handle's own ``args`` tuple, and equal values share one value
+object.  The interner holds nothing of its model: the model hands its value
+hook to each ``intern`` call, so a dropped model and its handles are freed by
+reference counting alone.
 """
 
 
 class UniverseError(Exception):
-    """A descriptor falls outside the model's generated universe."""
+    """A descriptor names a generator the model does not declare."""
 
 
 TENS = "tens"
@@ -36,16 +37,15 @@ class ObjRef:
     """Interned handle for an object descriptor.
 
     ``args`` holds child ObjRefs for composite kinds and a generator name for
-    ``gen``, ``depth`` its nesting depth (0 for a generator or a unit) and
-    ``value`` its value in the model.  Equality and hashing are by identity;
-    the interner guarantees structural equality implies identity within one
-    model.
+    ``gen``, and ``value`` its value in the model.  Equality and hashing are
+    by identity; the interner guarantees structural equality implies identity
+    within one model.
     """
 
-    __slots__ = ("kind", "args", "depth", "value", "_key")
+    __slots__ = ("kind", "args", "value", "_key")
 
-    def __init__(self, kind, args, depth, value):
-        self.kind, self.args, self.depth, self.value = kind, args, depth, value
+    def __init__(self, kind, args, value):
+        self.kind, self.args, self.value = kind, args, value
         self._key = None
 
     def __str__(self):
@@ -67,16 +67,15 @@ class ObjRef:
 class Interner:
     """Hash-consing tables for one model's descriptors, one per kind, each
     keyed by the ``args`` tuple of the handle it holds, so a key costs no
-    second tuple.  It evaluates each new handle once, after its depth check,
-    from ``generators`` or with the ``evaluate`` its caller passes on its
-    children's values, and stores the first value object equal to the result
-    (``values``), so equal values share one object; a refused descriptor
-    stores nothing.  Every handle of a run passes through ``intern``, so it
-    fills its tables inline: one key, one ``get``.  ``evaluate`` comes with
-    each call and is never stored."""
+    second tuple.  It evaluates each new handle once, from ``generators`` or
+    with the ``evaluate`` its caller passes on its children's values, and
+    stores the first value object equal to the result (``values``), so equal
+    values share one object.  Every handle of a run passes through
+    ``intern``, so it fills its tables inline: one key, one ``get``.
+    ``evaluate`` comes with each call and is never stored."""
 
-    def __init__(self, depth_limit, generators):
-        self.depth_limit, self.generators = depth_limit, generators
+    def __init__(self, generators):
+        self.generators = generators
         self.tables = {kind: {} for kind in _KEYS}
         self.values = {}
 
@@ -85,17 +84,8 @@ class Interner:
         ref = table.get(args)
         if ref is None:
             if kind == GEN:
-                depth, value = 0, self.generators[args[0]]
+                value = self.generators[args[0]]
             else:
-                depth = 0
-                for a in args:
-                    if a.depth >= depth:
-                        depth = a.depth + 1
-                if depth > self.depth_limit:
-                    raise UniverseError(
-                        f"descriptor depth {depth} exceeds the universe depth limit "
-                        f"{self.depth_limit}; rebuild the model with a larger depth "
-                        f"(CLI flag --depth)")
                 value = evaluate(kind, *[a.value for a in args])
-            ref = table[args] = ObjRef(kind, args, depth, self.values.setdefault(value, value))
+            ref = table[args] = ObjRef(kind, args, self.values.setdefault(value, value))
         return ref

@@ -107,7 +107,7 @@ class DoubleZ2Model(LinearModel):
 
     SIMPLE_NAMES = ("s_pp", "s_pm", "s_mp", "s_mm")
 
-    def __init__(self, depth_limit=8):
+    def __init__(self):
         bad = verify_hopf_data()
         if bad is not None:
             raise MorError(f"double-of-Z2 construction failed the axiom: {bad}")
@@ -120,7 +120,7 @@ class DoubleZ2Model(LinearModel):
                      for c in range(4)] for r in range(4)])
             for x in ((0, 1), (1, 0)))
         super().__init__({name: _check_action(name, *a)
-                          for name, a in self._gen_actions.items()}, depth_limit)
+                          for name, a in self._gen_actions.items()})
         self._actions = {}
         simples = [self.gen(n) for n in self.SIMPLE_NAMES]
         self.probes = [self.e, self.d] + simples + [self.gen("regular")]
@@ -209,6 +209,6 @@ class DoubleZ2Model(LinearModel):
         return out
 
 
-def build_drinfeld_z2(depth_limit=8):
+def build_drinfeld_z2():
     """Construct and internally verify the braided module model."""
-    return DoubleZ2Model(depth_limit)
+    return DoubleZ2Model()

@@ -172,12 +172,12 @@ class VecModel(LinearModel):
 
     is_braided = True
 
-    def __init__(self, dims=None, depth_limit=8):
+    def __init__(self, dims=None):
         dims = dims or {"p": 2}
         for name, n in dims.items():
             if not 1 <= n <= 3:
                 raise MorError(f"generator {name!r} dim {n} out of range 1..3")
-        super().__init__({name: Space(n) for name, n in dims.items()}, depth_limit)
+        super().__init__({name: Space(n) for name, n in dims.items()})
         first = self.gen(next(iter(dims)))
         self.probes = [self.e, self.d, first, self.rdual(first), self.ldual(first),
                        self.tens(first, first)]
@@ -191,11 +191,9 @@ class VecModel(LinearModel):
             self.tens(p, q), self.tens(q, p), mx.swap_matrix(self.dim(p), self.dim(q))))
 
 
-def build_vec_model(max_dim=2, depth_limit=8):
+def build_vec_model(max_dim=2):
     """The symmetric linear model on one generator of the given dimension."""
-    if not 1 <= max_dim <= 3:
-        raise MorError(f"max_dim must be 1..3, got {max_dim}")
-    return VecModel({"p": max_dim}, depth_limit)
+    return VecModel({"p": max_dim})
 
 
 class GradedLineModel(LinearModel):
@@ -208,12 +206,10 @@ class GradedLineModel(LinearModel):
     """
 
     is_braided = True
+    c = Fraction(2)
 
-    def __init__(self, c=Fraction(2), depth_limit=8):
-        super().__init__({"x": Space(1, 1)}, depth_limit)
-        self.c = Fraction(c)
-        if self.c == 0:
-            raise MorError("braiding scale must be nonzero")
+    def __init__(self):
+        super().__init__({"x": Space(1, 1)})
         x = self.gen("x")
         self.probes = [self.e, self.d, x, self.rdual(x), self.tens(x, x)]
 

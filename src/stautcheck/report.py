@@ -45,11 +45,9 @@ class SuiteReport:
 
     __slots__ = ("suite", "model", "seed", "checks", "notes", "stats", "profiles", "duration")
 
-    def __init__(self, suite, model, seed, checks=(), notes=(), stats=(), profiles=(),
-                 duration=0.0):
-        self.suite, self.model, self.seed, self.duration = suite, model, seed, duration
-        self.checks, self.notes, self.profiles = list(checks), list(notes), list(profiles)
-        self.stats = dict(stats)
+    def __init__(self, suite, model, seed):
+        self.suite, self.model, self.seed, self.duration = suite, model, seed, 0.0
+        self.checks, self.notes, self.profiles, self.stats = [], [], [], {}
 
     def add(self, result, prefix="", suffix=""):
         """Add one result or a list of them, names wrapped as ``renamed``

@@ -19,7 +19,6 @@ from itertools import product
 
 from .core.model import Adjunction
 from .core.morphisms import MorError, ShapeError
-from .core.objects import UniverseError
 from .core.quantify import scan
 
 
@@ -43,12 +42,7 @@ class ZString:
         self._z, self._gamma, self._tau = {}, {}, {}
 
     def z(self, n):
-        try:
-            return _outward(self._z, self._z_at, n)
-        except UniverseError as exc:
-            raise UniverseError(
-                f"string component {n} of {self.describe()} needs a deeper "
-                f"universe: {exc}") from None
+        return _outward(self._z, self._z_at, n)
 
     def gamma(self, n):
         """Counit z(n) (x) z(n+1) -> d."""
@@ -241,24 +235,13 @@ class ZMate:
         return _outward(self._m, self._lift, n)
 
     def _lift(self, n):
-        m = self.model
+        # the mate of the component next to n toward zero, along both
+        # strings' adjunctions between k and k + 1; component k starts at a
+        k = n - 1 if n > 0 else n
+        a, b = (self.src, self.dst) if k % 2 == 0 else (self.dst, self.src)
         if n > 0:
-            prev = self.m(n - 1)
-            if (n - 1) % 2 == 0:
-                ev = m.chain(m.tens_mor(prev, m.identity(self.dst.z(n))),
-                             self.dst.gamma(n - 1))
-                return m.curry_left(self.src.adjunction(n - 1), ev)
-            ev = m.chain(m.tens_mor(prev, m.identity(self.src.z(n))),
-                         self.src.gamma(n - 1))
-            return m.curry_left(self.dst.adjunction(n - 1), ev)
-        nxt = self.m(n + 1)
-        if n % 2 == 0:
-            ev = m.chain(m.tens_mor(m.identity(self.src.z(n)), nxt),
-                         self.src.gamma(n))
-            return m.curry_right(self.dst.adjunction(n), ev)
-        ev = m.chain(m.tens_mor(m.identity(self.dst.z(n)), nxt),
-                     self.dst.gamma(n))
-        return m.curry_right(self.src.adjunction(n), ev)
+            return self.model.mate_left(a.adjunction(k), b.adjunction(k), self.m(k))
+        return self.model.mate_right(b.adjunction(k), a.adjunction(k), self.m(n + 1))
 
     def check_mateship(self, window):
         """The defining compatibility through the counits on every adjacent

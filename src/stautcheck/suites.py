@@ -15,7 +15,7 @@ from .quantale import (build_rel_quantale, build_s3_pointed, build_bool2,
                        check_duality, is_central, s3_elements)
 from .thin import ThinModel, thin_identity_cycle
 from .linear import build_vec_model, GradedLineModel, scalar_cycle
-from .drinfeld import build_drinfeld_z2
+from .drinfeld import DoubleZ2Model
 from .core import matrices as mx
 from .core.quantify import expect, scan
 from .core.validate import validate_staut
@@ -40,7 +40,7 @@ def _timed(fn):
 # ---------------------------------------------------------------- quantale
 
 @_timed
-def quantale_suite(q, seed=0, depth=8):
+def quantale_suite(q, seed=0):
     rep = SuiteReport("quantale-check", q.label, seed)
     core = q.validate(seed)
     rep.add(core, prefix="quantale-")
@@ -54,7 +54,7 @@ def quantale_suite(q, seed=0, depth=8):
         rep.note(f"not cyclic; witness element {cyclic.witness}")
     if q.family in ("rel", "two_prof"):
         rep.add(check_duality("duality-is-complement-of-reverse", [q]))
-    model = ThinModel(q, depth_limit=depth)
+    model = ThinModel(q)
     rep.add(validate_staut(model, seed))
     rep.add(cy.check_base_identity(model, seed=seed))
     if cyclic.ok:
@@ -71,8 +71,8 @@ def quantale_suite(q, seed=0, depth=8):
 # ------------------------------------------------------------ scalar table
 
 @_timed
-def scalar_table_suite(seed=0, scalars=SCALARS, max_dim=2, depth=8):
-    model = build_vec_model(max_dim, depth_limit=depth)
+def scalar_table_suite(seed=0, scalars=SCALARS, max_dim=2):
+    model = build_vec_model(max_dim)
     rep = SuiteReport("vec-scalar-table", model.describe(), seed)
     table = {}
     for lam in scalars:
@@ -182,7 +182,7 @@ def _twist_checks(twist):
 
 @_timed
 def braided_suite(seed=0):
-    model = build_drinfeld_z2()
+    model = DoubleZ2Model()
     rep = SuiteReport("braided-d2-suite", model.describe(), seed)
     braiding = br.Braiding(model)
     rep.add(_braiding_checks(braiding, seed))
@@ -247,18 +247,14 @@ def counter_model_suite(seed=0):
 
 # -------------------------------------------------------------------- zang
 
-def _zang_model(backend, window, depth=None):
-    # the deepest object of a suite is the head of a curry along the unit of a
-    # tensor string at the window's end W: (dual(z) par z) (x) z(W), where
-    # z = z(W + 1) is the tensor or par of two tower components of depth W + 1
-    depth = max(depth or 0, max(map(abs, window)) + 5)
+def _zang_model(backend):
     if backend == "vec":
-        model = build_vec_model(2, depth_limit=depth)
+        model = build_vec_model(2)
         cycle = scalar_cycle(model, 1)
     elif backend.startswith("thin:"):
         from .files import resolve_quantale
         q = resolve_quantale(backend[5:])
-        model = ThinModel(q, probe_cap=6, depth_limit=depth)
+        model = ThinModel(q, probe_cap=6)
         cyclic = q.is_cyclic()
         if not cyclic.ok:
             raise st.FangPreconditionError(
@@ -270,8 +266,8 @@ def _zang_model(backend, window, depth=None):
 
 
 @_timed
-def zang_suite(backend, window=(-3, 3), seed=0, depth=None):
-    model, cycle = _zang_model(backend, window, depth)
+def zang_suite(backend, window=(-3, 3), seed=0):
+    model, cycle = _zang_model(backend)
     rep = SuiteReport(f"zang-suite-{backend}", model.describe(), seed)
     rep.stats["window"] = list(window)
     probes = model.probe_objects()
@@ -383,7 +379,7 @@ def criterion_6(seed=0):
     rep.add(_at_least("contraposition-sample-size", res.count, 50))
     rep.add(pf.check_contraposition_agreement(thin, thin_identity_cycle(thin), seed=seed),
             suffix="-thin")
-    rep.add(br.Braiding(build_drinfeld_z2()).check_mixed_distributions(seed), suffix="-d2")
+    rep.add(br.Braiding(DoubleZ2Model()).check_mixed_distributions(seed), suffix="-d2")
     return rep
 
 

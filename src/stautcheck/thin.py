@@ -14,8 +14,8 @@ from .quantale import Quantale, QuantaleError
 
 
 class ThinModel(StautModel):
-    def __init__(self, quantale: Quantale, probe_cap=10, depth_limit=8):
-        super().__init__({quantale.name(x): x for x in quantale.elements}, depth_limit)
+    def __init__(self, quantale: Quantale, probe_cap=10):
+        super().__init__({quantale.name(x): x for x in quantale.elements})
         self.q = q = quantale
         # what evaluates each object kind: an operation of the quantale on
         # the children's values, or for a unit the element itself

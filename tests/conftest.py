@@ -8,12 +8,12 @@ from stautcheck.drinfeld import build_drinfeld_z2
 
 @pytest.fixture(scope="session")
 def vec():
-    return build_vec_model(2, depth_limit=12)
+    return build_vec_model(2)
 
 
 @pytest.fixture(scope="session")
 def thin_rel2():
-    return ThinModel(build_rel_quantale(2), probe_cap=6, depth_limit=12)
+    return ThinModel(build_rel_quantale(2), probe_cap=6)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ import pytest
 import stautcheck
 from stautcheck import cli
 from stautcheck import profunctors as pf
-from stautcheck import suites
 from stautcheck.cli import main, run
 from stautcheck.files import (FileFormatError, load_quantale_file,
                               load_vcat_file, resolve_quantale)
@@ -160,8 +159,6 @@ def test_cli_input_errors(tmp_path, capsys):
     noncyclic.write_text("quantale s3:(01)\nobjects x\nhom x x e\n")
     assert main(["prof", "check", str(noncyclic)]) == 2
     assert "not cyclic (witness (02))" in capsys.readouterr().err
-    assert main(["--depth", "1", "quantale", "check", "rel:2"]) == 2
-    assert main(["--depth", "0", "quantale", "check", "bool2"]) == 2
     assert main(["--window", "-2", "zang", "suite", "vec"]) == 2
     assert main(["--window", "0", "zang", "suite", "vec"]) == 2
     assert main(["vec", "scalar-table", "--values", "1,1"]) == 2
@@ -251,17 +248,15 @@ def test_paper_all_passes_at_other_seeds(capsys):
     assert codes == {0: 0, 1: 0, 2: 0, 4: 0}
 
 
-@pytest.mark.parametrize("argv", [
-    ["--depth", "1", "prof", "check", "builtin:disc2"],
-    ["braided", "d2-suite", "--depth", "1"],
-    ["--depth", "8", "paper", "all"],
-], ids=["prof", "braided", "paper"])
-def test_cli_depth_refused_where_unread(argv, capsys):
-    # refused before any check runs, naming the commands that read it
-    assert main(argv) == 2
+def test_there_is_no_depth_flag(capsys):
+    # the object universe has no depth: argparse refuses the flag before any
+    # check runs
+    with pytest.raises(SystemExit) as stop:
+        main(["--depth", "8", "paper", "all"])
+    assert stop.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--depth is read only by quantale, vec and zang, not by" in captured.err
+    assert "stautcheck: error:" in captured.err and "--depth" not in captured.err
 
 
 def test_cli_structured_report_deterministic(tmp_path, capsys):
@@ -343,14 +338,7 @@ def test_cli_zang_suite(capsys):
 
 @pytest.mark.parametrize("backend", ["vec", "thin:rel:2"])
 def test_cli_zang_suite_at_window_one(backend):
-    # the suite's deepest object lies W + 5 levels down, below 2W + 3 at W = 1
     assert main(["--window", "1", "zang", "suite", backend]) == 0
-
-
-def test_zang_depth_is_the_larger_of_the_flag_and_the_window_need():
-    for half, depth, want in ((1, None, 6), (3, None, 8), (1, 20, 20), (3, 2, 8)):
-        model, _ = suites._zang_model("vec", (-half, half), depth)
-        assert model._interner.depth_limit == want
 
 
 def test_cli_prof_builtin(capsys):
@@ -400,7 +388,7 @@ def _help(argv, capsys):
 def test_the_help_names_every_command(capsys):
     out = _help(["-h"], capsys)
     assert "{quantale,vec,prof,braided,zang,paper}" in out
-    for flag in ("--seed", "--window", "--depth", "--report", "--format"):
+    for flag in ("--seed", "--window", "--report", "--format"):
         assert flag in out
     for command, (help_text, *_) in HELP.items():
         assert f"{command} {help_text}" in out

@@ -40,12 +40,7 @@ def test_unknown_generator(vec, dz2):
 
 def test_depth_and_key_of_each_kind(vec):
     p = vec.gen("p")
-    assert (p.depth, vec.e.depth, vec.d.depth) == (0, 0, 0)
     rp = vec.rdual(p)
-    lrp = vec.ldual(rp)
-    assert (rp.depth, lrp.depth) == (1, 2)
-    assert vec.tens(lrp, p).depth == 3 and vec.tens(vec.e, lrp).depth == 3
-    assert vec.par(vec.d, vec.tens(lrp, p)).depth == 4
     assert str(vec.par(rp, vec.tens(vec.ldual(vec.e), vec.d))) == "(⊥p⅋(ᵖe⊗d))"
 
 
@@ -59,7 +54,7 @@ def test_keys_of_nested_objects():
 
 
 def test_the_key_of_a_deep_object_needs_no_deep_stack():
-    m = VecModel({"a": 1}, depth_limit=5000)
+    m = VecModel({"a": 1})
     x = m.gen("a")
     for _ in range(5000):
         x = m.rdual(x)
@@ -190,24 +185,6 @@ def test_thin_probes_are_distinct():
         assert len(set(probes)) == len(probes) == len(q) + 2
 
 
-def test_depth_limit_error_mentions_flag():
-    shallow = build_vec_model(2, depth_limit=1)
-    p = shallow.gen("p")
-    with pytest.raises(UniverseError, match="--depth"):
-        shallow.rdual(shallow.rdual(p))
-
-
-def test_a_descriptor_past_the_depth_limit_interns_nothing():
-    shallow = build_vec_model(2, depth_limit=1)
-    p = shallow.gen("p")
-    dual = shallow.rdual(p)
-    before = {kind: dict(table) for kind, table in shallow._interner.tables.items()}
-    for build in (lambda: shallow.rdual(dual), lambda: shallow.tens(dual, p)):
-        with pytest.raises(UniverseError):
-            build()
-    assert shallow._interner.tables == before
-
-
 def test_object_value_runs_once_per_handle(monkeypatch):
     kinds = []
     evaluate = VecModel._object_value
@@ -217,7 +194,7 @@ def test_object_value_runs_once_per_handle(monkeypatch):
         return evaluate(self, kind, *vs)
 
     monkeypatch.setattr(VecModel, "_object_value", counting, raising=False)
-    m = build_vec_model(2, depth_limit=3)
+    m = build_vec_model(2)
     p = m.gen("p")
     for _ in range(3):
         x = m.tens(m.rdual(p), m.par(p, m.e))
@@ -226,10 +203,6 @@ def test_object_value_runs_once_per_handle(monkeypatch):
     composite = [ref for kind, table in m._interner.tables.items() if kind != GEN
                  for ref in table.values()]
     assert sorted(kinds) == sorted(ref.kind for ref in composite)
-    with pytest.raises(UniverseError):   # refused before it is evaluated
-        m.rdual(m.rdual(m.rdual(m.ldual(p))))
-    assert len(kinds) == sum(len(table) for kind, table in m._interner.tables.items()
-                             if kind != GEN)
 
 
 def test_composition_mismatch_names_both_objects(vec):
@@ -445,17 +418,12 @@ def test_validate_staut_noncyclic_thin_model():
     assert all(r.ok for r in validate_staut(model, seed=2))
 
 
-def test_probe_objects_in_universe(vec):
-    for p in vec.probe_objects():
-        assert p.depth <= vec._interner.depth_limit
-
-
 class ScaledDualityVec(VecModel):
     """vec with one duality map, named by ``kind``, doubled."""
 
     def __init__(self, kind):
         self.kind = kind
-        super().__init__({"p": 2}, depth_limit=12)
+        super().__init__({"p": 2})
 
     def _structural_mor(self, kind, dom, cod, objects):
         f = super()._structural_mor(kind, dom, cod, objects)
@@ -487,7 +455,7 @@ class OffDiagonalDistVec(VecModel):
 
     def __init__(self, kind, off):
         self.kind, self.off = kind, off
-        super().__init__({"p": 2}, depth_limit=12)
+        super().__init__({"p": 2})
 
     def _structural_mor(self, kind, dom, cod, objects):
         f = super()._structural_mor(kind, dom, cod, objects)
@@ -526,14 +494,14 @@ contract_models = pytest.mark.parametrize("make", CONTRACT_MODELS.values(), ids=
 
 
 def _objects_to_depth_two(m):
-    """The probes and every object one constructor makes of them, up to depth 2."""
+    """The probes and every object one constructor makes of them."""
     probes = m.probe_objects()
     out = dict.fromkeys(probes)
     for a in probes:
         out.update(dict.fromkeys([m.rdual(a), m.ldual(a)]))
         for b in probes:
             out.update(dict.fromkeys([m.tens(a, b), m.par(a, b)]))
-    return [x for x in out if x.depth <= 2]
+    return list(out)
 
 
 @contract_models

@@ -26,7 +26,7 @@ from test_core import ScaledDualityVec
 
 @pytest.fixture(scope="module")
 def vec2():
-    return build_vec_model(2, depth_limit=12)
+    return build_vec_model(2)
 
 
 def test_oracle_covers_all_axioms():
@@ -52,7 +52,7 @@ def test_lambda_one_is_a_cycle(vec2):
 
 
 def test_thin_identity_cycle_all_axioms():
-    model = ThinModel(build_rel_quantale(2), probe_cap=6, depth_limit=12)
+    model = ThinModel(build_rel_quantale(2), probe_cap=6)
     profile = cy.classify(thin_identity_cycle(model))
     assert all(profile.verdicts.values())
 
@@ -71,7 +71,7 @@ def test_both_constructors_agree(lam):
     # the hom-level constructor derives the components the object-level one
     # was given, and the two classify alike
     if lam is None:
-        model = ThinModel(build_rel_quantale(2), probe_cap=6, depth_limit=12)
+        model = ThinModel(build_rel_quantale(2), probe_cap=6)
         c = thin_identity_cycle(model)
     else:
         model = build_vec_model(2)

@@ -293,7 +293,7 @@ def test_expect_names_the_first_result_against_its_verdict():
 def test_a_row_failure_replays_from_its_position():
     # the runner on the one tuple at the failure's count, in the row's
     # cached draw, gives back the failure's witness
-    vec = build_vec_model(2, depth_limit=12)
+    vec = build_vec_model(2)
     cycle = scalar_cycle(vec, 2)
     seed = 3 * 1000003 + 2
     budget = {"cap": COVERAGE["tuples"], "dim_cap": COVERAGE["axiom-dims"]}

@@ -6,7 +6,6 @@ from stautcheck import cyclicity as cy
 from stautcheck import strictify as st
 from stautcheck import suites
 from stautcheck.core import matrices as mx
-from stautcheck.core.objects import UniverseError
 from stautcheck.linear import build_vec_model, scalar_cycle
 from stautcheck.quantale import build_rel_quantale
 from stautcheck.thin import ThinModel, thin_identity_cycle
@@ -16,12 +15,12 @@ WINDOW = (-3, 3)
 
 @pytest.fixture(scope="module")
 def vm():
-    return build_vec_model(2, depth_limit=12)
+    return build_vec_model(2)
 
 
 @pytest.fixture(scope="module")
 def tm():
-    return ThinModel(build_rel_quantale(2), probe_cap=6, depth_limit=12)
+    return ThinModel(build_rel_quantale(2), probe_cap=6)
 
 
 def test_canonical_components(vm):
@@ -66,19 +65,12 @@ def test_triangles_all_descriptor_kinds(vm, tm):
             assert st.check_triangles(s, WINDOW).ok, s.describe()
 
 
-def test_window_exceeding_universe_depth_errors():
-    shallow = build_vec_model(2, depth_limit=2)
-    z = st.zangify(shallow, shallow.gen("p"))
-    with pytest.raises(UniverseError, match="deeper"):
-        z.z(3)
-
-
 def test_wide_window_needs_no_deep_stack():
     # a component is built from its neighbour and an object's value from its
     # children; neither may recurse once per index, or the interpreter's
     # recursion limit would cap the window (here 601 indices, 603 levels deep)
     w = 300
-    model = build_vec_model(2, depth_limit=2 * w + 3)
+    model = build_vec_model(2)
     p = model.probe_objects()[2]
     strings = [st.zangify(model, p),
                st.period2_from_cycle(p, scalar_cycle(model, 1))]
